@@ -8,4 +8,4 @@ constructive generator lifting.
 
 __version__ = "0.1.0"
 
-from .permgroup import Permutation, PermGroup, compose, generate  # noqa: F401
+from .permgroup import Permutation, PermGroup, generate  # noqa: F401

@@ -318,23 +318,8 @@ def criterion_9():
             dim = sum(
                 m * tab.fixed_space_dim(i, rep) for i, m in enumerate(chi.mults) if m
             )
-            orbits = _orbit_count(rep, G.degree)
-            _check(dim == orbits, "Burnside at |G|=%d" % G.order)
+            _check(dim == rep.cycle_count(), "Burnside at |G|=%d" % G.order)
     return "%d tables: orthogonality, sum d^2 = |G|, Burnside" % len(groups)
-
-
-def _orbit_count(g, degree):
-    seen = [False] * degree
-    count = 0
-    for start in range(degree):
-        if seen[start]:
-            continue
-        count += 1
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = g.imgs[i]
-    return count
 
 
 def criterion_10(seed=DEFAULT_SEED):

@@ -1,11 +1,15 @@
 """Belyi covers as monodromy pairs and their Galois-closure data.
 
-A cover is a transitive pair (x, y) with z = (x*y)^-1; the closure data
-records H = <x, y>, J = Stab_H(1), W = N_H(J), the deck group D of the
-intermediate Galois cover (W acting on the cosets of J), and per-branch
-ramification records (e_j, d_j) computed on the cosets H/W.  The fiber
-model: points of X over a branch point b are the <sigma_b>-orbits on H/J,
-points of Z over b the <sigma_b>-orbits on H/W.
+A cover is a transitive pair (x, y) on n points with z = (x*y)^-1 and
+monodromy group H = <x, y>.  Apart from |H|, the closure data is read off
+the action on the points.  For J = Stab_H(1), W = N_H(J) is the set of
+h with 1^h in Fix(J), the points fixed by J, and the deck group D = W/J
+acts regularly on Fix(J); so |D| = |Fix(J)| and [H:W] = n / |Fix(J)|.
+The images of Fix(J) under H are blocks partitioning the points, one per
+coset of W, and the branch records (e_j, d_j) come from sigma_b acting on
+the blocks, with d_j read on Fix(J).  The fiber model: points of X over a
+branch point b are the <sigma_b>-orbits on the points (H/J), points of Z
+over b the <sigma_b>-orbits on the blocks (H/W).
 """
 
 from __future__ import annotations
@@ -21,26 +25,15 @@ class BelyiCover:
     def __init__(self, x: Permutation, y: Permutation):
         if x.degree != y.degree:
             raise PreconditionError("x and y must have the same degree")
+        if x.degree == 0:
+            raise PreconditionError("a cover needs at least one point")
         self.degree = x.degree
         self.x = x
         self.y = y
         self.z = (x * y).inverse()
-        if not self._transitive():
+        self.transversal = _transversal((x, y))
+        if len(self.transversal) != self.degree:
             raise PreconditionError("monodromy group is not transitive: cover is reducible")
-
-    def _transitive(self):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for i in frontier:
-                for p in (self.x, self.y):
-                    j = p.imgs[i]
-                    if j not in seen:
-                        seen.add(j)
-                        new.append(j)
-            frontier = new
-        return len(seen) == self.degree
 
     @classmethod
     def from_json(cls, data):
@@ -77,103 +70,105 @@ class BelyiCover:
 BRANCH_POINTS = ("0", "1", "inf")
 
 
-class ClosureData:
-    """Galois-closure and branch data of a Belyi cover."""
+def _transversal(gens):
+    """{a: u} with 1^u = a for every point a in the orbit of 1, by BFS
+    (0-based points)."""
+    u = {0: Permutation.identity(gens[0].degree)}
+    queue = [0]
+    for a in queue:  # the queue grows while it is read
+        for g in gens:
+            b = g.imgs[a]
+            if b not in u:
+                u[b] = u[a] * g
+                queue.append(b)
+    return u
 
-    def __init__(self, cover, H, J, W, D, project, branch):
+
+class ClosureData:
+    """Galois-closure and branch data of a Belyi cover, on points.
+
+    `fixed` lists Fix(J) for J = Stab_H(1), as sorted 0-based points.  D is
+    W/J as a permutation group on Fix(J), point i of D being fixed[i], and
+    `project` restricts an element of W to Fix(J).  `branch` maps each
+    branch point b to its records (e_j, d_j), one per <sigma_b>-orbit on
+    the blocks Fix(J)^h.  J and W enter only through their orders.
+    """
+
+    def __init__(self, cover, H, fixed, D, project, branch):
         self.cover = cover
         self.H = H
-        self.J = J
-        self.W = W
+        self.fixed = fixed
         self.D = D
         self.project = project  # W -> D homomorphism (on elements)
         self.branch = branch  # b -> list of (e_j, d_j)
-        self.index_HW = H.order // W.order
-        self.is_galois = J.order == 1
+        self.order_J = H.order // cover.degree
+        self.order_W = self.order_J * len(fixed)
+        self.index_HW = cover.degree // len(fixed)
+        self.is_galois = len(fixed) == cover.degree
 
     def branch_points_of_Z(self):
         """Total number of points of Z over {0, 1, oo}."""
         return sum(len(recs) for recs in self.branch.values())
 
 
-def _left_coset_reps(H, W):
-    """Representatives of the left cosets gW, identity first."""
-    reps = [H.identity()]
-    inv_reps = [H.identity()]
-    frontier = [H.identity()]
-    while frontier:
-        new = []
-        for r in frontier:
-            for g in H.generators:
-                # left translation acts on the coset space, so BFS by
-                # left-multiplying representatives visits every coset
-                cand = g * r
-                if all((ri * cand) not in W for ri in inv_reps):
-                    reps.append(cand)
-                    inv_reps.append(cand.inverse())
-                    new.append(cand)
-        frontier = new
-    return reps, inv_reps
-
-
 def validate(cover: BelyiCover) -> ClosureData:
     """Compute the full closure data of a cover."""
-    H = PermGroup([cover.x, cover.y])
-    J = H.stabilizer(1)
-    W = _normalizer_of_point_stabilizer(H, J)
-    D, _, project = W.coset_action(J)
-    reps, inv_reps = _left_coset_reps(H, W)
-    ncosets = len(reps)
-    if ncosets * W.order != H.order:
-        raise InternalError("left coset enumeration is incomplete")
+    n = cover.degree
+    gens = (cover.x, cover.y)
+    u = cover.transversal
+    H = PermGroup(list(gens))
+    # the Schreier generators u[a] g u[a^g]^-1 generate J
+    u_inv = {a: ua.inverse() for a, ua in u.items()}
+    schreier = [u[a] * g * u_inv[g.imgs[a]] for a in u for g in gens]
+    fixed = [p for p in range(n) if all(s.imgs[p] == p for s in schreier)]
+    pos = {p: i for i, p in enumerate(fixed)}
 
-    def coset_index(g):
-        for i, ri in enumerate(inv_reps):
-            if (ri * g) in W:
-                return i
-        raise InternalError("element escaped the coset decomposition")
+    def project(w):
+        return Permutation([pos[w.imgs[p]] for p in fixed], zero_based=True)
+
+    D = PermGroup([project(u[a]) for a in fixed])
+    if D.order != len(fixed):
+        raise InternalError("D does not act regularly on Fix(J)")
+
+    # the blocks Fix(J)^t, each with its t, by BFS with x^-1 and y^-1.
+    # Block Fix(J)^(g^-1) stands for the left coset gW, so the blocks come
+    # in the order of a left-coset BFS that left-multiplies by x and y.
+    blocks = []
+    block_of = [None] * n
+
+    def visit(points, t):
+        owners = {block_of[p] for p in points}
+        if len(owners) != 1:
+            raise InternalError("the images of Fix(J) do not form blocks")
+        if owners == {None}:
+            for p in points:
+                block_of[p] = len(blocks)
+            blocks.append((points, t))
+
+    visit(fixed, Permutation.identity(n))
+    inv_gens = [g.inverse() for g in gens]
+    for points, t in blocks:  # the list grows while it is read
+        for g in inv_gens:
+            visit([g.imgs[p] for p in points], t * g)
+    if len(blocks) * len(fixed) != n:
+        raise InternalError("the blocks do not cover the points")
 
     branch = {}
     for b in BRANCH_POINTS:
         sigma = cover.sigma(b)
-        action = [coset_index(sigma * reps[i]) for i in range(ncosets)]
-        seen = [False] * ncosets
+        action = Permutation([block_of[sigma.imgs[pts[0]]] for pts, _ in blocks], zero_based=True)
         records = []
-        for start in range(ncosets):
-            if seen[start]:
-                continue
-            orbit = []
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                orbit.append(i)
-                i = action[i]
+        for orbit in action.all_cycles():
             e = len(orbit)
-            g = reps[start]
-            w = g.inverse() * (sigma**e) * g
-            if w not in W:
+            t = blocks[orbit[0]][1]
+            w = t * (sigma**e) * t.inverse()
+            if w.imgs[0] not in pos:
                 raise InternalError("ramification index does not return to W")
             records.append((e, project(w)))
-        if sum(e for e, _ in records) != ncosets:
+        if sum(e for e, _ in records) != len(blocks):
             raise InternalError("ramification indices do not sum to [H:W]")
         branch[b] = records
-    return ClosureData(cover, H, J, W, D, project, branch)
-
-
-def _normalizer_of_point_stabilizer(H, J):
-    """N_H(J) for J = Stab_H(1), via the fixed-point set of J.
-
-    For transitive H all point stabilizers are conjugate of equal order, so
-    Stab(b) = J exactly when b is fixed by J, and h normalizes J iff h maps
-    1 into Fix(J).  Much faster than the generic normalizer scan.
-    """
-    from .permgroup import _reduce_gens
-
-    gens = J.small_generating_set()
-    fixed = [i for i in range(H.degree) if all(g.imgs[i] == i for g in gens)]
-    fixed_set = set(fixed)
-    members = [h for h in H.elements if h.imgs[0] in fixed_set]
-    return PermGroup(_reduce_gens(members, H.degree))
+    return ClosureData(cover, H, fixed, D, project, branch)
 
 
 def genus(cover: BelyiCover) -> int:
@@ -227,8 +222,8 @@ def analysis_report(cover: BelyiCover) -> dict:
         "degree": cover.degree,
         "genus": g,
         "order_H": cd.H.order,
-        "order_J": cd.J.order,
-        "order_W": cd.W.order,
+        "order_J": cd.order_J,
+        "order_W": cd.order_W,
         "order_D": cd.D.order,
         "index_HW": cd.index_HW,
         "is_galois": cd.is_galois,

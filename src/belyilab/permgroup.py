@@ -9,6 +9,8 @@ correctness beats asymptotics throughout.
 
 from __future__ import annotations
 
+from math import lcm
+
 
 class Permutation:
     """A permutation of {1..n}, immutable and hashable."""
@@ -61,28 +63,22 @@ class Permutation:
         return Permutation(inv, zero_based=True)
 
     def __pow__(self, k):
-        n = len(self.imgs)
-        result = Permutation.identity(n)
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            result = result * base
-        return result
+        imgs = [0] * len(self.imgs)
+        for cyc in self.all_cycles():
+            for pos, i in enumerate(cyc):
+                imgs[i] = cyc[(pos + k) % len(cyc)]
+        return Permutation(imgs, zero_based=True)
 
     def __call__(self, point):
         """Image of a 1-based point."""
         return self.imgs[point - 1] + 1
 
     def order(self):
-        k = 1
-        p = self
-        e = tuple(range(len(self.imgs)))
-        while p.imgs != e:
-            p = p * self
-            k += 1
-        return k
+        return lcm(*(len(cyc) for cyc in self.all_cycles()))
 
-    def cycles(self):
-        """Disjoint cycles as 1-based tuples, fixed points omitted."""
+    def all_cycles(self):
+        """Disjoint cycles as 0-based lists, fixed points included, each
+        starting at its least point, in order of that point."""
         seen = [False] * len(self.imgs)
         out = []
         for start in range(len(self.imgs)):
@@ -92,25 +88,18 @@ class Permutation:
             i = start
             while not seen[i]:
                 seen[i] = True
-                cyc.append(i + 1)
+                cyc.append(i)
                 i = self.imgs[i]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
+            out.append(cyc)
         return out
+
+    def cycles(self):
+        """Disjoint cycles as 1-based tuples, fixed points omitted."""
+        return [tuple(i + 1 for i in cyc) for cyc in self.all_cycles() if len(cyc) > 1]
 
     def cycle_count(self):
         """Number of cycles including fixed points (for Riemann-Hurwitz)."""
-        seen = [False] * len(self.imgs)
-        count = 0
-        for start in range(len(self.imgs)):
-            if seen[start]:
-                continue
-            count += 1
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = self.imgs[i]
-        return count
+        return len(self.all_cycles())
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.imgs))
@@ -129,11 +118,6 @@ class Permutation:
         if not cyc:
             return "Permutation(id/%d)" % self.degree
         return "Permutation(%s)" % " ".join("(%s)" % " ".join(map(str, c)) for c in cyc)
-
-
-def compose(p, q):
-    """Apply p first, then q."""
-    return p * q
 
 
 def _closure(gens):
@@ -203,8 +187,6 @@ class PermGroup:
         return self.degree == other.degree and all(g in other for g in self.generators)
 
     def exponent(self):
-        from math import lcm
-
         e = 1
         for rep, _ in self.conjugacy_classes():
             e = lcm(e, rep.order())
@@ -212,20 +194,7 @@ class PermGroup:
 
     def small_generating_set(self):
         """Greedy reduction of the element list to a short generating set."""
-        gens = []
-        sub = None
-        for g in self.elements:
-            if g.is_identity():
-                continue
-            if sub is not None and g in sub:
-                continue
-            gens.append(g)
-            sub = PermGroup(gens)
-            if sub.order == self.order:
-                break
-        if not gens:  # trivial group
-            return [self.identity()]
-        return gens
+        return _reduce_gens(self.elements, self.degree)
 
     # -- conjugacy ---------------------------------------------------------
 
@@ -312,9 +281,6 @@ class PermGroup:
         if not S.is_subgroup(self):
             raise ValueError("S is not a subgroup of G")
         reps = self.coset_reps(S)
-        index = {}
-        for i, r in enumerate(reps):
-            index[i] = r
         rep_of = self._coset_finder(S, reps)
 
         def project(g):

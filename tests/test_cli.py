@@ -64,6 +64,14 @@ class TestAnalyze:
         code, _ = run(capsys, ["analyze", "--input", path])
         assert code == 1
 
+    def test_degree_zero_rejected(self, capsys, tmp_path):
+        path = write_json(tmp_path, "empty.json", {"x": [], "y": []})
+        code = main(["--json", "analyze", "--input", path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestDescend:
     def test_cubic_descends(self, capsys, cubic):

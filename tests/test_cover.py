@@ -11,6 +11,7 @@ from belyilab.cover import (
     validate,
 )
 from belyilab.cyclotomic import Cyclotomic
+from belyilab.descent import descent_report
 from belyilab.errors import PreconditionError
 from belyilab.permgroup import Permutation, generate
 
@@ -71,8 +72,8 @@ class TestClosure:
     def test_a5_degree5_closure(self):
         cd = validate(a5_degree5_cover())
         assert cd.H.order == 60
-        assert cd.J.order == 12
-        assert cd.W.order == 12
+        assert cd.order_J == 12
+        assert cd.order_W == 12
         assert cd.D.order == 1
         assert cd.index_HW == 5
         assert not cd.is_galois
@@ -100,11 +101,17 @@ class TestClosure:
                 assert sum(e for e, _ in cd.branch[b]) == cd.index_HW
 
     def test_fast_normalizer_agrees_with_generic(self):
-        for cover in (a5_degree5_cover(), isogeny_cover()):
+        # the point model against the enumerated stabilizer and normalizer
+        rng = random.Random(4242)
+        covers = [a5_degree5_cover(), a5_regular_cover(), cubic_cover(), isogeny_cover()]
+        covers += [random_transitive_cover(rng, max_degree=6) for _ in range(40)]
+        for cover in covers:
             cd = validate(cover)
-            generic = cd.H.normalizer(cd.J)
-            assert generic.order == cd.W.order
-            assert all(g in generic for g in cd.W.generators)
+            J = cd.H.stabilizer(1)
+            assert J.order == cd.order_J
+            assert cd.H.normalizer(J).order == cd.order_W
+            fixed = [p for p in range(cover.degree) if all(g.imgs[p] == p for g in J.generators)]
+            assert fixed == cd.fixed
 
     def test_isogeny_cover_matches_coset_action(self):
         A4 = generate([perm(4, (1, 2, 3)), perm(4, (1, 4, 2))])
@@ -200,56 +207,62 @@ class TestRandomCoverInvariants:
                 assert 0 <= n_V <= m_row
 
     def test_representative_choice_independence(self):
-        # recompute each d_j from every coset representative in its orbit:
-        # the fixed-space dimensions must not change
+        # recompute each d_j from every h in H whose block Fix(J)^h lies in
+        # the record's <sigma>-orbit: the fixed-space dimensions must not change
         rng = random.Random(977)
         for _ in range(10):
             cover = random_transitive_cover(rng, max_degree=6)
             cd = validate(cover)
             tab = character_table(cd.D)
-            from belyilab.cover import _left_coset_reps
+            dims_of = {}
 
-            reps, inv_reps = _left_coset_reps(cd.H, cd.W)
+            def dims(d):
+                if d.imgs not in dims_of:
+                    dims_of[d.imgs] = tuple(
+                        tab.fixed_space_dim(r, d) for r in range(tab.nclasses())
+                    )
+                return dims_of[d.imgs]
 
-            def coset_index(g):
-                for i, ri in enumerate(inv_reps):
-                    if (ri * g) in cd.W:
-                        return i
-                raise AssertionError
+            def block(h):
+                return frozenset(h.imgs[p] for p in cd.fixed)
 
             for b in ("0", "1", "inf"):
                 sigma = cover.sigma(b)
-                action = [coset_index(sigma * reps[i]) for i in range(len(reps))]
-                seen = [False] * len(reps)
-                ref = sorted(
-                    tuple(tab.fixed_space_dim(r, d) for r in range(tab.nclasses()))
-                    for _, d in cd.branch[b]
-                )
+                ref = sorted((e, dims(d)) for e, d in cd.branch[b])
+                orbits = {}
+                for h in cd.H:
+                    start = block(h)
+                    orbit = [start]
+                    while block(h * sigma ** len(orbit)) != start:
+                        orbit.append(block(h * sigma ** len(orbit)))
+                    orbits.setdefault(frozenset(orbit), []).append(h)
                 got = []
-                for start in range(len(reps)):
-                    if seen[start]:
-                        continue
-                    orbit = []
-                    i = start
-                    while not seen[i]:
-                        seen[i] = True
-                        orbit.append(i)
-                        i = action[i]
+                for orbit, hs in orbits.items():
                     e = len(orbit)
-                    dims = None
-                    for o in orbit:
-                        g0 = reps[o]
-                        w = g0.inverse() * (sigma**e) * g0
-                        d = cd.project(w)
-                        cur = tuple(
-                            tab.fixed_space_dim(r, d) for r in range(tab.nclasses())
-                        )
-                        if dims is None:
-                            dims = cur
-                        else:
-                            assert cur == dims
-                    got.append(dims)
+                    found = {dims(cd.project(h * sigma**e * h.inverse())) for h in hs}
+                    assert len(found) == 1
+                    got.append((e, found.pop()))
                 assert sorted(got) == ref
+
+    def test_relabeling_invariance(self):
+        # conjugating (x, y) by a permutation relabels the points and
+        # changes none of the closure or descent data
+        rng = random.Random(31337)
+        for _ in range(15):
+            cover = random_transitive_cover(rng, max_degree=6)
+            n = cover.degree
+            pi = Permutation(rng.sample(range(1, n + 1), n))
+            pinv = pi.inverse()
+            relabeled = BelyiCover(pinv * cover.x * pi, pinv * cover.y * pi)
+            reports = [analysis_report(c) for c in (cover, relabeled)]
+            for rep in reports:
+                for b in rep["branch"]:
+                    rep["branch"][b].sort(key=lambda r: (r["e"], r["order_d"]))
+            assert reports[0] == reports[1]
+            descents = [descent_report(c, refine=True) for c in (cover, relabeled)]
+            assert descents[0].verdict == descents[1].verdict
+            rows = [sorted(tuple(sorted(r.items())) for r in d.rows) for d in descents]
+            assert rows[0] == rows[1]
 
 
 def test_analysis_report_shape():

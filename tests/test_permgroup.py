@@ -5,7 +5,6 @@ from belyilab.permgroup import (
     Permutation,
     PermGroup,
     alternating_group,
-    compose,
     cyclic_group,
     direct_product,
     generate,
@@ -27,22 +26,22 @@ random_perms = st.integers(2, 8).flatmap(
 class TestPermutation:
     def test_compose_identity(self):
         p = perm(3, (1, 2, 3))
-        assert compose(p, Permutation.identity(3)) == p
+        assert p * Permutation.identity(3) == p
 
     def test_compose_hand_derived(self):
         # x=(1 2 3), y=(1 2 3 4 5): apply x first, then y gives (1 3 2 4 5)
         x = perm(5, (1, 2, 3))
         y = perm(5, (1, 2, 3, 4, 5))
-        assert compose(x, y) == perm(5, (1, 3, 2, 4, 5))
+        assert x * y == perm(5, (1, 3, 2, 4, 5))
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            compose(perm(3, (1, 2)), perm(4, (1, 2)))
+            perm(3, (1, 2)) * perm(4, (1, 2))
 
     @given(random_perms)
     def test_inverse_law(self, p):
-        assert compose(p, p.inverse()).is_identity()
-        assert compose(p.inverse(), p).is_identity()
+        assert (p * p.inverse()).is_identity()
+        assert (p.inverse() * p).is_identity()
 
     @given(random_perms, st.integers(-6, 6))
     def test_power_consistency(self, p, k):
@@ -51,6 +50,15 @@ class TestPermutation:
         for _ in range(abs(k)):
             q = q * step
         assert p**k == q
+
+    @given(random_perms)
+    def test_order_is_least_period(self, p):
+        q = p
+        k = 1
+        while not q.is_identity():
+            q = q * p
+            k += 1
+        assert p.order() == k
 
     def test_wire_format_one_based(self):
         p = Permutation([2, 3, 1])
