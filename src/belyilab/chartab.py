@@ -13,9 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from sympy import factorint, isprime
-
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, factorint, isprime
 from .errors import InternalError
 from .permgroup import PermGroup
 

@@ -69,7 +69,8 @@ def _check(cond, detail):
 def criterion_1():
     """A5 regular cover: the 4-dimensional character fails with n=2, m=4."""
     cover = BelyiCover.regular(_perm(5, (1, 2, 3)), _perm(5, (1, 2, 3, 4, 5)))
-    cd = validate(cover)
+    rep = descent_report(cover)
+    cd = rep.closure
     tab = character_table(cd.D)
     i4 = tab.degrees.index(4)
     dims = []
@@ -77,7 +78,6 @@ def criterion_1():
         (e, d) = cd.branch[b][0]
         dims.append(tab.fixed_space_dim(i4, d))
     _check(dims == [2, 0, 0], "fixed dims %s != [2, 0, 0]" % dims)
-    rep = descent_report(cover)
     row = next(r for r in rep.rows if r["degree"] == 4)
     _check(row["n_V"] == 2 and row["m_V"] == 4, "n, m = %s" % row)
     _check(rep.verdict == DOES_NOT_DESCEND, "verdict %s" % rep.verdict)
@@ -88,9 +88,9 @@ def criterion_2():
     """Degree-6 isogeny cover: trivial character gives n=2, m=4,
     verdict INCONCLUSIVE."""
     cover = BelyiCover(Permutation([2, 4, 5, 1, 6, 3]), Permutation([3, 4, 5, 6, 1, 2]))
-    cd = validate(cover)
-    _check(cd.H.order == 12 and cd.D.order == 2, "closure is not the A4 instance")
     rep = descent_report(cover)
+    cd = rep.closure
+    _check(cd.H.order == 12 and cd.D.order == 2, "closure is not the A4 instance")
     row = rep.rows[0]
     _check(row["n_V"] == 2 and row["m_V"] == 4, "trivial row %s" % row)
     _check(rep.verdict == INCONCLUSIVE, "verdict %s" % rep.verdict)
@@ -336,7 +336,8 @@ def criterion_10(seed=DEFAULT_SEED):
         except PreconditionError:
             continue
         done += 1
-        cd = validate(cover)
+        rep = descent_report(cover)
+        cd = rep.closure
         tab = character_table(cd.D)
         left, middle, jac = tate_characters(cd, tab)
         g = genus(cover)
@@ -347,7 +348,6 @@ def criterion_10(seed=DEFAULT_SEED):
         expect = [cd.index_HW * d for d in tab.degrees]
         expect[0] += 1
         _check(middle.mults == expect, "middle term at cover %d" % done)
-        rep = descent_report(cover)
         if cd.is_galois:
             for r in rep.rows:
                 if r["degree"] == 1:

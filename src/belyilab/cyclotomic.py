@@ -5,6 +5,9 @@ Values are stored as rational coordinate vectors in the power basis
 polynomial.  The conductor is fixed by the caller (the group exponent in
 character-table work) and never minimized; equality is coordinate equality
 at equal conductors.
+
+The elementary number theory the package needs (factorization, Euler phi,
+primality, cyclotomic polynomials) lives here too, in plain integers.
 """
 
 from __future__ import annotations
@@ -13,17 +16,86 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from sympy import Poly, Symbol, cyclotomic_poly, totient
+from .errors import InternalError
 
-_x = Symbol("x")
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def factorint(n):
+    """{prime: exponent} for an integer n >= 1, by trial division."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def phi_of(N):
+    """Euler's phi, from the factorization of N."""
+    out = N
+    for p in factorint(N):
+        out = out // p * (p - 1)
+    return out
+
+
+def isprime(n):
+    """Miller-Rabin with the first 13 prime bases, deterministic for
+    n < 3.3 * 10^24 (far above every modulus this package chooses)."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_coeffs(N):
+    """Integer coefficients of the N-th cyclotomic polynomial, constant term
+    first: x^N - 1 divided exactly by Phi_d for every proper divisor d of N."""
+    num = [-1] + [0] * (N - 1) + [1]
+    for d in range(1, N):
+        if N % d:
+            continue
+        den = cyclotomic_coeffs(d)
+        k = len(den) - 1
+        quot = [0] * (len(num) - k)
+        for i in range(len(quot) - 1, -1, -1):  # den is monic
+            c = quot[i] = num[i + k]
+            if c:
+                for j in range(k + 1):
+                    num[i + j] -= c * den[j]
+        if any(num[:k]):
+            raise InternalError("Phi_%d does not divide x^%d - 1" % (d, N))
+        num = quot
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
 def _power_table(N):
     """Coordinates of zeta_N^k for k = 0..N-1 in the power basis (int tuples)."""
-    phi = int(totient(N))
-    poly = Poly(cyclotomic_poly(N, _x), _x)
-    coeffs = [int(c) for c in reversed(poly.all_coeffs())]  # constant term first
+    phi = phi_of(N)
+    coeffs = cyclotomic_coeffs(N)
     assert len(coeffs) == phi + 1 and coeffs[-1] == 1
     # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1})
     top = [-c for c in coeffs[:phi]]
@@ -42,10 +114,6 @@ def _power_table(N):
                 nxt[i] += ov * top[i]
         table.append(tuple(nxt))
     return tuple(table)
-
-
-def phi_of(N):
-    return int(totient(N))
 
 
 class Cyclotomic:

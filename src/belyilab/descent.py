@@ -73,6 +73,11 @@ def subgroup_certify(cd, D1: PermGroup, tab=None) -> bool:
     if not D1.is_subgroup(cd.D):
         raise ValueError("D1 is not a subgroup of D")
     left, _, jac = tate_characters(cd, tab)
+    return _certifies(left, jac, D1)
+
+
+def _certifies(left, jac, D1):
+    """subgroup_certify on precomputed left and Jacobian characters of D."""
     subtab = character_table(D1)
     left_res = left.restrict(subtab)
     jac_res = jac.restrict(subtab)
@@ -100,11 +105,8 @@ def refine_search(cd, tab=None):
     else:
         # D itself is cyclic; keep an explicit D entry anyway for clarity
         pass
-    out = []
-    for label, sub in candidates:
-        if subgroup_certify(cd, sub, tab):
-            out.append((label, sub))
-    return out
+    left, _, jac = tate_characters(cd, tab)
+    return [(label, sub) for label, sub in candidates if _certifies(left, jac, sub)]
 
 
 def descent_report(cover: BelyiCover, refine: bool = False) -> DescentReport:

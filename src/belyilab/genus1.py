@@ -18,10 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from sympy import Poly, Symbol, cyclotomic_poly, isprime
-
 from .cover import BelyiCover
-from .cyclotomic import Cyclotomic, phi_of
+from .cyclotomic import Cyclotomic, cyclotomic_coeffs, factorint, isprime, phi_of
 from .errors import InternalError, PreconditionError
 from .groups import TableGroup
 from .permgroup import Permutation
@@ -204,7 +202,7 @@ def j_invariant_degree(t) -> int:
         for c in range(2, q):
             cand = pow(c, (q - 1) // t, q)
             if cand != 1 and all(
-                pow(cand, t // p, q) != 1 for p in _prime_factors(t)
+                pow(cand, t // p, q) != 1 for p in factorint(t)
             ):
                 r = cand
                 break
@@ -275,8 +273,7 @@ def _j_parts_poly(a, t):
 def _cyclotomic_divides(coeffs, t):
     """Whether the t-th cyclotomic polynomial divides the given integer
     polynomial (equality test in Z[zeta_t])."""
-    x = Symbol("x")
-    phi = Poly(cyclotomic_poly(t, x), x).all_coeffs()[::-1]  # ascending
+    phi = cyclotomic_coeffs(t)
     rem = list(coeffs)
     deg_phi = len(phi) - 1
     # synthetic division by a monic integer polynomial
@@ -287,17 +284,3 @@ def _cyclotomic_divides(coeffs, t):
                 rem[i - deg_phi + j] -= c * phi[j]
     return all(v == 0 for v in rem)
 
-
-def _prime_factors(t):
-    out = []
-    n = t
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out

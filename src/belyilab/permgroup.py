@@ -2,14 +2,22 @@
 
 Permutations are stored as 0-based image tuples internally; every external
 surface (JSON, repr, cycle notation) is 1-based.  The composition convention
-is fixed once and for all: (p * q)(i) = q(p(i)), apply p first.  Groups are
-materialized by full closure; the intended scale is order <= ~10,000, so
-correctness beats asymptotics throughout.
+is fixed once and for all: (p * q)(i) = q(p(i)), apply p first.  A group's
+order comes from a deterministic Schreier-Sims base and strong generating
+set, in time polynomial in the degree.  Its elements are enumerated by full
+closure only when something first needs them (the element list, membership,
+conjugacy classes), and only up to _SCALE_LIMIT elements: a larger group
+keeps its order but refuses enumeration with PreconditionError.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from functools import cached_property
+from math import lcm, prod
+
+from .errors import InternalError, PreconditionError
+
+_SCALE_LIMIT = 100_000
 
 
 class Permutation:
@@ -120,6 +128,92 @@ class Permutation:
         return "Permutation(%s)" % " ".join("(%s)" % " ".join(map(str, c)) for c in cyc)
 
 
+def _schreier_sims_order(gens, n):
+    """|<gens>| by deterministic Schreier-Sims on 0-based image tuples.
+
+    Level i keeps the strong generators fixing base[:i] and a transversal
+    {point: (u, u^-1)} of the orbit of base[i], with base[i]^u = point.
+    Working down from the last level, every Schreier generator
+    u_a s u_(a^s)^-1 of level i is sifted through the levels below; a
+    nontrivial residue becomes a strong generator of the levels it reached
+    (extending the base if it fixes every base point) and the check resumes
+    at the deepest of them.  When no level yields a residue, each level's
+    generators generate the stabilizer of base[:i], and |G| is the product
+    of the orbit lengths (Holt-Eick-O'Brien, Handbook of CGT, 4.4.2).
+    """
+    ident = tuple(range(n))
+    base, strong, trans = [], [], []
+
+    def add_level(h):
+        base.append(next(p for p in range(n) if h[p] != p))
+        strong.append([])
+        trans.append(None)
+
+    def orbit(i):
+        u = {base[i]: (ident, ident)}
+        queue = [base[i]]
+        for a in queue:  # the queue grows while it is read
+            ua = u[a][0]
+            for s in strong[i]:
+                b = s[a]
+                if b not in u:
+                    ub = tuple(s[j] for j in ua)
+                    inv = [0] * n
+                    for j, k in enumerate(ub):
+                        inv[k] = j
+                    u[b] = (ub, tuple(inv))
+                    queue.append(b)
+        trans[i] = u
+
+    def sift(g, i):
+        """(residue, level it stopped at) of g sifted from level i on."""
+        while i < len(base):
+            entry = trans[i].get(g[base[i]])
+            if entry is None:
+                return g, i
+            uinv = entry[1]
+            g = tuple(uinv[j] for j in g)
+            i += 1
+        return g, i
+
+    def residue(i):
+        """(residue, level) of the first Schreier generator of level i that
+        does not sift to the identity, or None."""
+        for a, (ua, _) in trans[i].items():
+            for s in strong[i]:
+                vinv = trans[i][s[a]][1]
+                h, j = sift(tuple(vinv[s[k]] for k in ua), i + 1)
+                if h != ident:
+                    return h, j
+        return None
+
+    for g in gens:
+        g = g.imgs
+        if g == ident:
+            continue
+        if all(g[b] == b for b in base):
+            add_level(g)
+        first_moved = next(i for i, b in enumerate(base) if g[b] != b)
+        for level in range(first_moved + 1):
+            strong[level].append(g)
+    for i in range(len(base)):
+        orbit(i)
+    i = len(base) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            add_level(h)
+        for level in range(i + 1, j + 1):
+            strong[level].append(h)
+            orbit(level)
+        i = j
+    return prod(len(u) for u in trans)
+
+
 def _closure(gens):
     """All products of the generators, by breadth-first multiplication."""
     n = gens[0].degree
@@ -142,9 +236,10 @@ def _closure(gens):
 
 
 class PermGroup:
-    """A finite permutation group, fully enumerated.
+    """A finite permutation group.
 
-    Conjugacy data (classes, power map) is computed lazily on first use.
+    The order is computed on construction; the element closure and the
+    conjugacy data (classes, power map) are computed lazily on first use.
     All values are immutable after construction; operations never mutate.
     """
 
@@ -158,11 +253,25 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
         self.degree = n
         self.generators = generators
-        self._elt_map = _closure(generators)
-        self.order = len(self._elt_map)
+        self.order = _schreier_sims_order(generators, n)
         self._sorted_elements = None
         self._classes = None
         self._class_index = None
+
+    @cached_property
+    def _elt_map(self):
+        """{image tuple: element} for every element, built on first use."""
+        if self.order > _SCALE_LIMIT:
+            raise PreconditionError(
+                "group of order %d is too large to enumerate (limit %d)"
+                % (self.order, _SCALE_LIMIT)
+            )
+        elts = _closure(self.generators)
+        if len(elts) != self.order:
+            raise InternalError(
+                "closure has %d elements, Schreier-Sims order is %d" % (len(elts), self.order)
+            )
+        return elts
 
     @property
     def elements(self):

@@ -93,6 +93,25 @@ class TestDescend:
         assert out1 == out2
 
 
+class TestLargeGroups:
+    S12 = {"x": [2, 1] + list(range(3, 13)), "y": list(range(2, 13)) + [1]}
+
+    def test_galois_s12_rejected_before_enumeration(self, capsys, tmp_path):
+        path = write_json(tmp_path, "s12g.json", dict(self.S12, galois=True))
+        code = main(["analyze", "--input", path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_degree12_s12_cover(self, capsys, tmp_path):
+        path = write_json(tmp_path, "s12.json", self.S12)
+        code, out = run(capsys, ["--json", "analyze", "--input", path])
+        assert code == 0
+        assert json.loads(out)["order_H"] == 479001600
+        code, _ = run(capsys, ["--json", "descend", "--refine", "--input", path])
+        assert code == 0
+
+
 class TestChartab:
     def test_s3_json(self, capsys, s3_group):
         code, out = run(capsys, ["--json", "chartab", "--group", s3_group])

@@ -265,6 +265,13 @@ class TestRandomCoverInvariants:
             assert rows[0] == rows[1]
 
 
+def test_validate_does_not_enumerate_h():
+    cover = BelyiCover(perm(8, (1, 2)), perm(8, (1, 2, 3, 4, 5, 6, 7, 8)))
+    cd = validate(cover)
+    assert cd.H.order == 40320 and cd.order_J == 5040
+    assert "_elt_map" not in vars(cd.H)
+
+
 def test_analysis_report_shape():
     rep = analysis_report(cubic_cover())
     assert rep["genus"] == 1

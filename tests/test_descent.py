@@ -107,6 +107,28 @@ class TestCertificates:
             for _, sub in refine_search(cd):
                 assert main_ok, "certificate found but the main criterion fails"
 
+    def test_refine_search_agrees_with_subgroup_certify(self):
+        rng = random.Random(777)
+        covers = [cubic_cover(), isogeny_cover(), a5_regular_cover()]
+        while len(covers) < 23:
+            n = rng.randint(2, 7)
+            try:
+                covers.append(
+                    BelyiCover(
+                        Permutation(rng.sample(range(1, n + 1), n)),
+                        Permutation(rng.sample(range(1, n + 1), n)),
+                    )
+                )
+            except PreconditionError:
+                continue
+        for cover in covers:
+            cd = validate(cover)
+            certified = {frozenset(g.imgs for g in sub) for _, sub in refine_search(cd)}
+            candidates = [PermGroup([rep]) for rep, _ in cd.D.conjugacy_classes()] + [cd.D]
+            for sub in candidates:
+                key = frozenset(g.imgs for g in sub)
+                assert subgroup_certify(cd, sub) == (key in certified)
+
 
 class TestFormulas:
     def test_trivial_row_counts(self):

@@ -1,9 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from belyilab.errors import PreconditionError
 from belyilab.permgroup import (
     Permutation,
     PermGroup,
+    _closure,
+    _schreier_sims_order,
     alternating_group,
     cyclic_group,
     direct_product,
@@ -99,6 +102,53 @@ class TestGenerate:
         assert alternating_group(5).order == 60
         assert cyclic_group(6).order == 6
         assert direct_product(cyclic_group(2), cyclic_group(2)).order == 4
+
+
+def _shape_gens(n, images, k, with_identity, duplicate):
+    """Generators from image lists, each reshaped to keep {0..k-1} and
+    {k..n-1} (intransitive when 0 < k < n), plus the identity and a repeated
+    generator on request."""
+    gens = []
+    for imgs in images:
+        low = sorted(range(k), key=imgs.__getitem__)
+        high = sorted(range(k, n), key=imgs.__getitem__)
+        gens.append(Permutation(low + high, zero_based=True))
+    if duplicate:
+        gens.append(gens[0])
+    if with_identity:
+        gens.insert(len(gens) // 2, Permutation.identity(n))
+    return gens
+
+
+generator_lists = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.permutations(list(range(n))), min_size=1, max_size=4),
+        st.integers(0, n),
+        st.booleans(),
+        st.booleans(),
+    ).map(lambda t: _shape_gens(n, *t))
+)
+
+
+class TestSchreierSims:
+    @settings(deadline=None)
+    @given(generator_lists)
+    def test_order_matches_closure(self, gens):
+        assert _schreier_sims_order(gens, gens[0].degree) == len(_closure(gens))
+
+    def test_large_group_keeps_order_without_enumerating(self):
+        G = symmetric_group(12)
+        assert G.order == 479001600
+        with pytest.raises(PreconditionError):
+            G.elements
+        with pytest.raises(PreconditionError):
+            Permutation.identity(12) in G
+
+    def test_closure_is_lazy(self):
+        G = alternating_group(5)
+        assert "_elt_map" not in vars(G)
+        assert len(G.elements) == G.order == 60
+        assert "_elt_map" in vars(G)
 
 
 class TestConjugacy:
