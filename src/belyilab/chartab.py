@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .cyclotomic import Cyclotomic, factorint, isprime
-from .errors import InternalError
+from .errors import InternalError, PreconditionError
 from .permgroup import PermGroup
 
 
@@ -47,29 +47,37 @@ def _primitive_root_of_unity(p, N):
     return pow(g, (p - 1) // N, p)
 
 
-def _nullspace_mod(M, p):
-    """Basis of the right nullspace of M over F_p (rows of the result)."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    A = [row[:] for row in M]
+def _row_reduce_mod(A, ncols, p):
+    """Bring the rows of A (entries in 0..p-1) to reduced row echelon form
+    over F_p in its first ncols columns, in place; returns the pivot
+    columns, the i-th pivot belonging to row i."""
     pivots = []
     r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c] % p), None)
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
         inv = pow(A[r][c], p - 2, p)
         A[r] = [(x * inv) % p for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] % p:
+        for i in range(len(A)):
+            if i != r and A[i][c]:
                 f = A[i][c]
                 A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
         pivots.append(c)
         r += 1
-    free = [c for c in range(cols) if c not in pivots]
+    return pivots
+
+
+def _nullspace_mod(M, p):
+    """Basis of the right nullspace of M over F_p (rows of the result)."""
+    cols = len(M[0]) if M else 0
+    A = [[x % p for x in row] for row in M]
+    pivots = _row_reduce_mod(A, cols, p)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [0] * cols
         v[fc] = 1
         for ri, pc in enumerate(pivots):
@@ -80,26 +88,10 @@ def _nullspace_mod(M, p):
 
 def _solve_mod(B, w, p):
     """Solve B x = w over F_p, B given as list of column vectors."""
-    rows = len(B[0])
     cols = len(B)
-    A = [[B[j][i] % p for j in range(cols)] + [w[i] % p] for i in range(rows)]
-    r = 0
-    pivots = []
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], p - 2, p)
-        A[r] = [(x * inv) % p for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
+    A = [[B[j][i] % p for j in range(cols)] + [w[i] % p] for i in range(len(B[0]))]
     x = [0] * cols
-    for ri, pc in enumerate(pivots):
+    for ri, pc in enumerate(_row_reduce_mod(A, cols, p)):
         x[pc] = A[ri][cols]
     return x
 
@@ -139,7 +131,7 @@ class CharacterTable:
 
     def __init__(self, group: PermGroup):
         if group.order > _SCALE_LIMIT:
-            raise ValueError(
+            raise PreconditionError(
                 "group order %d exceeds the character-table scale limit %d"
                 % (group.order, _SCALE_LIMIT)
             )

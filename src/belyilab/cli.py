@@ -2,8 +2,10 @@
 
 Commands: analyze, descend, chartab, cohomology, relmod, gaschuetz,
 genus1, corpus.  Input is JSON (covers, groups, modules); output is JSON
-(--json) or an aligned text report (default).  Exit codes: 0 success,
-1 precondition or input error, 2 internal invariant violation.
+(--json) or an aligned text report (default).  Input is validated as it
+is parsed.  Exit codes: 0 success, 1 precondition or input error
+(PreconditionError), 2 for an internal invariant violation or any other
+exception, which is a bug and is printed with its traceback.
 """
 
 from __future__ import annotations
@@ -48,41 +50,53 @@ def _load_json(path):
         ) from exc
 
 
+def _parse_permutations(data, what):
+    if not isinstance(data, list):
+        raise PreconditionError("%s must be a list of image lists" % what)
+    return [Permutation.from_json(images) for images in data]
+
+
+def _int_array(value, dims, what):
+    """value if it is nested JSON lists of integers with the given lengths
+    (None: any length), else PreconditionError."""
+
+    def fits(v, dims):
+        if not dims:
+            return type(v) is int
+        ok = isinstance(v, list) and dims[0] in (None, len(v))
+        return ok and all(fits(x, dims[1:]) for x in v)
+
+    if not fits(value, dims):
+        size = " x ".join("n" if d is None else str(d) for d in dims)
+        raise PreconditionError("%s must be a %s array of integers" % (what, size))
+    return value
+
+
 def _parse_group(data):
-    try:
-        gens = [Permutation(images) for images in data["generators"]]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError("group JSON needs a 'generators' list") from exc
+    gens = _parse_permutations(
+        data.get("generators") if isinstance(data, dict) else None, "group 'generators'"
+    )
     if not gens:
         raise PreconditionError("group JSON needs at least one generator")
-    if "degree" in data and any(g.degree != data["degree"] for g in gens):
-        raise PreconditionError("declared degree does not match the generators")
+    if len({g.degree for g in gens}) != 1 or data.get("degree", gens[0].degree) != gens[0].degree:
+        raise PreconditionError("the generators and the declared degree disagree")
     return PermGroup(gens)
 
 
 def _parse_module(data):
-    H = _parse_group(data.get("group", {}))
-    try:
-        shape = tuple(data["shape"])
-        mats = data["action"]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError("module JSON needs 'shape' and 'action'") from exc
-    elts = H.elements
-    if len(mats) != len(elts):
-        raise PreconditionError(
-            "module JSON needs one action matrix per group element (%d)" % len(elts)
-        )
-    return FiniteHModule(H, shape, dict(zip(elts, mats)))
+    if not isinstance(data, dict):
+        raise PreconditionError("module JSON needs 'group', 'shape' and 'action'")
+    H = _parse_group(data.get("group"))
+    shape = _int_array(data.get("shape"), [None], "module 'shape'")
+    k = len(shape)
+    mats = _int_array(data.get("action"), [H.order, k, k], "module 'action'")
+    return FiniteHModule(H, shape, dict(zip(H.elements, mats)))
 
 
 def _parse_cocycle(data, module):
     elts = module.H.elements
-    try:
-        rows = data["table"]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError("cocycle JSON needs a 'table'") from exc
-    if len(rows) != len(elts) or any(len(r) != len(elts) for r in rows):
-        raise PreconditionError("cocycle table must be |H| x |H|")
+    rows = data.get("table") if isinstance(data, dict) else None
+    _int_array(rows, [len(elts), len(elts), module.k], "cocycle 'table'")
     table = {}
     for i, h1 in enumerate(elts):
         for j, h2 in enumerate(elts):
@@ -171,10 +185,7 @@ def _cmd_descend(args):
 
 def _cmd_chartab(args):
     G = _parse_group(_load_json(args.group))
-    try:
-        tab = character_table(G)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from exc
+    tab = character_table(G)
     data = _table_json(tab)
     rows = []
     for i, row in enumerate(tab.rows):
@@ -259,11 +270,13 @@ def _cmd_gaschuetz(args):
         raise PreconditionError("unknown gaschuetz subcommand %r" % args.subcommand)
     G1 = _parse_group(_load_json(args.g1))
     G2 = _parse_group(_load_json(args.g2))
-    psi_images = [Permutation(images) for images in _load_json(args.psi)]
+    psi_images = _parse_permutations(_load_json(args.psi), "psi")
     if len(psi_images) != len(G1.generators):
         raise PreconditionError("psi must list one image per generator of G1")
     psi = dict(zip(G1.generators, psi_images))
-    S2 = tuple(Permutation(images) for images in _load_json(args.tuple))
+    S2 = _parse_permutations(_load_json(args.tuple), "the tuple")
+    if not all(g in G2 for g in psi_images + S2):
+        raise PreconditionError("the images of psi and the tuple must lie in G2")
     problem = SurjectionProblem(G1, G2, psi, S2)
     lift = lift_generators(problem)
     count = count_lifts(problem)
@@ -408,9 +421,11 @@ def main(argv=None):
     except InternalError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    except Exception:  # a bug, never reported as bad input
+        import traceback  # only on this path, to keep the CLI's import small
+
+        traceback.print_exc()
+        return 2
 
 
 if __name__ == "__main__":

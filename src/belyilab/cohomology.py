@@ -14,11 +14,13 @@ automorphism of the module extends to the corresponding extension group.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from math import gcd
 
 from .errors import InternalError, PreconditionError
 from .groups import TableGroup
+from .permgroup import orbit
 from .snf import mat_vec, smith_normal_form, solve_integer
 
 _SCALE_LIMIT = 4096
@@ -109,17 +111,11 @@ class FiniteHModule:
             raise PreconditionError("one matrix per generator is required")
         k = len(shape)
         eye = tuple(tuple(1 if r == c else 0 for c in range(k)) for r in range(k))
-        known = {H.identity(): eye}
-        frontier = [H.identity()]
-        while frontier:
-            new = []
-            for g in frontier:
-                for gen, mat in zip(H.generators, gen_mats):
-                    h = g * gen
-                    if h not in known:
-                        known[h] = _mat_mul_mod(known[g], mat, shape)
-                        new.append(h)
-            frontier = new
+        known = {}
+        for h, edge in orbit(H.identity(), H.generators, operator.mul).items():
+            known[h] = (
+                eye if edge is None else _mat_mul_mod(known[edge[0]], gen_mats[edge[1]], shape)
+            )
         return cls(H, shape, known)
 
     def zero(self):
@@ -487,7 +483,7 @@ def aut_h(M: FiniteHModule):
             pools.append(pool)
     if total > 10**6:
         raise PreconditionError("module too large for automorphism enumeration")
-    gens = [M.action[g] for g in M.H.small_generating_set()]
+    gens = [M.action[g] for g in M.H.generators]
     elements = M.elements()
     out = []
     for entries in itertools.product(*pools):
@@ -566,18 +562,7 @@ class ExtensionGroup:
         return {h: (h, self.module.zero()) for h in self.H.elements}
 
     def to_table_group(self):
-        pos = {e: i for i, e in enumerate(self.elements)}
-        ident = pos[self.identity]
-        order = [ident] + [i for i in range(self.order) if i != ident]
-        relabel = {old: new for new, old in enumerate(order)}
-        table = [[0] * self.order for _ in range(self.order)]
-        for a in self.elements:
-            for b in self.elements:
-                table[relabel[pos[a]]][relabel[pos[b]]] = relabel[pos[self.mult(a, b)]]
-        names = [None] * self.order
-        for old, new in relabel.items():
-            names[new] = self.elements[old]
-        return TableGroup(table, names=names)
+        return TableGroup.from_elements(self.elements, self.identity, self.mult)
 
 
 def build_extension(M: FiniteHModule, beta: Cocycle2) -> ExtensionGroup:
@@ -621,7 +606,7 @@ def extend_automorphism(gamma, E: ExtensionGroup):
     M = E.module
     shape = M.shape
     k = M.k
-    gens = [M.action[g] for g in M.H.small_generating_set()]
+    gens = [M.action[g] for g in M.H.generators]
     images = {_mat_apply(gamma, m, shape) for m in M.elements()}
     if len(images) != M.size or not all(
         _mat_eq(_mat_mul_mod(gamma, A, shape), _mat_mul_mod(A, gamma, shape), shape)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .chartab import VirtualCharacter, character_table
 from .errors import InternalError, PreconditionError
-from .permgroup import PermGroup, Permutation, regular_representation
+from .permgroup import PermGroup, Permutation, orbit, regular_representation
 
 
 class BelyiCover:
@@ -42,13 +42,12 @@ class BelyiCover:
         With "galois": true the generators are abstract and the cover is
         normalized to the regular action of the group they generate.
         """
-        try:
-            x = Permutation(data["x"])
-            y = Permutation(data["y"])
-        except (KeyError, TypeError) as exc:
-            raise PreconditionError("cover JSON needs 'x' and 'y' image lists") from exc
-        if "degree" in data and data["degree"] != x.degree:
-            raise PreconditionError("declared degree does not match the permutations")
+        if not isinstance(data, dict):
+            raise PreconditionError("cover JSON needs 'x' and 'y' image lists")
+        x = Permutation.from_json(data.get("x"))
+        y = Permutation.from_json(data.get("y"))
+        if x.degree != y.degree or data.get("degree", x.degree) != x.degree:
+            raise PreconditionError("x, y and the declared degree disagree")
         if data.get("galois"):
             return cls.regular(x, y)
         return cls(x, y)
@@ -71,16 +70,11 @@ BRANCH_POINTS = ("0", "1", "inf")
 
 
 def _transversal(gens):
-    """{a: u} with 1^u = a for every point a in the orbit of 1, by BFS
-    (0-based points)."""
-    u = {0: Permutation.identity(gens[0].degree)}
-    queue = [0]
-    for a in queue:  # the queue grows while it is read
-        for g in gens:
-            b = g.imgs[a]
-            if b not in u:
-                u[b] = u[a] * g
-                queue.append(b)
+    """{a: u} with 1^u = a for every point a in the orbit of 1, read off
+    its Schreier tree (0-based points)."""
+    u = {}
+    for b, edge in orbit(0, [g.imgs for g in gens], lambda a, g: g[a]).items():
+        u[b] = Permutation.identity(gens[0].degree) if edge is None else u[edge[0]] * gens[edge[1]]
     return u
 
 
@@ -133,39 +127,31 @@ def validate(cover: BelyiCover) -> ClosureData:
     # the blocks Fix(J)^t, each with its t, by BFS with x^-1 and y^-1.
     # Block Fix(J)^(g^-1) stands for the left coset gW, so the blocks come
     # in the order of a left-coset BFS that left-multiplies by x and y.
-    blocks = []
-    block_of = [None] * n
-
-    def visit(points, t):
-        owners = {block_of[p] for p in points}
-        if len(owners) != 1:
-            raise InternalError("the images of Fix(J) do not form blocks")
-        if owners == {None}:
-            for p in points:
-                block_of[p] = len(blocks)
-            blocks.append((points, t))
-
-    visit(fixed, Permutation.identity(n))
     inv_gens = [g.inverse() for g in gens]
-    for points, t in blocks:  # the list grows while it is read
-        for g in inv_gens:
-            visit([g.imgs[p] for p in points], t * g)
-    if len(blocks) * len(fixed) != n:
-        raise InternalError("the blocks do not cover the points")
+    tree = orbit(
+        frozenset(fixed), inv_gens, lambda block, g: frozenset(g.imgs[p] for p in block)
+    )
+    t_of = {}
+    for block, edge in tree.items():
+        t_of[block] = Permutation.identity(n) if edge is None else t_of[edge[0]] * inv_gens[edge[1]]
+    ts = list(t_of.values())
+    block_of = {p: i for i, block in enumerate(tree) for p in block}
+    if not len(block_of) == len(ts) * len(fixed) == n:
+        raise InternalError("the images of Fix(J) do not partition the points")
 
     branch = {}
     for b in BRANCH_POINTS:
         sigma = cover.sigma(b)
-        action = Permutation([block_of[sigma.imgs[pts[0]]] for pts, _ in blocks], zero_based=True)
+        action = Permutation([block_of[sigma.imgs[min(pts)]] for pts in tree], zero_based=True)
         records = []
-        for orbit in action.all_cycles():
-            e = len(orbit)
-            t = blocks[orbit[0]][1]
+        for cyc in action.all_cycles():
+            e = len(cyc)
+            t = ts[cyc[0]]
             w = t * (sigma**e) * t.inverse()
             if w.imgs[0] not in pos:
                 raise InternalError("ramification index does not return to W")
             records.append((e, project(w)))
-        if sum(e for e, _ in records) != len(blocks):
+        if sum(e for e, _ in records) != len(ts):
             raise InternalError("ramification indices do not sum to [H:W]")
         branch[b] = records
     return ClosureData(cover, H, fixed, D, project, branch)

@@ -90,21 +90,17 @@ def refine_search(cd, tab=None):
     tab = tab if tab is not None else character_table(cd.D)
     D = cd.D
     candidates = []
-    seen = []
+    seen = set()
     for rep, _ in D.conjugacy_classes():
         sub = PermGroup([rep])
         key = frozenset(g.imgs for g in sub.elements)
         if key in seen:
             continue
-        seen.append(key)
+        seen.add(key)
         label = "cyclic(order %d)" % sub.order
         candidates.append((label, sub))
-    key = frozenset(g.imgs for g in D.elements)
-    if key not in seen:
+    if frozenset(g.imgs for g in D.elements) not in seen:
         candidates.append(("D", D))
-    else:
-        # D itself is cyclic; keep an explicit D entry anyway for clarity
-        pass
     left, _, jac = tate_characters(cd, tab)
     return [(label, sub) for label, sub in candidates if _certifies(left, jac, sub)]
 

@@ -22,7 +22,7 @@ from .cover import BelyiCover
 from .cyclotomic import Cyclotomic, cyclotomic_coeffs, factorint, isprime, phi_of
 from .errors import InternalError, PreconditionError
 from .groups import TableGroup
-from .permgroup import Permutation
+from .permgroup import Permutation, orbit
 
 ADMISSIBLE_KUMMER = ((1, 1, 3), (2, 2, 3), (1, 2, 6), (5, 4, 6), (1, 1, 4), (3, 3, 4))
 
@@ -101,18 +101,10 @@ class CmModule:
         )
 
     def _span(self, gens):
-        seen = {(0, 0)}
-        frontier = [(0, 0)]
-        while frontier:
-            new = []
-            for v in frontier:
-                for g in gens:
-                    w = ((v[0] + g[0]) % self.n, (v[1] + g[1]) % self.n)
-                    if w not in seen:
-                        seen.add(w)
-                        new.append(w)
-            frontier = new
-        return frozenset(seen)
+        n = self.n
+        return frozenset(
+            orbit((0, 0), gens, lambda v, g: ((v[0] + g[0]) % n, (v[1] + g[1]) % n))
+        )
 
     def _stable_subgroups(self):
         vectors = self._all_vectors()

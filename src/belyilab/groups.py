@@ -8,7 +8,11 @@ identity.  Everything here is brute force on purpose; the scale is tiny.
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 from .errors import PreconditionError
+from .permgroup import greedy_generators, orbit
 
 
 class TableGroup:
@@ -45,20 +49,17 @@ class TableGroup:
         self.inv = inv
 
     @classmethod
+    def from_elements(cls, elements, identity, mult):
+        """Table of the group formed by hashable elements under mult, with
+        the identity as 0, the rest in the given order, and names[i] the
+        element i stands for."""
+        names = [identity] + [e for e in elements if e != identity]
+        pos = {e: i for i, e in enumerate(names)}
+        return cls([[pos[mult(a, b)] for b in names] for a in names], names=names)
+
+    @classmethod
     def from_permgroup(cls, G):
-        elts = G.elements
-        pos = {g.imgs: i for i, g in enumerate(elts)}
-        ident = G.identity()
-        order = [pos[ident.imgs]] + [i for i in range(len(elts)) if i != pos[ident.imgs]]
-        relabel = {old: new for new, old in enumerate(order)}
-        table = [[0] * len(elts) for _ in range(len(elts))]
-        for a, ga in enumerate(elts):
-            for b, gb in enumerate(elts):
-                table[relabel[a]][relabel[b]] = relabel[pos[(ga * gb).imgs]]
-        names = [None] * len(elts)
-        for old, new in relabel.items():
-            names[new] = elts[old]
-        return cls(table, names=names)
+        return cls.from_elements(G.elements, G.identity(), operator.mul)
 
     def mult(self, a, b):
         return self.table[a][b]
@@ -72,47 +73,19 @@ class TableGroup:
         return k
 
     def closure(self, gens):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    b = self.table[a][g]
-                    if b not in seen:
-                        seen.add(b)
-                        new.append(b)
-            frontier = new
-        return sorted(seen)
+        return sorted(orbit(0, gens, self.mult))
 
     def generates(self, gens):
-        return len(self.closure(gens)) == self.n
+        return len(orbit(0, gens, self.mult)) == self.n
 
     def small_generating_set(self):
-        gens = []
-        have = {0}
-        for a in range(self.n):
-            if a in have:
-                continue
-            gens.append(a)
-            have = set(self.closure(gens))
-            if len(have) == self.n:
-                break
-        return gens
+        return greedy_generators(range(self.n), 0, self.mult)
 
     def words(self, gens):
         """Express each element as a word (list of generator indices)."""
-        word = {0: []}
-        frontier = [0]
-        while frontier:
-            new = []
-            for a in frontier:
-                for gi, g in enumerate(gens):
-                    b = self.table[a][g]
-                    if b not in word:
-                        word[b] = word[a] + [gi]
-                        new.append(b)
-            frontier = new
+        word = {}
+        for b, edge in orbit(0, gens, self.mult).items():
+            word[b] = [] if edge is None else word[edge[0]] + [edge[1]]
         if len(word) != self.n:
             raise PreconditionError("the given elements do not generate the group")
         return word
@@ -148,48 +121,27 @@ def homomorphism_from_generators(src: TableGroup, dst: TableGroup, gens, images)
     return out
 
 
+def _isomorphisms(A: TableGroup, B: TableGroup):
+    """Bijective homomorphisms A -> B as image lists, by brute force over
+    the images of A's small generating set with matching element orders."""
+    gens = A.small_generating_set()
+    pools = [[b for b in range(B.n) if B.order_of(b) == o] for o in map(A.order_of, gens)]
+    for chosen in itertools.product(*pools):
+        f = homomorphism_from_generators(A, B, gens, list(chosen))
+        if f is not None and len(set(f)) == A.n:
+            yield f
+
+
 def automorphisms(T: TableGroup):
     """All automorphisms, as image lists (brute force over generator images)."""
-    gens = T.small_generating_set()
-    if not gens:
-        return [[0]]
-    orders = [T.order_of(g) for g in gens]
-    pools = [[a for a in range(T.n) if T.order_of(a) == o] for o in orders]
-    out = []
-    def rec(i, chosen):
-        if i == len(gens):
-            f = homomorphism_from_generators(T, T, gens, chosen)
-            if f is not None and len(set(f)) == T.n:
-                out.append(f)
-            return
-        for a in pools[i]:
-            rec(i + 1, chosen + [a])
-    rec(0, [])
-    return out
+    return list(_isomorphisms(T, T))
 
 
 def isomorphic(A: TableGroup, B: TableGroup):
     """Brute-force isomorphism test for small groups."""
     if A.n != B.n or A.order_profile() != B.order_profile():
         return False
-    gens = A.small_generating_set()
-    if not gens:
-        return True
-    orders = [A.order_of(g) for g in gens]
-    pools = [[b for b in range(B.n) if B.order_of(b) == o] for o in orders]
-    found = []
-    def rec(i, chosen):
-        if found:
-            return
-        if i == len(gens):
-            f = homomorphism_from_generators(A, B, gens, chosen)
-            if f is not None and len(set(f)) == A.n:
-                found.append(f)
-            return
-        for b in pools[i]:
-            rec(i + 1, chosen + [b])
-    rec(0, [])
-    return bool(found)
+    return next(_isomorphisms(A, B), None) is not None
 
 
 def cyclic_table(n):

@@ -8,6 +8,13 @@ set, in time polynomial in the degree.  Its elements are enumerated by full
 closure only when something first needs them (the element list, membership,
 conjugacy classes), and only up to _SCALE_LIMIT elements: a larger group
 keeps its order but refuses enumeration with PreconditionError.
+
+`orbit` is the library's one breadth-first search (closures, Schreier-Sims
+levels, conjugacy classes, cosets, cover transversals and blocks, words).
+It returns the Schreier tree {point: (parent, generator index)} with the
+start mapped to None, in discovery order: level by level, and within a
+level by parent, then by generator index.  Parents precede children, so
+callers label the points (words, elements, matrices) in one pass.
 """
 
 from __future__ import annotations
@@ -34,6 +41,14 @@ class Permutation:
         if sorted(imgs) != list(range(n)):
             raise ValueError("images are not a bijection of {1..%d}" % n)
         self.imgs = imgs
+
+    @classmethod
+    def from_json(cls, images):
+        """From a JSON value; PreconditionError unless it is a 1-based image list."""
+        ints = isinstance(images, list) and all(type(i) is int for i in images)
+        if not ints or sorted(images) != list(range(1, len(images) + 1)):
+            raise PreconditionError("a permutation must be a list of the integers 1..n")
+        return cls(images)
 
     @classmethod
     def identity(cls, n):
@@ -128,6 +143,27 @@ class Permutation:
         return "Permutation(%s)" % " ".join("(%s)" % " ".join(map(str, c)) for c in cyc)
 
 
+def orbit(start, gens, act):
+    """Schreier tree {point: (parent, generator index)} of start under
+    the generators, by breadth-first search with act(point, generator);
+    start maps to None and the dict is in discovery order."""
+    tree = {start: None}
+    queue = [start]
+    indexed = list(enumerate(gens))
+    for p in queue:  # the queue grows while it is read
+        for i, g in indexed:
+            q = act(p, g)
+            if q not in tree:
+                tree[q] = (p, i)
+                queue.append(q)
+    return tree
+
+
+def _compose(p, g):
+    """Image tuple of p * g."""
+    return tuple(g[i] for i in p)
+
+
 def _schreier_sims_order(gens, n):
     """|<gens>| by deterministic Schreier-Sims on 0-based image tuples.
 
@@ -149,20 +185,18 @@ def _schreier_sims_order(gens, n):
         strong.append([])
         trans.append(None)
 
-    def orbit(i):
-        u = {base[i]: (ident, ident)}
-        queue = [base[i]]
-        for a in queue:  # the queue grows while it is read
-            ua = u[a][0]
-            for s in strong[i]:
-                b = s[a]
-                if b not in u:
-                    ub = tuple(s[j] for j in ua)
-                    inv = [0] * n
-                    for j, k in enumerate(ub):
-                        inv[k] = j
-                    u[b] = (ub, tuple(inv))
-                    queue.append(b)
+    def level_orbit(i):
+        u = {}
+        for b, edge in orbit(base[i], strong[i], lambda a, s: s[a]).items():
+            if edge is None:
+                ub = ident
+            else:
+                s = strong[i][edge[1]]
+                ub = tuple(s[j] for j in u[edge[0]][0])
+            inv = [0] * n
+            for j, k in enumerate(ub):
+                inv[k] = j
+            u[b] = (ub, tuple(inv))
         trans[i] = u
 
     def sift(g, i):
@@ -197,7 +231,7 @@ def _schreier_sims_order(gens, n):
         for level in range(first_moved + 1):
             strong[level].append(g)
     for i in range(len(base)):
-        orbit(i)
+        level_orbit(i)
     i = len(base) - 1
     while i >= 0:
         found = residue(i)
@@ -209,30 +243,33 @@ def _schreier_sims_order(gens, n):
             add_level(h)
         for level in range(i + 1, j + 1):
             strong[level].append(h)
-            orbit(level)
+            level_orbit(level)
         i = j
     return prod(len(u) for u in trans)
 
 
 def _closure(gens):
-    """All products of the generators, by breadth-first multiplication."""
+    """{image tuple: element} for every product of the generators."""
     n = gens[0].degree
-    ident = Permutation.identity(n)
-    seen = {ident.imgs: ident}
-    frontier = [ident]
-    gen_imgs = [g.imgs for g in gens]
-    while frontier:
-        new = []
-        for p in frontier:
-            pi = p.imgs
-            for gi in gen_imgs:
-                prod = tuple(gi[i] for i in pi)
-                if prod not in seen:
-                    q = Permutation(prod, zero_based=True)
-                    seen[prod] = q
-                    new.append(q)
-        frontier = new
-    return seen
+    tree = orbit(tuple(range(n)), [g.imgs for g in gens], _compose)
+    return {imgs: Permutation(imgs, zero_based=True) for imgs in tree}
+
+
+def greedy_generators(elements, identity, mul):
+    """A short generating list for the group formed by the elements.
+
+    Walks the elements in the given order and keeps each one outside the
+    span of those kept so far, until the span is the whole group."""
+    gens = []
+    span = {identity}
+    for g in elements:
+        if g in span:
+            continue
+        gens.append(g)
+        span = orbit(identity, gens, mul)
+        if len(span) == len(elements):
+            break
+    return gens
 
 
 class PermGroup:
@@ -325,32 +362,25 @@ class PermGroup:
         return self._class_index[p.imgs]
 
     def _compute_classes(self):
-        gens = self.small_generating_set()
-        gen_pairs = [(g, g.inverse()) for g in gens]
+        pairs = [(g.imgs, g.inverse().imgs) for g in self.small_generating_set()]
+
+        def conjugate(p, pair):
+            g, ginv = pair  # image tuple of ginv * p * g
+            return tuple(g[p[j]] for j in ginv)
+
         unseen = set(self._elt_map)
         orbits = []
         for e in self.elements:
             if e.imgs not in unseen:
                 continue
-            # conjugation orbit of e under the generators
-            orbit = {e.imgs: e}
-            frontier = [e]
-            while frontier:
-                new = []
-                for p in frontier:
-                    for g, ginv in gen_pairs:
-                        q = ginv * p * g
-                        if q.imgs not in orbit:
-                            orbit[q.imgs] = q
-                            new.append(q)
-                frontier = new
-            unseen -= orbit.keys()
-            orbits.append((min(orbit.values()), orbit))
+            cls = orbit(e.imgs, pairs, conjugate)
+            unseen -= cls.keys()
+            orbits.append((self._elt_map[min(cls)], cls))
         # identity class first, then by representative
         orbits.sort(key=lambda ro: (not ro[0].is_identity(), ro[0].imgs))
-        self._classes = [(rep, len(orbit)) for rep, orbit in orbits]
+        self._classes = [(rep, len(cls)) for rep, cls in orbits]
         self._class_index = {
-            imgs: ci for ci, (_, orbit) in enumerate(orbits) for imgs in orbit
+            imgs: ci for ci, (_, cls) in enumerate(orbits) for imgs in cls
         }
 
     def power_map(self, class_idx, k):
@@ -380,69 +410,44 @@ class PermGroup:
         return PermGroup(_reduce_gens(members, self.degree))
 
     def coset_action(self, S):
-        """Permutation image of G on the cosets of a subgroup S.
+        """Permutation image of G on the right cosets Sr of a subgroup S.
 
         Returns (image: PermGroup, reps: list of coset representatives,
-        project: element -> Permutation on cosets).  The kernel of the
-        projection is the core of S in G; when S is normal the image is the
-        quotient group G/S.
+        project: element -> Permutation on cosets).  The cosets are the
+        orbit of S's element set under right multiplication, and reps
+        are read off its Schreier tree, identity first.  The kernel of
+        the projection is the core of S in G; when S is normal the image
+        is the quotient group G/S.
         """
         if not S.is_subgroup(self):
             raise ValueError("S is not a subgroup of G")
-        reps = self.coset_reps(S)
-        rep_of = self._coset_finder(S, reps)
+        gens = self.generators
+        tree = orbit(
+            frozenset(S._elt_map),
+            [g.imgs for g in gens],
+            lambda coset, g: frozenset(_compose(c, g) for c in coset),
+        )
+        rep = {}
+        for coset, edge in tree.items():
+            rep[coset] = self.identity() if edge is None else rep[edge[0]] * gens[edge[1]]
+        reps = list(rep.values())
+        coset_of = {c: i for i, coset in enumerate(tree) for c in coset}
+        if not len(coset_of) == len(tree) * S.order == self.order:
+            raise InternalError("the cosets of S do not partition G")
 
         def project(g):
             if g not in self:
                 raise ValueError("element not in G")
-            return Permutation([rep_of(reps[i] * g) for i in range(len(reps))], zero_based=True)
+            return Permutation([coset_of[(r * g).imgs] for r in reps], zero_based=True)
 
-        image = PermGroup([project(g) for g in self.generators])
-        return image, reps, project
-
-    def coset_reps(self, S):
-        """Coset representatives of S in self (identity first, by orbit BFS)."""
-        reps = [self.identity()]
-        frontier = [self.identity()]
-        while frontier:
-            new = []
-            for r in frontier:
-                for g in self.generators:
-                    cand = r * g
-                    if all((cand * r2.inverse()) not in S for r2 in reps):
-                        reps.append(cand)
-                        new.append(cand)
-            frontier = new
-        return reps
-
-    def _coset_finder(self, S, reps):
-        inv_reps = [(i, r.inverse()) for i, r in enumerate(reps)]
-
-        def rep_of(g):
-            for i, rinv in inv_reps:
-                if (g * rinv) in S:
-                    return i
-            raise ValueError("element lies in no coset: cosets incomplete")
-
-        return rep_of
+        return PermGroup([project(g) for g in gens]), reps, project
 
 
 def _reduce_gens(elements, degree):
     """A short generating list for the group formed by the given elements."""
-    if not elements:
-        return [Permutation.identity(degree)]
-    gens = []
-    sub_set = {Permutation.identity(degree).imgs}
-    for g in sorted(elements):
-        if g.imgs in sub_set:
-            continue
-        gens.append(g)
-        sub_set = set(_closure(gens).keys())
-        if len(sub_set) == len(elements):
-            break
-    if not gens:
-        return [Permutation.identity(degree)]
-    return gens
+    by_imgs = {g.imgs: g for g in elements}
+    gens = greedy_generators(sorted(by_imgs), tuple(range(degree)), _compose)
+    return [by_imgs[g] for g in gens] or [Permutation.identity(degree)]
 
 
 def generate(gens):

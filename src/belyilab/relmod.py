@@ -12,6 +12,8 @@ that fix H pointwise with the cocycle-class stabilizer in Aut_H.
 
 from __future__ import annotations
 
+import operator
+
 from .chartab import character_table, VirtualCharacter
 from .cohomology import (
     Cocycle2,
@@ -24,7 +26,7 @@ from .cohomology import (
 from .cyclotomic import Cyclotomic
 from .errors import InternalError, PreconditionError
 from .groups import automorphisms
-from .permgroup import PermGroup
+from .permgroup import PermGroup, orbit
 
 
 class FreeWord:
@@ -108,26 +110,16 @@ def schreier_data(H: PermGroup, images, d=None) -> RelationModule:
     if PermGroup(images).order != H.order or not all(g in H for g in images):
         raise PreconditionError("the images do not generate H")
 
-    ident = H.identity()
-    transversal = {ident: FreeWord()}
-    bfs_order = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for h in frontier:
-            for i in range(d):
-                nxt = h * images[i]
-                if nxt not in transversal:
-                    transversal[nxt] = transversal[h] * FreeWord((i + 1,))
-                    bfs_order.append(nxt)
-                    new.append(nxt)
-        frontier = new
+    transversal = {}
+    for h, edge in orbit(H.identity(), images, operator.mul).items():
+        word = FreeWord() if edge is None else transversal[edge[0]] * FreeWord((edge[1] + 1,))
+        transversal[h] = word
     if len(transversal) != H.order:
         raise InternalError("transversal misses part of the group")
 
     free_gens = []
     gen_index = {}
-    for h in bfs_order:
+    for h in transversal:
         for i in range(d):
             w = transversal[h] * FreeWord((i + 1,)) * transversal[h * images[i]].inverse()
             if w.is_identity():

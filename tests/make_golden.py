@@ -90,32 +90,32 @@ def cases():
             (name + "/relmod", ["--json", "relmod", "--group", "{group}"] + flags, {"group": group})
         )
     for name, group in (("s4", S4), ("q8", Q8)):
-        out.append((name + "/chartab", ["--json", "chartab", "--group", "{group}"], {"group": group}))
-    out.append(
-        ("readme/cohomology", ["--json", "cohomology", "--module", "{module}"], {"module": README_MODULE})
-    )
+        argv = ["--json", "chartab", "--group", "{group}"]
+        out.append((name + "/chartab", argv, {"group": group}))
+    argv = ["--json", "cohomology", "--module", "{module}"]
+    out.append(("readme/cohomology", argv, {"module": README_MODULE}))
     return out
 
 
 def run_case(argv, inputs, workdir):
-    """(exit code, stdout) of the CLI on the case's inputs."""
+    """(exit code, stdout, stderr) of the CLI with each "{key}" in argv
+    replaced by a file in workdir holding inputs[key]."""
     paths = {}
     for key, data in inputs.items():
         path = Path(workdir) / (key + ".json")
         path.write_text(json.dumps(data))
         paths[key] = str(path)
-    args = [a.format(**paths) for a in argv]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(args)
-    return code, buf.getvalue()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.format(**paths) for a in argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 def build():
     records = []
     with tempfile.TemporaryDirectory() as workdir:
         for name, argv, inputs in cases():
-            code, stdout = run_case(argv, inputs, workdir)
+            code, stdout, _ = run_case(argv, inputs, workdir)
             records.append(
                 {"name": name, "argv": argv, "inputs": inputs, "exit": code, "stdout": stdout}
             )

@@ -1,10 +1,13 @@
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from belyilab.cli import main
 from belyilab.cover import BelyiCover
 from belyilab.permgroup import Permutation
+from make_golden import run_case
 
 
 def write_json(tmp_path, name, data):
@@ -278,3 +281,108 @@ class TestGenus1:
     def test_jdeg_even_rejected(self, capsys):
         code, _ = run(capsys, ["genus1", "jdeg", "4"])
         assert code == 1
+
+
+# -- malformed input: exit 0 or 1, never a traceback ------------------------
+
+_KEYS = ["x", "y", "degree", "galois", "generators", "group", "shape", "action", "table"]
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.floats(-2, 5, allow_nan=False)
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=10,
+)
+_perm_like = st.one_of(
+    st.integers(1, 4).flatmap(lambda n: st.permutations(list(range(1, n + 1)))),
+    st.lists(st.integers(-1, 5), max_size=5),
+    _json,
+)
+_covers = _json | st.fixed_dictionaries(
+    {"x": _perm_like, "y": _perm_like},
+    optional={"degree": st.integers(0, 5) | _json, "galois": st.booleans()},
+)
+# groups of degree <= 3, so modules and relation modules stay small
+_small_perm = st.integers(1, 3).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
+_groups = _json | st.fixed_dictionaries(
+    {"generators": st.lists(_small_perm | _perm_like, max_size=2) | _json},
+    optional={"degree": st.integers(0, 4) | _json},
+)
+_matrices = st.lists(st.lists(st.integers(-1, 2), max_size=2), max_size=2)
+_modules = _json | st.fixed_dictionaries(
+    {
+        "group": _groups,
+        "shape": st.lists(st.integers(-1, 3), max_size=2) | _json,
+        "action": st.lists(_matrices | _json, max_size=6) | _json,
+    }
+)
+
+
+def _run_files(argv, docs):
+    """(exit code, stderr) of main on the documents, written to files."""
+    with tempfile.TemporaryDirectory() as workdir:
+        code, _, err = run_case(argv, docs, workdir)
+    return code, err
+
+
+def _assert_clean(code, err):
+    assert code in (0, 1), err
+    assert "Traceback" not in err and "internal error" not in err
+
+
+class TestMalformedInput:
+    @settings(max_examples=80, deadline=None)
+    @given(doc=_covers, command=st.sampled_from(["analyze", "descend"]))
+    def test_cover(self, doc, command):
+        refine = ["--refine"] if command == "descend" else []
+        _assert_clean(*_run_files(["--json", command] + refine + ["--input", "{c}"], {"c": doc}))
+
+    @settings(max_examples=80, deadline=None)
+    @given(doc=_groups, command=st.sampled_from(["chartab", "relmod"]))
+    def test_group(self, doc, command):
+        rank = ["--rank", "2"] if command == "relmod" else []
+        _assert_clean(*_run_files(["--json", command, "--group", "{g}"] + rank, {"g": doc}))
+
+    @settings(max_examples=80, deadline=None)
+    @given(doc=_modules, cocycle=st.none() | _json)
+    def test_module(self, doc, cocycle):
+        argv = ["--json", "cohomology", "--module", "{m}"]
+        docs = {"m": doc}
+        if cocycle is not None:
+            argv += ["--cocycle", "{c}"]
+            docs["c"] = cocycle
+        _assert_clean(*_run_files(argv, docs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g1=_groups,
+        g2=_groups,
+        psi=st.lists(_small_perm | _perm_like, max_size=2) | _json,
+        tup=st.lists(_small_perm | _perm_like, max_size=2) | _json,
+    )
+    def test_gaschuetz(self, g1, g2, psi, tup):
+        argv = ["gaschuetz", "lift", "--g1", "{a}", "--g2", "{b}", "--psi", "{p}", "--tuple", "{t}"]
+        _assert_clean(*_run_files(argv, {"a": g1, "b": g2, "p": psi, "t": tup}))
+
+    def test_int_action_entry(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path,
+            "mod.json",
+            {"group": {"generators": [[2, 1]]}, "shape": [2], "action": [[[1]], 7]},
+        )
+        code = main(["cohomology", "--module", path])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:")
+
+    def test_bug_exits_2_with_traceback(self, capsys, cubic, monkeypatch):
+        def broken(cover):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr("belyilab.cli.analysis_report", broken)
+        code = main(["analyze", "--input", cubic])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" in err and not err.startswith("error:")

@@ -18,6 +18,6 @@ CASES = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_golden_output(case, tmp_path):
-    code, stdout = run_case(case["argv"], case["inputs"], tmp_path)
+    code, stdout, _ = run_case(case["argv"], case["inputs"], tmp_path)
     assert code == case["exit"]
     assert stdout == case["stdout"]
