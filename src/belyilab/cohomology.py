@@ -24,6 +24,10 @@ from .permgroup import orbit
 from .snf import mat_vec, smith_normal_form, solve_integer
 
 _SCALE_LIMIT = 4096
+# bound on n2 = (|H|-1)^2 * k, the dimension of the cocycle lattice and of
+# the Smith normal forms h2 computes; |H|*|M| alone lets Q8 on (Z/2)^9
+# through with n2 = 441, which takes about 100 s
+_LATTICE_LIMIT = 256
 
 
 def _mat_apply(mat, m, shape):
@@ -396,6 +400,11 @@ def h2(M: FiniteHModule) -> H2Data:
     if H.order * M.size > _SCALE_LIMIT:
         raise PreconditionError("cohomology instance too large: |H|*|M| > %d" % _SCALE_LIMIT)
     nonid, pair_pos, n1, n2 = _cochain_indexing(M)
+    if n2 > _LATTICE_LIMIT:
+        raise PreconditionError(
+            "cohomology instance too large: cocycle lattice dimension %d > %d"
+            % (n2, _LATTICE_LIMIT)
+        )
     k = M.k
 
     def flatten(beta):
@@ -510,6 +519,14 @@ class ExtensionGroup:
 
     Elements are pairs (h, m) with product
     (h1, m1)(h2, m2) = (h1 h2, m1 + h1.m2 + beta(h1, h2)).
+
+    `elements` lists H's elements in order, each with every m, so the
+    identity comes first.  The Cayley table on indices into `elements` and
+    the inverse of every index are built once, on construction, from |E|^2
+    calls to `mult`.  The associativity check (every triple for |E| <= 40,
+    300 seeded triples above that), `inverse`, `extension_class`, the
+    homomorphism check in `extend_automorphism` and `to_table_group` all
+    read that table.
     """
 
     def __init__(self, module: FiniteHModule, beta: Cocycle2):
@@ -523,7 +540,20 @@ class ExtensionGroup:
         ]
         self.order = len(self.elements)
         self.identity = (self.H.identity(), module.zero())
+        if self.elements[0] != self.identity:
+            raise InternalError("extension element list does not start with the identity")
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        # _table[i][j] is the index of elements[i] * elements[j]
+        self._table = [
+            [self._index[self.mult(a, b)] for b in self.elements] for a in self.elements
+        ]
         self._check_associativity()
+        # _inverses[i] is the index of the inverse of elements[i]
+        self._inverses = []
+        for row in self._table:
+            if 0 not in row:
+                raise InternalError("extension element has no inverse")
+            self._inverses.append(row.index(0))
 
     def mult(self, a, b):
         h1, m1 = a
@@ -533,22 +563,22 @@ class ExtensionGroup:
         return (h1 * h2, m)
 
     def inverse(self, a):
-        for b in self.elements:
-            if self.mult(a, b) == self.identity:
-                return b
-        raise InternalError("extension element has no inverse")
+        if a not in self._index:
+            raise PreconditionError("not an element of the extension")
+        return self.elements[self._inverses[self._index[a]]]
 
     def _check_associativity(self):
         n = self.order
         if n <= 40:
-            triples = itertools.product(self.elements, repeat=3)
+            triples = itertools.product(range(n), repeat=3)
         else:
             rng = random.Random(0)
             triples = (
-                tuple(rng.choice(self.elements) for _ in range(3)) for _ in range(300)
+                tuple(rng.choice(range(n)) for _ in range(3)) for _ in range(300)
             )
+        t = self._table
         for a, b, c in triples:
-            if self.mult(self.mult(a, b), c) != self.mult(a, self.mult(b, c)):
+            if t[t[a][b]][c] != t[a][t[b][c]]:
                 raise InternalError("extension multiplication is not associative")
 
     def project(self, a):
@@ -562,7 +592,7 @@ class ExtensionGroup:
         return {h: (h, self.module.zero()) for h in self.H.elements}
 
     def to_table_group(self):
-        return TableGroup.from_elements(self.elements, self.identity, self.mult)
+        return TableGroup(self._table, names=list(self.elements))
 
 
 def build_extension(M: FiniteHModule, beta: Cocycle2) -> ExtensionGroup:
@@ -581,15 +611,16 @@ def extension_class(E, section=None) -> Cocycle2:
     H = E.H
     s = section if section is not None else E.section()
     for h in H.elements:
-        if h not in s or E.project(s[h]) != h:
+        if h not in s or s[h] not in E._index or E.project(s[h]) != h:
             raise PreconditionError("section is not a transversal of the extension")
     if s[H.identity()] != E.identity:
         raise PreconditionError("section must send the identity to the identity")
+    t, inv = E._table, E._inverses
+    si = {h: E._index[s[h]] for h in H.elements}
     table = {}
     for h1 in H.elements:
         for h2 in H.elements:
-            prod = E.mult(s[h1], s[h2])
-            val = E.mult(prod, E.inverse(s[h1 * h2]))
+            val = E.elements[t[t[si[h1]][si[h2]]][inv[si[h1 * h2]]]]
             if E.project(val) != H.identity():
                 raise InternalError("cocycle value is not in the fiber")
             table[(h1, h2)] = val[1]
@@ -641,8 +672,18 @@ def extend_automorphism(gamma, E: ExtensionGroup):
         out[(h, m)] = (h, M.add(_mat_apply(gamma, m, shape), cochain[h]))
     if len(set(out.values())) != E.order:
         raise InternalError("extended map is not a bijection")
-    for a in E.elements:
-        for b in E.elements:
-            if out[E.mult(a, b)] != E.mult(out[a], out[b]):
-                raise InternalError("extended map is not a homomorphism")
+    if not _preserves_products(E, out):
+        raise InternalError("extended map is not a homomorphism")
     return out
+
+
+def _preserves_products(E: ExtensionGroup, out):
+    """Whether out(ab) = out(a) out(b) for all a, b in E, read off the
+    Cayley table; out maps every element of E to an element of E."""
+    t = E._table
+    f = [E._index[out[a]] for a in E.elements]
+    for a, row in enumerate(t):
+        fa = t[f[a]]
+        if any(f[ab] != fa[fb] for ab, fb in zip(row, f)):
+            return False
+    return True

@@ -28,6 +28,9 @@ OUT = Path(__file__).parent / "data" / "golden.json"
 
 S3 = {"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]}
 Z3 = {"degree": 3, "generators": [[2, 3, 1]]}
+Z2 = {"degree": 2, "generators": [[2, 1]]}
+Z4 = {"degree": 4, "generators": [[2, 3, 4, 1]]}
+Z5 = {"degree": 5, "generators": [[2, 3, 4, 5, 1]]}
 S4 = {"degree": 4, "generators": [[2, 1, 3, 4], [2, 3, 4, 1]]}
 Q8 = {"degree": 8, "generators": [[2, 3, 4, 1, 6, 7, 8, 5], [5, 8, 7, 6, 3, 2, 1, 4]]}
 README_MODULE = {
@@ -89,6 +92,20 @@ def cases():
         out.append(
             (name + "/relmod", ["--json", "relmod", "--group", "{group}"] + flags, {"group": group})
         )
+    # --verify-main builds the extension group P, so |P| = |H| * m^rank
+    # must stay within relmod._VERIFY_LIMIT; Z/5 and Z/2 at m = 32 have
+    # |P| > 40, where build_extension samples associativity
+    verify = (
+        ("z2", Z2, 2, 2),
+        ("z3", Z3, 1, 3),
+        ("z4", Z4, 1, 8),
+        ("z5", Z5, 1, 9),
+        ("z2_m32", Z2, 1, 32),
+    )
+    for name, group, rank, mod in verify:
+        argv = ["--json", "relmod", "--group", "{group}", "--rank", str(rank)]
+        argv += ["--mod", str(mod), "--verify-main"]
+        out.append((name + "/verify_main", argv, {"group": group}))
     for name, group in (("s4", S4), ("q8", Q8)):
         argv = ["--json", "chartab", "--group", "{group}"]
         out.append((name + "/chartab", argv, {"group": group}))

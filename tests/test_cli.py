@@ -221,6 +221,18 @@ class TestRelmod:
         code, _ = run(capsys, ["relmod", "--group", path, "--rank", "2", "--verify-main"])
         assert code == 1
 
+    def test_q8_lattice_too_large(self, capsys, tmp_path):
+        # |H|*|M| = 8 * 2^9 passes the size limit, but the cocycle lattice
+        # has dimension (8-1)^2 * 9 = 441; it is refused before it is built
+        q8 = {"degree": 8, "generators": [[2, 3, 4, 1, 6, 7, 8, 5], [5, 8, 7, 6, 3, 2, 1, 4]]}
+        path = write_json(tmp_path, "q8.json", q8)
+        code = main(["--json", "relmod", "--group", path, "--rank", "2", "--mod", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "lattice dimension 441" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestGaschuetz:
     def test_z6_to_z3(self, capsys, tmp_path):

@@ -1,0 +1,151 @@
+"""The Cayley-table reads of ExtensionGroup against the element-wise path.
+
+The oracles below are the element-wise versions the table replaced: an
+inverse found by scanning the elements with `mult`, the extension class
+computed with `mult` and that scan, and the homomorphism check through
+`mult`.  They run on the criterion-7 module corpus and on one extension
+of order 48, above the 40 where build_extension samples associativity.
+"""
+
+import itertools
+
+import pytest
+
+from belyilab.cohomology import (
+    Cocycle2,
+    FiniteHModule,
+    _preserves_products,
+    aut_h,
+    build_extension,
+    extend_automorphism,
+    extension_class,
+    h2,
+)
+from belyilab.corpus import _module_corpus
+from belyilab.errors import InternalError, PreconditionError
+from belyilab.groups import TableGroup
+from belyilab.permgroup import cyclic_group, symmetric_group
+from test_cohomology import all_classes
+
+
+def scan_inverse(E, a):
+    for b in E.elements:
+        if E.mult(a, b) == E.identity:
+            return b
+    raise AssertionError("no inverse")
+
+
+def oracle_extension_class(E, s):
+    H = E.H
+    table = {}
+    for h1 in H.elements:
+        for h2 in H.elements:
+            val = E.mult(E.mult(s[h1], s[h2]), scan_inverse(E, s[h1 * h2]))
+            assert E.project(val) == H.identity()
+            table[(h1, h2)] = val[1]
+    return Cocycle2(E.module, table)
+
+
+def oracle_preserves_products(E, out):
+    return all(
+        out[E.mult(a, b)] == E.mult(out[a], out[b]) for a in E.elements for b in E.elements
+    )
+
+
+def apply(gamma, m, shape):
+    return tuple(sum(r * x for r, x in zip(row, m)) % mod for row, mod in zip(gamma, shape))
+
+
+def extensions():
+    """(M, beta, E) for every class of the criterion-7 corpus and of
+    H^2(S3, Z/8) with the trivial action (|E| = 48)."""
+    modules = _module_corpus() + [FiniteHModule.trivial(symmetric_group(3), (8,))]
+    for M in modules:
+        for beta in all_classes(M, h2(M)):
+            yield M, beta, build_extension(M, beta)
+
+
+EXTENSIONS = list(extensions())
+
+
+def test_corpus_reaches_the_sampled_path():
+    assert max(E.order for _, _, E in EXTENSIONS) > 40
+    assert min(E.order for _, _, E in EXTENSIONS) <= 40
+
+
+@pytest.mark.parametrize("M, beta, E", EXTENSIONS)
+def test_inverse_matches_scan(M, beta, E):
+    for a in E.elements:
+        assert E.inverse(a) == scan_inverse(E, a)
+
+
+@pytest.mark.parametrize("M, beta, E", EXTENSIONS)
+def test_extension_class_matches_elementwise(M, beta, E):
+    assert extension_class(E) == oracle_extension_class(E, E.section())
+    # a section shifted off the zero fiber by a cochain with c(1) = 0
+    shifted = {
+        h: (h, tuple((i + r) % m for r, m in enumerate(M.shape)) if i else M.zero())
+        for i, h in enumerate(M.H.elements)
+    }
+    assert extension_class(E, shifted) == oracle_extension_class(E, shifted)
+
+
+@pytest.mark.parametrize("M, beta, E", EXTENSIONS)
+def test_extend_automorphism_matches_elementwise(M, beta, E):
+    for gamma in aut_h(M):
+        phi = extend_automorphism(gamma, E)
+        if phi is not None:
+            assert oracle_preserves_products(E, phi)
+        # with the zero cochain the map is a homomorphism exactly when
+        # gamma fixes beta itself, so both verdicts occur
+        naive = {(h, m): (h, apply(gamma, m, M.shape)) for h, m in E.elements}
+        assert _preserves_products(E, naive) == oracle_preserves_products(E, naive)
+
+
+def test_homomorphism_check_sees_both_verdicts():
+    verdicts = set()
+    for M, beta, E in EXTENSIONS:
+        for gamma in aut_h(M):
+            naive = {(h, m): (h, apply(gamma, m, M.shape)) for h, m in E.elements}
+            verdicts.add(_preserves_products(E, naive))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("M, beta, E", EXTENSIONS)
+def test_to_table_group_matches_products(M, beta, E):
+    T = E.to_table_group()
+    ref = TableGroup.from_elements(E.elements, E.identity, E.mult)
+    assert T.names == ref.names
+    assert T.table == ref.table
+
+
+def test_inverse_rejects_foreign_element():
+    M = FiniteHModule.trivial(cyclic_group(2), (2,))
+    E = build_extension(M, Cocycle2.zero(M))
+    with pytest.raises(PreconditionError):
+        E.inverse((M.H.identity(), (5,)))
+
+
+def fake_cocycle(M, x):
+    """A normalized table with beta(x, x) = 1 and 0 elsewhere, stored in a
+    Cocycle2 without the cocycle check."""
+    elts = M.H.elements
+    table = {(a, b): M.zero() for a, b in itertools.product(elts, repeat=2)}
+    table[(x, x)] = (1,)
+    with pytest.raises(PreconditionError):
+        Cocycle2(M, table)
+    beta = Cocycle2.__new__(Cocycle2)
+    beta.module = M
+    beta.table = table
+    return beta
+
+
+@pytest.mark.parametrize("m", [3, 16])
+def test_non_cocycle_fails_associativity(m):
+    # over Z/3 the delta of this table is nonzero at (x, x, x^2); |E| = 9
+    # checks every triple, |E| = 48 the 300 sampled ones
+    H = cyclic_group(3)
+    M = FiniteHModule.trivial(H, (m,))
+    beta = fake_cocycle(M, H.elements[1])
+    with pytest.raises(InternalError, match="not associative"):
+        build_extension(M, beta)
