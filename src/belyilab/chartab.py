@@ -243,7 +243,7 @@ class CharacterTable:
                 for k in range(m):
                     mu = 0
                     for s in range(m):
-                        mu = (mu + chi_p[self.power_class(j, s)] * pow(zm, (-k * s) % (p - 1), p)) % p
+                        mu = (mu + chi_p[G.power_map(j, s)] * pow(zm, (-k * s) % (p - 1), p)) % p
                     mu = (mu * minv) % p
                     if mu > d:
                         raise TableError("eigenvalue multiplicity %d exceeds degree %d" % (mu, d))
@@ -286,20 +286,8 @@ class CharacterTable:
 
     # -- lookups -----------------------------------------------------------
 
-    def power_class(self, class_idx, k):
-        return self.group.power_map(class_idx, k)
-
     def nclasses(self):
         return len(self.classes)
-
-    def value(self, row, class_idx):
-        return self.rows[row][class_idx]
-
-    def value_at(self, row, g):
-        return self.rows[row][self.group.class_index_of(g)]
-
-    def trivial_row(self):
-        return 0
 
     # -- inner products and dimensions -------------------------------------
 
@@ -342,7 +330,7 @@ class CharacterTable:
         m = self.classes[ci][0].order()
         total = Cyclotomic.zero(self.exponent)
         for k in range(m):
-            total = total + self.rows[row][self.power_class(ci, k)]
+            total = total + self.rows[row][G.power_map(ci, k)]
         val = total * Fraction(1, m)
         if not val.is_rational():
             raise TableError("fixed-space dimension is irrational")
@@ -374,9 +362,6 @@ class VirtualCharacter:
     def degree(self):
         return sum(m * d for m, d in zip(self.mults, self.table.degrees))
 
-    def is_character(self):
-        return all(m >= 0 for m in self.mults)
-
     def values(self):
         tab = self.table
         out = []
@@ -401,12 +386,6 @@ class VirtualCharacter:
             isinstance(other, VirtualCharacter)
             and self.table is other.table
             and self.mults == other.mults
-        )
-
-    def fixed_dim(self, g):
-        """Sum of per-row fixed-space dimensions, weighted by multiplicity."""
-        return sum(
-            m * self.table.fixed_space_dim(i, g) for i, m in enumerate(self.mults) if m
         )
 
     def restrict(self, subtable):
@@ -438,16 +417,6 @@ class VirtualCharacter:
             if b.lift(L) != v:
                 raise TableError("restriction decomposition does not reproduce values")
         return vc
-
-
-def trivial_character(table):
-    mults = [0] * table.nclasses()
-    mults[0] = 1
-    return VirtualCharacter(table, mults)
-
-
-def regular_character(table):
-    return VirtualCharacter(table, list(table.degrees))
 
 
 def perm_character(G: PermGroup, table=None) -> VirtualCharacter:

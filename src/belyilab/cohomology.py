@@ -142,13 +142,6 @@ class FiniteHModule:
             tuple(v) for v in itertools.product(*[range(m) for m in self.shape])
         ]
 
-    def to_json(self):
-        elts = self.H.elements
-        return {
-            "shape": list(self.shape),
-            "action": [[list(row) for row in self.action[g]] for g in elts],
-        }
-
 
 class Cocycle2:
     """A normalized 2-cocycle on H with values in a FiniteHModule."""
@@ -214,15 +207,6 @@ class Cocycle2:
             and self.table == other.table
         )
 
-    def to_json(self):
-        elts = self.module.H.elements
-        return {
-            "shape": list(self.module.shape),
-            "table": [
-                [list(self.table[(h1, h2)]) for h2 in elts] for h1 in elts
-            ],
-        }
-
 
 def apply_aut(gamma, beta: Cocycle2) -> Cocycle2:
     """The pushed cocycle (gamma . beta)(h1, h2) = gamma(beta(h1, h2))."""
@@ -257,20 +241,15 @@ class H2Data:
         return self._class_fn(beta)
 
 
-def _nonid(H):
-    elts = H.elements
-    if not elts[0].is_identity():
-        raise InternalError("element list does not start with the identity")
-    return elts[1:]
-
-
 def _cochain_indexing(M):
     """Index maps for normalized cochains of a module.
 
     Returns (nonid, pair_pos, n1, n2): pair_pos[(i, j)] is the block index
     of the C^2 coordinate at (h_i, h_j), C^1 blocks are indexed by i alone.
     """
-    nonid = _nonid(M.H)
+    if not M.H.elements[0].is_identity():
+        raise InternalError("element list does not start with the identity")
+    nonid = M.H.elements[1:]
     nn = len(nonid)
     pair_pos = {}
     for i in range(nn):
@@ -379,7 +358,7 @@ class _LatticeSolver:
         n = len(cols)
         B = [[cols[j][i] for j in range(n)] for i in range(n)]
         self.B = B
-        self.diag, self.U, _, self.V, _ = smith_normal_form(B)
+        self.diag, self.U, _, self.V = smith_normal_form(B)
         if any(d == 0 for d in self.diag):
             raise InternalError("cocycle lattice basis is singular")
 
@@ -449,7 +428,7 @@ def h2(M: FiniteHModule) -> H2Data:
             raise InternalError("coboundary escapes the cocycle lattice")
         Y.append(y)
     Ymat = [[Y[j][i] for j in range(n1 + n2)] for i in range(n2)]
-    diag, U2, Uinv2, _, _ = smith_normal_form(Ymat)
+    diag, U2, Uinv2, _ = smith_normal_form(Ymat)
     if len(diag) < n2 or any(d == 0 for d in diag):
         raise InternalError("H^2 is not finite at finite level")
 
@@ -561,11 +540,6 @@ class ExtensionGroup:
         M = self.module
         m = M.add(M.add(m1, M.apply(h1, m2)), self.beta(h1, h2))
         return (h1 * h2, m)
-
-    def inverse(self, a):
-        if a not in self._index:
-            raise PreconditionError("not an element of the extension")
-        return self.elements[self._inverses[self._index[a]]]
 
     def _check_associativity(self):
         n = self.order

@@ -100,10 +100,6 @@ class ClosureData:
         self.index_HW = cover.degree // len(fixed)
         self.is_galois = len(fixed) == cover.degree
 
-    def branch_points_of_Z(self):
-        """Total number of points of Z over {0, 1, oo}."""
-        return sum(len(recs) for recs in self.branch.values())
-
 
 def validate(cover: BelyiCover) -> ClosureData:
     """Compute the full closure data of a cover."""

@@ -147,9 +147,6 @@ class Cyclotomic:
 
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
     def is_rational(self):
         return all(c == 0 for c in self.coords[1:])
 
@@ -157,15 +154,6 @@ class Cyclotomic:
         if not self.is_rational():
             raise ValueError("value is not rational: %r" % (self,))
         return self.coords[0]
-
-    def is_integer(self):
-        return self.is_rational() and self.coords[0].denominator == 1
-
-    def integer_value(self):
-        v = self.rational_value()
-        if v.denominator != 1:
-            raise ValueError("value is not an integer: %s" % v)
-        return v.numerator
 
     # -- arithmetic --------------------------------------------------------
 

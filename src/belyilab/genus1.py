@@ -1,6 +1,6 @@
 """Genus-1 Galois cover machinery: inertia triples, cyclic Kummer covers,
-CM-stable torsion subgroups with their semidirect groups, and the degree
-of the j-invariant attached to an odd torsion level.
+CM-stable torsion subgroups, and the degree of the j-invariant attached to
+an odd torsion level.
 
 The Hurwitz identity 1/a + 1/b + 1/c = 1 pins the inertia orders of a
 genus-1 Galois cover of the line to three triples.  The cyclic models are
@@ -19,10 +19,9 @@ from fractions import Fraction
 from math import gcd
 
 from .cover import BelyiCover
-from .cyclotomic import Cyclotomic, cyclotomic_coeffs, factorint, isprime, phi_of
+from .cyclotomic import cyclotomic_coeffs, factorint, isprime, phi_of
 from .errors import InternalError, PreconditionError
-from .groups import TableGroup
-from .permgroup import Permutation, orbit
+from .permgroup import Permutation
 
 ADMISSIBLE_KUMMER = ((1, 1, 3), (2, 2, 3), (1, 2, 6), (5, 4, 6), (1, 1, 4), (3, 3, 4))
 
@@ -63,35 +62,26 @@ def inertia_orders(a, b, d):
     return (d // gcd(a, d), d // gcd(b, d), d // gcd(a + b, d))
 
 
-def cm_matrix(d, n):
-    """Companion matrix of the minimal polynomial of zeta_d, mod n."""
-    if d not in _MINIMAL_POLYNOMIALS:
-        raise PreconditionError("d must be one of 3, 4, 6")
-    c0, c1 = _MINIMAL_POLYNOMIALS[d]
-    # companion of x^2 + c1 x + c0
-    return ((0, (-c0) % n), (1, (-c1) % n))
-
-
 class CmModule:
     """(Z/n)^2 with multiplication by zeta_d, and its stable subgroups."""
 
     def __init__(self, d, n):
         if n < 1:
             raise PreconditionError("level must be positive")
+        if d not in _MINIMAL_POLYNOMIALS:
+            raise PreconditionError("d must be one of 3, 4, 6")
         self.d = d
         self.n = n
-        self.matrix = cm_matrix(d, n)
         c0, c1 = _MINIMAL_POLYNOMIALS[d]
-        for v in self._all_vectors():
+        # companion matrix of x^2 + c1 x + c0, the minimal polynomial of zeta_d
+        self.matrix = ((0, (-c0) % n), (1, (-c1) % n))
+        for v in ((i, j) for i in range(n) for j in range(n)):
             av = self._apply(v)
             aav = self._apply(av)
             w = tuple((aav[i] + c1 * av[i] + c0 * v[i]) % n for i in range(2))
             if w != (0, 0):
                 raise InternalError("companion matrix violates its minimal polynomial")
         self.stable_subgroups = self._stable_subgroups()
-
-    def _all_vectors(self):
-        return [(i, j) for i in range(self.n) for j in range(self.n)]
 
     def _apply(self, v):
         A = self.matrix
@@ -100,22 +90,26 @@ class CmModule:
             (A[1][0] * v[0] + A[1][1] * v[1]) % self.n,
         )
 
-    def _span(self, gens):
-        n = self.n
-        return frozenset(
-            orbit((0, 0), gens, lambda v, g: ((v[0] + g[0]) % n, (v[1] + g[1]) % n))
-        )
-
     def _stable_subgroups(self):
-        vectors = self._all_vectors()
-        subgroups = {self._span([])}
-        for v in vectors:
-            for w in vectors:
-                subgroups.add(self._span([v, w]))
+        """Every subgroup of (Z/n)^2 is the span of (a, b) and (0, c) for
+        exactly one triple with a | n, c | n, 0 <= b < c and c | (n/a)·b
+        (its Hermite normal form); keep those the matrix maps into
+        themselves."""
+        n = self.n
+        divisors = [k for k in range(1, n + 1) if n % k == 0]
         stable = []
-        for S in subgroups:
-            if all(self._apply(v) in S for v in S):
-                stable.append(sorted(S))
+        for a in divisors:
+            for c in divisors:
+                for b in range(c):
+                    if (n // a) * b % c:
+                        continue
+                    S = {
+                        (i * a % n, (i * b + j * c) % n)
+                        for i in range(n // a)
+                        for j in range(n // c)
+                    }
+                    if all(self._apply(v) in S for v in S):
+                        stable.append(sorted(S))
         stable.sort(key=lambda S: (len(S), S))
         return stable
 
@@ -123,54 +117,6 @@ class CmModule:
 def cm_stable_subgroups(d, n):
     """All subgroups of (Z/n)^2 stable under the zeta_d matrix."""
     return CmModule(d, n).stable_subgroups
-
-
-def build_genus1_group(d, J, n) -> TableGroup:
-    """The semidirect product J x| Z/d with Z/d acting by the zeta_d
-    matrix, as a multiplication table."""
-    cm = CmModule(d, n)
-    J = [tuple(v[i] % n for i in range(2)) for v in J]
-    Jset = set(J)
-    if len(J) != len(Jset) or (0, 0) not in Jset:
-        raise PreconditionError("J must be a subgroup given without repeats")
-    for v in J:
-        if cm._apply(v) not in Jset:
-            raise PreconditionError("J is not stable under the CM matrix")
-        for w in J:
-            if ((v[0] + w[0]) % n, (v[1] + w[1]) % n) not in Jset:
-                raise PreconditionError("J is not closed under addition")
-
-    def act(t, v):
-        for _ in range(t):
-            v = cm._apply(v)
-        return v
-
-    elements = [(v, t) for t in range(d) for v in sorted(Jset)]
-    elements.remove(((0, 0), 0))
-    elements.insert(0, ((0, 0), 0))
-    pos = {e: i for i, e in enumerate(elements)}
-    table = [[0] * len(elements) for _ in elements]
-    for (v1, t1) in elements:
-        for (v2, t2) in elements:
-            w = act(t1, v2)
-            prod = (((v1[0] + w[0]) % n, (v1[1] + w[1]) % n), (t1 + t2) % d)
-            table[pos[(v1, t1)]][pos[(v2, t2)]] = pos[prod]
-    return TableGroup(table, names=elements)
-
-
-def _cyclotomic_power(x, k):
-    out = Cyclotomic.from_rational(1, x.conductor)
-    for _ in range(k):
-        out = out * x
-    return out
-
-
-def _j_parts(z):
-    """(numerator, denominator) of j/256 at z: ((z^2-z+1)^3, z^2 (z-1)^2)."""
-    one = Cyclotomic.from_rational(1, z.conductor)
-    num = _cyclotomic_power(z * z - z + one, 3)
-    den = (z * z) * _cyclotomic_power(z - one, 2)
-    return num, den
 
 
 def j_invariant_degree(t) -> int:

@@ -1,9 +1,9 @@
 """Small abstract finite groups as multiplication tables.
 
-Quotients, extensions and semidirect products rarely come with a natural
-small permutation degree, so parts of the library work with explicit
-multiplication tables instead.  Elements are indices 0..n-1 with 0 the
-identity.  Everything here is brute force on purpose; the scale is tiny.
+Quotients and extensions rarely come with a natural small permutation
+degree, so parts of the library work with explicit multiplication tables
+instead.  Elements are indices 0..n-1 with 0 the identity.  Everything
+here is brute force on purpose; the scale is tiny.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ class TableGroup:
             k += 1
         return k
 
-    def closure(self, gens):
-        return sorted(orbit(0, gens, self.mult))
-
     def generates(self, gens):
         return len(orbit(0, gens, self.mult)) == self.n
 
@@ -89,18 +86,6 @@ class TableGroup:
         if len(word) != self.n:
             raise PreconditionError("the given elements do not generate the group")
         return word
-
-    def is_abelian(self):
-        return all(
-            self.table[a][b] == self.table[b][a] for a in range(self.n) for b in range(self.n)
-        )
-
-    def order_profile(self):
-        prof = {}
-        for a in range(self.n):
-            o = self.order_of(a)
-            prof[o] = prof.get(o, 0) + 1
-        return prof
 
 
 def homomorphism_from_generators(src: TableGroup, dst: TableGroup, gens, images):
@@ -121,28 +106,14 @@ def homomorphism_from_generators(src: TableGroup, dst: TableGroup, gens, images)
     return out
 
 
-def _isomorphisms(A: TableGroup, B: TableGroup):
-    """Bijective homomorphisms A -> B as image lists, by brute force over
-    the images of A's small generating set with matching element orders."""
-    gens = A.small_generating_set()
-    pools = [[b for b in range(B.n) if B.order_of(b) == o] for o in map(A.order_of, gens)]
-    for chosen in itertools.product(*pools):
-        f = homomorphism_from_generators(A, B, gens, list(chosen))
-        if f is not None and len(set(f)) == A.n:
-            yield f
-
-
 def automorphisms(T: TableGroup):
-    """All automorphisms, as image lists (brute force over generator images)."""
-    return list(_isomorphisms(T, T))
-
-
-def isomorphic(A: TableGroup, B: TableGroup):
-    """Brute-force isomorphism test for small groups."""
-    if A.n != B.n or A.order_profile() != B.order_profile():
-        return False
-    return next(_isomorphisms(A, B), None) is not None
-
-
-def cyclic_table(n):
-    return TableGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+    """All automorphisms, as image lists, by brute force over the images of
+    T's small generating set with matching element orders."""
+    gens = T.small_generating_set()
+    pools = [[b for b in range(T.n) if T.order_of(b) == o] for o in map(T.order_of, gens)]
+    out = []
+    for chosen in itertools.product(*pools):
+        f = homomorphism_from_generators(T, T, gens, list(chosen))
+        if f is not None and len(set(f)) == T.n:
+            out.append(f)
+    return out

@@ -483,17 +483,6 @@ def alternating_group(n):
     return PermGroup(gens)
 
 
-def direct_product(G, H):
-    """G x H acting on the disjoint union of the two point sets."""
-    n, m = G.degree, H.degree
-    gens = []
-    for g in G.generators:
-        gens.append(Permutation(list(g.imgs) + [n + i for i in range(m)], zero_based=True))
-    for h in H.generators:
-        gens.append(Permutation(list(range(n)) + [n + i for i in h.imgs], zero_based=True))
-    return PermGroup(gens)
-
-
 def regular_representation(G):
     """The right-regular action of G on its own elements.
 

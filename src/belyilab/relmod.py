@@ -88,17 +88,6 @@ class RelationModule:
         self.gen_index = gen_index  # (H element, letter) -> generator index
         self.action = action  # H element -> rank x rank integer matrix
 
-    def section(self, h):
-        return self.transversal[h]
-
-    def project(self, w: FreeWord):
-        """The image of a word in H."""
-        out = self.H.identity()
-        for l in w.letters:
-            g = self.images[abs(l) - 1]
-            out = out * (g if l > 0 else g.inverse())
-        return out
-
 
 def schreier_data(H: PermGroup, images, d=None) -> RelationModule:
     """Shortlex Schreier transversal and free generators of the kernel."""
@@ -199,9 +188,9 @@ def extension_cocycle(rm: RelationModule, m: int) -> Cocycle2:
     M = reduce_mod(rm, m)
     table = {}
     for h1 in rm.H.elements:
-        s1 = rm.section(h1)
+        s1 = rm.transversal[h1]
         for h2 in rm.H.elements:
-            w = s1 * rm.section(h2) * rm.section(h1 * h2).inverse()
+            w = s1 * rm.transversal[h2] * rm.transversal[h1 * h2].inverse()
             table[(h1, h2)] = tuple(v % m for v in rewrite(rm, w))
     return Cocycle2(M, table)
 

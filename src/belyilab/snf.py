@@ -1,9 +1,10 @@
-"""Integer matrix utilities: Smith normal form with unimodular transforms,
-integer kernels and integer linear solving.
+"""Integer matrix utilities: Smith normal form with unimodular transforms
+and integer linear solving.
 
-Implemented in-house because we need the transform matrices (and their
-inverses) to produce kernel bases, cocycle class coordinates, and explicit
-cochain solutions; library normal forms expose only the diagonal.
+Implemented in-house because we need the transform matrices (and the
+inverse of the row transform) to produce kernel bases, cocycle class
+coordinates, and explicit cochain solutions; library normal forms expose
+only the diagonal.
 Matrices are lists of lists of Python ints; nothing here is performance
 critical beyond the few-hundred-row scale.
 """
@@ -15,22 +16,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    oi[j] += a * Bt[j]
-    return out
-
-
 def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
@@ -38,14 +23,14 @@ def mat_vec(A, v):
 def smith_normal_form(A):
     """Smith normal form with transforms.
 
-    Returns (diag, U, Uinv, V, Vinv) where U*A*V = S, S diagonal with
+    Returns (diag, U, Uinv, V) where U*A*V = S, S diagonal with
     diag[i] = S[i][i] >= 0 and diag[i] | diag[i+1]; U, V unimodular.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     S = [row[:] for row in A]
     U, Uinv = identity_matrix(m), identity_matrix(m)
-    V, Vinv = identity_matrix(n), identity_matrix(n)
+    V = identity_matrix(n)
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
@@ -58,7 +43,6 @@ def smith_normal_form(A):
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def add_row(i, j, c):
         # row_i += c * row_j
@@ -73,7 +57,6 @@ def smith_normal_form(A):
             r[i] += c * r[j]
         for r in V:
             r[i] += c * r[j]
-        Vinv[j] = [a - c * b for a, b in zip(Vinv[j], Vinv[i])]
 
     def negate_row(i):
         S[i] = [-a for a in S[i]]
@@ -137,28 +120,14 @@ def smith_normal_form(A):
         t += 1
 
     diag = [S[i][i] for i in range(size)]
-    return diag, U, Uinv, V, Vinv
-
-
-def integer_kernel(A):
-    """Basis (list of column vectors) of {x in Z^n : A x = 0}."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    diag, _, _, V, _ = smith_normal_form(A)
-    basis = []
-    for j in range(n):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append([V[i][j] for i in range(n)])
-    return basis
+    return diag, U, Uinv, V
 
 
 def solve_integer(A, b):
     """One integer solution x of A x = b, or None."""
     m = len(A)
     n = len(A[0]) if m else 0
-    diag, U, _, V, _ = smith_normal_form(A)
+    diag, U, _, V = smith_normal_form(A)
     y = mat_vec(U, b)
     z = [0] * n
     for i in range(m):

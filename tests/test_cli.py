@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import belyilab
+import belyilab.corpus
 from belyilab.cli import main
 from belyilab.cover import BelyiCover
 from belyilab.permgroup import Permutation
@@ -293,6 +298,28 @@ class TestGenus1:
     def test_jdeg_even_rejected(self, capsys):
         code, _ = run(capsys, ["genus1", "jdeg", "4"])
         assert code == 1
+
+
+class TestCorpus:
+    def test_seed_reaches_run_corpus(self, capsys, monkeypatch):
+        seeds = []
+
+        def fake_run_corpus(seed):
+            seeds.append(seed)
+            return []
+
+        monkeypatch.setattr(belyilab.corpus, "run_corpus", fake_run_corpus)
+        assert run(capsys, ["--json", "corpus"])[0] == 0
+        assert run(capsys, ["--seed", "7", "corpus"])[0] == 0
+        assert seeds == [20259, 7]
+
+    def test_cli_import_leaves_corpus_out(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(belyilab.__file__)))
+        code = "import sys, belyilab.cli; print('belyilab.corpus' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "False"
 
 
 # -- malformed input: exit 0 or 1, never a traceback ------------------------

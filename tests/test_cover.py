@@ -10,10 +10,12 @@ from belyilab.cover import (
     tate_characters,
     validate,
 )
+from belyilab.corpus import DEFAULT_SEED
 from belyilab.cyclotomic import Cyclotomic
 from belyilab.descent import descent_report
 from belyilab.errors import PreconditionError
 from belyilab.permgroup import Permutation, generate
+from make_golden import fixture_covers
 
 
 def perm(n, *cycles):
@@ -263,6 +265,39 @@ class TestRandomCoverInvariants:
             assert descents[0].verdict == descents[1].verdict
             rows = [sorted(tuple(sorted(r.items())) for r in d.rows) for d in descents]
             assert rows[0] == rows[1]
+
+
+def criterion_10_covers(count):
+    """The first covers criterion 10 draws at the default seed."""
+    rng = random.Random(DEFAULT_SEED)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 8)
+        x = Permutation(rng.sample(range(1, n + 1), n))
+        y = Permutation(rng.sample(range(1, n + 1), n))
+        try:
+            out.append(BelyiCover(x, y))
+        except PreconditionError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize(
+    "relabel",
+    [lambda c: (c.y, c.x), lambda c: (c.y, c.z)],
+    ids=["swap_0_1", "rotate_0_1_inf"],
+)
+def test_branch_point_relabeling_invariance(relabel):
+    # (x, y) -> (y, x) and (x, y, z) -> (y, z, x) permute the branch points
+    # {0, 1, oo} by a Moebius map: the curve, D and its representations stay
+    def invariants(cover):
+        rep = descent_report(cover)
+        rows = sorted((r["degree"], r["n_V"], r["m_V"]) for r in rep.rows)
+        return genus(cover), rep.closure.D.order, rep.verdict, rows
+
+    covers = list(fixture_covers().values()) + criterion_10_covers(40)
+    for cover in covers:
+        assert invariants(BelyiCover(*relabel(cover))) == invariants(cover)
 
 
 def test_validate_does_not_enumerate_h():

@@ -137,7 +137,8 @@ class TestFormulas:
             cd = validate(cover)
             rep = descent_report(cover)
             row = rep.rows[0]
-            assert row["n_V"] == cd.branch_points_of_Z() - 1
+            points_of_Z = sum(len(recs) for recs in cd.branch.values())
+            assert row["n_V"] == points_of_Z - 1
             assert row["m_V"] == 1 + cd.index_HW
 
     def test_galois_one_dimensional_always_pass(self):

@@ -10,18 +10,51 @@ from belyilab.errors import PreconditionError
 from belyilab.genus1 import (
     ADMISSIBLE_KUMMER,
     CmModule,
-    _j_parts,
-    build_genus1_group,
     cm_stable_subgroups,
     inertia_orders,
     inertia_triples,
     j_invariant_degree,
     kummer_cover,
 )
-from belyilab.groups import TableGroup, cyclic_table, isomorphic
-from belyilab.permgroup import alternating_group
+from belyilab.permgroup import orbit
 
 EXPECTED_ORDERS = {3: (3, 3, 3), 6: (6, 3, 2), 4: (4, 4, 2)}
+
+
+def stable_subgroups_by_pairs(cm):
+    """The stable subgroups found by spanning every pair of vectors (the
+    O(n^6) oracle for CmModule's Hermite-normal-form enumeration)."""
+    n = cm.n
+
+    def span(gens):
+        return frozenset(
+            orbit((0, 0), gens, lambda v, g: ((v[0] + g[0]) % n, (v[1] + g[1]) % n))
+        )
+
+    vectors = [(i, j) for i in range(n) for j in range(n)]
+    subgroups = {span([])}
+    for v in vectors:
+        for w in vectors:
+            subgroups.add(span([v, w]))
+    stable = [sorted(S) for S in subgroups if all(cm._apply(v) in S for v in S)]
+    stable.sort(key=lambda S: (len(S), S))
+    return stable
+
+
+def cyclotomic_power(x, k):
+    out = Cyclotomic.from_rational(1, x.conductor)
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+def j_parts(z):
+    """(numerator, denominator) of j/256 at z: ((z^2-z+1)^3, z^2 (z-1)^2),
+    in the cyclotomic field (the oracle for j_invariant_degree)."""
+    one = Cyclotomic.from_rational(1, z.conductor)
+    num = cyclotomic_power(z * z - z + one, 3)
+    den = (z * z) * cyclotomic_power(z - one, 2)
+    return num, den
 
 
 class TestInertiaTriples:
@@ -87,8 +120,6 @@ class TestCmModules:
         for d in (3, 4, 6):
             subs = cm_stable_subgroups(d, 1)
             assert subs == [[(0, 0)]]
-            T = build_genus1_group(d, [(0, 0)], 1)
-            assert isomorphic(T, cyclic_table(d))
 
     def test_d4_n2_stable_subgroups(self):
         # (Z/2)^2 has five subgroups; the swap matrix fixes three of them
@@ -98,16 +129,17 @@ class TestCmModules:
         two = next(S for S in subs if len(S) == 2)
         assert two == [(0, 0), (1, 1)]
 
-    def test_d3_n2_full_torsion_is_a4(self):
-        J = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        T = build_genus1_group(3, J, 2)
-        assert T.n == 12
-        assert isomorphic(T, TableGroup.from_permgroup(alternating_group(4)))
+    def test_stable_subgroups_match_pair_spans(self):
+        for d in (3, 4, 6):
+            for n in range(1, 9):
+                cm = CmModule(d, n)
+                assert cm.stable_subgroups == stable_subgroups_by_pairs(cm)
 
-    def test_unstable_subgroup_rejected(self):
-        # {0, (1,0)} is not stable under the d=3 matrix
+    def test_bad_parameters_rejected(self):
         with pytest.raises(PreconditionError):
-            build_genus1_group(3, [(0, 0), (1, 0)], 2)
+            CmModule(5, 2)
+        with pytest.raises(PreconditionError):
+            CmModule(3, 0)
 
 
 class TestJInvariantDegree:
@@ -127,7 +159,7 @@ class TestJInvariantDegree:
             units = [a for a in range(1, t) if gcd(a, t) == 1]
             parts = {}
             for a in units:
-                parts[a] = _j_parts(Cyclotomic.root_of_unity(t, a))
+                parts[a] = j_parts(Cyclotomic.root_of_unity(t, a))
             distinct = []
             for a in units:
                 na, da = parts[a]

@@ -9,7 +9,6 @@ from belyilab.permgroup import (
     _schreier_sims_order,
     alternating_group,
     cyclic_group,
-    direct_product,
     generate,
     regular_representation,
     symmetric_group,
@@ -101,7 +100,6 @@ class TestGenerate:
         assert alternating_group(4).order == 12
         assert alternating_group(5).order == 60
         assert cyclic_group(6).order == 6
-        assert direct_product(cyclic_group(2), cyclic_group(2)).order == 4
 
 
 def _shape_gens(n, images, k, with_identity, duplicate):

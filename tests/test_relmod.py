@@ -83,8 +83,13 @@ class TestSchreierData:
         words = {rm.transversal[h].letters for h in H.elements}
         for w in words:
             assert w[:-1] in words or w == ()
+        # the word of h evaluates to h under the presentation's images
         for h in H.elements:
-            assert rm.project(rm.transversal[h]) == h
+            value = H.identity()
+            for letter in rm.transversal[h].letters:
+                g = rm.images[abs(letter) - 1]
+                value = value * (g if letter > 0 else g.inverse())
+            assert value == h
 
 
 class TestRewrite:
