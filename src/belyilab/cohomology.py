@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 from math import gcd
 
 from .errors import InternalError, PreconditionError
-from .groups import TableGroup
+from .groups import TableGroup, preserves_products
 from .permgroup import orbit
 from .snf import mat_vec, smith_normal_form, solve_integer
 
@@ -93,10 +92,14 @@ class FiniteHModule:
         )
         if not _mat_eq(self.action[ident], eye, self.shape):
             raise PreconditionError("action at the identity is not the identity matrix")
-        for g in elts:
-            for h in elts:
-                prod = _mat_mul_mod(self.action[g], self.action[h], self.shape)
-                if not _mat_eq(prod, self.action[g * h], self.shape):
+        # {s : A(g)A(s) = A(gs) for all g} contains 1, as A(1) = I, and is
+        # closed under products: for s, t in it, A(g)A(st) = A(g)A(s)A(t)
+        # = A(gs)A(t) = A(gst), using A(s)A(t) = A(st) (g = s).  The
+        # generators generate H, so checking s in H.generators is exact.
+        for s in H.generators:
+            for g in elts:
+                prod = _mat_mul_mod(self.action[g], self.action[s], self.shape)
+                if not _mat_eq(prod, self.action[g * s], self.shape):
                     raise PreconditionError("action is not a homomorphism")
         self.size = 1
         for m in self.shape:
@@ -150,7 +153,6 @@ class Cocycle2:
         self.module = module
         H = module.H
         elts = H.elements
-        ident = H.identity()
         full = {}
         for h1 in elts:
             for h2 in elts:
@@ -164,12 +166,16 @@ class Cocycle2:
                         raise PreconditionError("cocycle table is missing a pair")
                     full[(h1, h2)] = module.reduce(table[(h1, h2)])
         self.table = full
-        for h1 in elts:
-            for h2 in elts:
-                for h3 in elts:
-                    lhs = module.apply(h1, full[(h2, h3)])
-                    lhs = module.sub(lhs, full[(h1 * h2, h3)])
-                    lhs = module.add(lhs, full[(h1, h2 * h3)])
+        # The identity at (h1, h2, g) is associativity of the extension
+        # table at z = (g, 0); at z = (1, m) it holds for any normalized
+        # beta.  These z generate the extension, so by the lemma in
+        # groups.TableGroup checking g in H.generators is exact.
+        for g in H.generators:
+            for h1 in elts:
+                for h2 in elts:
+                    lhs = module.apply(h1, full[(h2, g)])
+                    lhs = module.sub(lhs, full[(h1 * h2, g)])
+                    lhs = module.add(lhs, full[(h1, h2 * g)])
                     lhs = module.sub(lhs, full[(h1, h2)])
                     if lhs != module.zero():
                         raise PreconditionError("cocycle identity fails at a triple")
@@ -244,25 +250,20 @@ class H2Data:
 def _cochain_indexing(M):
     """Index maps for normalized cochains of a module.
 
-    Returns (nonid, pair_pos, n1, n2): pair_pos[(i, j)] is the block index
-    of the C^2 coordinate at (h_i, h_j), C^1 blocks are indexed by i alone.
+    Returns (nonid, nn, n1, n2) with nn = len(nonid): the C^2 coordinate
+    at (h_i, h_j) is block i * nn + j, C^1 blocks are indexed by i alone.
     """
     if not M.H.elements[0].is_identity():
         raise InternalError("element list does not start with the identity")
     nonid = M.H.elements[1:]
     nn = len(nonid)
-    pair_pos = {}
-    for i in range(nn):
-        for j in range(nn):
-            pair_pos[(i, j)] = i * nn + j
-    return nonid, pair_pos, nn * M.k, nn * nn * M.k
+    return nonid, nn, nn * M.k, nn * nn * M.k
 
 
 def _cocycle_rows(M):
     """The cocycle conditions as (sparse row, modulus) congruences on the
     n2 normalized C^2 coordinates."""
-    nonid, pair_pos, _, _ = _cochain_indexing(M)
-    nn = len(nonid)
+    nonid, nn, _, _ = _cochain_indexing(M)
     pos = {h: i for i, h in enumerate(nonid)}
     k = M.k
     rows = []
@@ -281,12 +282,12 @@ def _cocycle_rows(M):
 
                     for s in range(k):
                         if Aa[r][s]:
-                            put(pair_pos[(b, c)], s, Aa[r][s])
+                            put(b * nn + c, s, Aa[r][s])
                     if not ab.is_identity():
-                        put(pair_pos[(pos[ab], c)], r, -1)
+                        put(pos[ab] * nn + c, r, -1)
                     if not bc.is_identity():
-                        put(pair_pos[(a, pos[bc])], r, 1)
-                    put(pair_pos[(a, b)], r, -1)
+                        put(a * nn + pos[bc], r, 1)
+                    put(a * nn + b, r, -1)
                     row = {v: coeff for v, coeff in row.items() if coeff}
                     if row:
                         rows.append((row, M.shape[r]))
@@ -296,8 +297,7 @@ def _cocycle_rows(M):
 def _coboundary_matrix(M):
     """The map C^1 -> C^2, c -> dc, as an n2 x n1 integer matrix on
     normalized cochains."""
-    nonid, pair_pos, n1, n2 = _cochain_indexing(M)
-    nn = len(nonid)
+    nonid, nn, n1, n2 = _cochain_indexing(M)
     pos = {h: i for i, h in enumerate(nonid)}
     k = M.k
     D = [[0] * n1 for _ in range(n2)]
@@ -305,7 +305,7 @@ def _coboundary_matrix(M):
         Ai = M.action[nonid[i]]
         for j in range(nn):
             ij = nonid[i] * nonid[j]
-            base = pair_pos[(i, j)] * k
+            base = (i * nn + j) * k
             for r in range(k):
                 v = base + r
                 for s in range(k):
@@ -378,7 +378,7 @@ def h2(M: FiniteHModule) -> H2Data:
     H = M.H
     if H.order * M.size > _SCALE_LIMIT:
         raise PreconditionError("cohomology instance too large: |H|*|M| > %d" % _SCALE_LIMIT)
-    nonid, pair_pos, n1, n2 = _cochain_indexing(M)
+    nonid, nn, n1, n2 = _cochain_indexing(M)
     if n2 > _LATTICE_LIMIT:
         raise PreconditionError(
             "cohomology instance too large: cocycle lattice dimension %d > %d"
@@ -391,7 +391,7 @@ def h2(M: FiniteHModule) -> H2Data:
         for i, h1 in enumerate(nonid):
             for j, h2 in enumerate(nonid):
                 val = beta.table[(h1, h2)]
-                base = pair_pos[(i, j)] * k
+                base = (i * nn + j) * k
                 for r in range(k):
                     vec[base + r] = val[r]
         return vec
@@ -400,7 +400,7 @@ def h2(M: FiniteHModule) -> H2Data:
         table = {}
         for i, h1 in enumerate(nonid):
             for j, h2 in enumerate(nonid):
-                base = pair_pos[(i, j)] * k
+                base = (i * nn + j) * k
                 table[(h1, h2)] = tuple(vec[base + r] for r in range(k))
         return Cocycle2(M, table)
 
@@ -471,20 +471,22 @@ def aut_h(M: FiniteHModule):
             pools.append(pool)
     if total > 10**6:
         raise PreconditionError("module too large for automorphism enumeration")
-    gens = [M.action[g] for g in M.H.generators]
-    elements = M.elements()
     out = []
     for entries in itertools.product(*pools):
         mat = tuple(tuple(entries[r * k + c] for c in range(k)) for r in range(k))
-        images = {_mat_apply(mat, m, shape) for m in elements}
-        if len(images) != len(elements):
-            continue
-        if all(
-            _mat_eq(_mat_mul_mod(mat, A, shape), _mat_mul_mod(A, mat, shape), shape)
-            for A in gens
-        ):
+        if _is_equivariant_automorphism(M, mat):
             out.append(mat)
     return out
+
+
+def _is_equivariant_automorphism(M, mat):
+    """Whether mat is a bijection of M that commutes with every generator
+    matrix of the H-action."""
+    shape = M.shape
+    return len({_mat_apply(mat, m, shape) for m in M.elements()}) == M.size and all(
+        _mat_eq(_mat_mul_mod(mat, A, shape), _mat_mul_mod(A, mat, shape), shape)
+        for A in (M.action[g] for g in M.H.generators)
+    )
 
 
 def stabilizer_beta(autos, beta: Cocycle2, h2data: H2Data):
@@ -500,12 +502,9 @@ class ExtensionGroup:
     (h1, m1)(h2, m2) = (h1 h2, m1 + h1.m2 + beta(h1, h2)).
 
     `elements` lists H's elements in order, each with every m, so the
-    identity comes first.  The Cayley table on indices into `elements` and
-    the inverse of every index are built once, on construction, from |E|^2
-    calls to `mult`.  The associativity check (every triple for |E| <= 40,
-    300 seeded triples above that), `inverse`, `extension_class`, the
-    homomorphism check in `extend_automorphism` and `to_table_group` all
-    read that table.
+    identity comes first.  `group` is their TableGroup, built once from
+    |E|^2 calls to `mult`, with an associativity check exact at every size;
+    `extension_class` and `extend_automorphism` read its table.
     """
 
     def __init__(self, module: FiniteHModule, beta: Cocycle2):
@@ -514,25 +513,18 @@ class ExtensionGroup:
         self.H = module.H
         self.module = module
         self.beta = beta
-        self.elements = [
-            (h, m) for h in self.H.elements for m in module.elements()
-        ]
+        fiber = module.elements()
+        self.elements = [(h, m) for h in self.H.elements for m in fiber]
         self.order = len(self.elements)
         self.identity = (self.H.identity(), module.zero())
         if self.elements[0] != self.identity:
             raise InternalError("extension element list does not start with the identity")
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        # _table[i][j] is the index of elements[i] * elements[j]
-        self._table = [
-            [self._index[self.mult(a, b)] for b in self.elements] for a in self.elements
-        ]
-        self._check_associativity()
-        # _inverses[i] is the index of the inverse of elements[i]
-        self._inverses = []
-        for row in self._table:
-            if 0 not in row:
-                raise InternalError("extension element has no inverse")
-            self._inverses.append(row.index(0))
+        try:
+            self.group = TableGroup.from_elements(self.elements, self.identity, self.mult)
+        except PreconditionError as exc:
+            # a normalized beta makes the rows and columns permutations with
+            # (1, 0) as the identity, so only associativity can fail
+            raise InternalError("extension multiplication is not associative") from exc
 
     def mult(self, a, b):
         h1, m1 = a
@@ -540,20 +532,6 @@ class ExtensionGroup:
         M = self.module
         m = M.add(M.add(m1, M.apply(h1, m2)), self.beta(h1, h2))
         return (h1 * h2, m)
-
-    def _check_associativity(self):
-        n = self.order
-        if n <= 40:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = (
-                tuple(rng.choice(range(n)) for _ in range(3)) for _ in range(300)
-            )
-        t = self._table
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise InternalError("extension multiplication is not associative")
 
     def project(self, a):
         return a[0]
@@ -564,9 +542,6 @@ class ExtensionGroup:
     def section(self):
         """The standard section h -> (h, 0), a normalized transversal."""
         return {h: (h, self.module.zero()) for h in self.H.elements}
-
-    def to_table_group(self):
-        return TableGroup(self._table, names=list(self.elements))
 
 
 def build_extension(M: FiniteHModule, beta: Cocycle2) -> ExtensionGroup:
@@ -584,13 +559,13 @@ def extension_class(E, section=None) -> Cocycle2:
     M = E.module
     H = E.H
     s = section if section is not None else E.section()
+    t, inv, index = E.group.table, E.group.inv, E.group.index
     for h in H.elements:
-        if h not in s or s[h] not in E._index or E.project(s[h]) != h:
+        if h not in s or s[h] not in index or E.project(s[h]) != h:
             raise PreconditionError("section is not a transversal of the extension")
     if s[H.identity()] != E.identity:
         raise PreconditionError("section must send the identity to the identity")
-    t, inv = E._table, E._inverses
-    si = {h: E._index[s[h]] for h in H.elements}
+    si = {h: index[s[h]] for h in H.elements}
     table = {}
     for h1 in H.elements:
         for h2 in H.elements:
@@ -611,14 +586,9 @@ def extend_automorphism(gamma, E: ExtensionGroup):
     M = E.module
     shape = M.shape
     k = M.k
-    gens = [M.action[g] for g in M.H.generators]
-    images = {_mat_apply(gamma, m, shape) for m in M.elements()}
-    if len(images) != M.size or not all(
-        _mat_eq(_mat_mul_mod(gamma, A, shape), _mat_mul_mod(A, gamma, shape), shape)
-        for A in gens
-    ):
+    if not _is_equivariant_automorphism(M, gamma):
         raise PreconditionError("gamma is not an H-equivariant module automorphism")
-    nonid, pair_pos, n1, n2 = _cochain_indexing(M)
+    nonid, nn, n1, n2 = _cochain_indexing(M)
     cochain = {M.H.identity(): M.zero()}
     if n2 > 0:
         delta = [0] * n2
@@ -627,7 +597,7 @@ def extend_automorphism(gamma, E: ExtensionGroup):
                 val = M.sub(
                     _mat_apply(gamma, E.beta(h1, h2), shape), E.beta(h1, h2)
                 )
-                base = pair_pos[(i, j)] * k
+                base = (i * nn + j) * k
                 for r in range(k):
                     delta[base + r] = val[r]
         D1 = _coboundary_matrix(M)
@@ -646,18 +616,7 @@ def extend_automorphism(gamma, E: ExtensionGroup):
         out[(h, m)] = (h, M.add(_mat_apply(gamma, m, shape), cochain[h]))
     if len(set(out.values())) != E.order:
         raise InternalError("extended map is not a bijection")
-    if not _preserves_products(E, out):
+    T = E.group
+    if not preserves_products([T.index[out[e]] for e in E.elements], T, T):
         raise InternalError("extended map is not a homomorphism")
     return out
-
-
-def _preserves_products(E: ExtensionGroup, out):
-    """Whether out(ab) = out(a) out(b) for all a, b in E, read off the
-    Cayley table; out maps every element of E to an element of E."""
-    t = E._table
-    f = [E._index[out[a]] for a in E.elements]
-    for a, row in enumerate(t):
-        fa = t[f[a]]
-        if any(f[ab] != fa[fb] for ab, fb in zip(row, f)):
-            return False
-    return True

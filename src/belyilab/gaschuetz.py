@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InternalError, PreconditionError
-from .groups import TableGroup, homomorphism_from_generators
+from .groups import TableGroup, map_from_generators, preserves_products
 from .permgroup import PermGroup
 
 
@@ -25,8 +25,7 @@ def _as_table(G):
         return G, (lambda x: x), (lambda i: i)
     if isinstance(G, PermGroup):
         T = TableGroup.from_permgroup(G)
-        pos = {name: i for i, name in enumerate(T.names)}
-        return T, (lambda x: pos[x]), (lambda i: T.names[i])
+        return T, T.index.__getitem__, T.names.__getitem__
     raise PreconditionError("expected a PermGroup or a TableGroup")
 
 
@@ -38,16 +37,14 @@ class SurjectionProblem:
         self.T2, self.to2, self.from2 = _as_table(G2)
         if callable(psi):
             full = [self.to2(psi(self.from1(a))) for a in range(self.T1.n)]
+            message = "psi is not a homomorphism"
         else:
             gens = [self.to1(g) for g in psi]
             images = [self.to2(psi[g]) for g in psi]
-            full = homomorphism_from_generators(self.T1, self.T2, gens, images)
-            if full is None:
-                raise PreconditionError("psi does not extend to a homomorphism")
-        for a in range(self.T1.n):
-            for b in range(self.T1.n):
-                if full[self.T1.mult(a, b)] != self.T2.mult(full[a], full[b]):
-                    raise PreconditionError("psi is not a homomorphism")
+            full = map_from_generators(self.T1, self.T2, gens, images)
+            message = "psi does not extend to a homomorphism"
+        if not preserves_products(full, self.T1, self.T2):
+            raise PreconditionError(message)
         if len(set(full)) != self.T2.n:
             raise PreconditionError("psi is not surjective")
         self.psi = full

@@ -2,8 +2,9 @@
 
 Quotients and extensions rarely come with a natural small permutation
 degree, so parts of the library work with explicit multiplication tables
-instead.  Elements are indices 0..n-1 with 0 the identity.  Everything
-here is brute force on purpose; the scale is tiny.
+instead.  Elements are indices 0..n-1 with 0 the identity.  The group
+axioms and the homomorphism property are checked against a generating
+set only, which is exact (see TableGroup.__init__ and preserves_products).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ class TableGroup:
         self.n = n
         self.table = tuple(tuple(row) for row in table)
         self.names = names
+        self.index = None if names is None else {e: i for i, e in enumerate(names)}
         for row in self.table:
             if len(row) != n or sorted(row) != list(range(n)):
                 raise PreconditionError("multiplication table rows must be permutations")
@@ -31,28 +33,27 @@ class TableGroup:
             self.table[i][0] != i for i in range(n)
         ):
             raise PreconditionError("element 0 must be the identity")
-        # associativity (cubic, but n is small)
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
+        self.gens = greedy_generators(range(n), 0, self.mult)
+        # The set {c : (ab)c = a(bc) for all a, b} is closed under products:
+        # for c, d in it, (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).
+        # Every element is a product of gens, so checking c in gens is exact.
+        t = self.table
+        for c in self.gens:
+            for a in range(n):
+                ta = t[a]
+                for b in range(n):
+                    if t[ta[b]][c] != ta[t[b][c]]:
                         raise PreconditionError("multiplication table is not associative")
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == 0:
-                    inv[a] = b
-                    break
-        if any(v is None for v in inv):
+        inv = [row.index(0) if 0 in row else None for row in t]
+        if None in inv:
             raise PreconditionError("multiplication table has no inverses")
         self.inv = inv
 
     @classmethod
     def from_elements(cls, elements, identity, mult):
         """Table of the group formed by hashable elements under mult, with
-        the identity as 0, the rest in the given order, and names[i] the
-        element i stands for."""
+        the identity as 0 and the rest in the given order; names[i] is the
+        element i stands for and index maps it back to i."""
         names = [identity] + [e for e in elements if e != identity]
         pos = {e: i for i, e in enumerate(names)}
         return cls([[pos[mult(a, b)] for b in names] for a in names], names=names)
@@ -75,45 +76,51 @@ class TableGroup:
     def generates(self, gens):
         return len(orbit(0, gens, self.mult)) == self.n
 
-    def small_generating_set(self):
-        return greedy_generators(range(self.n), 0, self.mult)
 
-    def words(self, gens):
-        """Express each element as a word (list of generator indices)."""
-        word = {}
-        for b, edge in orbit(0, gens, self.mult).items():
-            word[b] = [] if edge is None else word[edge[0]] + [edge[1]]
-        if len(word) != self.n:
-            raise PreconditionError("the given elements do not generate the group")
-        return word
+def preserves_products(f, src: TableGroup, dst: TableGroup):
+    """Whether the image list f is a homomorphism src -> dst.
+
+    The set {b : f(ab) = f(a)f(b) for all a} is closed under products: for
+    b, c in it, f(a(bc)) = f((ab)c) = f(ab)f(c) = f(a)f(b)f(c) = f(a)f(bc).
+    Every element of the finite group src is a product of src.gens, so
+    checking b in src.gens is exact.
+    """
+    for b in src.gens:
+        fb = f[b]
+        for a in range(src.n):
+            if f[src.table[a][b]] != dst.table[f[a]][fb]:
+                return False
+    return True
+
+
+def map_from_generators(src: TableGroup, dst: TableGroup, gens, images):
+    """The image list sending each element of src, written as a word in
+    gens, to that word in images; a homomorphism exactly when
+    preserves_products says so."""
+    tree = orbit(0, gens, src.mult)
+    if len(tree) != src.n:
+        raise PreconditionError("the given elements do not generate the group")
+    out = [0] * src.n
+    for b, edge in tree.items():
+        if edge is not None:
+            out[b] = dst.table[out[edge[0]]][images[edge[1]]]
+    return out
 
 
 def homomorphism_from_generators(src: TableGroup, dst: TableGroup, gens, images):
     """The homomorphism src -> dst sending gens to images, as an image
     list, or None if no such homomorphism exists."""
-    word = src.words(gens)
-    out = [None] * src.n
-    for a in range(src.n):
-        v = 0
-        for gi in word[a]:
-            v = dst.table[v][images[gi]]
-        out[a] = v
-    # verify multiplicativity
-    for a in range(src.n):
-        for b in range(src.n):
-            if out[src.table[a][b]] != dst.table[out[a]][out[b]]:
-                return None
-    return out
+    out = map_from_generators(src, dst, gens, images)
+    return out if preserves_products(out, src, dst) else None
 
 
 def automorphisms(T: TableGroup):
     """All automorphisms, as image lists, by brute force over the images of
-    T's small generating set with matching element orders."""
-    gens = T.small_generating_set()
-    pools = [[b for b in range(T.n) if T.order_of(b) == o] for o in map(T.order_of, gens)]
+    T.gens with matching element orders."""
+    pools = [[b for b in range(T.n) if T.order_of(b) == o] for o in map(T.order_of, T.gens)]
     out = []
     for chosen in itertools.product(*pools):
-        f = homomorphism_from_generators(T, T, gens, list(chosen))
+        f = homomorphism_from_generators(T, T, T.gens, list(chosen))
         if f is not None and len(set(f)) == T.n:
             out.append(f)
     return out

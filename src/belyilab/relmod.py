@@ -216,18 +216,18 @@ def verify_main_theorem(rm: RelationModule, m: int) -> dict:
     stab = stabilizer_beta(autos, beta, data)
 
     E = build_extension(M, beta)
-    T = E.to_table_group()
+    T = E.group
+    units = [
+        T.index[E.embed(tuple(1 if r == c else 0 for r in range(M.k)))]
+        for c in range(M.k)
+    ]
     restrictions = set()
     fixing_h = 0
     for f in automorphisms(T):
         if any(T.names[f[a]][0] != T.names[a][0] for a in range(T.n)):
             continue
         fixing_h += 1
-        cols = []
-        for c in range(M.k):
-            unit = tuple(1 if r == c else 0 for r in range(M.k))
-            src = next(a for a in range(T.n) if T.names[a] == E.embed(unit))
-            cols.append(T.names[f[src]][1])
+        cols = [T.names[f[u]][1] for u in units]
         mat = tuple(
             tuple(cols[c][r] % M.shape[r] for c in range(M.k)) for r in range(M.k)
         )

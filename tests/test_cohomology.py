@@ -185,7 +185,7 @@ class TestExtensionClass:
     def test_z4_class_nonzero(self):
         M, beta = self.z4_over_z2()
         E = build_extension(M, beta)
-        T = E.to_table_group()
+        T = E.group
         assert Counter(map(T.order_of, range(T.n))) == {1: 1, 2: 1, 4: 2}
         data = h2(M)
         assert data.class_of(extension_class(E)) == data.class_of(beta) != (0,)

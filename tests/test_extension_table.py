@@ -4,7 +4,7 @@ The oracles below are the element-wise versions the table replaced: an
 inverse found by scanning the elements with `mult`, the extension class
 computed with `mult` and that scan, and the homomorphism check through
 `mult`.  They run on the criterion-7 module corpus and on one extension
-of order 48, above the 40 where build_extension samples associativity.
+of order 48.
 """
 
 import itertools
@@ -14,7 +14,6 @@ import pytest
 from belyilab.cohomology import (
     Cocycle2,
     FiniteHModule,
-    _preserves_products,
     aut_h,
     build_extension,
     extend_automorphism,
@@ -23,7 +22,7 @@ from belyilab.cohomology import (
 )
 from belyilab.corpus import _module_corpus
 from belyilab.errors import InternalError, PreconditionError
-from belyilab.groups import TableGroup
+from belyilab.groups import preserves_products
 from belyilab.permgroup import cyclic_group, symmetric_group
 from test_cohomology import all_classes
 
@@ -52,6 +51,11 @@ def oracle_preserves_products(E, out):
     )
 
 
+def table_preserves_products(E, out):
+    T = E.group
+    return preserves_products([T.index[out[a]] for a in E.elements], T, T)
+
+
 def apply(gamma, m, shape):
     return tuple(sum(r * x for r, x in zip(row, m)) % mod for row, mod in zip(gamma, shape))
 
@@ -68,15 +72,10 @@ def extensions():
 EXTENSIONS = list(extensions())
 
 
-def test_corpus_reaches_the_sampled_path():
-    assert max(E.order for _, _, E in EXTENSIONS) > 40
-    assert min(E.order for _, _, E in EXTENSIONS) <= 40
-
-
 @pytest.mark.parametrize("M, beta, E", EXTENSIONS)
 def test_inverse_matches_scan(M, beta, E):
     # the inverse table extension_class reads
-    for a, inv in zip(E.elements, E._inverses):
+    for a, inv in zip(E.elements, E.group.inv):
         assert E.elements[inv] == scan_inverse(E, a)
 
 
@@ -100,7 +99,7 @@ def test_extend_automorphism_matches_elementwise(M, beta, E):
         # with the zero cochain the map is a homomorphism exactly when
         # gamma fixes beta itself, so both verdicts occur
         naive = {(h, m): (h, apply(gamma, m, M.shape)) for h, m in E.elements}
-        assert _preserves_products(E, naive) == oracle_preserves_products(E, naive)
+        assert table_preserves_products(E, naive) == oracle_preserves_products(E, naive)
 
 
 def test_homomorphism_check_sees_both_verdicts():
@@ -108,24 +107,25 @@ def test_homomorphism_check_sees_both_verdicts():
     for M, beta, E in EXTENSIONS:
         for gamma in aut_h(M):
             naive = {(h, m): (h, apply(gamma, m, M.shape)) for h, m in E.elements}
-            verdicts.add(_preserves_products(E, naive))
+            verdicts.add(table_preserves_products(E, naive))
     assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("M, beta, E", EXTENSIONS)
 def test_to_table_group_matches_products(M, beta, E):
-    T = E.to_table_group()
-    ref = TableGroup.from_elements(E.elements, E.identity, E.mult)
-    assert T.names == ref.names
-    assert T.table == ref.table
+    # E.group, which replaced to_table_group(), indexes E.elements
+    T = E.group
+    assert T.names == E.elements
+    for i, a in enumerate(E.elements):
+        assert [T.names[v] for v in T.table[i]] == [E.mult(a, b) for b in E.elements]
 
 
-def fake_cocycle(M, x):
-    """A normalized table with beta(x, x) = 1 and 0 elsewhere, stored in a
+def fake_cocycle(M, x, y):
+    """A normalized table with beta(x, y) = 1 and 0 elsewhere, stored in a
     Cocycle2 without the cocycle check."""
     elts = M.H.elements
     table = {(a, b): M.zero() for a, b in itertools.product(elts, repeat=2)}
-    table[(x, x)] = (1,)
+    table[(x, y)] = (1,)
     with pytest.raises(PreconditionError):
         Cocycle2(M, table)
     beta = Cocycle2.__new__(Cocycle2)
@@ -137,9 +137,19 @@ def fake_cocycle(M, x):
 @pytest.mark.parametrize("m", [3, 16])
 def test_non_cocycle_fails_associativity(m):
     # over Z/3 the delta of this table is nonzero at (x, x, x^2); |E| = 9
-    # checks every triple, |E| = 48 the 300 sampled ones
+    # and |E| = 48
     H = cyclic_group(3)
     M = FiniteHModule.trivial(H, (m,))
-    beta = fake_cocycle(M, H.elements[1])
+    x = H.elements[1]
+    beta = fake_cocycle(M, x, x)
     with pytest.raises(InternalError, match="not associative"):
+        build_extension(M, beta)
+
+
+def test_single_pair_non_cocycle_on_s4_fails_associativity():
+    # |E| = 48; the 300 triples sampled above |E| = 40 all missed this one
+    H = symmetric_group(4)
+    M = FiniteHModule.trivial(H, (2,))
+    beta = fake_cocycle(M, H.elements[1], H.elements[4])
+    with pytest.raises(InternalError, match="extension multiplication is not associative"):
         build_extension(M, beta)

@@ -3,8 +3,13 @@ from collections import Counter
 import pytest
 
 from belyilab.errors import PreconditionError
-from belyilab.groups import TableGroup, automorphisms, homomorphism_from_generators
-from belyilab.permgroup import Permutation, generate
+from belyilab.groups import (
+    TableGroup,
+    automorphisms,
+    homomorphism_from_generators,
+    map_from_generators,
+)
+from belyilab.permgroup import Permutation, generate, greedy_generators
 
 
 def perm(n, *cycles):
@@ -44,15 +49,17 @@ class TestTableGroup:
         assert T.generates([1])
         assert T.generates([2, 3])
 
+    def test_gens_are_the_greedy_generators(self):
+        for T in (cyclic_table(6), s3_table()):
+            assert T.gens == greedy_generators(range(T.n), 0, T.mult)
+            assert T.generates(T.gens)
+
     def test_words_reconstruct(self):
+        # each element, written as a word in gens, evaluates back to itself
         T = s3_table()
-        gens = T.small_generating_set()
-        word = T.words(gens)
-        for a in range(T.n):
-            v = 0
-            for gi in word[a]:
-                v = T.mult(v, gens[gi])
-            assert v == a
+        assert map_from_generators(T, T, T.gens, T.gens) == list(range(T.n))
+        with pytest.raises(PreconditionError, match="do not generate"):
+            map_from_generators(T, T, [T.gens[0]], [T.gens[0]])
 
 
 class TestHomomorphisms:

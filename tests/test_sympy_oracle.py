@@ -34,7 +34,7 @@ def test_number_theory_matches_sympy():
     for N in range(1, 501):
         assert factorint(N) == {int(p): int(e) for p, e in sympy.factorint(N).items()}, N
         assert phi_of(N) == int(sympy.totient(N)), N
-        poly = sympy.Poly(sympy.cyclotomic_poly(N, x), x)
+        poly = sympy.cyclotomic_poly(N, x, polys=True)
         assert list(cyclotomic_coeffs(N)) == [int(c) for c in reversed(poly.all_coeffs())], N
 
 
