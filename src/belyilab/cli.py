@@ -89,18 +89,13 @@ def _parse_module(data):
     shape = _int_array(data.get("shape"), [None], "module 'shape'")
     k = len(shape)
     mats = _int_array(data.get("action"), [H.order, k, k], "module 'action'")
-    return FiniteHModule(H, shape, dict(zip(H.elements, mats)))
+    return FiniteHModule(H, shape, mats)
 
 
 def _parse_cocycle(data, module):
-    elts = module.H.elements
+    n = module.H.order
     rows = data.get("table") if isinstance(data, dict) else None
-    _int_array(rows, [len(elts), len(elts), module.k], "cocycle 'table'")
-    table = {}
-    for i, h1 in enumerate(elts):
-        for j, h2 in enumerate(elts):
-            table[(h1, h2)] = tuple(rows[i][j])
-    return Cocycle2(module, table)
+    return Cocycle2(module, _int_array(rows, [n, n, module.k], "cocycle 'table'"))
 
 
 def _cyclotomic_json(value):

@@ -1,28 +1,31 @@
 """Second cohomology of a finite group with coefficients in a finite
 abelian module, by integer linear algebra.
 
-A module is M = Z/m_1 + ... + Z/m_k with the H-action given by an integer
-matrix for every group element.  Normalized 2-cochains form the free
-abelian group Z^n2 modulo the component moduli, n2 = (|H|-1)^2 * k; the
-cocycle conditions are congruences, so Z^2 lifts to a finite-index lattice
-L in Z^n2.  H^2 = L / (coboundaries + moduli) is read off from two Smith
-normal forms, and the tracked transforms give explicit basis cocycles,
-class coordinates for arbitrary cocycles, and explicit 1-cochains when an
+H is indexed by position in its Cayley table (TableGroup.from_permgroup):
+position i is H.elements[i], and the identity is 0.  A module is
+M = Z/m_1 + ... + Z/m_k with the H-action given by a list of integer
+matrices, one per position, and a 2-cochain is an |H| x |H| list of
+module tuples, so nothing here multiplies permutations once the table is
+built.  Normalized 2-cochains form the free abelian group Z^n2 modulo the
+component moduli, n2 = (|H|-1)^2 * k, with the value at positions (i, j),
+i, j >= 1, in block (i-1)(|H|-1) + j-1.  The cocycle conditions are
+congruences, so Z^2 lifts to a finite-index lattice L in Z^n2.
+H^2 = L / (coboundaries + moduli) is read off from two Smith normal forms,
+and the tracked transforms give explicit basis cocycles, class
+coordinates for arbitrary cocycles, and explicit 1-cochains when an
 automorphism of the module extends to the corresponding extension group.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
-from math import gcd
+from math import gcd, prod
 
 from .errors import InternalError, PreconditionError
-from .groups import TableGroup, preserves_products
+from .groups import TABLE_LIMIT, TableGroup, preserves_products
 from .permgroup import orbit
-from .snf import mat_vec, smith_normal_form, solve_integer
+from .snf import mat_vec, smith_normal_form, solve_from_snf, solve_integer
 
-_SCALE_LIMIT = 4096
 # bound on n2 = (|H|-1)^2 * k, the dimension of the cocycle lattice and of
 # the Smith normal forms h2 computes; |H|*|M| alone lets Q8 on (Z/2)^9
 # through with n2 = 441, which takes about 100 s
@@ -52,25 +55,36 @@ def _mat_mul_mod(A, B, shape):
     )
 
 
+def _checked_table(H, shape):
+    """H's Cayley table, once the shape is valid and |H|*|M|, the order of
+    every extension of H by M, is within TABLE_LIMIT."""
+    if any(m < 1 for m in shape):
+        raise PreconditionError("module shape entries must be positive")
+    if H.order * prod(shape) > TABLE_LIMIT:
+        raise PreconditionError("cohomology instance too large: |H|*|M| > %d" % TABLE_LIMIT)
+    return TableGroup.from_permgroup(H)
+
+
 class FiniteHModule:
     """A finite abelian group ⊕ Z/m_i with an action of H by matrices.
 
-    The action map is stored for every element of H (not just generators)
-    and verified to be a homomorphism with identity at the identity.
+    T is H's Cayley table (TableGroup.from_permgroup), and action[i] is the
+    matrix of the element at position i, H.elements[i].  The action is
+    given on every element, not just generators, and verified to be a
+    homomorphism with the identity matrix at position 0.  |H|*|M| is
+    bounded by TABLE_LIMIT, checked before the table is built.
     """
 
     def __init__(self, H, shape, action):
         self.H = H
         self.shape = tuple(int(m) for m in shape)
-        if any(m < 1 for m in self.shape):
-            raise PreconditionError("module shape entries must be positive")
+        self.T = T = _checked_table(H, self.shape)
         self.k = len(self.shape)
-        elts = H.elements
-        norm = {}
-        for g in elts:
-            if g not in action:
-                raise PreconditionError("action must be given on every element of H")
-            mat = action[g]
+        self.size = prod(self.shape)
+        if len(action) != T.n:
+            raise PreconditionError("action must be given on every element of H")
+        norm = []
+        for mat in action:
             if len(mat) != self.k or any(len(row) != self.k for row in mat):
                 raise PreconditionError("action matrix has the wrong shape")
             mat = tuple(
@@ -84,46 +98,44 @@ class FiniteHModule:
                             "action entry (%d,%d) is not a well-defined map "
                             "Z/%d -> Z/%d" % (r, c, self.shape[c], self.shape[r])
                         )
-            norm[g] = mat
+            norm.append(mat)
         self.action = norm
-        ident = H.identity()
         eye = tuple(
             tuple(1 if r == c else 0 for c in range(self.k)) for r in range(self.k)
         )
-        if not _mat_eq(self.action[ident], eye, self.shape):
+        if not _mat_eq(norm[0], eye, self.shape):
             raise PreconditionError("action at the identity is not the identity matrix")
         # {s : A(g)A(s) = A(gs) for all g} contains 1, as A(1) = I, and is
         # closed under products: for s, t in it, A(g)A(st) = A(g)A(s)A(t)
-        # = A(gs)A(t) = A(gst), using A(s)A(t) = A(st) (g = s).  The
-        # generators generate H, so checking s in H.generators is exact.
-        for s in H.generators:
-            for g in elts:
-                prod = _mat_mul_mod(self.action[g], self.action[s], self.shape)
-                if not _mat_eq(prod, self.action[g * s], self.shape):
+        # = A(gs)A(t) = A(gst), using A(s)A(t) = A(st) (g = s).  T.gens
+        # generate H, so checking s in T.gens is exact.
+        for s in T.gens:
+            for g in range(T.n):
+                product = _mat_mul_mod(norm[g], norm[s], self.shape)
+                if not _mat_eq(product, norm[T.table[g][s]], self.shape):
                     raise PreconditionError("action is not a homomorphism")
-        self.size = 1
-        for m in self.shape:
-            self.size *= m
 
     @classmethod
     def trivial(cls, H, shape):
         k = len(shape)
         eye = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
-        return cls(H, shape, {g: eye for g in H.elements})
+        return cls(H, shape, [eye] * H.order)
 
     @classmethod
     def from_generator_matrices(cls, H, shape, gen_mats):
         """Action from matrices for H.generators, extended by products."""
         if len(gen_mats) != len(H.generators):
             raise PreconditionError("one matrix per generator is required")
+        T = _checked_table(H, shape)
         k = len(shape)
         eye = tuple(tuple(1 if r == c else 0 for c in range(k)) for r in range(k))
-        known = {}
-        for h, edge in orbit(H.identity(), H.generators, operator.mul).items():
-            known[h] = (
-                eye if edge is None else _mat_mul_mod(known[edge[0]], gen_mats[edge[1]], shape)
+        gens = [T.index[g] for g in H.generators]
+        action = [None] * T.n
+        for h, edge in orbit(0, gens, T.mult).items():
+            action[h] = (
+                eye if edge is None else _mat_mul_mod(action[edge[0]], gen_mats[edge[1]], shape)
             )
-        return cls(H, shape, known)
+        return cls(H, shape, action)
 
     def zero(self):
         return (0,) * self.k
@@ -138,6 +150,7 @@ class FiniteHModule:
         return tuple((x - y) % m for x, y, m in zip(a, b, self.shape))
 
     def apply(self, g, m):
+        """The action of the element at position g on m."""
         return _mat_apply(self.action[g], m, self.shape)
 
     def elements(self):
@@ -147,63 +160,61 @@ class FiniteHModule:
 
 
 class Cocycle2:
-    """A normalized 2-cocycle on H with values in a FiniteHModule."""
+    """A normalized 2-cocycle on H with values in a FiniteHModule, stored
+    as an |H| x |H| list: table[i][j] is its value at the elements of
+    positions i and j."""
 
     def __init__(self, module, table):
         self.module = module
-        H = module.H
-        elts = H.elements
-        full = {}
-        for h1 in elts:
-            for h2 in elts:
-                if h1.is_identity() or h2.is_identity():
-                    val = table.get((h1, h2), module.zero())
-                    if module.reduce(val) != module.zero():
-                        raise PreconditionError("cocycle is not normalized")
-                    full[(h1, h2)] = module.zero()
-                else:
-                    if (h1, h2) not in table:
-                        raise PreconditionError("cocycle table is missing a pair")
-                    full[(h1, h2)] = module.reduce(table[(h1, h2)])
+        n = module.T.n
+        zero = module.zero()
+        if len(table) != n or any(len(row) != n for row in table):
+            raise PreconditionError("cocycle table is missing a pair")
+        full = [[module.reduce(val) for val in row] for row in table]
+        if any(val != zero for val in full[0]) or any(row[0] != zero for row in full):
+            raise PreconditionError("cocycle is not normalized")
         self.table = full
         # The identity at (h1, h2, g) is associativity of the extension
         # table at z = (g, 0); at z = (1, m) it holds for any normalized
         # beta.  These z generate the extension, so by the lemma in
-        # groups.TableGroup checking g in H.generators is exact.
-        for g in H.generators:
-            for h1 in elts:
-                for h2 in elts:
-                    lhs = module.apply(h1, full[(h2, g)])
-                    lhs = module.sub(lhs, full[(h1 * h2, g)])
-                    lhs = module.add(lhs, full[(h1, h2 * g)])
-                    lhs = module.sub(lhs, full[(h1, h2)])
-                    if lhs != module.zero():
+        # groups.TableGroup checking g in T.gens is exact.
+        t = module.T.table
+        for g in module.T.gens:
+            for h1 in range(n):
+                row1 = full[h1]
+                for h2 in range(n):
+                    lhs = module.apply(h1, full[h2][g])
+                    lhs = module.sub(lhs, full[t[h1][h2]][g])
+                    lhs = module.add(lhs, row1[t[h2][g]])
+                    lhs = module.sub(lhs, row1[h2])
+                    if lhs != zero:
                         raise PreconditionError("cocycle identity fails at a triple")
 
     @classmethod
     def zero(cls, module):
-        elts = module.H.elements
-        return cls(module, {(a, b): module.zero() for a in elts for b in elts})
+        n = module.T.n
+        return cls(module, [[module.zero()] * n for _ in range(n)])
 
     def __call__(self, h1, h2):
-        return self.table[(h1, h2)]
+        return self.table[h1][h2]
 
     def __add__(self, other):
         if other.module is not self.module:
             raise PreconditionError("cocycles live over different modules")
         M = self.module
         return Cocycle2(
-            M, {pair: M.add(v, other.table[pair]) for pair, v in self.table.items()}
+            M,
+            [[M.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.table, other.table)],
         )
 
     def scale(self, n):
         M = self.module
         return Cocycle2(
             M,
-            {
-                pair: tuple((n * x) % m for x, m in zip(v, M.shape))
-                for pair, v in self.table.items()
-            },
+            [
+                [tuple((n * x) % m for x, m in zip(val, M.shape)) for val in row]
+                for row in self.table
+            ],
         )
 
     def __eq__(self, other):
@@ -217,10 +228,9 @@ class Cocycle2:
 def apply_aut(gamma, beta: Cocycle2) -> Cocycle2:
     """The pushed cocycle (gamma . beta)(h1, h2) = gamma(beta(h1, h2))."""
     M = beta.module
-    table = {
-        pair: _mat_apply(gamma, val, M.shape) for pair, val in beta.table.items()
-    }
-    return Cocycle2(M, table)
+    return Cocycle2(
+        M, [[_mat_apply(gamma, val, M.shape) for val in row] for row in beta.table]
+    )
 
 
 class H2Data:
@@ -247,47 +257,42 @@ class H2Data:
         return self._class_fn(beta)
 
 
-def _cochain_indexing(M):
-    """Index maps for normalized cochains of a module.
+def _block(n, k, a, b):
+    """The first normalized C^2 coordinate of positions a, b >= 1 in a
+    group of order n, for a module of k coordinates."""
+    return ((a - 1) * (n - 1) + b - 1) * k
 
-    Returns (nonid, nn, n1, n2) with nn = len(nonid): the C^2 coordinate
-    at (h_i, h_j) is block i * nn + j, C^1 blocks are indexed by i alone.
-    """
-    if not M.H.elements[0].is_identity():
-        raise InternalError("element list does not start with the identity")
-    nonid = M.H.elements[1:]
-    nn = len(nonid)
-    return nonid, nn, nn * M.k, nn * nn * M.k
+
+def _flatten(table):
+    """The normalized C^2 coordinates of an |H| x |H| cochain table."""
+    return [x for row in table[1:] for val in row[1:] for x in val]
 
 
 def _cocycle_rows(M):
     """The cocycle conditions as (sparse row, modulus) congruences on the
     n2 normalized C^2 coordinates."""
-    nonid, nn, _, _ = _cochain_indexing(M)
-    pos = {h: i for i, h in enumerate(nonid)}
-    k = M.k
+    t, n, k = M.T.table, M.T.n, M.k
     rows = []
-    for a in range(nn):
-        Aa = M.action[nonid[a]]
-        for b in range(nn):
-            ab = nonid[a] * nonid[b]
-            for c in range(nn):
-                bc = nonid[b] * nonid[c]
+    for a in range(1, n):
+        Aa = M.action[a]
+        for b in range(1, n):
+            ab = t[a][b]
+            for c in range(1, n):
+                bc = t[b][c]
                 for r in range(k):
                     row = {}
 
-                    def put(pair, comp, coeff, row=row):
-                        v = pair * k + comp
+                    def put(v, coeff, row=row):
                         row[v] = row.get(v, 0) + coeff
 
                     for s in range(k):
                         if Aa[r][s]:
-                            put(b * nn + c, s, Aa[r][s])
-                    if not ab.is_identity():
-                        put(pos[ab] * nn + c, r, -1)
-                    if not bc.is_identity():
-                        put(a * nn + pos[bc], r, 1)
-                    put(a * nn + b, r, -1)
+                            put(_block(n, k, b, c) + s, Aa[r][s])
+                    if ab:
+                        put(_block(n, k, ab, c) + r, -1)
+                    if bc:
+                        put(_block(n, k, a, bc) + r, 1)
+                    put(_block(n, k, a, b) + r, -1)
                     row = {v: coeff for v, coeff in row.items() if coeff}
                     if row:
                         rows.append((row, M.shape[r]))
@@ -297,22 +302,20 @@ def _cocycle_rows(M):
 def _coboundary_matrix(M):
     """The map C^1 -> C^2, c -> dc, as an n2 x n1 integer matrix on
     normalized cochains."""
-    nonid, nn, n1, n2 = _cochain_indexing(M)
-    pos = {h: i for i, h in enumerate(nonid)}
-    k = M.k
-    D = [[0] * n1 for _ in range(n2)]
-    for i in range(nn):
-        Ai = M.action[nonid[i]]
-        for j in range(nn):
-            ij = nonid[i] * nonid[j]
-            base = (i * nn + j) * k
+    t, n, k = M.T.table, M.T.n, M.k
+    D = [[0] * ((n - 1) * k) for _ in range((n - 1) ** 2 * k)]
+    for i in range(1, n):
+        Ai = M.action[i]
+        for j in range(1, n):
+            ij = t[i][j]
+            base = _block(n, k, i, j)
             for r in range(k):
                 v = base + r
                 for s in range(k):
-                    D[v][j * k + s] += Ai[r][s]
-                if not ij.is_identity():
-                    D[v][pos[ij] * k + r] -= 1
-                D[v][i * k + r] += 1
+                    D[v][(j - 1) * k + s] += Ai[r][s]
+                if ij:
+                    D[v][(ij - 1) * k + r] -= 1
+                D[v][(i - 1) * k + r] += 1
     return D
 
 
@@ -351,66 +354,25 @@ def _congruence_lattice(n, rows):
     return cols
 
 
-class _LatticeSolver:
-    """Cached-SNF solver for B y = x with B square nonsingular."""
-
-    def __init__(self, cols):
-        n = len(cols)
-        B = [[cols[j][i] for j in range(n)] for i in range(n)]
-        self.B = B
-        self.diag, self.U, _, self.V = smith_normal_form(B)
-        if any(d == 0 for d in self.diag):
-            raise InternalError("cocycle lattice basis is singular")
-
-    def solve(self, x):
-        y = mat_vec(self.U, x)
-        z = []
-        for d, v in zip(self.diag, y):
-            if v % d:
-                return None
-            z.append(v // d)
-        return mat_vec(self.V, z)
-
-
 def h2(M: FiniteHModule) -> H2Data:
     """H^2(H, M) with invariant factors, basis cocycles and a
     representative-to-class map."""
-    H = M.H
-    if H.order * M.size > _SCALE_LIMIT:
-        raise PreconditionError("cohomology instance too large: |H|*|M| > %d" % _SCALE_LIMIT)
-    nonid, nn, n1, n2 = _cochain_indexing(M)
+    n, k = M.T.n, M.k
+    n1, n2 = (n - 1) * k, (n - 1) ** 2 * k
     if n2 > _LATTICE_LIMIT:
         raise PreconditionError(
             "cohomology instance too large: cocycle lattice dimension %d > %d"
             % (n2, _LATTICE_LIMIT)
         )
-    k = M.k
-
-    def flatten(beta):
-        vec = [0] * n2
-        for i, h1 in enumerate(nonid):
-            for j, h2 in enumerate(nonid):
-                val = beta.table[(h1, h2)]
-                base = (i * nn + j) * k
-                for r in range(k):
-                    vec[base + r] = val[r]
-        return vec
-
-    def unflatten(vec):
-        table = {}
-        for i, h1 in enumerate(nonid):
-            for j, h2 in enumerate(nonid):
-                base = (i * nn + j) * k
-                table[(h1, h2)] = tuple(vec[base + r] for r in range(k))
-        return Cocycle2(M, table)
-
     if n2 == 0:
         # H trivial: the only normalized cocycle is zero
         return H2Data(M, [], [], lambda beta: ())
 
-    rows = _cocycle_rows(M)
-    cols = _congruence_lattice(n2, rows)
-    solver = _LatticeSolver(cols)
+    cols = _congruence_lattice(n2, _cocycle_rows(M))
+    B = [[cols[j][i] for j in range(n2)] for i in range(n2)]
+    B_snf = smith_normal_form(B)
+    if any(d == 0 for d in B_snf[0]):
+        raise InternalError("cocycle lattice basis is singular")
 
     # sublattice of coboundaries plus the component moduli, expressed in
     # lattice coordinates
@@ -423,7 +385,7 @@ def h2(M: FiniteHModule) -> H2Data:
         else:
             x = [0] * n2
             x[j - n1] = avec[j - n1]
-        y = solver.solve(x)
+        y = solve_from_snf(B_snf, x)
         if y is None:
             raise InternalError("coboundary escapes the cocycle lattice")
         Y.append(y)
@@ -438,17 +400,19 @@ def h2(M: FiniteHModule) -> H2Data:
     def class_fn(beta):
         if beta.module is not M and beta.module.shape != M.shape:
             raise PreconditionError("cocycle belongs to a different module")
-        y = solver.solve(flatten(beta))
+        y = solve_from_snf(B_snf, _flatten(beta.table))
         if y is None:
             raise InternalError("valid cocycle is outside the cocycle lattice")
         z = mat_vec(U2, y)
         return tuple(z[i] % diag[i] for i in keep)
 
     basis = []
+    zero = M.zero()
     for pos_i in keep:
-        y = [Uinv2[r][pos_i] for r in range(n2)]
-        x = mat_vec(solver.B, y)
-        basis.append(unflatten([v % m for v, m in zip(x, avec)]))
+        x = mat_vec(B, [Uinv2[r][pos_i] for r in range(n2)])
+        cells = [x[v : v + k] for v in range(0, n2, k)]
+        rows = [[zero] + cells[i : i + n - 1] for i in range(0, len(cells), n - 1)]
+        basis.append(Cocycle2(M, [[zero] * n] + rows))
     data = H2Data(M, invariants, basis, class_fn)
     for idx, b in enumerate(basis):
         expect = tuple(1 if t == idx else 0 for t in range(len(keep)))
@@ -485,7 +449,7 @@ def _is_equivariant_automorphism(M, mat):
     shape = M.shape
     return len({_mat_apply(mat, m, shape) for m in M.elements()}) == M.size and all(
         _mat_eq(_mat_mul_mod(mat, A, shape), _mat_mul_mod(A, mat, shape), shape)
-        for A in (M.action[g] for g in M.H.generators)
+        for A in (M.action[g] for g in M.T.gens)
     )
 
 
@@ -498,13 +462,14 @@ def stabilizer_beta(autos, beta: Cocycle2, h2data: H2Data):
 class ExtensionGroup:
     """The extension of H by M with 2-cocycle beta.
 
-    Elements are pairs (h, m) with product
-    (h1, m1)(h2, m2) = (h1 h2, m1 + h1.m2 + beta(h1, h2)).
-
-    `elements` lists H's elements in order, each with every m, so the
-    identity comes first.  `group` is their TableGroup, built once from
-    |E|^2 calls to `mult`, with an associativity check exact at every size;
-    `extension_class` and `extend_automorphism` read its table.
+    Its elements are pairs (h, m), h a position in H's table, with product
+    (h1, m1)(h2, m2) = (h1 h2, m1 + h1.m2 + beta(h1, h2)).  `group` is
+    their TableGroup, listed position by position with every m, so the
+    identity (0, 0) comes first; it is built once from |E|^2 calls to
+    `mult`, with an associativity check exact at every size, and
+    `extension_class` and `extend_automorphism` read it.  `elements` lists
+    the same pairs with H.elements[h] in place of h, in the same order,
+    and `embed` returns one of them.
     """
 
     def __init__(self, module: FiniteHModule, beta: Cocycle2):
@@ -514,34 +479,29 @@ class ExtensionGroup:
         self.module = module
         self.beta = beta
         fiber = module.elements()
-        self.elements = [(h, m) for h in self.H.elements for m in fiber]
-        self.order = len(self.elements)
-        self.identity = (self.H.identity(), module.zero())
-        if self.elements[0] != self.identity:
-            raise InternalError("extension element list does not start with the identity")
+        pairs = [(h, m) for h in range(module.T.n) for m in fiber]
         try:
-            self.group = TableGroup.from_elements(self.elements, self.identity, self.mult)
+            self.group = TableGroup.from_elements(pairs, pairs[0], self.mult)
         except PreconditionError as exc:
             # a normalized beta makes the rows and columns permutations with
-            # (1, 0) as the identity, so only associativity can fail
+            # (0, 0) as the identity, so only associativity can fail
             raise InternalError("extension multiplication is not associative") from exc
+        self.elements = [(self.H.elements[h], m) for h, m in pairs]
+        self.order = len(pairs)
 
     def mult(self, a, b):
         h1, m1 = a
         h2, m2 = b
         M = self.module
         m = M.add(M.add(m1, M.apply(h1, m2)), self.beta(h1, h2))
-        return (h1 * h2, m)
-
-    def project(self, a):
-        return a[0]
+        return (M.T.table[h1][h2], m)
 
     def embed(self, m):
         return (self.H.identity(), self.module.reduce(m))
 
     def section(self):
         """The standard section h -> (h, 0), a normalized transversal."""
-        return {h: (h, self.module.zero()) for h in self.H.elements}
+        return [(h, self.module.zero()) for h in range(self.module.T.n)]
 
 
 def build_extension(M: FiniteHModule, beta: Cocycle2) -> ExtensionGroup:
@@ -552,27 +512,27 @@ def extension_class(E, section=None) -> Cocycle2:
     """The 2-cocycle beta(h1, h2) = s(h1) s(h2) s(h1 h2)^-1 of an
     extension, in module coordinates.
 
-    E is an ExtensionGroup; section maps elements of H to elements of E
-    and defaults to the standard section.  The section must be a
-    transversal with s(1) = 1.
+    E is an ExtensionGroup; section lists an element (h, m) of E.group for
+    each position h of H and defaults to the standard section.  It must be
+    a transversal with s(0) the identity.
     """
     M = E.module
-    H = E.H
+    n, tH = M.T.n, M.T.table
     s = section if section is not None else E.section()
-    t, inv, index = E.group.table, E.group.inv, E.group.index
-    for h in H.elements:
-        if h not in s or s[h] not in index or E.project(s[h]) != h:
-            raise PreconditionError("section is not a transversal of the extension")
-    if s[H.identity()] != E.identity:
+    T = E.group
+    if len(s) != n or any(a not in T.index or a[0] != h for h, a in enumerate(s)):
+        raise PreconditionError("section is not a transversal of the extension")
+    if s[0] != T.names[0]:
         raise PreconditionError("section must send the identity to the identity")
-    si = {h: index[s[h]] for h in H.elements}
-    table = {}
-    for h1 in H.elements:
-        for h2 in H.elements:
-            val = E.elements[t[t[si[h1]][si[h2]]][inv[si[h1 * h2]]]]
-            if E.project(val) != H.identity():
+    si = [T.index[a] for a in s]
+    t, inv = T.table, T.inv
+    table = [[None] * n for _ in range(n)]
+    for h1 in range(n):
+        for h2 in range(n):
+            h, m = T.names[t[t[si[h1]][si[h2]]][inv[si[tH[h1][h2]]]]]
+            if h != 0:
                 raise InternalError("cocycle value is not in the fiber")
-            table[(h1, h2)] = val[1]
+            table[h1][h2] = m
     return Cocycle2(M, table)
 
 
@@ -581,42 +541,36 @@ def extend_automorphism(gamma, E: ExtensionGroup):
     on H, or None if no such automorphism exists.
 
     Searches for a normalized 1-cochain c with gamma(beta) - beta = dc; on
-    success the automorphism is (h, m) -> (h, gamma(m) + c(h)).
+    success the automorphism is (h, m) -> (h, gamma(m) + c(h)), returned
+    as a map on E.elements.
     """
     M = E.module
     shape = M.shape
     k = M.k
     if not _is_equivariant_automorphism(M, gamma):
         raise PreconditionError("gamma is not an H-equivariant module automorphism")
-    nonid, nn, n1, n2 = _cochain_indexing(M)
-    cochain = {M.H.identity(): M.zero()}
+    n = M.T.n
+    n2 = (n - 1) ** 2 * k
+    cochain = [M.zero()] * n
     if n2 > 0:
-        delta = [0] * n2
-        for i, h1 in enumerate(nonid):
-            for j, h2 in enumerate(nonid):
-                val = M.sub(
-                    _mat_apply(gamma, E.beta(h1, h2), shape), E.beta(h1, h2)
-                )
-                base = (i * nn + j) * k
-                for r in range(k):
-                    delta[base + r] = val[r]
+        delta = _flatten(
+            [[M.sub(_mat_apply(gamma, val, shape), val) for val in row] for row in E.beta.table]
+        )
         D1 = _coboundary_matrix(M)
         stacked = [
-            D1[v] + [M.shape[v % k] if u == v else 0 for u in range(n2)]
+            D1[v] + [shape[v % k] if u == v else 0 for u in range(n2)]
             for v in range(n2)
         ]
         sol = solve_integer(stacked, delta)
         if sol is None:
             return None
-        for i, h in enumerate(nonid):
-            cochain[h] = M.reduce(tuple(sol[i * k + r] for r in range(k)))
+        for h in range(1, n):
+            cochain[h] = M.reduce(sol[(h - 1) * k : h * k])
 
-    out = {}
-    for h, m in E.elements:
-        out[(h, m)] = (h, M.add(_mat_apply(gamma, m, shape), cochain[h]))
-    if len(set(out.values())) != E.order:
-        raise InternalError("extended map is not a bijection")
     T = E.group
-    if not preserves_products([T.index[out[e]] for e in E.elements], T, T):
+    f = [T.index[(h, M.add(_mat_apply(gamma, m, shape), cochain[h]))] for h, m in T.names]
+    if len(set(f)) != E.order:
+        raise InternalError("extended map is not a bijection")
+    if not preserves_products(f, T, T):
         raise InternalError("extended map is not a homomorphism")
-    return out
+    return {E.elements[a]: E.elements[b] for a, b in enumerate(f)}

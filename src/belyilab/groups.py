@@ -15,6 +15,9 @@ import operator
 from .errors import PreconditionError
 from .permgroup import greedy_generators, orbit
 
+# the most elements a Cayley table may have: 4096^2 = 16.8 million entries
+TABLE_LIMIT = 4096
+
 
 class TableGroup:
     def __init__(self, table, names=None):
@@ -60,7 +63,18 @@ class TableGroup:
 
     @classmethod
     def from_permgroup(cls, G):
-        return cls.from_elements(G.elements, G.identity(), operator.mul)
+        """G's table, with position i standing for G.elements[i] (the
+        identity is first).  Memoized on G; refused above TABLE_LIMIT
+        elements before G is enumerated."""
+        if G.order > TABLE_LIMIT:
+            raise PreconditionError(
+                "group of order %d is too large for a multiplication table (limit %d)"
+                % (G.order, TABLE_LIMIT)
+            )
+        T = getattr(G, "_table", None)
+        if T is None:
+            T = G._table = cls.from_elements(G.elements, G.identity(), operator.mul)
+        return T
 
     def mult(self, a, b):
         return self.table[a][b]

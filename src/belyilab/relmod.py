@@ -8,11 +8,14 @@ trivial + (d-1)*regular.  Reducing mod m gives a finite module together
 with the extension cocycle of the sequence 1 -> R-bar/m -> P -> H -> 1,
 and the finite-level main-theorem check compares the automorphisms of P
 that fix H pointwise with the cocycle-class stabilizer in Aut_H.
+
+As in cohomology, H is indexed by position in its Cayley table
+(TableGroup.from_permgroup): words are rewritten by walking that table,
+and the transversal, the action matrices and the extension cocycle are
+lists by position.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .chartab import character_table, VirtualCharacter
 from .cohomology import (
@@ -25,7 +28,7 @@ from .cohomology import (
 )
 from .cyclotomic import Cyclotomic
 from .errors import InternalError, PreconditionError
-from .groups import automorphisms
+from .groups import TableGroup, automorphisms
 from .permgroup import PermGroup, orbit
 
 
@@ -76,17 +79,28 @@ class FreeWord:
 
 
 class RelationModule:
-    """Schreier data and conjugation action for one surjection F_d -> H."""
+    """Schreier data and conjugation action for one surjection F_d -> H.
 
-    def __init__(self, H, images, d, transversal, free_gens, gen_index, action):
+    H is indexed by position in its Cayley table T: images, the keys of
+    gen_index and the indices of transversal and action are positions.
+    """
+
+    def __init__(self, H, T, images, d, transversal, free_gens, gen_index, action):
         self.H = H
-        self.images = images
+        self.T = T
+        self.images = images  # position of the image of each x_i
         self.d = d
-        self.transversal = transversal  # H element -> FreeWord
+        self.transversal = transversal  # position -> FreeWord
         self.free_gens = free_gens  # list of FreeWord
         self.rank = len(free_gens)
-        self.gen_index = gen_index  # (H element, letter) -> generator index
-        self.action = action  # H element -> rank x rank integer matrix
+        self.gen_index = gen_index  # (position, letter) -> generator index
+        self.action = action  # position -> rank x rank integer matrix
+
+
+# bound on |H| * rank^2, the integers in the conjugation action, checked
+# before the transversal is built: S5 at rank 2 has 1.8 million, S6 at
+# rank 2 has 3.7e8
+_ACTION_LIMIT = 2_000_000
 
 
 def schreier_data(H: PermGroup, images, d=None) -> RelationModule:
@@ -96,40 +110,46 @@ def schreier_data(H: PermGroup, images, d=None) -> RelationModule:
         d = len(images)
     if len(images) != d:
         raise PreconditionError("expected %d generator images" % d)
+    rank = H.order * (d - 1) + 1
+    if H.order * rank**2 > _ACTION_LIMIT:
+        raise PreconditionError(
+            "relation module too large: |H|*rank^2 = %d > %d"
+            % (H.order * rank**2, _ACTION_LIMIT)
+        )
     if PermGroup(images).order != H.order or not all(g in H for g in images):
         raise PreconditionError("the images do not generate H")
 
-    transversal = {}
-    for h, edge in orbit(H.identity(), images, operator.mul).items():
+    T = TableGroup.from_permgroup(H)
+    t = T.table
+    gens = [T.index[g] for g in images]
+    tree = orbit(0, gens, T.mult)
+    if len(tree) != T.n:
+        raise InternalError("transversal misses part of the group")
+    transversal = [None] * T.n
+    for h, edge in tree.items():
         word = FreeWord() if edge is None else transversal[edge[0]] * FreeWord((edge[1] + 1,))
         transversal[h] = word
-    if len(transversal) != H.order:
-        raise InternalError("transversal misses part of the group")
 
     free_gens = []
     gen_index = {}
-    for h in transversal:
+    for h in tree:
         for i in range(d):
-            w = transversal[h] * FreeWord((i + 1,)) * transversal[h * images[i]].inverse()
+            w = transversal[h] * FreeWord((i + 1,)) * transversal[t[h][gens[i]]].inverse()
             if w.is_identity():
                 continue
             gen_index[(h, i + 1)] = len(free_gens)
             free_gens.append(w)
-    expected = H.order * (d - 1) + 1
-    if len(free_gens) != expected:
+    if len(free_gens) != rank:
         raise InternalError(
-            "Schreier generator count %d != rank formula %d" % (len(free_gens), expected)
+            "Schreier generator count %d != rank formula %d" % (len(free_gens), rank)
         )
 
-    rm = RelationModule(H, images, d, transversal, free_gens, gen_index, None)
-    action = {}
-    for h in H.elements:
-        s = transversal[h]
+    rm = RelationModule(H, T, gens, d, transversal, free_gens, gen_index, None)
+    action = []
+    for s in transversal:
         sinv = s.inverse()
         cols = [rewrite(rm, s * w * sinv) for w in free_gens]
-        action[h] = [
-            [cols[j][r] for j in range(rm.rank)] for r in range(rm.rank)
-        ]
+        action.append([[cols[j][r] for j in range(rank)] for r in range(rank)])
     rm.action = action
     return rm
 
@@ -137,20 +157,21 @@ def schreier_data(H: PermGroup, images, d=None) -> RelationModule:
 def rewrite(rm: RelationModule, w: FreeWord):
     """Coordinates of a kernel word in the abelianized free generators."""
     coords = [0] * rm.rank
-    state = rm.H.identity()
+    t, inv = rm.T.table, rm.T.inv
+    state = 0
     for l in w.letters:
         g = rm.images[abs(l) - 1]
         if l > 0:
             key = (state, l)
             if key in rm.gen_index:
                 coords[rm.gen_index[key]] += 1
-            state = state * g
+            state = t[state][g]
         else:
-            state = state * g.inverse()
+            state = t[state][inv[g]]
             key = (state, -l)
             if key in rm.gen_index:
                 coords[rm.gen_index[key]] -= 1
-    if not state.is_identity():
+    if state != 0:
         raise PreconditionError("word is not in the kernel of the surjection")
     return coords
 
@@ -162,7 +183,7 @@ def rational_character(rm: RelationModule) -> VirtualCharacter:
     N = tab.exponent
     values = []
     for rep, _ in tab.classes:
-        tr = sum(rm.action[rep][i][i] for i in range(rm.rank))
+        tr = sum(rm.action[rm.T.index[rep]][i][i] for i in range(rm.rank))
         values.append(Cyclotomic.from_rational(tr, N))
     mults = tab.decompose(values)
     expected = [(rm.d - 1) * deg for deg in tab.degrees]
@@ -186,12 +207,14 @@ def extension_cocycle(rm: RelationModule, m: int) -> Cocycle2:
     """The cocycle of 1 -> R-bar/m -> P -> H -> 1 for the transversal
     section."""
     M = reduce_mod(rm, m)
-    table = {}
-    for h1 in rm.H.elements:
-        s1 = rm.transversal[h1]
-        for h2 in rm.H.elements:
-            w = s1 * rm.transversal[h2] * rm.transversal[h1 * h2].inverse()
-            table[(h1, h2)] = tuple(v % m for v in rewrite(rm, w))
+    t, s = rm.T.table, rm.transversal
+    table = [
+        [
+            tuple(v % m for v in rewrite(rm, s1 * s2 * s[t[h1][h2]].inverse()))
+            for h2, s2 in enumerate(s)
+        ]
+        for h1, s1 in enumerate(s)
+    ]
     return Cocycle2(M, table)
 
 
@@ -217,10 +240,7 @@ def verify_main_theorem(rm: RelationModule, m: int) -> dict:
 
     E = build_extension(M, beta)
     T = E.group
-    units = [
-        T.index[E.embed(tuple(1 if r == c else 0 for r in range(M.k)))]
-        for c in range(M.k)
-    ]
+    units = [T.index[(0, tuple(1 if r == c else 0 for r in range(M.k)))] for c in range(M.k)]
     restrictions = set()
     fixing_h = 0
     for f in automorphisms(T):

@@ -123,19 +123,23 @@ def smith_normal_form(A):
     return diag, U, Uinv, V
 
 
-def solve_integer(A, b):
-    """One integer solution x of A x = b, or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    diag, U, _, V = smith_normal_form(A)
+def solve_from_snf(snf, b):
+    """One integer solution x of A x = b, or None, given
+    snf = smith_normal_form(A)."""
+    diag, U, _, V = snf
     y = mat_vec(U, b)
-    z = [0] * n
-    for i in range(m):
+    z = [0] * len(V)
+    for i, v in enumerate(y):
         d = diag[i] if i < len(diag) else 0
         if d:
-            if y[i] % d:
+            if v % d:
                 return None
-            z[i] = y[i] // d
-        elif y[i]:
+            z[i] = v // d
+        elif v:
             return None
     return mat_vec(V, z)
+
+
+def solve_integer(A, b):
+    """One integer solution x of A x = b, or None."""
+    return solve_from_snf(smith_normal_form(A), b)

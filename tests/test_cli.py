@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,19 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def refused_quickly(capsys, argv, message):
+    """main(argv) exits 1 with empty stdout and the message on stderr,
+    within a second."""
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+    assert elapsed < 1.0
 
 
 @pytest.fixture
@@ -192,6 +206,13 @@ class TestCohomology:
         code, _ = run(capsys, ["cohomology", "--module", path])
         assert code == 1
 
+    def test_s7_module_refused_before_its_table(self, capsys, tmp_path):
+        s7 = {"generators": [[2, 1, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7, 1]]}
+        doc = {"group": s7, "shape": [2], "action": [[[1]]] * 5040}
+        path = write_json(tmp_path, "s7.json", doc)
+        argv = ["--json", "cohomology", "--module", path]
+        refused_quickly(capsys, argv, "|H|*|M| > 4096")
+
 
 class TestRelmod:
     def test_z3_rank2(self, capsys, tmp_path):
@@ -238,6 +259,13 @@ class TestRelmod:
         assert "lattice dimension 441" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_s6_rank2_refused_before_its_transversal(self, capsys, tmp_path):
+        # rank 721, so the conjugation action holds 720 * 721^2 = 3.7e8 integers
+        s6 = {"generators": [[2, 1, 3, 4, 5, 6], [2, 3, 4, 5, 6, 1]]}
+        path = write_json(tmp_path, "s6.json", s6)
+        argv = ["--json", "relmod", "--group", path, "--rank", "2"]
+        refused_quickly(capsys, argv, "relation module too large")
+
 
 class TestGaschuetz:
     def test_z6_to_z3(self, capsys, tmp_path):
@@ -266,6 +294,16 @@ class TestGaschuetz:
             ["gaschuetz", "lift", "--g1", g1, "--g2", g2, "--psi", psi, "--tuple", tup],
         )
         assert code == 1
+
+    def test_s8_refused_before_its_table(self, capsys, tmp_path):
+        # S8 onto Z/2 by the sign: a table of S8 would hold 1.6e9 entries
+        s8 = {"generators": [[2, 1, 3, 4, 5, 6, 7, 8], [2, 3, 4, 5, 6, 7, 8, 1]]}
+        g1 = write_json(tmp_path, "s8.json", s8)
+        g2 = write_json(tmp_path, "z2.json", {"generators": [[2, 1]]})
+        psi = write_json(tmp_path, "psi.json", [[2, 1], [2, 1]])
+        tup = write_json(tmp_path, "tup.json", [[2, 1]])
+        argv = ["--json", "gaschuetz", "lift", "--g1", g1, "--g2", g2, "--psi", psi]
+        refused_quickly(capsys, argv + ["--tuple", tup], "group of order 40320 is too large")
 
 
 class TestGenus1:

@@ -40,18 +40,22 @@ def sign_module(H, n):
 
 def brute_force_h2_order(M):
     """|H^2| by enumerating every normalized table and every normalized
-    1-cochain directly."""
-    H = M.H
-    nonid = [h for h in H.elements if not h.is_identity()]
+    1-cochain directly; elements of H are multiplied as permutations and
+    looked up by position."""
+    pos = {h: i for i, h in enumerate(M.H.elements)}
+
+    def mul(a, b):
+        return pos[M.H.elements[a] * M.H.elements[b]]
+
+    nonid = range(1, M.H.order)
     values = M.elements()
     pairs = [(a, b) for a in nonid for b in nonid]
-    ident = H.identity()
 
     def full(table):
         t = dict(table)
-        for h in H.elements:
-            t[(ident, h)] = M.zero()
-            t[(h, ident)] = M.zero()
+        for h in range(M.H.order):
+            t[(0, h)] = M.zero()
+            t[(h, 0)] = M.zero()
         return t
 
     cocycles = []
@@ -62,8 +66,8 @@ def brute_force_h2_order(M):
             for h2 in nonid:
                 for h3 in nonid:
                     lhs = M.apply(h1, t[(h2, h3)])
-                    lhs = M.sub(lhs, t[(h1 * h2, h3)])
-                    lhs = M.add(lhs, t[(h1, h2 * h3)])
+                    lhs = M.sub(lhs, t[(mul(h1, h2), h3)])
+                    lhs = M.add(lhs, t[(h1, mul(h2, h3))])
                     lhs = M.sub(lhs, t[(h1, h2)])
                     if lhs != M.zero():
                         ok = False
@@ -77,13 +81,20 @@ def brute_force_h2_order(M):
     coboundaries = set()
     for choice in itertools.product(values, repeat=len(nonid)):
         c = dict(zip(nonid, choice))
-        c[ident] = M.zero()
+        c[0] = M.zero()
         t = tuple(
-            M.sub(M.add(M.apply(a, c[b]), c[a]), c[a * b]) for a, b in pairs
+            M.sub(M.add(M.apply(a, c[b]), c[a]), c[mul(a, b)]) for a, b in pairs
         )
         coboundaries.add(t)
     assert len(cocycles) % len(coboundaries) == 0
     return len(cocycles) // len(coboundaries)
+
+
+def sparse_table(M, values):
+    """The |H| x |H| cochain table with values[(i, j)] at positions (i, j)
+    and zero elsewhere."""
+    n = M.H.order
+    return [[values.get((i, j), M.zero()) for j in range(n)] for i in range(n)]
 
 
 def all_classes(M, data):
@@ -99,19 +110,18 @@ class TestFiniteHModule:
     def test_action_must_cover_all_elements(self):
         H = cyclic_group(2)
         with pytest.raises(PreconditionError):
-            FiniteHModule(H, (2,), {H.identity(): [[1]]})
+            FiniteHModule(H, (2,), [[[1]]])
 
     def test_identity_must_act_trivially(self):
         H = cyclic_group(2)
-        x = H.elements[1]
         with pytest.raises(PreconditionError):
-            FiniteHModule(H, (3,), {H.identity(): [[2]], x: [[1]]})
+            FiniteHModule(H, (3,), [[[2]], [[1]]])
 
     def test_homomorphism_enforced(self):
         H = cyclic_group(3)
-        e, a, b = H.elements  # identity first
+        # positions 0, 1, 2: the identity and the two generators
         with pytest.raises(PreconditionError):
-            FiniteHModule(H, (7,), {e: [[1]], a: [[2]], b: [[2]]})
+            FiniteHModule(H, (7,), [[[1]], [[2]], [[2]]])
 
     def test_entry_well_definedness(self):
         # a map Z/2 -> Z/4 must have even matrix entry in that slot
@@ -122,8 +132,7 @@ class TestFiniteHModule:
 
     def test_sign_module_is_valid(self):
         M = sign_module(cyclic_group(2), 3)
-        x = M.H.elements[1]
-        assert M.apply(x, (1,)) == (2,)
+        assert M.apply(1, (1,)) == (2,)
 
 
 class TestH2Structure:
@@ -178,8 +187,7 @@ class TestExtensionClass:
     def z4_over_z2(self):
         H = cyclic_group(2)
         M = FiniteHModule.trivial(H, (2,))
-        x = H.elements[1]
-        beta = Cocycle2(M, {(x, x): (1,)})
+        beta = Cocycle2(M, sparse_table(M, {(1, 1): (1,)}))
         return M, beta
 
     def test_z4_class_nonzero(self):
@@ -200,16 +208,13 @@ class TestExtensionClass:
         E = build_extension(M, beta)
         data = h2(M)
         ref = data.class_of(extension_class(E))
-        H = M.H
-        x = H.elements[1]
-        shifted = {H.identity(): E.identity, x: (x, (1,))}
+        shifted = [(0, (0,)), (1, (1,))]
         assert data.class_of(extension_class(E, shifted)) == ref
 
     def test_bad_section_rejected(self):
         M, beta = self.z4_over_z2()
         E = build_extension(M, beta)
-        H = M.H
-        bad = {h: E.identity for h in H.elements}
+        bad = [(0, (0,))] * 2
         with pytest.raises(PreconditionError):
             extension_class(E, bad)
 
@@ -253,16 +258,14 @@ class TestStabilizerAndLifting:
         M = FiniteHModule.trivial(H, (4,))
         data = h2(M)
         assert data.invariants == [2]
-        x = H.elements[1]
-        beta = Cocycle2(M, {(x, x): (1,)})
+        beta = Cocycle2(M, sparse_table(M, {(1, 1): (1,)}))
         three = ((3,),)
         assert three in aut_h(M)
         assert data.class_of(apply_aut(three, beta)) == data.class_of(beta)
 
     def test_identity_extends_with_zero_cochain(self):
         M = FiniteHModule.trivial(cyclic_group(2), (2,))
-        x = M.H.elements[1]
-        E = build_extension(M, Cocycle2(M, {(x, x): (1,)}))
+        E = build_extension(M, Cocycle2(M, sparse_table(M, {(1, 1): (1,)})))
         ident = ((1,),)
         phi = extend_automorphism(ident, E)
         assert phi is not None

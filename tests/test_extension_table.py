@@ -7,8 +7,6 @@ computed with `mult` and that scan, and the homomorphism check through
 of order 48.
 """
 
-import itertools
-
 import pytest
 
 from belyilab.cohomology import (
@@ -28,32 +26,44 @@ from test_cohomology import all_classes
 
 
 def scan_inverse(E, a):
-    for b in E.elements:
-        if E.mult(a, b) == E.identity:
+    for b in E.group.names:
+        if E.mult(a, b) == E.group.names[0]:
             return b
     raise AssertionError("no inverse")
 
 
+def position_product(H, i, j):
+    """The position of H.elements[i] * H.elements[j], multiplied as
+    permutations."""
+    return H.elements.index(H.elements[i] * H.elements[j])
+
+
 def oracle_extension_class(E, s):
-    H = E.H
-    table = {}
-    for h1 in H.elements:
-        for h2 in H.elements:
-            val = E.mult(E.mult(s[h1], s[h2]), scan_inverse(E, s[h1 * h2]))
-            assert E.project(val) == H.identity()
-            table[(h1, h2)] = val[1]
+    n = E.H.order
+    table = [[None] * n for _ in range(n)]
+    for h1 in range(n):
+        for h2 in range(n):
+            val = E.mult(E.mult(s[h1], s[h2]), scan_inverse(E, s[position_product(E.H, h1, h2)]))
+            assert val[0] == 0
+            table[h1][h2] = val[1]
     return Cocycle2(E.module, table)
 
 
+def on_names(E, phi):
+    """A map on E.elements, such as extend_automorphism returns, as a map
+    on E.group.names."""
+    name = dict(zip(E.elements, E.group.names))
+    return {name[a]: name[b] for a, b in phi.items()}
+
+
 def oracle_preserves_products(E, out):
-    return all(
-        out[E.mult(a, b)] == E.mult(out[a], out[b]) for a in E.elements for b in E.elements
-    )
+    names = E.group.names
+    return all(out[E.mult(a, b)] == E.mult(out[a], out[b]) for a in names for b in names)
 
 
 def table_preserves_products(E, out):
     T = E.group
-    return preserves_products([T.index[out[a]] for a in E.elements], T, T)
+    return preserves_products([T.index[out[a]] for a in T.names], T, T)
 
 
 def apply(gamma, m, shape):
@@ -75,18 +85,19 @@ EXTENSIONS = list(extensions())
 @pytest.mark.parametrize("M, beta, E", EXTENSIONS)
 def test_inverse_matches_scan(M, beta, E):
     # the inverse table extension_class reads
-    for a, inv in zip(E.elements, E.group.inv):
-        assert E.elements[inv] == scan_inverse(E, a)
+    names = E.group.names
+    for a, inv in zip(names, E.group.inv):
+        assert names[inv] == scan_inverse(E, a)
 
 
 @pytest.mark.parametrize("M, beta, E", EXTENSIONS)
 def test_extension_class_matches_elementwise(M, beta, E):
     assert extension_class(E) == oracle_extension_class(E, E.section())
     # a section shifted off the zero fiber by a cochain with c(1) = 0
-    shifted = {
-        h: (h, tuple((i + r) % m for r, m in enumerate(M.shape)) if i else M.zero())
-        for i, h in enumerate(M.H.elements)
-    }
+    shifted = [
+        (i, tuple((i + r) % m for r, m in enumerate(M.shape)) if i else M.zero())
+        for i in range(M.H.order)
+    ]
     assert extension_class(E, shifted) == oracle_extension_class(E, shifted)
 
 
@@ -95,10 +106,10 @@ def test_extend_automorphism_matches_elementwise(M, beta, E):
     for gamma in aut_h(M):
         phi = extend_automorphism(gamma, E)
         if phi is not None:
-            assert oracle_preserves_products(E, phi)
+            assert oracle_preserves_products(E, on_names(E, phi))
         # with the zero cochain the map is a homomorphism exactly when
         # gamma fixes beta itself, so both verdicts occur
-        naive = {(h, m): (h, apply(gamma, m, M.shape)) for h, m in E.elements}
+        naive = {(h, m): (h, apply(gamma, m, M.shape)) for h, m in E.group.names}
         assert table_preserves_products(E, naive) == oracle_preserves_products(E, naive)
 
 
@@ -106,26 +117,28 @@ def test_homomorphism_check_sees_both_verdicts():
     verdicts = set()
     for M, beta, E in EXTENSIONS:
         for gamma in aut_h(M):
-            naive = {(h, m): (h, apply(gamma, m, M.shape)) for h, m in E.elements}
+            naive = {(h, m): (h, apply(gamma, m, M.shape)) for h, m in E.group.names}
             verdicts.add(table_preserves_products(E, naive))
     assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("M, beta, E", EXTENSIONS)
 def test_to_table_group_matches_products(M, beta, E):
-    # E.group, which replaced to_table_group(), indexes E.elements
+    # E.group, which replaced to_table_group(), indexes the pairs (h, m)
+    # with h a position in H's table; E.elements lists them with H's
+    # elements in place of positions
     T = E.group
-    assert T.names == E.elements
-    for i, a in enumerate(E.elements):
-        assert [T.names[v] for v in T.table[i]] == [E.mult(a, b) for b in E.elements]
+    assert [(M.H.elements[h], m) for h, m in T.names] == E.elements
+    for i, a in enumerate(T.names):
+        assert [T.names[v] for v in T.table[i]] == [E.mult(a, b) for b in T.names]
 
 
 def fake_cocycle(M, x, y):
-    """A normalized table with beta(x, y) = 1 and 0 elsewhere, stored in a
-    Cocycle2 without the cocycle check."""
-    elts = M.H.elements
-    table = {(a, b): M.zero() for a, b in itertools.product(elts, repeat=2)}
-    table[(x, y)] = (1,)
+    """A normalized table with beta(x, y) = 1 at positions x, y and 0
+    elsewhere, stored in a Cocycle2 without the cocycle check."""
+    n = M.H.order
+    table = [[M.zero()] * n for _ in range(n)]
+    table[x][y] = (1,)
     with pytest.raises(PreconditionError):
         Cocycle2(M, table)
     beta = Cocycle2.__new__(Cocycle2)
@@ -140,8 +153,7 @@ def test_non_cocycle_fails_associativity(m):
     # and |E| = 48
     H = cyclic_group(3)
     M = FiniteHModule.trivial(H, (m,))
-    x = H.elements[1]
-    beta = fake_cocycle(M, x, x)
+    beta = fake_cocycle(M, 1, 1)
     with pytest.raises(InternalError, match="not associative"):
         build_extension(M, beta)
 
@@ -150,6 +162,6 @@ def test_single_pair_non_cocycle_on_s4_fails_associativity():
     # |E| = 48; the 300 triples sampled above |E| = 40 all missed this one
     H = symmetric_group(4)
     M = FiniteHModule.trivial(H, (2,))
-    beta = fake_cocycle(M, H.elements[1], H.elements[4])
+    beta = fake_cocycle(M, 1, 4)
     with pytest.raises(InternalError, match="extension multiplication is not associative"):
         build_extension(M, beta)

@@ -2,10 +2,11 @@
 
 TableGroup checks associativity only at c in its generating set,
 preserves_products checks f(ab) = f(a)f(b) only at b in src.gens,
-Cocycle2 checks the cocycle identity only at (h1, h2, g) with g in
-H.generators, and FiniteHModule checks A(g)A(s) = A(gs) only at s in
-H.generators.  The oracles below are the full loops over every triple or
-pair.  Each test asserts that the verdicts agree and that both occur.
+Cocycle2 checks the cocycle identity only at (h1, h2, g) with g in the
+generating set of H's table, and FiniteHModule checks A(g)A(s) = A(gs)
+only at s in that set.  The oracles below are the full loops over every
+triple or pair, with elements of H multiplied as permutations.  Each test
+asserts that the verdicts agree and that both occur.
 """
 
 import itertools
@@ -36,13 +37,19 @@ def oracle_preserves_products(f, src, dst):
     )
 
 
+def position_product(H):
+    """(i, j) -> the position of H.elements[i] * H.elements[j]."""
+    pos = {h: i for i, h in enumerate(H.elements)}
+    return lambda i, j: pos[H.elements[i] * H.elements[j]]
+
+
 def oracle_is_cocycle(M, table):
-    elts = M.H.elements
-    for h1, h2_, h3 in itertools.product(elts, repeat=3):
-        lhs = M.apply(h1, table[(h2_, h3)])
-        lhs = M.sub(lhs, table[(h1 * h2_, h3)])
-        lhs = M.add(lhs, table[(h1, h2_ * h3)])
-        lhs = M.sub(lhs, table[(h1, h2_)])
+    mul = position_product(M.H)
+    for a, b, c in itertools.product(range(M.H.order), repeat=3):
+        lhs = M.apply(a, table[b][c])
+        lhs = M.sub(lhs, table[mul(a, b)][c])
+        lhs = M.add(lhs, table[a][mul(b, c)])
+        lhs = M.sub(lhs, table[a][b])
         if lhs != M.zero():
             return False
     return True
@@ -60,9 +67,10 @@ def oracle_is_action(H, shape, action):
     def reduce(A):
         return [[x % m for x in row] for row, m in zip(A, shape)]
 
+    product = position_product(H)
     return all(
-        mul(action[g], action[h]) == reduce(action[g * h])
-        for g, h in itertools.product(H.elements, repeat=2)
+        mul(action[g], action[h]) == reduce(action[product(g, h)])
+        for g, h in itertools.product(range(H.order), repeat=2)
     )
 
 
@@ -168,16 +176,16 @@ def test_cocycle_check_matches_oracle():
     # every normalized table over V4 on the trivial Z/2; each generator of
     # V4 catches failures the other misses
     V = FiniteHModule.trivial(generate([perm(4, (1, 2), (3, 4)), perm(4, (1, 3), (2, 4))]), (2,))
-    pairs = list(itertools.product(V.H.elements, repeat=2))
-    normal = {(a, b): (0,) for a, b in pairs if a.is_identity() or b.is_identity()}
-    cases += [(V, table) for table in all_maps(pairs, [(0,), (1,)], normal)]
+    pairs = list(itertools.product(range(4), repeat=2))
+    normal = {(a, b): (0,) for a, b in pairs if a == 0 or b == 0}
+    for values in all_maps(pairs, [(0,), (1,)], normal):
+        cases.append((V, [[values[(a, b)] for b in range(4)] for a in range(4)]))
     for M in s3_modules():
-        nonid = M.H.elements[1:]
         for beta in all_classes(M, h2(M)):
-            for pair in itertools.product(nonid, repeat=2):
+            for a, b in itertools.product(range(1, M.H.order), repeat=2):
                 for shift in range(1, M.shape[0]):
-                    table = dict(beta.table)
-                    table[pair] = M.add(table[pair], (shift,))
+                    table = [list(row) for row in beta.table]
+                    table[a][b] = M.add(table[a][b], (shift,))
                     cases.append((M, table))
     verdicts = set()
     for M, table in cases:
@@ -193,20 +201,20 @@ def test_action_check_matches_oracle():
         # the swap and an order-3 matrix: the standard representation
         FiniteHModule.from_generator_matrices(s3, (2, 2), [[[0, 1], [1, 0]], [[0, 1], [1, 1]]])
     ]
-    # every map from S3 to the 1 x 1 matrices over Z/3 with 1 -> 1; some are
-    # multiplicative at (1 2) and not at (1 2 3)
+    # every map from S3 to the 1 x 1 matrices over Z/3 with 1 -> 1, by
+    # position; some are multiplicative at (1 2) and not at (1 2 3)
     cases = [
-        (modules[1], action)
-        for action in all_maps(s3.elements, [[[v]] for v in range(3)], {s3.identity(): [[1]]})
+        (modules[1], [action[g] for g in range(6)])
+        for action in all_maps(range(6), [[[v]] for v in range(3)], {0: [[1]]})
     ]
     for M in modules:
-        action = {g: [list(row) for row in A] for g, A in M.action.items()}
+        action = [[list(row) for row in A] for A in M.action]
         cases.append((M, action))
         entries = [range(m) for m in M.shape for _ in M.shape]
-        for g in M.H.elements[1:]:
+        for g in range(1, M.H.order):
             for flat in itertools.product(*entries):
                 mat = [list(flat[r * M.k:(r + 1) * M.k]) for r in range(M.k)]
-                cases.append((M, {**action, g: mat}))
+                cases.append((M, action[:g] + [mat] + action[g + 1:]))
     verdicts = set()
     for M, action in cases:
         v = verdict(

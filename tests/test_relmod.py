@@ -80,16 +80,18 @@ class TestSchreierData:
     def test_transversal_is_prefix_closed_shortlex(self):
         H = symmetric_group(3)
         rm = schreier_data(H, list(H.generators))
-        words = {rm.transversal[h].letters for h in H.elements}
+        words = {w.letters for w in rm.transversal}
+        assert len(words) == H.order
         for w in words:
             assert w[:-1] in words or w == ()
-        # the word of h evaluates to h under the presentation's images
-        for h in H.elements:
+        # the word at position h evaluates to H.elements[h] under the
+        # presentation's images, multiplied as permutations
+        for h, word in enumerate(rm.transversal):
             value = H.identity()
-            for letter in rm.transversal[h].letters:
-                g = rm.images[abs(letter) - 1]
+            for letter in word.letters:
+                g = H.elements[rm.images[abs(letter) - 1]]
                 value = value * (g if letter > 0 else g.inverse())
-            assert value == h
+            assert value == H.elements[h]
 
 
 class TestRewrite:
@@ -196,11 +198,10 @@ class TestModReduction:
     def test_cocycle_is_normalized_and_valid(self):
         rm = z2_rank3()
         beta = extension_cocycle(rm, 2)  # Cocycle2 validates on build
-        ident = rm.H.identity()
-        inv = rm.H.elements[1]
-        assert beta(ident, inv) == (0, 0, 0)
+        # positions: 0 is the identity, 1 the involution x
+        assert beta(0, 1) == (0, 0, 0)
         # beta(x, x) = rewrite(s(x)^2) = class of x^2, the second generator
-        assert beta(inv, inv) == (0, 1, 0)
+        assert beta(1, 1) == (0, 1, 0)
 
     def test_class_nonzero_for_z2(self):
         rm = z2_rank3()
@@ -213,7 +214,7 @@ class TestModReduction:
         H = trivial_group(1)
         rm = schreier_data(H, [H.identity(), H.identity()])
         beta = extension_cocycle(rm, 3)
-        assert beta(H.identity(), H.identity()) == (0, 0)
+        assert beta(0, 0) == (0, 0)
 
     def test_modulus_below_two_rejected(self):
         with pytest.raises(PreconditionError):
