@@ -14,7 +14,6 @@ over b the <sigma_b>-orbits on the blocks (H/W).
 
 from __future__ import annotations
 
-from .chartab import VirtualCharacter, character_table
 from .errors import InternalError, PreconditionError
 from .permgroup import PermGroup, Permutation, orbit, regular_representation
 
@@ -170,6 +169,8 @@ def genus(cover: BelyiCover) -> int:
 def tate_characters(cd: ClosureData, table=None):
     """The three Tate-module characters (left, middle, jac) of the deck
     group D, with jac = middle - left checked effective of degree 2*genus."""
+    from .chartab import VirtualCharacter, character_table
+
     tab = table if table is not None else character_table(cd.D)
     r = tab.nclasses()
     # middle term: trivial + [H:W] * regular

@@ -18,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cover import BelyiCover
 from .cyclotomic import cyclotomic_coeffs, factorint, isprime, phi_of
 from .errors import InternalError, PreconditionError
 from .permgroup import Permutation
@@ -47,8 +46,11 @@ def inertia_triples():
     return out
 
 
-def kummer_cover(a, b, d) -> BelyiCover:
-    """The cyclic cover y^d = t^a (t-1)^b as a monodromy pair on Z/d."""
+def kummer_cover(a, b, d):
+    """The cyclic cover y^d = t^a (t-1)^b as a monodromy pair on Z/d, a
+    BelyiCover."""
+    from .cover import BelyiCover
+
     if d not in (3, 4, 6):
         raise PreconditionError("d must be one of 3, 4, 6")
     if gcd(gcd(a, b), d) > 1:

@@ -10,7 +10,7 @@ set only, which is exact (see TableGroup.__init__ and preserves_products).
 from __future__ import annotations
 
 import itertools
-import operator
+from operator import itemgetter
 
 from .errors import PreconditionError
 from .permgroup import greedy_generators, orbit
@@ -73,7 +73,15 @@ class TableGroup:
             )
         T = getattr(G, "_table", None)
         if T is None:
-            T = G._table = cls.from_elements(G.elements, G.identity(), operator.mul)
+            # G.elements is sorted, so the identity (0, 1, ..., n-1) comes
+            # first.  itemgetter(*a)(b) = (b[a[0]], ..., b[a[n-1]]) is the
+            # image tuple of a * b, made without a Permutation; at degree 1
+            # it is the bare b[a[0]], so the keys go through the same getter.
+            imgs = [g.imgs for g in G.elements]
+            key = itemgetter(*imgs[0])
+            pos = {key(t): i for i, t in enumerate(imgs)}
+            table = [list(map(pos.__getitem__, map(itemgetter(*a), imgs))) for a in imgs]
+            T = G._table = cls(table, names=list(G.elements))
         return T
 
     def mult(self, a, b):

@@ -221,10 +221,12 @@ def extension_cocycle(rm: RelationModule, m: int) -> Cocycle2:
 _VERIFY_LIMIT = 64
 
 
-def verify_main_theorem(rm: RelationModule, m: int) -> dict:
+def verify_main_theorem(rm: RelationModule, m: int, beta=None, data=None) -> dict:
     """Compare Aut_{H,beta}(R-bar/m) with the fiber restrictions of the
     automorphisms of P = build_extension that fix H pointwise.
 
+    A caller that already holds beta = extension_cocycle(rm, m) and
+    data = h2(beta.module) passes them in; they are computed otherwise.
     Returns a report dict with both sets' sizes and the equality flag.
     """
     if rm.H.order * m**rm.rank > _VERIFY_LIMIT:
@@ -232,9 +234,11 @@ def verify_main_theorem(rm: RelationModule, m: int) -> dict:
             "extension of order %d exceeds the enumeration limit %d"
             % (rm.H.order * m**rm.rank, _VERIFY_LIMIT)
         )
-    beta = extension_cocycle(rm, m)
+    if beta is None:
+        beta = extension_cocycle(rm, m)
     M = beta.module
-    data = h2(M)
+    if data is None:
+        data = h2(M)
     autos = aut_h(M)
     stab = stabilizer_beta(autos, beta, data)
 

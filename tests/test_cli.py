@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import belyilab
+import belyilab.cohomology
 import belyilab.corpus
+import belyilab.relmod
 from belyilab.cli import main
 from belyilab.cover import BelyiCover
 from belyilab.permgroup import Permutation
@@ -224,7 +226,25 @@ class TestRelmod:
         # trivial + (d-1) * regular for d = 2
         assert data["character"] == [2, 1, 1]
 
-    def test_verify_main(self, capsys, tmp_path):
+    def test_verify_main(self, capsys, tmp_path, monkeypatch):
+        # verify_main_theorem reuses the cocycle and H2Data of the printed class
+        calls = {"h2": 0, "extension_cocycle": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        h2 = counted("h2", belyilab.cohomology.h2)
+        monkeypatch.setattr(belyilab.cohomology, "h2", h2)
+        monkeypatch.setattr(belyilab.relmod, "h2", h2)
+        monkeypatch.setattr(
+            belyilab.relmod,
+            "extension_cocycle",
+            counted("extension_cocycle", belyilab.relmod.extension_cocycle),
+        )
         path = write_json(tmp_path, "z2.json", {"generators": [[2, 1]]})
         code, out = run(
             capsys,
@@ -234,6 +254,7 @@ class TestRelmod:
         data = json.loads(out)
         assert data["verify_main"]["equal"] is True
         assert data["verify_main"]["stabilizer_count"] == data["verify_main"]["restriction_count"]
+        assert calls == {"h2": 1, "extension_cocycle": 1}
 
     def test_rank_too_small(self, capsys, tmp_path):
         path = write_json(
@@ -458,7 +479,7 @@ class TestMalformedInput:
         def broken(cover):
             raise TypeError("a bug")
 
-        monkeypatch.setattr("belyilab.cli.analysis_report", broken)
+        monkeypatch.setattr("belyilab.cover.analysis_report", broken)
         code = main(["analyze", "--input", cubic])
         err = capsys.readouterr().err
         assert code == 2

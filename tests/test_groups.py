@@ -1,3 +1,4 @@
+import operator
 from collections import Counter
 
 import pytest
@@ -42,6 +43,27 @@ class TestTableGroup:
         assert T.n == 6
         assert any(T.mult(a, b) != T.mult(b, a) for a in range(6) for b in range(6))
         assert Counter(map(T.order_of, range(6))) == {1: 1, 2: 3, 3: 2}
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [perm(1)],
+            [perm(4, (1, 2, 3, 4)), perm(4, (1, 2))],
+            [Permutation([2, 3, 4, 1, 6, 7, 8, 5]), Permutation([5, 8, 7, 6, 3, 2, 1, 4])],
+            [perm(5, (1, 2, 3, 4, 5)), perm(5, (1, 2))],
+            # D5 on the points relabelled by 1->4->2->5->3->1
+            [perm(5, (4, 5, 1, 2, 3)), perm(5, (5, 3), (1, 2))],
+        ],
+        ids=["trivial", "S4", "Q8", "S5", "D5-relabelled"],
+    )
+    def test_from_permgroup_matches_permutation_products(self, gens):
+        G = generate(gens)
+        T = TableGroup.from_permgroup(G)
+        slow = TableGroup.from_elements(G.elements, G.identity(), operator.mul)
+        assert T.names == slow.names == G.elements
+        assert T.table == slow.table
+        assert T.index == slow.index
+        assert TableGroup.from_permgroup(G) is T
 
     def test_closure_and_generation(self):
         T = cyclic_table(6)
