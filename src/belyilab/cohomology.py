@@ -14,17 +14,22 @@ H^2 = L / (coboundaries + moduli) is read off from two Smith normal forms,
 and the tracked transforms give explicit basis cocycles, class
 coordinates for arbitrary cocycles, and explicit 1-cochains when an
 automorphism of the module extends to the corresponding extension group.
+h2 factors its lattices on every call.  extend_automorphism solves with
+its own factorization of [D1 | diag(moduli)], cached per module
+(FiniteHModule.coboundary_snf), so "gamma extends iff it fixes the class"
+compares two independent computations.  snf.mat_vec skips zero entries.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import gcd, prod
 
 from .errors import InternalError, PreconditionError
 from .groups import TABLE_LIMIT, TableGroup, preserves_products
 from .permgroup import orbit
-from .snf import mat_vec, smith_normal_form, solve_from_snf, solve_integer
+from .snf import identity_matrix, mat_vec, smith_normal_form, solve_from_snf
 
 # bound on n2 = (|H|-1)^2 * k, the dimension of the cocycle lattice and of
 # the Smith normal forms h2 computes; |H|*|M| alone lets Q8 on (Z/2)^9
@@ -100,10 +105,7 @@ class FiniteHModule:
                         )
             norm.append(mat)
         self.action = norm
-        eye = tuple(
-            tuple(1 if r == c else 0 for c in range(self.k)) for r in range(self.k)
-        )
-        if not _mat_eq(norm[0], eye, self.shape):
+        if not _mat_eq(norm[0], identity_matrix(self.k), self.shape):
             raise PreconditionError("action at the identity is not the identity matrix")
         # {s : A(g)A(s) = A(gs) for all g} contains 1, as A(1) = I, and is
         # closed under products: for s, t in it, A(g)A(st) = A(g)A(s)A(t)
@@ -117,9 +119,7 @@ class FiniteHModule:
 
     @classmethod
     def trivial(cls, H, shape):
-        k = len(shape)
-        eye = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
-        return cls(H, shape, [eye] * H.order)
+        return cls(H, shape, [identity_matrix(len(shape))] * H.order)
 
     @classmethod
     def from_generator_matrices(cls, H, shape, gen_mats):
@@ -127,15 +127,20 @@ class FiniteHModule:
         if len(gen_mats) != len(H.generators):
             raise PreconditionError("one matrix per generator is required")
         T = _checked_table(H, shape)
-        k = len(shape)
-        eye = tuple(tuple(1 if r == c else 0 for c in range(k)) for r in range(k))
         gens = [T.index[g] for g in H.generators]
         action = [None] * T.n
         for h, edge in orbit(0, gens, T.mult).items():
             action[h] = (
-                eye if edge is None else _mat_mul_mod(action[edge[0]], gen_mats[edge[1]], shape)
+                identity_matrix(len(shape))
+                if edge is None
+                else _mat_mul_mod(action[edge[0]], gen_mats[edge[1]], shape)
             )
         return cls(H, shape, action)
+
+    @cached_property
+    def coboundary_snf(self):
+        """The Smith normal form of _coboundary_system(self)."""
+        return smith_normal_form(_coboundary_system(self))
 
     def zero(self):
         return (0,) * self.k
@@ -154,9 +159,7 @@ class FiniteHModule:
         return _mat_apply(self.action[g], m, self.shape)
 
     def elements(self):
-        return [
-            tuple(v) for v in itertools.product(*[range(m) for m in self.shape])
-        ]
+        return list(itertools.product(*map(range, self.shape)))
 
 
 class Cocycle2:
@@ -191,9 +194,16 @@ class Cocycle2:
                         raise PreconditionError("cocycle identity fails at a triple")
 
     @classmethod
+    def _trusted(cls, module, table):
+        """A sum, multiple or push forward of cocycles, left unchecked."""
+        beta = cls.__new__(cls)
+        beta.module, beta.table = module, table
+        return beta
+
+    @classmethod
     def zero(cls, module):
         n = module.T.n
-        return cls(module, [[module.zero()] * n for _ in range(n)])
+        return cls._trusted(module, [[module.zero()] * n for _ in range(n)])
 
     def __call__(self, h1, h2):
         return self.table[h1][h2]
@@ -202,19 +212,15 @@ class Cocycle2:
         if other.module is not self.module:
             raise PreconditionError("cocycles live over different modules")
         M = self.module
-        return Cocycle2(
+        return Cocycle2._trusted(
             M,
             [[M.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.table, other.table)],
         )
 
     def scale(self, n):
         M = self.module
-        return Cocycle2(
-            M,
-            [
-                [tuple((n * x) % m for x, m in zip(val, M.shape)) for val in row]
-                for row in self.table
-            ],
+        return Cocycle2._trusted(
+            M, [[M.reduce([n * x for x in val]) for val in row] for row in self.table]
         )
 
     def __eq__(self, other):
@@ -226,9 +232,12 @@ class Cocycle2:
 
 
 def apply_aut(gamma, beta: Cocycle2) -> Cocycle2:
-    """The pushed cocycle (gamma . beta)(h1, h2) = gamma(beta(h1, h2))."""
+    """The pushed cocycle (gamma . beta)(h1, h2) = gamma(beta(h1, h2)),
+    for an H-equivariant automorphism gamma of beta's module."""
     M = beta.module
-    return Cocycle2(
+    if not _is_equivariant_automorphism(M, gamma):
+        raise PreconditionError("gamma is not an H-equivariant module automorphism")
+    return Cocycle2._trusted(
         M, [[_mat_apply(gamma, val, M.shape) for val in row] for row in beta.table]
     )
 
@@ -248,10 +257,7 @@ class H2Data:
 
     @property
     def order(self):
-        out = 1
-        for s in self.invariants:
-            out *= s
-        return out
+        return prod(self.invariants)
 
     def class_of(self, beta: Cocycle2):
         return self._class_fn(beta)
@@ -299,11 +305,13 @@ def _cocycle_rows(M):
     return rows
 
 
-def _coboundary_matrix(M):
-    """The map C^1 -> C^2, c -> dc, as an n2 x n1 integer matrix on
-    normalized cochains."""
+def _coboundary_system(M):
+    """[D1 | diag(moduli)], n2 x (n1 + n2): D1 is the map C^1 -> C^2,
+    c -> dc, on normalized cochains, and column n1 + v holds the modulus
+    of coordinate v."""
     t, n, k = M.T.table, M.T.n, M.k
-    D = [[0] * ((n - 1) * k) for _ in range((n - 1) ** 2 * k)]
+    n1, n2 = (n - 1) * k, (n - 1) ** 2 * k
+    D = [[0] * n1 + [M.shape[v % k] if u == v else 0 for u in range(n2)] for v in range(n2)]
     for i in range(1, n):
         Ai = M.action[i]
         for j in range(1, n):
@@ -320,16 +328,18 @@ def _coboundary_matrix(M):
 
 
 def _congruence_lattice(n, rows):
-    """Column basis of {x in Z^n : row . x = 0 mod m for each (row, m)}.
+    """An n x n matrix whose columns are a basis of
+    {x in Z^n : row . x = 0 mod m for each (row, m)}.
 
     Maintains a basis of the running lattice and intersects with one
-    congruence at a time by integer column operations.
+    congruence at a time by integer column operations.  A congruence's
+    values on the basis combine only the rows of B it touches.
     """
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    B = identity_matrix(n)
     for row, m in rows:
-        w = []
-        for col in cols:
-            w.append(sum(coeff * col[v] for v, coeff in row.items()))
+        w = [0] * n
+        for v, coeff in row.items():
+            w = [a + coeff * b for a, b in zip(w, B[v])]
         if all(x % m == 0 for x in w):
             continue
         # column-reduce w to a single nonzero entry, mirroring the
@@ -345,20 +355,20 @@ def _congruence_lattice(n, rows):
                 q = w[j] // w[j0]
                 if q:
                     w[j] -= q * w[j0]
-                    cj, c0 = cols[j], cols[j0]
-                    for t in range(n):
-                        cj[t] -= q * c0[t]
+                    for r in B:
+                        r[j] -= q * r[j0]
         j0 = next(j for j in range(len(w)) if w[j])
         t = m // gcd(w[j0], m)
-        cols[j0] = [x * t for x in cols[j0]]
-    return cols
+        for r in B:
+            r[j0] *= t
+    return B
 
 
 def h2(M: FiniteHModule) -> H2Data:
     """H^2(H, M) with invariant factors, basis cocycles and a
     representative-to-class map."""
     n, k = M.T.n, M.k
-    n1, n2 = (n - 1) * k, (n - 1) ** 2 * k
+    n2 = (n - 1) ** 2 * k
     if n2 > _LATTICE_LIMIT:
         raise PreconditionError(
             "cohomology instance too large: cocycle lattice dimension %d > %d"
@@ -368,28 +378,20 @@ def h2(M: FiniteHModule) -> H2Data:
         # H trivial: the only normalized cocycle is zero
         return H2Data(M, [], [], lambda beta: ())
 
-    cols = _congruence_lattice(n2, _cocycle_rows(M))
-    B = [[cols[j][i] for j in range(n2)] for i in range(n2)]
+    B = _congruence_lattice(n2, _cocycle_rows(M))
     B_snf = smith_normal_form(B)
     if any(d == 0 for d in B_snf[0]):
         raise InternalError("cocycle lattice basis is singular")
 
     # sublattice of coboundaries plus the component moduli, expressed in
     # lattice coordinates
-    D1 = _coboundary_matrix(M)
-    avec = [M.shape[v % k] for v in range(n2)]
     Y = []
-    for j in range(n1 + n2):
-        if j < n1:
-            x = [D1[v][j] for v in range(n2)]
-        else:
-            x = [0] * n2
-            x[j - n1] = avec[j - n1]
+    for x in zip(*_coboundary_system(M)):
         y = solve_from_snf(B_snf, x)
         if y is None:
             raise InternalError("coboundary escapes the cocycle lattice")
         Y.append(y)
-    Ymat = [[Y[j][i] for j in range(n1 + n2)] for i in range(n2)]
+    Ymat = [list(row) for row in zip(*Y)]
     diag, U2, Uinv2, _ = smith_normal_form(Ymat)
     if len(diag) < n2 or any(d == 0 for d in diag):
         raise InternalError("H^2 is not finite at finite level")
@@ -398,7 +400,8 @@ def h2(M: FiniteHModule) -> H2Data:
     invariants = [diag[i] for i in keep]
 
     def class_fn(beta):
-        if beta.module is not M and beta.module.shape != M.shape:
+        N = beta.module
+        if N is not M and (N.T.names, N.shape, N.action) != (M.T.names, M.shape, M.action):
             raise PreconditionError("cocycle belongs to a different module")
         y = solve_from_snf(B_snf, _flatten(beta.table))
         if y is None:
@@ -464,12 +467,13 @@ class ExtensionGroup:
 
     Its elements are pairs (h, m), h a position in H's table, with product
     (h1, m1)(h2, m2) = (h1 h2, m1 + h1.m2 + beta(h1, h2)).  `group` is
-    their TableGroup, listed position by position with every m, so the
-    identity (0, 0) comes first; it is built once from |E|^2 calls to
-    `mult`, with an associativity check exact at every size, and
-    `extension_class` and `extend_automorphism` read it.  `elements` lists
-    the same pairs with H.elements[h] in place of h, in the same order,
-    and `embed` returns one of them.
+    their TableGroup, with (h, m) at position h*|M| + (m's index in
+    M.elements()), so the identity (0, 0) comes first.  It is filled from
+    index tables of M's addition, the H-action and beta, and TableGroup
+    checks it, associativity exactly; `extension_class` and
+    `extend_automorphism` read it.  `elements` lists the same pairs with
+    H.elements[h] in place of h, in the same order, and `embed` returns
+    one of them.
     """
 
     def __init__(self, module: FiniteHModule, beta: Cocycle2):
@@ -478,23 +482,26 @@ class ExtensionGroup:
         self.H = module.H
         self.module = module
         self.beta = beta
-        fiber = module.elements()
-        pairs = [(h, m) for h in range(module.T.n) for m in fiber]
+        n, fiber = module.T.n, module.elements()
+        S, idx = len(fiber), {m: i for i, m in enumerate(fiber)}
+        add = [[idx[module.add(a, b)] for b in fiber] for a in fiber]
+        act = [[idx[module.apply(h, m)] for m in fiber] for h in range(n)]
+        # plus[h1][h2][i] is the index of m_i + beta(h1, h2)
+        plus = [[add[idx[val]] for val in row] for row in beta.table]
+        table = [
+            [th[h2] * S + plus[h1][h2][a[x]] for h2 in range(n) for x in act[h1]]
+            for h1, th in enumerate(module.T.table)
+            for a in add
+        ]
+        pairs = [(h, m) for h in range(n) for m in fiber]
         try:
-            self.group = TableGroup.from_elements(pairs, pairs[0], self.mult)
+            self.group = TableGroup(table, names=pairs)
         except PreconditionError as exc:
             # a normalized beta makes the rows and columns permutations with
             # (0, 0) as the identity, so only associativity can fail
             raise InternalError("extension multiplication is not associative") from exc
         self.elements = [(self.H.elements[h], m) for h, m in pairs]
         self.order = len(pairs)
-
-    def mult(self, a, b):
-        h1, m1 = a
-        h2, m2 = b
-        M = self.module
-        m = M.add(M.add(m1, M.apply(h1, m2)), self.beta(h1, h2))
-        return (M.T.table[h1][h2], m)
 
     def embed(self, m):
         return (self.H.identity(), self.module.reduce(m))
@@ -545,27 +552,16 @@ def extend_automorphism(gamma, E: ExtensionGroup):
     as a map on E.elements.
     """
     M = E.module
-    shape = M.shape
-    k = M.k
+    shape, k, n = M.shape, M.k, M.T.n
     if not _is_equivariant_automorphism(M, gamma):
         raise PreconditionError("gamma is not an H-equivariant module automorphism")
-    n = M.T.n
-    n2 = (n - 1) ** 2 * k
-    cochain = [M.zero()] * n
-    if n2 > 0:
-        delta = _flatten(
-            [[M.sub(_mat_apply(gamma, val, shape), val) for val in row] for row in E.beta.table]
-        )
-        D1 = _coboundary_matrix(M)
-        stacked = [
-            D1[v] + [shape[v % k] if u == v else 0 for u in range(n2)]
-            for v in range(n2)
-        ]
-        sol = solve_integer(stacked, delta)
-        if sol is None:
-            return None
-        for h in range(1, n):
-            cochain[h] = M.reduce(sol[(h - 1) * k : h * k])
+    delta = _flatten(
+        [[M.sub(_mat_apply(gamma, val, shape), val) for val in row] for row in E.beta.table]
+    )
+    sol = solve_from_snf(M.coboundary_snf, delta)
+    if sol is None:
+        return None
+    cochain = [M.zero()] + [M.reduce(sol[(h - 1) * k : h * k]) for h in range(1, n)]
 
     T = E.group
     f = [T.index[(h, M.add(_mat_apply(gamma, m, shape), cochain[h]))] for h, m in T.names]

@@ -53,15 +53,6 @@ class TableGroup:
         self.inv = inv
 
     @classmethod
-    def from_elements(cls, elements, identity, mult):
-        """Table of the group formed by hashable elements under mult, with
-        the identity as 0 and the rest in the given order; names[i] is the
-        element i stands for and index maps it back to i."""
-        names = [identity] + [e for e in elements if e != identity]
-        pos = {e: i for i, e in enumerate(names)}
-        return cls([[pos[mult(a, b)] for b in names] for a in names], names=names)
-
-    @classmethod
     def from_permgroup(cls, G):
         """G's table, with position i standing for G.elements[i] (the
         identity is first).  Memoized on G; refused above TABLE_LIMIT
@@ -78,6 +69,8 @@ class TableGroup:
             # image tuple of a * b, made without a Permutation; at degree 1
             # it is the bare b[a[0]], so the keys go through the same getter.
             imgs = [g.imgs for g in G.elements]
+            if not imgs[0]:
+                imgs = [(0,)]  # degree 0: the trivial group, as on one point
             key = itemgetter(*imgs[0])
             pos = {key(t): i for i, t in enumerate(imgs)}
             table = [list(map(pos.__getitem__, map(itemgetter(*a), imgs))) for a in imgs]

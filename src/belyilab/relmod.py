@@ -17,6 +17,8 @@ lists by position.
 
 from __future__ import annotations
 
+import itertools
+
 from .chartab import character_table, VirtualCharacter
 from .cohomology import (
     Cocycle2,
@@ -28,7 +30,7 @@ from .cohomology import (
 )
 from .cyclotomic import Cyclotomic
 from .errors import InternalError, PreconditionError
-from .groups import TableGroup, automorphisms
+from .groups import TableGroup, homomorphism_from_generators
 from .permgroup import PermGroup, orbit
 
 
@@ -221,6 +223,22 @@ def extension_cocycle(rm: RelationModule, m: int) -> Cocycle2:
 _VERIFY_LIMIT = 64
 
 
+def _h_fixing_automorphisms(rm: RelationModule, E, m: int):
+    """The automorphisms of P = E.group, E built on extension_cocycle(rm,
+    m), that fix H pointwise, as image lists.  P is a quotient of F_d, x_i
+    mapping to (g_i, rewrite(x_i s(g_i)^-1) mod m), so these are the
+    bijective maps sending each such image into its own H-fiber: |M|^d
+    candidates."""
+    T = E.group
+    words = [FreeWord((i + 1,)) * rm.transversal[g].inverse() for i, g in enumerate(rm.images)]
+    gens = [T.index[(g, tuple(v % m for v in rewrite(rm, w)))] for g, w in zip(rm.images, words)]
+    if not T.generates(gens):
+        raise InternalError("the images of the free generators do not generate P")
+    fibers = [[a for a, (h, _) in enumerate(T.names) if h == g] for g in rm.images]
+    maps = (homomorphism_from_generators(T, T, gens, list(c)) for c in itertools.product(*fibers))
+    return [f for f in maps if f is not None and len(set(f)) == T.n]
+
+
 def verify_main_theorem(rm: RelationModule, m: int, beta=None, data=None) -> dict:
     """Compare Aut_{H,beta}(R-bar/m) with the fiber restrictions of the
     automorphisms of P = build_extension that fix H pointwise.
@@ -245,17 +263,9 @@ def verify_main_theorem(rm: RelationModule, m: int, beta=None, data=None) -> dic
     E = build_extension(M, beta)
     T = E.group
     units = [T.index[(0, tuple(1 if r == c else 0 for r in range(M.k)))] for c in range(M.k)]
-    restrictions = set()
-    fixing_h = 0
-    for f in automorphisms(T):
-        if any(T.names[f[a]][0] != T.names[a][0] for a in range(T.n)):
-            continue
-        fixing_h += 1
-        cols = [T.names[f[u]][1] for u in units]
-        mat = tuple(
-            tuple(cols[c][r] % M.shape[r] for c in range(M.k)) for r in range(M.k)
-        )
-        restrictions.add(mat)
+    fixing = _h_fixing_automorphisms(rm, E, m)
+    # the matrix whose column c is the image of the c-th unit vector
+    restrictions = {tuple(zip(*(T.names[f[u]][1] for u in units))) for f in fixing}
 
     stab_set = {tuple(tuple(row) for row in g) for g in stab}
     report = {
@@ -265,7 +275,7 @@ def verify_main_theorem(rm: RelationModule, m: int, beta=None, data=None) -> dic
         "h2_invariants": data.invariants,
         "aut_h_count": len(autos),
         "stabilizer_count": len(stab_set),
-        "extension_fixing_count": fixing_h,
+        "extension_fixing_count": len(fixing),
         "restriction_count": len(restrictions),
         "equal": restrictions == stab_set,
     }

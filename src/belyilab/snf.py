@@ -5,8 +5,10 @@ Implemented in-house because we need the transform matrices (and the
 inverse of the row transform) to produce kernel bases, cocycle class
 coordinates, and explicit cochain solutions; library normal forms expose
 only the diagonal.
-Matrices are lists of lists of Python ints; nothing here is performance
-critical beyond the few-hundred-row scale.
+Matrices are lists of lists of Python ints, at most a few hundred rows.
+The right-hand sides h2 and extend_automorphism solve for are mostly a
+modulus times a unit vector, so mat_vec skips the zero entries of v; the
+factorizations themselves are cached by the callers (see cohomology).
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ def identity_matrix(n):
 
 
 def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in nz) for row in A]
 
 
 def smith_normal_form(A):
@@ -67,18 +70,15 @@ def smith_normal_form(A):
     t = 0
     size = min(m, n)
     while t < size:
-        # find the nonzero entry of smallest magnitude in the submatrix
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = S[i][j]
-                if a and (best is None or abs(a) < best):
-                    best = abs(a)
-                    piv = (i, j)
+        # the nonzero entry of smallest magnitude in the submatrix, first
+        # in row-major order among ties
+        piv = min(
+            ((abs(a), i, j) for i in range(t, m) for j, a in enumerate(S[i][t:], t) if a),
+            default=None,
+        )
         if piv is None:
             break
-        i, j = piv
+        _, i, j = piv
         if i != t:
             swap_rows(t, i)
         if j != t:
@@ -106,14 +106,9 @@ def smith_normal_form(A):
             continue
         # divisibility: pivot must divide every remaining entry
         p = S[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next(
+            (i for i in range(t + 1, m) if any(a % p for a in S[i][t + 1 :])), None
+        )
         if offender is not None:
             add_row(t, offender, 1)
             continue

@@ -1,0 +1,229 @@
+"""Slow paths kept as oracles for the integer kernels of cohomology and
+snf, and for the extension table.
+
+Each function here is the version the library replaced, kept verbatim in
+its arithmetic: the nested-loop Smith normal form, the dense mat_vec, the
+column-major congruence lattice, the extension product on module tuples
+and the table built from |E|^2 calls to it, and extend_automorphism
+factoring [D1 | diag(moduli)] on every call.  test_fast_paths.py and
+test_extension_table.py assert that the library returns identical
+results.
+"""
+
+from math import gcd
+
+from belyilab import cohomology
+from belyilab.groups import TableGroup, preserves_products
+from belyilab.snf import identity_matrix
+
+
+def mat_vec(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def smith_normal_form(A):
+    """(diag, U, Uinv, V) with U*A*V diagonal, pivoting on the first entry
+    of smallest magnitude in row-major order."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    S = [row[:] for row in A]
+    U, Uinv = identity_matrix(m), identity_matrix(m)
+    V = identity_matrix(n)
+
+    def swap_rows(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
+        for r in Uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        for r in S:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(i, j, c):
+        S[i] = [a + c * b for a, b in zip(S[i], S[j])]
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        for r in Uinv:
+            r[j] -= c * r[i]
+
+    def add_col(i, j, c):
+        for r in S:
+            r[i] += c * r[j]
+        for r in V:
+            r[i] += c * r[j]
+
+    def negate_row(i):
+        S[i] = [-a for a in S[i]]
+        U[i] = [-a for a in U[i]]
+        for r in Uinv:
+            r[i] = -r[i]
+
+    t = 0
+    size = min(m, n)
+    while t < size:
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                a = S[i][j]
+                if a and (best is None or abs(a) < best):
+                    best = abs(a)
+                    piv = (i, j)
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            swap_rows(t, i)
+        if j != t:
+            swap_cols(t, j)
+        if S[t][t] < 0:
+            negate_row(t)
+        dirty = False
+        p = S[t][t]
+        for i in range(t + 1, m):
+            if S[i][t]:
+                q = S[i][t] // p
+                if q:
+                    add_row(i, t, -q)
+                if S[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if S[t][j]:
+                q = S[t][j] // p
+                if q:
+                    add_col(j, t, -q)
+                if S[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        p = S[t][t]
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if S[i][j] % p:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        t += 1
+
+    diag = [S[i][i] for i in range(size)]
+    return diag, U, Uinv, V
+
+
+def solve_from_snf(snf, b):
+    diag, U, _, V = snf
+    y = mat_vec(U, b)
+    z = [0] * len(V)
+    for i, v in enumerate(y):
+        d = diag[i] if i < len(diag) else 0
+        if d:
+            if v % d:
+                return None
+            z[i] = v // d
+        elif v:
+            return None
+    return mat_vec(V, z)
+
+
+def congruence_lattice_columns(n, rows):
+    """The basis vectors of {x in Z^n : row . x = 0 mod m}, one list per
+    basis vector."""
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    for row, m in rows:
+        w = []
+        for col in cols:
+            w.append(sum(coeff * col[v] for v, coeff in row.items()))
+        if all(x % m == 0 for x in w):
+            continue
+        while True:
+            nz = [j for j in range(len(w)) if w[j]]
+            if len(nz) <= 1:
+                break
+            j0 = min(nz, key=lambda j: abs(w[j]))
+            for j in nz:
+                if j == j0:
+                    continue
+                q = w[j] // w[j0]
+                if q:
+                    w[j] -= q * w[j0]
+                    cj, c0 = cols[j], cols[j0]
+                    for t in range(n):
+                        cj[t] -= q * c0[t]
+        j0 = next(j for j in range(len(w)) if w[j])
+        t = m // gcd(w[j0], m)
+        cols[j0] = [x * t for x in cols[j0]]
+    return cols
+
+
+def congruence_lattice(n, rows):
+    """The columns above as the n x n matrix h2 expects."""
+    cols = congruence_lattice_columns(n, rows)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def use_slow_kernels(monkeypatch):
+    """Route cohomology's SNF, solve, mat_vec and congruence lattice
+    through the oracles above for the rest of a test."""
+    monkeypatch.setattr(cohomology, "smith_normal_form", smith_normal_form)
+    monkeypatch.setattr(cohomology, "solve_from_snf", solve_from_snf)
+    monkeypatch.setattr(cohomology, "mat_vec", mat_vec)
+    monkeypatch.setattr(cohomology, "_congruence_lattice", congruence_lattice)
+
+
+def mult(E, a, b):
+    """The product (h1, m1)(h2, m2) = (h1 h2, m1 + h1.m2 + beta(h1, h2))
+    in the extension E, computed on module tuples."""
+    (h1, m1), (h2, m2) = a, b
+    M = E.module
+    return (M.T.table[h1][h2], M.add(M.add(m1, M.apply(h1, m2)), E.beta(h1, h2)))
+
+
+def table_from_elements(elements, identity, mult):
+    """Table of the group formed by hashable elements under mult, with
+    the identity as 0 and the rest in the given order."""
+    names = [identity] + [e for e in elements if e != identity]
+    pos = {e: i for i, e in enumerate(names)}
+    return TableGroup([[pos[mult(a, b)] for b in names] for a in names], names=names)
+
+
+def extension_table(E):
+    """E's Cayley table from |E|^2 calls to mult."""
+    pairs = E.group.names
+    return table_from_elements(pairs, pairs[0], lambda a, b: mult(E, a, b))
+
+
+def extend_automorphism(gamma, E):
+    """extend_automorphism with [D1 | diag(moduli)] built and factored on
+    every call."""
+    M = E.module
+    shape = M.shape
+    k = M.k
+    n = M.T.n
+    n2 = (n - 1) ** 2 * k
+    cochain = [M.zero()] * n
+    if n2 > 0:
+        delta = cohomology._flatten(
+            [
+                [M.sub(cohomology._mat_apply(gamma, val, shape), val) for val in row]
+                for row in E.beta.table
+            ]
+        )
+        stacked = cohomology._coboundary_system(M)
+        sol = solve_from_snf(smith_normal_form(stacked), delta)
+        if sol is None:
+            return None
+        for h in range(1, n):
+            cochain[h] = M.reduce(sol[(h - 1) * k : h * k])
+    T = E.group
+    f = [
+        T.index[(h, M.add(cohomology._mat_apply(gamma, m, shape), cochain[h]))]
+        for h, m in T.names
+    ]
+    assert len(set(f)) == E.order and preserves_products(f, T, T)
+    return {E.elements[a]: E.elements[b] for a, b in enumerate(f)}

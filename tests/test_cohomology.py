@@ -341,3 +341,57 @@ class TestLiftingEquivalence:
             for beta in all_classes(M, data):
                 E = build_extension(M, beta)
                 assert data.class_of(extension_class(E)) == data.class_of(beta)
+
+
+class TestTrustedCocycles:
+    def test_sums_multiples_and_pushes_pass_the_full_check(self):
+        # __add__, scale and apply_aut skip the cocycle identity; the
+        # checked constructor accepts each of their tables
+        from belyilab.corpus import _module_corpus
+
+        for M in _module_corpus():
+            data = h2(M)
+            reps = all_classes(M, data)
+            made = [r.scale(s) for r in reps for s in (0, 2, 3)]
+            made += [a + b for a in reps for b in data.basis]
+            made += [apply_aut(g, r) for g in aut_h(M) for r in reps]
+            for r in made:
+                assert Cocycle2(M, r.table) == r
+
+    def test_apply_aut_rejects_non_equivariant_matrices(self):
+        H = cyclic_group(2)
+        M = FiniteHModule.from_generator_matrices(H, (2, 2), [[[0, 1], [1, 0]]])
+        with pytest.raises(PreconditionError, match="H-equivariant"):
+            apply_aut(((1, 1), (0, 1)), Cocycle2.zero(M))
+        with pytest.raises(PreconditionError, match="H-equivariant"):
+            apply_aut(((1, 1), (1, 1)), Cocycle2.zero(M))
+
+
+class TestClassOfModule:
+    def test_coboundary_of_another_action_is_rejected(self):
+        # a coboundary for Z/3 acting by [[0,1],[1,1]] on (Z/2)^2 is not a
+        # cocycle of the trivial module of the same shape
+        H = cyclic_group(3)
+        M = FiniteHModule.from_generator_matrices(H, (2, 2), [[[0, 1], [1, 1]]])
+        c = [(0, 0), (1, 0), (0, 1)]
+        t = M.T.table
+        table = [
+            [M.sub(M.add(M.apply(a, c[b]), c[a]), c[t[a][b]]) for b in range(3)]
+            for a in range(3)
+        ]
+        beta = Cocycle2(M, table)
+        with pytest.raises(PreconditionError, match="different module"):
+            h2(FiniteHModule.trivial(H, (2, 2))).class_of(beta)
+
+    def test_sign_cocycle_is_rejected_by_the_trivial_module(self):
+        H = cyclic_group(2)
+        M = sign_module(H, 4)
+        beta = Cocycle2(M, sparse_table(M, {(1, 1): (2,)}))
+        with pytest.raises(PreconditionError, match="different module"):
+            h2(FiniteHModule.trivial(H, (4,))).class_of(beta)
+
+    def test_equal_module_built_twice_is_accepted(self):
+        H = cyclic_group(2)
+        M, N = sign_module(H, 4), sign_module(H, 4)
+        beta = Cocycle2(N, sparse_table(N, {(1, 1): (2,)}))
+        assert h2(M).class_of(beta) == h2(N).class_of(beta)

@@ -11,6 +11,7 @@ from belyilab.groups import (
     map_from_generators,
 )
 from belyilab.permgroup import Permutation, generate, greedy_generators
+from slow_paths import table_from_elements
 
 
 def perm(n, *cycles):
@@ -59,11 +60,17 @@ class TestTableGroup:
     def test_from_permgroup_matches_permutation_products(self, gens):
         G = generate(gens)
         T = TableGroup.from_permgroup(G)
-        slow = TableGroup.from_elements(G.elements, G.identity(), operator.mul)
+        slow = table_from_elements(G.elements, G.identity(), operator.mul)
         assert T.names == slow.names == G.elements
         assert T.table == slow.table
         assert T.index == slow.index
         assert TableGroup.from_permgroup(G) is T
+
+    def test_from_permgroup_degree_zero(self):
+        # the group on no points is trivial; the CLI accepts it as a group
+        G = generate([Permutation([])])
+        T = TableGroup.from_permgroup(G)
+        assert T.table == ((0,),) and T.names == G.elements
 
     def test_closure_and_generation(self):
         T = cyclic_table(6)

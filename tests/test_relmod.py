@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from belyilab.cohomology import Cocycle2, h2
+from belyilab.cohomology import Cocycle2, build_extension, h2
 from belyilab.errors import PreconditionError
+from belyilab.groups import automorphisms
 from belyilab.permgroup import (
     Permutation,
     PermGroup,
@@ -15,6 +16,7 @@ from belyilab.permgroup import (
 )
 from belyilab.relmod import (
     FreeWord,
+    _h_fixing_automorphisms,
     extension_cocycle,
     rational_character,
     reduce_mod,
@@ -252,3 +254,44 @@ class TestMainTheorem:
         rm = schreier_data(H, padded_generators(H, 2))
         with pytest.raises(PreconditionError):
             verify_main_theorem(rm, 2)
+
+
+def fixing_cases():
+    """(H, images, m): the golden --verify-main cases (the CLI pads the
+    group's generators with identities up to the rank) and instances like
+    the benchmark's, with a relabelled Z/3 sent to the square of its
+    generator."""
+    z2, z3, z4, z5 = (cyclic_group(n) for n in (2, 3, 4, 5))
+    trivial = trivial_group(1)
+    relabelled = generate([perm(3, (2, 1, 3))])
+    return [
+        (z2, [z2.generators[0], z2.identity()], 2),
+        (z3, [z3.generators[0]], 3),
+        (z4, [z4.generators[0]], 8),
+        (z5, [z5.generators[0]], 9),
+        (z2, [z2.generators[0]], 32),
+        (trivial, [trivial.identity()], 2),
+        (trivial, [trivial.identity()], 3),
+        (trivial, [trivial.identity()], 4),
+        (z3, [z3.generators[0]], 2),
+        (z3, [z3.generators[0]], 4),
+        (relabelled, [relabelled.generators[0] ** 2], 4),
+    ]
+
+
+@pytest.mark.parametrize("H, images, m", fixing_cases())
+def test_fiber_search_finds_the_h_fixing_automorphisms(H, images, m):
+    # P is generated by the images of x_1..x_d, so searching each one's
+    # H-fiber finds exactly the automorphisms of P that fix H pointwise
+    rm = schreier_data(H, images)
+    beta = extension_cocycle(rm, m)
+    E = build_extension(beta.module, beta)
+    T = E.group
+    brute = [
+        f
+        for f in automorphisms(T)
+        if all(T.names[f[a]][0] == T.names[a][0] for a in range(T.n))
+    ]
+    found = _h_fixing_automorphisms(rm, E, m)
+    assert len(found) == len(brute) > 0
+    assert set(map(tuple, found)) == set(map(tuple, brute))
