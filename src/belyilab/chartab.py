@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .cyclotomic import Cyclotomic, factorint, isprime
+from .cyclotomic import Cyclotomic, prime_1_mod, root_of_unity_mod
 from .errors import InternalError, PreconditionError
 from .permgroup import PermGroup
 
@@ -23,28 +23,6 @@ class TableError(InternalError):
 
 
 _SCALE_LIMIT = 2000
-
-
-def _choose_prime(N, order, nclasses):
-    """Smallest p = 1 (mod N) exceeding both 2*sqrt(order) and the matrix
-    sizes, so degrees are determined and Faddeev divisions stay legal."""
-    lower = max(2 * isqrt(order) + 1, order, nclasses, 2)
-    p = N + 1
-    while p <= lower or not isprime(p):
-        p += N
-    return p
-
-
-def _primitive_root_of_unity(p, N):
-    """A fixed element of multiplicative order N in F_p (needs N | p-1)."""
-    assert (p - 1) % N == 0
-    factors = list(factorint(p - 1))
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            break
-        g += 1
-    return pow(g, (p - 1) // N, p)
 
 
 def _row_reduce_mod(A, ncols, p):
@@ -84,16 +62,6 @@ def _nullspace_mod(M, p):
             v[pc] = (-A[ri][fc]) % p
         basis.append(v)
     return basis
-
-
-def _solve_mod(B, w, p):
-    """Solve B x = w over F_p, B given as list of column vectors."""
-    cols = len(B)
-    A = [[B[j][i] % p for j in range(cols)] + [w[i] % p] for i in range(len(B[0]))]
-    x = [0] * cols
-    for ri, pc in enumerate(_row_reduce_mod(A, cols, p)):
-        x[pc] = A[ri][cols]
-    return x
 
 
 def _charpoly_mod(R, p):
@@ -148,7 +116,9 @@ class CharacterTable:
         classes = self.classes
         r = len(classes)
         N = self.exponent
-        p = _choose_prime(N, G.order, r)
+        # p > |G| keeps Faddeev's divisions legal on r <= |G| classes, and
+        # p > 2*sqrt(|G|) determines each degree from its square mod p
+        p = prime_1_mod(N, max(2 * isqrt(G.order) + 1, G.order))
         self._prime = p
 
         # bucket the elements by class
@@ -182,12 +152,13 @@ class CharacterTable:
                     new_spaces.append(B)
                     continue
                 dim = len(B)
-                # restriction of M to span(B): column t is M*B[t] in B-coordinates
-                images = []
-                for v in B:
-                    w = [sum(M[j][k] * v[k] for k in range(r)) % p for j in range(r)]
-                    images.append(_solve_mod(B, w, p))
-                R = [[images[t][s] for t in range(dim)] for s in range(dim)]
+                # restriction of M to span(B): reducing [B | M*B], vectors as
+                # columns, leaves M*B[t] in B-coordinates in column dim + t
+                MB = [[sum(M[j][k] * v[k] for k in range(r)) % p for j in range(r)] for v in B]
+                A = [list(row) for row in zip(*B, *MB)]
+                if _row_reduce_mod(A, dim, p) != list(range(dim)):
+                    raise TableError("eigenspace basis is not independent")
+                R = [row[dim:] for row in A[:dim]]
                 total = 0
                 for lam in _poly_roots_mod(_charpoly_mod(R, p), p):
                     shifted = [row[:] for row in R]
@@ -212,7 +183,7 @@ class CharacterTable:
         order_mod = G.order % p
         rows = []
         degrees = []
-        z = _primitive_root_of_unity(p, N)
+        z = root_of_unity_mod(p, N)
         orders = [rep.order() for rep, _ in classes]
         for (vec,) in spaces:
             # normalize so the identity-class coordinate is 1

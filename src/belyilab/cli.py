@@ -269,7 +269,7 @@ def _cmd_gaschuetz(args):
     psi_images = _parse_permutations(_load_json(args.psi), "psi")
     if len(psi_images) != len(G1.generators):
         raise PreconditionError("psi must list one image per generator of G1")
-    psi = dict(zip(G1.generators, psi_images))
+    psi = list(zip(G1.generators, psi_images))
     S2 = _parse_permutations(_load_json(args.tuple), "the tuple")
     if not all(g in G2 for g in psi_images + S2):
         raise PreconditionError("the images of psi and the tuple must lie in G2")

@@ -11,13 +11,14 @@ component moduli, n2 = (|H|-1)^2 * k, with the value at positions (i, j),
 i, j >= 1, in block (i-1)(|H|-1) + j-1.  The cocycle conditions are
 congruences, so Z^2 lifts to a finite-index lattice L in Z^n2.
 H^2 = L / (coboundaries + moduli) is read off from two Smith normal forms,
-and the tracked transforms give explicit basis cocycles, class
-coordinates for arbitrary cocycles, and explicit 1-cochains when an
-automorphism of the module extends to the corresponding extension group.
-h2 factors its lattices on every call.  extend_automorphism solves with
-its own factorization of [D1 | diag(moduli)], cached per module
-(FiniteHModule.coboundary_snf), so "gamma extends iff it fixes the class"
-compares two independent computations.  snf.mat_vec skips zero entries.
+of a basis B of L and of the coboundaries and moduli Y in B-coordinates,
+U Y V = diag(d): row i of U gives class coordinate i, and basis cocycle i
+is B Y V e_i / d_i (column i of U^-1, which is never formed).  h2 factors
+its lattices on every call.  extend_automorphism finds the 1-cochain by
+which an automorphism of the module extends with its own factorization of
+[D1 | diag(moduli)], cached per module (FiniteHModule.coboundary_snf), so
+"gamma extends iff it fixes the class" compares two independent
+computations.  snf.mat_vec skips zero entries.
 """
 
 from __future__ import annotations
@@ -392,7 +393,7 @@ def h2(M: FiniteHModule) -> H2Data:
             raise InternalError("coboundary escapes the cocycle lattice")
         Y.append(y)
     Ymat = [list(row) for row in zip(*Y)]
-    diag, U2, Uinv2, _ = smith_normal_form(Ymat)
+    diag, U2, V2 = smith_normal_form(Ymat)
     if len(diag) < n2 or any(d == 0 for d in diag):
         raise InternalError("H^2 is not finite at finite level")
 
@@ -412,7 +413,9 @@ def h2(M: FiniteHModule) -> H2Data:
     basis = []
     zero = M.zero()
     for pos_i in keep:
-        x = mat_vec(B, [Uinv2[r][pos_i] for r in range(n2)])
+        # column pos_i of U2^-1 is Ymat V2 e_i / d_i, since U2 Ymat V2 = diag(d)
+        d = diag[pos_i]
+        x = mat_vec(B, [v // d for v in mat_vec(Ymat, [row[pos_i] for row in V2])])
         cells = [x[v : v + k] for v in range(0, n2, k)]
         rows = [[zero] + cells[i : i + n - 1] for i in range(0, len(cells), n - 1)]
         basis.append(Cocycle2(M, [[zero] * n] + rows))

@@ -7,14 +7,16 @@ character-table work) and never minimized; equality is coordinate equality
 at equal conductors.
 
 The elementary number theory the package needs (factorization, Euler phi,
-primality, cyclotomic polynomials) lives here too, in plain integers.
+primality, cyclotomic polynomials, primes p = 1 (mod N), elements of order
+N in F_p, and fold, power-basis coordinates of a sum of powers of zeta_N)
+lives here too, in plain integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InternalError
 
@@ -69,6 +71,26 @@ def isprime(n):
     return True
 
 
+def prime_1_mod(N, bound):
+    """The least prime p = 1 (mod N) with p > bound."""
+    p = N + 1
+    while p <= bound or not isprime(p):
+        p += N
+    return p
+
+
+def root_of_unity_mod(p, N):
+    """A fixed element of multiplicative order N in F_p (needs N | p-1):
+    the least primitive root mod p raised to the power (p-1)/N."""
+    if (p - 1) % N:
+        raise InternalError("F_%d has no element of order %d" % (p, N))
+    factors = list(factorint(p - 1))
+    g = 1  # the primitive root mod 2; every larger p skips it
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return pow(g, (p - 1) // N, p)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(N):
     """Integer coefficients of the N-th cyclotomic polynomial, constant term
@@ -114,6 +136,26 @@ def _power_table(N):
                 nxt[i] += ov * top[i]
         table.append(tuple(nxt))
     return tuple(table)
+
+
+def fold(N, terms):
+    """Power-basis coordinates of the sum of c * zeta_N^e over the (e, c)
+    pairs in terms, by division by the monic Phi_N in integers over a
+    common denominator: O(N) memory, not the N * phi(N) of a power table."""
+    coeffs = cyclotomic_coeffs(N)
+    k = len(coeffs) - 1
+    low = [(j, a) for j, a in enumerate(coeffs[:k]) if a]
+    terms = [(e, Fraction(c)) for e, c in terms if c]
+    den = lcm(*(c.denominator for _, c in terms))
+    rem = [0] * N
+    for e, c in terms:
+        rem[e % N] += c.numerator * (den // c.denominator)
+    for i in range(N - 1, k - 1, -1):
+        c = rem[i]
+        if c:
+            for j, a in low:
+                rem[i - k + j] -= c * a
+    return [Fraction(c, den) for c in rem[:k]]
 
 
 class Cyclotomic:
@@ -212,17 +254,7 @@ class Cyclotomic:
         N = self.conductor
         if gcd(k, N) != 1:
             raise ValueError("k = %d is not prime to the conductor %d" % (k, N))
-        table = _power_table(N)
-        phi = len(self.coords)
-        acc = [Fraction(0)] * phi
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            row = table[(i * k) % N]
-            for t, r in enumerate(row):
-                if r:
-                    acc[t] += a * r
-        return Cyclotomic(N, acc)
+        return Cyclotomic(N, fold(N, ((i * k, a) for i, a in enumerate(self.coords))))
 
     def conj(self):
         """Complex conjugation zeta -> zeta^-1."""
@@ -238,17 +270,7 @@ class Cyclotomic:
         if L % N:
             raise ValueError("cannot lift conductor %d into %d" % (N, L))
         step = L // N
-        table = _power_table(L)
-        phi = phi_of(L)
-        acc = [Fraction(0)] * phi
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            row = table[(i * step) % L]
-            for t, r in enumerate(row):
-                if r:
-                    acc[t] += a * r
-        return Cyclotomic(L, acc)
+        return Cyclotomic(L, fold(L, ((i * step, a) for i, a in enumerate(self.coords))))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -13,10 +13,15 @@ converted to tables internally and witnesses are translated back.
 from __future__ import annotations
 
 import itertools
+from math import prod
 
 from .errors import InternalError, PreconditionError
 from .groups import TableGroup, map_from_generators, preserves_products
 from .permgroup import PermGroup
+
+# the most tuples count_lifts enumerates (the product of the fiber sizes);
+# S4 onto the trivial group with d = 4 is 331,776 tuples and about 2.5 s
+_COUNT_LIMIT = 10**6
 
 
 def _as_table(G):
@@ -30,7 +35,12 @@ def _as_table(G):
 
 
 class SurjectionProblem:
-    """A surjection psi: G1 -> G2 together with a generating tuple of G2."""
+    """A surjection psi: G1 -> G2 together with a generating tuple of G2.
+
+    psi is a callable on G1, or a dict or a list of (generator, image)
+    pairs whose generators generate G1; every listed pair must hold in
+    the homomorphism they define.
+    """
 
     def __init__(self, G1, G2, psi, S2):
         self.T1, self.to1, self.from1 = _as_table(G1)
@@ -39,11 +49,12 @@ class SurjectionProblem:
             full = [self.to2(psi(self.from1(a))) for a in range(self.T1.n)]
             message = "psi is not a homomorphism"
         else:
-            gens = [self.to1(g) for g in psi]
-            images = [self.to2(psi[g]) for g in psi]
+            pairs = list(psi.items() if isinstance(psi, dict) else psi)
+            gens = [self.to1(g) for g, _ in pairs]
+            images = [self.to2(y) for _, y in pairs]
             full = map_from_generators(self.T1, self.T2, gens, images)
             message = "psi does not extend to a homomorphism"
-        if not preserves_products(full, self.T1, self.T2):
+        if full is None or not preserves_products(full, self.T1, self.T2):
             raise PreconditionError(message)
         if len(set(full)) != self.T2.n:
             raise PreconditionError("psi is not surjective")
@@ -93,9 +104,16 @@ def lift_generators(p: SurjectionProblem):
 
 
 def count_lifts(p: SurjectionProblem) -> int:
-    """The number of generating tuples of G1 over S2."""
+    """The number of generating tuples of G1 over S2, refused before the
+    search when the fibers hold more than _COUNT_LIMIT tuples."""
+    fibers = p.fibers()
+    space = prod(map(len, fibers))
+    if space > _COUNT_LIMIT:
+        raise PreconditionError(
+            "lift count search too large: %d tuples > %d" % (space, _COUNT_LIMIT)
+        )
     count = 0
-    for tup in itertools.product(*p.fibers()):
+    for tup in itertools.product(*fibers):
         if p.T1.generates(list(tup)):
             count += 1
     return count

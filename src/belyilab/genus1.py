@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import cyclotomic_coeffs, factorint, isprime, phi_of
+from .cyclotomic import fold, phi_of, prime_1_mod, root_of_unity_mod
 from .errors import InternalError, PreconditionError
 from .permgroup import Permutation
 
@@ -132,22 +132,8 @@ def j_invariant_degree(t) -> int:
         raise InternalError("unit count disagrees with Euler phi")
 
     # mod-q prefilter: map zeta to an element of exact order t in F_q
-    k = 2
-    while True:
-        q = k * t + 1
-        k += 1
-        if not isprime(q):
-            continue
-        r = None
-        for c in range(2, q):
-            cand = pow(c, (q - 1) // t, q)
-            if cand != 1 and all(
-                pow(cand, t // p, q) != 1 for p in factorint(t)
-            ):
-                r = cand
-                break
-        if r is not None:
-            break
+    q = prime_1_mod(t, t)
+    r = root_of_unity_mod(q, t)
     powers = {a: pow(r, a, q) for a in range(t)}
 
     def jnum_mod(a):
@@ -165,7 +151,7 @@ def j_invariant_degree(t) -> int:
 
     # exact confirmation of every surviving stabilizer candidate: the
     # cross-multiplied difference, computed with integer coefficients in
-    # Z[x]/(x^t - 1), must be divisible by the t-th cyclotomic polynomial
+    # Z[x]/(x^t - 1), must vanish at zeta_t
     num1_p, den1_p = _j_parts_poly(1, t)
     stab = []
     for a in survivors:
@@ -174,7 +160,7 @@ def j_invariant_degree(t) -> int:
             u - v
             for u, v in zip(_poly_mul(num_a, den1_p, t), _poly_mul(num1_p, den_a, t))
         ]
-        if _cyclotomic_divides(diff, t):
+        if not any(fold(t, enumerate(diff))):
             stab.append(a)
     if 1 not in stab:
         raise InternalError("the identity is missing from the stabilizer")
@@ -208,19 +194,3 @@ def _j_parts_poly(a, t):
     sq[(2 * a) % t] = 1
     den = _poly_mul(sq, _poly_mul(lin, lin, t), t)
     return num, den
-
-
-def _cyclotomic_divides(coeffs, t):
-    """Whether the t-th cyclotomic polynomial divides the given integer
-    polynomial (equality test in Z[zeta_t])."""
-    phi = cyclotomic_coeffs(t)
-    rem = list(coeffs)
-    deg_phi = len(phi) - 1
-    # synthetic division by a monic integer polynomial
-    for i in range(len(rem) - 1, deg_phi - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(deg_phi + 1):
-                rem[i - deg_phi + j] -= c * phi[j]
-    return all(v == 0 for v in rem)
-

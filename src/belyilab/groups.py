@@ -110,7 +110,10 @@ def preserves_products(f, src: TableGroup, dst: TableGroup):
 
 def map_from_generators(src: TableGroup, dst: TableGroup, gens, images):
     """The image list sending each element of src, written as a word in
-    gens, to that word in images; a homomorphism exactly when
+    gens, to that word in images, or None if it does not send every
+    listed generator to its listed image (the word tree reads one image
+    per element, so an identity or a repeated generator listed with
+    another image is caught only here); a homomorphism exactly when
     preserves_products says so."""
     tree = orbit(0, gens, src.mult)
     if len(tree) != src.n:
@@ -119,14 +122,14 @@ def map_from_generators(src: TableGroup, dst: TableGroup, gens, images):
     for b, edge in tree.items():
         if edge is not None:
             out[b] = dst.table[out[edge[0]]][images[edge[1]]]
-    return out
+    return out if all(out[g] == y for g, y in zip(gens, images)) else None
 
 
 def homomorphism_from_generators(src: TableGroup, dst: TableGroup, gens, images):
     """The homomorphism src -> dst sending gens to images, as an image
     list, or None if no such homomorphism exists."""
     out = map_from_generators(src, dst, gens, images)
-    return out if preserves_products(out, src, dst) else None
+    return out if out is not None and preserves_products(out, src, dst) else None
 
 
 def automorphisms(T: TableGroup):

@@ -1,10 +1,11 @@
 """Integer matrix utilities: Smith normal form with unimodular transforms
 and integer linear solving.
 
-Implemented in-house because we need the transform matrices (and the
-inverse of the row transform) to produce kernel bases, cocycle class
-coordinates, and explicit cochain solutions; library normal forms expose
-only the diagonal.
+Implemented in-house because we need the transform matrices to produce
+kernel bases, cocycle class coordinates, and explicit cochain solutions;
+library normal forms expose only the diagonal.  The row transform U and
+the column transform V suffice: where a caller needs a column of U^-1 it
+reads it off A*V, since U*A*V = diag(d).
 Matrices are lists of lists of Python ints, at most a few hundred rows.
 The right-hand sides h2 and extend_automorphism solve for are mostly a
 modulus times a unit vector, so mat_vec skips the zero entries of v; the
@@ -26,33 +27,19 @@ def mat_vec(A, v):
 def smith_normal_form(A):
     """Smith normal form with transforms.
 
-    Returns (diag, U, Uinv, V) where U*A*V = S, S diagonal with
+    Returns (diag, U, V) where U*A*V = S, S diagonal with
     diag[i] = S[i][i] >= 0 and diag[i] | diag[i+1]; U, V unimodular.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    S = [row[:] for row in A]
-    U, Uinv = identity_matrix(m), identity_matrix(m)
+    # row i of S is row i of A followed by row i of U, so each row
+    # operation transforms both with one list operation
+    S = [row + e for row, e in zip(A, identity_matrix(m))]
     V = identity_matrix(n)
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        for r in S:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
 
     def add_row(i, j, c):
         # row_i += c * row_j
         S[i] = [a + c * b for a, b in zip(S[i], S[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-        for r in Uinv:
-            r[j] -= c * r[i]
 
     def add_col(i, j, c):
         # col_i += c * col_j
@@ -61,30 +48,26 @@ def smith_normal_form(A):
         for r in V:
             r[i] += c * r[j]
 
-    def negate_row(i):
-        S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
-
     t = 0
     size = min(m, n)
     while t < size:
         # the nonzero entry of smallest magnitude in the submatrix, first
         # in row-major order among ties
         piv = min(
-            ((abs(a), i, j) for i in range(t, m) for j, a in enumerate(S[i][t:], t) if a),
+            ((abs(a), i, j) for i in range(t, m) for j, a in enumerate(S[i][t:n], t) if a),
             default=None,
         )
         if piv is None:
             break
         _, i, j = piv
-        if i != t:
-            swap_rows(t, i)
+        S[t], S[i] = S[i], S[t]
         if j != t:
-            swap_cols(t, j)
+            for r in S:
+                r[t], r[j] = r[j], r[t]
+            for r in V:
+                r[t], r[j] = r[j], r[t]
         if S[t][t] < 0:
-            negate_row(t)
+            S[t] = [-a for a in S[t]]
         # clear the pivot row and column; restart if a remainder survives
         dirty = False
         p = S[t][t]
@@ -105,9 +88,8 @@ def smith_normal_form(A):
         if dirty:
             continue
         # divisibility: pivot must divide every remaining entry
-        p = S[t][t]
         offender = next(
-            (i for i in range(t + 1, m) if any(a % p for a in S[i][t + 1 :])), None
+            (i for i in range(t + 1, m) if any(a % p for a in S[i][t + 1 : n])), None
         )
         if offender is not None:
             add_row(t, offender, 1)
@@ -115,13 +97,13 @@ def smith_normal_form(A):
         t += 1
 
     diag = [S[i][i] for i in range(size)]
-    return diag, U, Uinv, V
+    return diag, [row[n:] for row in S], V
 
 
 def solve_from_snf(snf, b):
     """One integer solution x of A x = b, or None, given
     snf = smith_normal_form(A)."""
-    diag, U, _, V = snf
+    diag, U, V = snf
     y = mat_vec(U, b)
     z = [0] * len(V)
     for i, v in enumerate(y):

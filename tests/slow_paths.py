@@ -2,7 +2,8 @@
 snf, and for the extension table.
 
 Each function here is the version the library replaced, kept verbatim in
-its arithmetic: the nested-loop Smith normal form, the dense mat_vec, the
+its arithmetic: the nested-loop Smith normal form (which also tracks the
+inverse of its row transform, U^-1), the dense mat_vec, the
 column-major congruence lattice, the extension product on module tuples
 and the table built from |E|^2 calls to it, and extend_automorphism
 factoring [D1 | diag(moduli)] on every call.  test_fast_paths.py and
@@ -116,8 +117,14 @@ def smith_normal_form(A):
     return diag, U, Uinv, V
 
 
+def smith_normal_form_3(A):
+    """The oracle's (diag, U, V), the library's return shape."""
+    diag, U, _, V = smith_normal_form(A)
+    return diag, U, V
+
+
 def solve_from_snf(snf, b):
-    diag, U, _, V = snf
+    diag, U, V = snf
     y = mat_vec(U, b)
     z = [0] * len(V)
     for i, v in enumerate(y):
@@ -170,7 +177,7 @@ def congruence_lattice(n, rows):
 def use_slow_kernels(monkeypatch):
     """Route cohomology's SNF, solve, mat_vec and congruence lattice
     through the oracles above for the rest of a test."""
-    monkeypatch.setattr(cohomology, "smith_normal_form", smith_normal_form)
+    monkeypatch.setattr(cohomology, "smith_normal_form", smith_normal_form_3)
     monkeypatch.setattr(cohomology, "solve_from_snf", solve_from_snf)
     monkeypatch.setattr(cohomology, "mat_vec", mat_vec)
     monkeypatch.setattr(cohomology, "_congruence_lattice", congruence_lattice)
@@ -215,7 +222,7 @@ def extend_automorphism(gamma, E):
             ]
         )
         stacked = cohomology._coboundary_system(M)
-        sol = solve_from_snf(smith_normal_form(stacked), delta)
+        sol = solve_from_snf(smith_normal_form_3(stacked), delta)
         if sol is None:
             return None
         for h in range(1, n):

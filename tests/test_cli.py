@@ -316,6 +316,33 @@ class TestGaschuetz:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "g1_gens, psi_images",
+        [
+            # the identity listed as a generator, sent to a 3-cycle
+            ([[2, 3, 1], [1, 2, 3]], [[2, 3, 1], [3, 1, 2]]),
+            # one generator listed twice, with two different images
+            ([[2, 3, 1], [2, 3, 1]], [[1, 2, 3], [2, 3, 1]]),
+            ([[2, 3, 1], [2, 3, 1]], [[2, 3, 1], [1, 2, 3]]),
+        ],
+    )
+    def test_psi_pair_that_does_not_hold(self, capsys, tmp_path, g1_gens, psi_images):
+        g1 = write_json(tmp_path, "g1.json", {"generators": g1_gens})
+        g2 = write_json(tmp_path, "z3.json", {"generators": [[2, 3, 1]]})
+        psi = write_json(tmp_path, "psi.json", psi_images)
+        tup = write_json(tmp_path, "tup.json", [[2, 3, 1]])
+        argv = ["--json", "gaschuetz", "lift", "--g1", g1, "--g2", g2, "--psi", psi]
+        refused_quickly(capsys, argv + ["--tuple", tup], "psi does not extend")
+
+    def test_count_search_refused(self, capsys, tmp_path):
+        # S4 onto the trivial group over six identities: 24^6 tuples
+        g1 = write_json(tmp_path, "s4.json", {"generators": [[2, 1, 3, 4], [2, 3, 4, 1]]})
+        g2 = write_json(tmp_path, "one.json", {"generators": [[1, 2, 3, 4]]})
+        psi = write_json(tmp_path, "psi.json", [[1, 2, 3, 4]] * 2)
+        tup = write_json(tmp_path, "tup.json", [[1, 2, 3, 4]] * 6)
+        argv = ["--json", "gaschuetz", "lift", "--g1", g1, "--g2", g2, "--psi", psi]
+        refused_quickly(capsys, argv + ["--tuple", tup], "lift count search too large")
+
     def test_s8_refused_before_its_table(self, capsys, tmp_path):
         # S8 onto Z/2 by the sign: a table of S8 would hold 1.6e9 entries
         s8 = {"generators": [[2, 1, 3, 4, 5, 6, 7, 8], [2, 3, 4, 5, 6, 7, 8, 1]]}

@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from belyilab.cyclotomic import Cyclotomic, phi_of
+from belyilab.cyclotomic import (
+    Cyclotomic,
+    factorint,
+    fold,
+    phi_of,
+    prime_1_mod,
+    root_of_unity_mod,
+)
 
 
 def zeta(N, k=1):
@@ -78,3 +85,34 @@ def test_ring_axioms_q_zeta5(a, b, c):
 
 def test_phi_of():
     assert [phi_of(n) for n in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
+
+
+class TestModularRoots:
+    def test_exact_order_up_to_200(self):
+        for N in range(1, 201):
+            for bound in (0, N, 2 * N * N):
+                p = prime_1_mod(N, bound)
+                assert p > bound and (p - 1) % N == 0
+                z = root_of_unity_mod(p, N)
+                assert pow(z, N, p) == 1
+                assert all(pow(z, N // q, p) != 1 for q in factorint(N))
+
+    def test_least_prime(self):
+        assert prime_1_mod(4, 0) == 5
+        assert prime_1_mod(4, 5) == 13
+        assert prime_1_mod(6, 12) == 13
+
+
+class TestFold:
+    def test_matches_root_of_unity_sums(self):
+        for N in (1, 2, 5, 9, 12, 15):
+            terms = [(e, Fraction(e % 3 - 1, e % 4 + 1)) for e in range(2 * N + 1)]
+            expect = Cyclotomic.zero(N)
+            for e, c in terms:
+                expect = expect + c * zeta(N, e)
+            assert Cyclotomic(N, fold(N, terms)) == expect
+
+    def test_vanishes_exactly_on_multiples_of_phi(self):
+        # 1 + x + ... + x^(p-1) vanishes at zeta_p; 1 + x does not
+        assert not any(fold(7, enumerate([1] * 7)))
+        assert any(fold(7, enumerate([1, 1])))

@@ -95,6 +95,16 @@ class TestLiftGenerators:
         with pytest.raises(PreconditionError):
             SurjectionProblem(G, G, lambda x: x, (G.identity(),))
 
+    def test_identity_generator_with_another_image_rejected(self):
+        G = cyclic_group(3)
+        g = G.generators[0]
+        with pytest.raises(PreconditionError, match="psi does not extend"):
+            SurjectionProblem(G, G, {g: g, G.identity(): g}, (g,))
+        with pytest.raises(PreconditionError, match="psi does not extend"):
+            SurjectionProblem(G, G, [(g, g), (g, g * g)], (g,))
+        p = SurjectionProblem(G, G, [(g, g), (G.identity(), G.identity()), (g, g)], (g,))
+        assert count_lifts(p) == 1
+
     def test_non_surjective_rejected(self):
         G = cyclic_group(4)
         g = G.generators[0]
@@ -103,6 +113,16 @@ class TestLiftGenerators:
 
 
 class TestCountLifts:
+    def test_search_bound(self):
+        # S4 onto the trivial group: the 24^2 pairs are counted (216 of
+        # them generate, Hall's count), the 24^5 5-tuples are refused
+        G1 = symmetric_group(4)
+        G2 = trivial_group(1)
+        one = G2.identity()
+        assert count_lifts(SurjectionProblem(G1, G2, lambda x: one, (one,) * 2)) == 216
+        with pytest.raises(PreconditionError, match="too large"):
+            count_lifts(SurjectionProblem(G1, G2, lambda x: one, (one,) * 5))
+
     def test_z4_to_z2(self):
         G1 = cyclic_group(4)
         g = G1.generators[0]

@@ -92,6 +92,15 @@ class TestTableGroup:
 
 
 class TestHomomorphisms:
+    def test_listed_images_must_hold(self):
+        # the identity as a generator sent to 1, and a repeated generator
+        # with two images: the word tree reads neither second image
+        T = cyclic_table(3)
+        assert map_from_generators(T, T, [1, 0], [1, 1]) is None
+        assert map_from_generators(T, T, [1, 1], [1, 2]) is None
+        assert homomorphism_from_generators(T, T, [1, 0], [1, 1]) is None
+        assert map_from_generators(T, T, [1, 0, 1], [2, 0, 2]) == [0, 2, 1]
+
     def test_quotient_map(self):
         src = cyclic_table(4)
         dst = cyclic_table(2)
