@@ -11,7 +11,7 @@ orthogonality and the degree sum before it is returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .cyclotomic import Cyclotomic, prime_1_mod, root_of_unity_mod
 from .errors import InternalError, PreconditionError
@@ -23,6 +23,12 @@ class TableError(InternalError):
 
 
 _SCALE_LIMIT = 2000
+# Dixon's cost past the order: Faddeev's characteristic polynomial grows as
+# r^4 in the class count r, and the lift makes r * sum(m_j^2) power-map
+# steps over the class orders m_j.  On a 2-core x86 VM, (Z/2)^6 (64 classes)
+# takes about 4 s and Z/30 (work 287,850) 3.5 s; Z/24 (work 133,608) 1.4 s.
+_CLASS_LIMIT = 40
+_LIFT_LIMIT = 150_000
 
 
 def _row_reduce_mod(A, ncols, p):
@@ -105,6 +111,13 @@ class CharacterTable:
             )
         self.group = group
         self.classes = group.conjugacy_classes()
+        r = len(self.classes)
+        work = r * sum(rep.order() ** 2 for rep, _ in self.classes)
+        if r > _CLASS_LIMIT or work > _LIFT_LIMIT:
+            raise PreconditionError(
+                "character table too large: %d classes (limit %d), lift work %d (limit %d)"
+                % (r, _CLASS_LIMIT, work, _LIFT_LIMIT)
+            )
         self.exponent = group.exponent()
         self.rows, self.degrees = self._dixon()
         self._validate()
@@ -251,7 +264,7 @@ class CharacterTable:
             raise TableError("degree squares do not sum to the group order")
         for i in range(r):
             for j in range(i, r):
-                ip = self._inner(self.rows[i], self.rows[j])
+                ip = self.inner_product(self.rows[i], self.rows[j])
                 if ip != (1 if i == j else 0):
                     raise TableError("row orthogonality fails at (%d, %d)" % (i, j))
 
@@ -262,34 +275,25 @@ class CharacterTable:
 
     # -- inner products and dimensions -------------------------------------
 
-    def _inner(self, f, h):
-        total = Cyclotomic.zero(self.exponent)
-        for (rep, size), a, b in zip(self.classes, f, h):
-            total = total + size * (a * b.conj())
-        val = total * Fraction(1, self.group.order)
-        if not val.is_rational():
-            raise TableError("inner product is irrational")
-        return val.rational_value()
-
     def inner_product(self, f, h):
-        """Exact inner product of two class functions (lists of Cyclotomic)."""
-        v = self._inner(f, h)
-        if v.denominator != 1:
-            raise TableError("inner product %s is not an integer" % v)
-        return v.numerator
+        """Exact inner product of two class functions (lists of Cyclotomic
+        at one conductor); TableError unless it is an integer."""
+        terms = (size * (a * b.conj()) for (_, size), a, b in zip(self.classes, f, h))
+        return _integer_mean(sum(terms, Cyclotomic.zero(f[0].conductor)), self.group.order)
 
     def decompose(self, values):
-        """Multiplicities of a class function over the irreducible rows."""
-        mults = []
-        for i in range(len(self.rows)):
-            mults.append(self.inner_product(values, self.rows[i]))
-        # exactness check: the function must be recovered
-        for j in range(len(self.classes)):
-            acc = Cyclotomic.zero(self.exponent)
-            for i, m in enumerate(mults):
-                acc = acc + m * self.rows[i][j]
-            if acc != values[j]:
-                raise TableError("class function is not a virtual character")
+        """Multiplicities of a class function over the irreducible rows.
+
+        The values may lie in Q(zeta_L) for any multiple L of the table's
+        exponent, such as a restriction from a group whose exponent the
+        subgroup's divides: the rows are lifted to L once.  The function
+        must be recovered exactly from the multiplicities, else TableError."""
+        L = values[0].conductor
+        rows = [[v.lift(L) for v in row] for row in self.rows]
+        mults = [self.inner_product(values, row) for row in rows]
+        back = VirtualCharacter(self, mults).values()
+        if any(b.lift(L) != v for b, v in zip(back, values)):
+            raise TableError("class function is not a virtual character")
         return mults
 
     def fixed_space_dim(self, row, g):
@@ -299,16 +303,20 @@ class CharacterTable:
             raise ValueError("element does not belong to the table's group")
         ci = G.class_index_of(g)
         m = self.classes[ci][0].order()
-        total = Cyclotomic.zero(self.exponent)
-        for k in range(m):
-            total = total + self.rows[row][G.power_map(ci, k)]
-        val = total * Fraction(1, m)
-        if not val.is_rational():
-            raise TableError("fixed-space dimension is irrational")
-        v = val.rational_value()
-        if v.denominator != 1 or v < 0:
-            raise TableError("fixed-space dimension %s is not a nonnegative integer" % v)
-        return v.numerator
+        terms = (self.rows[row][G.power_map(ci, k)] for k in range(m))
+        v = _integer_mean(sum(terms, Cyclotomic.zero(self.exponent)), m)
+        if v < 0:
+            raise TableError("fixed-space dimension %d is negative" % v)
+        return v
+
+
+def _integer_mean(total, n):
+    """The Cyclotomic total divided by n, as an int; TableError unless it
+    is one."""
+    val = total * Fraction(1, n)
+    if not val.is_rational() or val.coords[0].denominator != 1:
+        raise TableError("%s / %d is not an integer" % (total, n))
+    return val.coords[0].numerator
 
 
 def character_table(G: PermGroup) -> CharacterTable:
@@ -335,14 +343,9 @@ class VirtualCharacter:
 
     def values(self):
         tab = self.table
-        out = []
-        for j in range(tab.nclasses()):
-            acc = Cyclotomic.zero(tab.exponent)
-            for i, m in enumerate(self.mults):
-                if m:
-                    acc = acc + m * tab.rows[i][j]
-            out.append(acc)
-        return out
+        terms = [(m, row) for m, row in zip(self.mults, tab.rows) if m]
+        zero = Cyclotomic.zero(tab.exponent)
+        return [sum((m * row[j] for m, row in terms), zero) for j in range(tab.nclasses())]
 
     def __add__(self, other):
         assert self.table is other.table
@@ -360,34 +363,13 @@ class VirtualCharacter:
         )
 
     def restrict(self, subtable):
-        """Restriction to a subgroup, re-decomposed in the subgroup's table."""
-        big = self.table
+        """Restriction to a subgroup, decomposed in the subgroup's table at
+        this table's conductor."""
         vals = self.values()
-        L = lcm(big.exponent, subtable.exponent)
-        out = []
-        for rep, _ in subtable.classes:
-            v = vals[big.group.class_index_of(rep)]
-            out.append(v)
-        # move the values into the subgroup's conductor via a common lift
-        lifted = [v.lift(L) for v in out]
-        sub_rows_lifted = [[v.lift(L) for v in row] for row in subtable.rows]
-        mults = []
-        order = subtable.group.order
-        for row in sub_rows_lifted:
-            total = Cyclotomic.zero(L)
-            for (rep, size), a, b in zip(subtable.classes, lifted, row):
-                total = total + size * (a * b.conj())
-            val = total * Fraction(1, order)
-            if not val.is_rational() or val.rational_value().denominator != 1:
-                raise TableError("restriction has non-integral multiplicities")
-            mults.append(val.rational_value().numerator)
-        vc = VirtualCharacter(subtable, mults)
-        # exactness: the restricted values must be reproduced
-        back = vc.values()
-        for b, v in zip(back, lifted):
-            if b.lift(L) != v:
-                raise TableError("restriction decomposition does not reproduce values")
-        return vc
+        index = self.table.group.class_index_of
+        return VirtualCharacter(
+            subtable, subtable.decompose([vals[index(rep)] for rep, _ in subtable.classes])
+        )
 
 
 def perm_character(G: PermGroup, table=None) -> VirtualCharacter:

@@ -94,13 +94,6 @@ def _cyclotomic_json(value):
     }
 
 
-def _cyc_str(value):
-    if value.is_rational():
-        return str(value.coords[0])
-    body = repr(value)
-    return body[len("Cyclotomic(") : -1]
-
-
 def _table_json(tab):
     return {
         "order": tab.group.order,
@@ -178,7 +171,7 @@ def _cmd_chartab(args):
     data = _table_json(tab)
     rows = []
     for i, row in enumerate(tab.rows):
-        rows.append([tab.degrees[i]] + [_cyc_str(v) for v in row])
+        rows.append([tab.degrees[i]] + [str(v) for v in row])
     header = ("deg",) + tuple("C%d(%d)" % (j, size) for j, (_, size) in enumerate(tab.classes))
     _emit(args, data, _aligned(rows, header))
     return 0

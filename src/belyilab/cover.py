@@ -166,25 +166,20 @@ def genus(cover: BelyiCover) -> int:
     return g
 
 
-def tate_characters(cd: ClosureData, table=None):
+def tate_characters(cd: ClosureData):
     """The three Tate-module characters (left, middle, jac) of the deck
     group D, with jac = middle - left checked effective of degree 2*genus."""
     from .chartab import VirtualCharacter, character_table
 
-    tab = table if table is not None else character_table(cd.D)
-    r = tab.nclasses()
+    tab = character_table(cd.D)
     # middle term: trivial + [H:W] * regular
     middle_mults = [cd.index_HW * d for d in tab.degrees]
     middle_mults[0] += 1
     middle = VirtualCharacter(tab, middle_mults)
     # left term: mult of V = -dim V^D + sum over branch records of dim V^<d_j>
-    left_mults = []
-    for i in range(r):
-        n_V = -(1 if i == 0 else 0)
-        for b in BRANCH_POINTS:
-            for _, d in cd.branch[b]:
-                n_V += tab.fixed_space_dim(i, d)
-        left_mults.append(n_V)
+    records = [d for b in BRANCH_POINTS for _, d in cd.branch[b]]
+    left_mults = [sum(tab.fixed_space_dim(i, d) for d in records) for i in range(tab.nclasses())]
+    left_mults[0] -= 1
     left = VirtualCharacter(tab, left_mults)
     jac = middle - left
     if any(m < 0 for m in jac.mults):

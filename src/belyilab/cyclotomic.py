@@ -284,9 +284,9 @@ class Cyclotomic:
     def __hash__(self):
         return hash((self.conductor, self.coords))
 
-    def __repr__(self):
+    def __str__(self):
         if self.is_rational():
-            return "Cyclotomic(%s)" % self.coords[0]
+            return str(self.coords[0])
         terms = []
         for i, c in enumerate(self.coords):
             if c == 0:
@@ -295,4 +295,7 @@ class Cyclotomic:
                 terms.append(str(c))
             else:
                 terms.append("%s*z%d^%d" % (c, self.conductor, i))
-        return "Cyclotomic(%s)" % " + ".join(terms)
+        return " + ".join(terms)
+
+    def __repr__(self):
+        return "Cyclotomic(%s)" % self

@@ -43,78 +43,62 @@ class DescentReport:
         }
 
 
-def criterion_rows(cd, tab=None):
+def criterion_rows(cd):
     """Per-irreducible (degree, n_V, m_V, passes) records."""
-    tab = tab if tab is not None else character_table(cd.D)
-    left, middle, _ = tate_characters(cd, tab)
+    left, middle, _ = tate_characters(cd)
     rows = []
-    for i, deg in enumerate(tab.degrees):
+    for i, deg in enumerate(left.table.degrees):
         n_V = left.mults[i]
         m_V = (1 if i == 0 else 0) + cd.index_HW * deg
         if m_V != middle.mults[i]:
             raise InternalError("middle multiplicity disagrees with the m_V formula")
         if not 0 <= n_V <= m_V:
             raise InternalError("n_V = %d outside [0, m_V = %d]" % (n_V, m_V))
-        rows.append(
-            {
-                "degree": deg,
-                "n_V": n_V,
-                "m_V": m_V,
-                "passes": n_V in (0, m_V),
-            }
-        )
+        rows.append({"degree": deg, "n_V": n_V, "m_V": m_V, "passes": n_V in (0, m_V)})
     return rows
 
 
-def subgroup_certify(cd, D1: PermGroup, tab=None) -> bool:
+def subgroup_certify(cd, D1: PermGroup) -> bool:
     """True iff every irreducible of D1 misses the left or the Jacobian
     restriction (so the main criterion holds for D, by restriction)."""
-    tab = tab if tab is not None else character_table(cd.D)
     if not D1.is_subgroup(cd.D):
         raise ValueError("D1 is not a subgroup of D")
-    left, _, jac = tate_characters(cd, tab)
+    left, _, jac = tate_characters(cd)
     return _certifies(left, jac, D1)
 
 
 def _certifies(left, jac, D1):
     """subgroup_certify on precomputed left and Jacobian characters of D."""
     subtab = character_table(D1)
-    left_res = left.restrict(subtab)
-    jac_res = jac.restrict(subtab)
-    return all(min(a, b) == 0 for a, b in zip(left_res.mults, jac_res.mults))
+    return all(
+        min(a, b) == 0 for a, b in zip(left.restrict(subtab).mults, jac.restrict(subtab).mults)
+    )
 
 
-def refine_search(cd, tab=None):
+def refine_search(cd):
     """Certifying subgroups among cyclic subgroups of D (one generator per
     conjugacy class) plus D itself."""
-    tab = tab if tab is not None else character_table(cd.D)
     D = cd.D
-    candidates = []
-    seen = set()
+    # one (label, subgroup) per distinct element set, the first label kept
+    candidates = {}
     for rep, _ in D.conjugacy_classes():
         sub = PermGroup([rep])
         key = frozenset(g.imgs for g in sub.elements)
-        if key in seen:
-            continue
-        seen.add(key)
-        label = "cyclic(order %d)" % sub.order
-        candidates.append((label, sub))
-    if frozenset(g.imgs for g in D.elements) not in seen:
-        candidates.append(("D", D))
-    left, _, jac = tate_characters(cd, tab)
-    return [(label, sub) for label, sub in candidates if _certifies(left, jac, sub)]
+        candidates.setdefault(key, ("cyclic(order %d)" % sub.order, sub))
+    candidates.setdefault(frozenset(g.imgs for g in D.elements), ("D", D))
+    left, _, jac = tate_characters(cd)
+    return [(label, sub) for label, sub in candidates.values() if _certifies(left, jac, sub)]
 
 
 def descent_report(cover: BelyiCover, refine: bool = False) -> DescentReport:
     cd = validate(cover)
-    tab = character_table(cd.D)
-    rows = criterion_rows(cd, tab)
+    rows = criterion_rows(cd)
     all_pass = all(r["passes"] for r in rows)
     certificates = []
     if all_pass:
         certificates.append(("D", cd.D))
     if refine:
-        certificates = refine_search(cd, tab)
+        certificates = refine_search(cd)
     if all_pass or certificates:
         verdict = DESCENDS
     elif cd.is_galois:

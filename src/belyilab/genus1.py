@@ -121,11 +121,18 @@ def cm_stable_subgroups(d, n):
     return CmModule(d, n).stable_subgroups
 
 
+# bound on the level t: the exact test costs about t^2 steps, 0.5 s at
+# t = 5005 and 4.8 s at t = 15015 on a 2-core x86 VM
+_LEVEL_LIMIT = 5000
+
+
 def j_invariant_degree(t) -> int:
     """Number of Galois conjugates of j = 256 (z^2-z+1)^3 / (z^2 (z-1)^2)
     for z a primitive t-th root of unity, t odd."""
     if t <= 1 or t % 2 == 0:
         raise PreconditionError("t must be odd and greater than 1")
+    if t > _LEVEL_LIMIT:
+        raise PreconditionError("level t = %d exceeds the limit %d" % (t, _LEVEL_LIMIT))
     units = [a for a in range(1, t) if gcd(a, t) == 1]
     phi = len(units)
     if phi != phi_of(t):

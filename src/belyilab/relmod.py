@@ -105,13 +105,11 @@ class RelationModule:
 _ACTION_LIMIT = 2_000_000
 
 
-def schreier_data(H: PermGroup, images, d=None) -> RelationModule:
-    """Shortlex Schreier transversal and free generators of the kernel."""
+def schreier_data(H: PermGroup, images) -> RelationModule:
+    """Shortlex Schreier transversal and free generators of the kernel of
+    F_d -> H sending the i-th free generator to images[i]."""
     images = list(images)
-    if d is None:
-        d = len(images)
-    if len(images) != d:
-        raise PreconditionError("expected %d generator images" % d)
+    d = len(images)
     rank = H.order * (d - 1) + 1
     if H.order * rank**2 > _ACTION_LIMIT:
         raise PreconditionError(

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from belyilab.chartab import VirtualCharacter, character_table, perm_character
+from belyilab.chartab import TableError, VirtualCharacter, character_table, perm_character
 from belyilab.cyclotomic import Cyclotomic
 from belyilab.permgroup import (
     Permutation,
@@ -199,6 +199,35 @@ class TestVirtualCharacters:
         # eigenvalues 1, 1, z3, z3^2: multiplicities (2,1,1) over the z3 characters
         assert sorted(res.mults) == [1, 1, 2]
         assert res.mults[0] == 2  # trivial appears twice
+
+    def test_restrict_reproduces_values_at_the_larger_conductor(self):
+        # decompose takes the subgroup's class values at the big table's
+        # conductor; lifting the restriction back must give them again
+        for G in (symmetric_group(4), alternating_group(5)):
+            n = G.degree
+            tab = character_table(G)
+            v4 = generate([perm(n, (1, 2), (3, 4)), perm(n, (1, 3), (2, 4))])
+            for sub in [generate([rep]) for rep, _ in tab.classes] + [v4]:
+                subtab = character_table(sub)
+                for i in range(tab.nclasses()):
+                    chi = VirtualCharacter(tab, [int(j == i) for j in range(tab.nclasses())])
+                    res = chi.restrict(subtab)
+                    assert res.degree == tab.degrees[i]
+                    expect = [chi.values()[G.class_index_of(rep)] for rep, _ in subtab.classes]
+                    assert [v.lift(tab.exponent) for v in res.values()] == expect
+
+    def test_decompose_rejects_a_lifted_non_character(self):
+        # half the trivial character of Z/3, read at conductor 6: the
+        # multiplicities are not integers
+        tab = character_table(cyclic_group(3))
+        half = [Cyclotomic.from_rational(Fraction(1, 2), 6)] * tab.nclasses()
+        with pytest.raises(TableError):
+            tab.decompose(half)
+        # zeta_6 at every class: its multiplicity of the trivial character
+        # is zeta_6 itself
+        z6 = [Cyclotomic.root_of_unity(6, 1)] * tab.nclasses()
+        with pytest.raises(TableError):
+            tab.decompose(z6)
 
     def test_trivial_and_arithmetic(self):
         tab = character_table(symmetric_group(3))

@@ -159,6 +159,17 @@ class TestChartab:
         code, _ = run(capsys, ["chartab", "--group", path])
         assert code == 1
 
+    def test_elementary_abelian_64_refused_before_dixon(self, capsys, tmp_path):
+        # (Z/2)^6 has 64 classes, over the class limit; Dixon would take
+        # seconds in the characteristic polynomials alone
+        gens = []
+        for i in range(6):
+            imgs = list(range(1, 13))
+            imgs[2 * i], imgs[2 * i + 1] = imgs[2 * i + 1], imgs[2 * i]
+            gens.append(imgs)
+        path = write_json(tmp_path, "z2_6.json", {"generators": gens})
+        refused_quickly(capsys, ["--json", "chartab", "--group", path], "64 classes")
+
 
 class TestCohomology:
     def test_swap_module_trivial_h2(self, capsys, tmp_path):
@@ -384,6 +395,10 @@ class TestGenus1:
     def test_jdeg_even_rejected(self, capsys):
         code, _ = run(capsys, ["genus1", "jdeg", "4"])
         assert code == 1
+
+    def test_jdeg_level_over_limit_refused(self, capsys):
+        # t = 3*5*7*11*13 would take seconds in the exact test
+        refused_quickly(capsys, ["--json", "genus1", "jdeg", "15015"], "exceeds the limit")
 
 
 class TestCorpus:

@@ -50,6 +50,13 @@ class TestBasics:
         s = z + z.conj()
         assert s.conj() == s
 
+    def test_text_forms(self):
+        assert str(Cyclotomic.from_rational(Fraction(-2, 3), 5)) == "-2/3"
+        assert str(1 - 2 * zeta(3)) == "1 + -2*z3^1"
+        assert str(zeta(3, 2)) == "-1 + -1*z3^1"
+        assert repr(zeta(3)) == "Cyclotomic(1*z3^1)"
+        assert repr(Cyclotomic.zero(4)) == "Cyclotomic(0)"
+
 
 class TestGalois:
     def test_galois_requires_coprime(self):
