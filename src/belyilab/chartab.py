@@ -347,20 +347,9 @@ class VirtualCharacter:
         zero = Cyclotomic.zero(tab.exponent)
         return [sum((m * row[j] for m, row in terms), zero) for j in range(tab.nclasses())]
 
-    def __add__(self, other):
-        assert self.table is other.table
-        return VirtualCharacter(self.table, [a + b for a, b in zip(self.mults, other.mults)])
-
     def __sub__(self, other):
         assert self.table is other.table
         return VirtualCharacter(self.table, [a - b for a, b in zip(self.mults, other.mults)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VirtualCharacter)
-            and self.table is other.table
-            and self.mults == other.mults
-        )
 
     def restrict(self, subtable):
         """Restriction to a subgroup, decomposed in the subgroup's table at

@@ -203,7 +203,13 @@ def _cmd_cohomology(args):
 
 def _cmd_relmod(args):
     from .cohomology import h2
-    from .relmod import extension_cocycle, rational_character, schreier_data, verify_main_theorem
+    from .relmod import (
+        extension_cocycle,
+        rational_character,
+        relation_rank,
+        schreier_data,
+        verify_main_theorem,
+    )
 
     H = _parse_group(_load_json(args.group))
     gens = list(H.generators)
@@ -211,6 +217,7 @@ def _cmd_relmod(args):
         raise PreconditionError(
             "rank %d is below the %d group generators" % (args.rank, len(gens))
         )
+    relation_rank(H.order, args.rank)  # refuses a large rank before the padding below
     images = gens + [H.identity()] * (args.rank - len(gens))
     rm = schreier_data(H, images)
     chi = rational_character(rm)

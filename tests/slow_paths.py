@@ -1,20 +1,25 @@
 """Slow paths kept as oracles for the integer kernels of cohomology and
-snf, and for the extension table.
+snf, for the extension table and for relmod's Schreier rewriting.
 
 Each function here is the version the library replaced, kept verbatim in
 its arithmetic: the nested-loop Smith normal form (which also tracks the
 inverse of its row transform, U^-1), the dense mat_vec, the
 column-major congruence lattice, the extension product on module tuples
 and the table built from |E|^2 calls to it, and extend_automorphism
-factoring [D1 | diag(moduli)] on every call.  test_fast_paths.py and
-test_extension_table.py assert that the library returns identical
-results.
+factoring [D1 | diag(moduli)] on every call, and relmod's action,
+extension cocycle and P-generator images from freely reduced products of
+FreeWords (s w s^-1, s1 s2 s(h1 h2)^-1, x_i s(g_i)^-1) rewritten from the
+identity coset.  test_fast_paths.py and test_extension_table.py assert
+that the library returns identical results.
 """
 
+import itertools
 from math import gcd
 
-from belyilab import cohomology
-from belyilab.groups import TableGroup, preserves_products
+from belyilab import cohomology, relmod
+from belyilab.errors import InternalError, PreconditionError
+from belyilab.groups import TableGroup, homomorphism_from_generators, preserves_products
+from belyilab.permgroup import orbit
 from belyilab.snf import identity_matrix
 
 
@@ -234,3 +239,124 @@ def extend_automorphism(gamma, E):
     ]
     assert len(set(f)) == E.order and preserves_products(f, T, T)
     return {E.elements[a]: E.elements[b] for a, b in enumerate(f)}
+
+
+class FreeWord:
+    """A reduced word in the free group on x_1, ..., x_d: +i is x_i, -i
+    its inverse."""
+
+    def __init__(self, letters=()):
+        out = []
+        for l in letters:
+            if out and out[-1] == -l:
+                out.pop()
+            else:
+                out.append(l)
+        self.letters = tuple(out)
+
+    def __mul__(self, other):
+        return FreeWord(self.letters + other.letters)
+
+    def inverse(self):
+        return FreeWord(tuple(-l for l in reversed(self.letters)))
+
+    def is_identity(self):
+        return not self.letters
+
+
+class FreeWordSchreier:
+    """relmod's Schreier data for the generator positions gens of H's
+    Cayley table T, built from FreeWord products: the transversal, the
+    Schreier generators (the products that do not reduce to 1), their
+    index and the conjugation action, column j of action[h] being the
+    rewritten s_h w_j s_h^-1."""
+
+    def __init__(self, T, gens):
+        self.T, self.images, self.d = T, gens, len(gens)
+        t = T.table
+        tree = orbit(0, gens, T.mult)
+        transversal = [None] * T.n
+        for h, edge in tree.items():
+            word = FreeWord() if edge is None else transversal[edge[0]] * FreeWord((edge[1] + 1,))
+            transversal[h] = word
+        self.transversal = transversal
+        self.free_gens, self.gen_index = [], {}
+        for h in tree:
+            for i in range(self.d):
+                w = transversal[h] * FreeWord((i + 1,)) * transversal[t[h][gens[i]]].inverse()
+                if w.is_identity():
+                    continue
+                self.gen_index[(h, i + 1)] = len(self.free_gens)
+                self.free_gens.append(w)
+        self.rank = len(self.free_gens)
+        self.action = []
+        for s in transversal:
+            sinv = s.inverse()
+            cols = [self.rewrite(s * w * sinv) for w in self.free_gens]
+            self.action.append([[cols[j][r] for j in range(self.rank)] for r in range(self.rank)])
+
+    def rewrite(self, w):
+        coords = [0] * self.rank
+        t, inv = self.T.table, self.T.inv
+        state = 0
+        for l in w.letters:
+            g = self.images[abs(l) - 1]
+            if l > 0:
+                key = (state, l)
+                if key in self.gen_index:
+                    coords[self.gen_index[key]] += 1
+                state = t[state][g]
+            else:
+                state = t[state][inv[g]]
+                key = (state, -l)
+                if key in self.gen_index:
+                    coords[self.gen_index[key]] -= 1
+        if state != 0:
+            raise PreconditionError("word is not in the kernel of the surjection")
+        return coords
+
+    def cocycle_table(self, m):
+        """rewrite(s(h1) s(h2) s(h1 h2)^-1) mod m for every pair."""
+        t, s = self.T.table, self.transversal
+        return [
+            [
+                tuple(v % m for v in self.rewrite(s1 * s2 * s[t[h1][h2]].inverse()))
+                for h2, s2 in enumerate(s)
+            ]
+            for h1, s1 in enumerate(s)
+        ]
+
+    def p_generators(self, P, m):
+        """Positions in P's table of (g_i, rewrite(x_i s(g_i)^-1) mod m)."""
+        words = [FreeWord((i + 1,)) * self.transversal[g].inverse() for i, g in enumerate(self.images)]
+        return [
+            P.index[(g, tuple(v % m for v in self.rewrite(w)))]
+            for g, w in zip(self.images, words)
+        ]
+
+
+def extension_cocycle(rm, m):
+    """relmod.extension_cocycle from FreeWord products, on the module
+    reduced from the FreeWord action."""
+    slow = FreeWordSchreier(rm.T, rm.images)
+    M = cohomology.FiniteHModule(rm.H, (m,) * slow.rank, slow.action)
+    return cohomology.Cocycle2(M, slow.cocycle_table(m))
+
+
+def h_fixing_automorphisms(rm, E, m):
+    """relmod._h_fixing_automorphisms with P's generators from FreeWord
+    products."""
+    T = E.group
+    gens = FreeWordSchreier(rm.T, rm.images).p_generators(T, m)
+    if not T.generates(gens):
+        raise InternalError("the images of the free generators do not generate P")
+    fibers = [[a for a, (h, _) in enumerate(T.names) if h == g] for g in rm.images]
+    maps = (homomorphism_from_generators(T, T, gens, list(c)) for c in itertools.product(*fibers))
+    return [f for f in maps if f is not None and len(set(f)) == T.n]
+
+
+def use_slow_relmod(monkeypatch):
+    """Route relmod's extension cocycle and H-fixing automorphisms through
+    the FreeWord oracles above for the rest of a test."""
+    monkeypatch.setattr(relmod, "extension_cocycle", extension_cocycle)
+    monkeypatch.setattr(relmod, "_h_fixing_automorphisms", h_fixing_automorphisms)

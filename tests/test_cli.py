@@ -298,6 +298,14 @@ class TestRelmod:
         argv = ["--json", "relmod", "--group", path, "--rank", "2"]
         refused_quickly(capsys, argv, "relation module too large")
 
+    @pytest.mark.parametrize("rank", [600, 5 * 10**6, 10**17, 10**19])
+    def test_large_rank_refused_before_padding(self, capsys, tmp_path, rank):
+        # Z/2 with rank d pads d - 1 identities; the bound on the action
+        # is checked from |H| and d first, so no list of length d is built
+        path = write_json(tmp_path, "z2.json", {"generators": [[2, 1]]})
+        argv = ["--json", "relmod", "--group", path, "--rank", str(rank)]
+        refused_quickly(capsys, argv, "relation module too large")
+
 
 class TestGaschuetz:
     def test_z6_to_z3(self, capsys, tmp_path):
@@ -386,6 +394,10 @@ class TestGenus1:
         code, out = run(capsys, ["--json", "genus1", "cm", "4", "2"])
         assert code == 0
         assert len(json.loads(out)["stable_subgroups"]) == 3
+
+    def test_cm_level_over_limit_refused(self, capsys):
+        # the companion-matrix check alone would visit 1440^2 vectors
+        refused_quickly(capsys, ["--json", "genus1", "cm", "4", "1440"], "exceeds the limit")
 
     def test_jdeg(self, capsys):
         code, out = run(capsys, ["--json", "genus1", "jdeg", "7"])

@@ -1,12 +1,16 @@
-"""The integer kernels of snf and cohomology against their slow paths.
+"""The integer kernels of snf, cohomology and relmod against their slow
+paths.
 
 The oracles in slow_paths.py are the versions the library replaced: the
 nested-loop Smith normal form, the dense mat_vec, the column-major
 congruence lattice, the extension table from the product on module
-tuples, and extend_automorphism factoring its system on every call.  They
-do the same arithmetic, so every result here must be identical, not just equivalent:
-the SNF (diag, U, V), h2's invariants, basis tables and class coordinates, the
-extension tables and the extended maps.
+tuples, extend_automorphism factoring its system on every call, and
+relmod's Schreier data from FreeWord products.  They do the same
+arithmetic, so every result here must be identical, not just equivalent:
+the SNF (diag, U, V), h2's invariants, basis tables and class coordinates,
+the extension tables and the extended maps, and the relation modules'
+words, action matrices, cocycle tables, P-generator positions and
+main-theorem reports.
 """
 
 import random
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slow_paths
-from belyilab import snf
+from belyilab import relmod, snf
 from belyilab.cohomology import (
     Cocycle2,
     FiniteHModule,
@@ -26,9 +30,17 @@ from belyilab.cohomology import (
     extend_automorphism,
     h2,
 )
-from belyilab.corpus import _module_corpus
+from belyilab.corpus import _module_corpus, _padded_generators, _relmod_groups
+from belyilab.errors import PreconditionError
 from belyilab.permgroup import cyclic_group, symmetric_group
+from belyilab.relmod import (
+    _p_generators,
+    extension_cocycle,
+    schreier_data,
+    verify_main_theorem,
+)
 from test_cohomology import all_classes
+from test_relabeling import conjugator, relabeled
 
 entries = st.one_of(st.just(0), st.integers(-9, 9))
 matrices = st.integers(1, 6).flatmap(
@@ -114,3 +126,50 @@ def test_coboundary_snf_is_cached_per_module():
     M = FiniteHModule.trivial(cyclic_group(3), (3,))
     assert M.coboundary_snf is M.coboundary_snf
     assert FiniteHModule.trivial(cyclic_group(3), (3,)).coboundary_snf is not M.coboundary_snf
+
+
+def relation_modules():
+    """(H, d) for the corpus relation-module groups and one relabelled
+    copy of each nontrivial one, d = 1..3 where H has at most d
+    generators."""
+    rng = random.Random(7)
+    groups = _relmod_groups()
+    groups += [relabeled(H, conjugator(rng, H.degree))[0] for H in groups if H.order > 1]
+    return [
+        (H, d) for H in groups for d in (1, 2, 3) if _padded_generators(H, d) is not None
+    ]
+
+
+RELATION_MODULES = relation_modules()
+RM_IDS = ["|H|=%d,d=%d,%d" % (H.order, d, i) for i, (H, d) in enumerate(RELATION_MODULES)]
+
+
+@pytest.mark.parametrize("H, d", RELATION_MODULES, ids=RM_IDS)
+def test_relation_module_matches_free_words(H, d, monkeypatch):
+    rm = schreier_data(H, _padded_generators(H, d))
+    slow = slow_paths.FreeWordSchreier(rm.T, rm.images)
+    assert rm.transversal == [w.letters for w in slow.transversal]
+    assert rm.free_gens == [w.letters for w in slow.free_gens]
+    assert rm.gen_index == slow.gen_index
+    assert rm.action == slow.action
+    for m in (2, 3):
+        try:
+            beta = extension_cocycle(rm, m)
+        except PreconditionError:
+            # |H| * m^rank is over the Cayley-table limit for both
+            with pytest.raises(PreconditionError):
+                slow_paths.extension_cocycle(rm, m)
+            continue
+        assert beta.table == slow.cocycle_table(m)
+        if H.order * m**rm.rank > relmod._VERIFY_LIMIT:
+            continue
+        # with the same P generators _h_fixing_automorphisms runs the same
+        # search; the reports are compared where aut_h, which dominates
+        # them, tries at most 2^9 matrices (m^rank <= 8)
+        P = build_extension(beta.module, beta).group
+        assert _p_generators(rm, P, m) == slow.p_generators(P, m)
+        if m**rm.rank <= 8:
+            fast = verify_main_theorem(rm, m)
+            with monkeypatch.context() as patch:
+                slow_paths.use_slow_relmod(patch)
+                assert verify_main_theorem(rm, m) == fast

@@ -140,6 +140,8 @@ class TestCmModules:
             CmModule(5, 2)
         with pytest.raises(PreconditionError):
             CmModule(3, 0)
+        with pytest.raises(PreconditionError):
+            CmModule(3, 257)
 
 
 class TestJInvariantDegree:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from belyilab.cohomology import Cocycle2, build_extension, h2
-from belyilab.errors import PreconditionError
+from belyilab.errors import InternalError, PreconditionError
 from belyilab.groups import automorphisms
 from belyilab.permgroup import (
     Permutation,
@@ -15,7 +15,6 @@ from belyilab.permgroup import (
     trivial_group,
 )
 from belyilab.relmod import (
-    FreeWord,
     _h_fixing_automorphisms,
     extension_cocycle,
     rational_character,
@@ -37,35 +36,17 @@ def z2_rank3():
     return schreier_data(H, [inv, H.identity()])
 
 
-class TestFreeWord:
-    def test_reduction(self):
-        w = FreeWord((1, 2, -2, -1, 1))
-        assert w.letters == (1,)
-
-    def test_inverse_product_cancels(self):
-        w = FreeWord((1, -2, 1, 1))
-        assert (w * w.inverse()).is_identity()
-
-    def test_zero_letter_rejected(self):
-        with pytest.raises(PreconditionError):
-            FreeWord((1, 0))
-
-
 class TestSchreierData:
     def test_z2_rank3_generators(self):
         rm = z2_rank3()
         assert rm.rank == 3
-        assert rm.free_gens == [
-            FreeWord((2,)),
-            FreeWord((1, 1)),
-            FreeWord((1, 2, -1)),
-        ]
+        assert rm.free_gens == [(2,), (1, 1), (1, 2, -1)]
 
     def test_trivial_group_rank_d(self):
         H = trivial_group(1)
         rm = schreier_data(H, [H.identity(), H.identity()])
         assert rm.rank == 2
-        assert rm.free_gens == [FreeWord((1,)), FreeWord((2,))]
+        assert rm.free_gens == [(1,), (2,)]
 
     def test_z3_rank4(self):
         H = cyclic_group(3)
@@ -82,7 +63,7 @@ class TestSchreierData:
     def test_transversal_is_prefix_closed_shortlex(self):
         H = symmetric_group(3)
         rm = schreier_data(H, list(H.generators))
-        words = {w.letters for w in rm.transversal}
+        words = set(rm.transversal)
         assert len(words) == H.order
         for w in words:
             assert w[:-1] in words or w == ()
@@ -90,7 +71,7 @@ class TestSchreierData:
         # presentation's images, multiplied as permutations
         for h, word in enumerate(rm.transversal):
             value = H.identity()
-            for letter in word.letters:
+            for letter in word:
                 g = H.elements[rm.images[abs(letter) - 1]]
                 value = value * (g if letter > 0 else g.inverse())
             assert value == H.elements[h]
@@ -106,26 +87,37 @@ class TestRewrite:
     def test_conjugated_generator(self):
         rm = z2_rank3()
         # x * y * x^-1 is the third free generator
-        assert rewrite(rm, FreeWord((1, 2, -1))) == [0, 0, 1]
+        assert rewrite(rm, (1, 2, -1)) == [0, 0, 1]
 
     def test_commutator_vanishes(self):
         rm = z2_rank3()
-        a = FreeWord((2,))
-        b = FreeWord((1, 1))
-        comm = a * b * a.inverse() * b.inverse()
-        assert rewrite(rm, comm) == [0, 0, 0]
+        # [y, x^2] = y x x y^-1 x^-1 x^-1
+        assert rewrite(rm, (2, 1, 1, -2, -1, -1)) == [0, 0, 0]
 
     def test_additive_on_products(self):
         rm = z2_rank3()
-        w1 = FreeWord((1, 2, -1, 2))
-        w2 = FreeWord((1, 1, 2))
-        lhs = rewrite(rm, w1 * w2)
+        w1 = (1, 2, -1, 2)
+        w2 = (1, 1, 2)
+        lhs = rewrite(rm, w1 + w2)
         assert lhs == [a + b for a, b in zip(rewrite(rm, w1), rewrite(rm, w2))]
 
     def test_word_outside_kernel_rejected(self):
         rm = z2_rank3()
         with pytest.raises(PreconditionError):
-            rewrite(rm, FreeWord((1,)))
+            rewrite(rm, (1,))
+
+    @pytest.mark.parametrize("letter", [0, 3, -3])
+    def test_letter_outside_the_generators_rejected(self, letter):
+        # d = 2, so the letters are +-1 and +-2
+        rm = z2_rank3()
+        with pytest.raises(PreconditionError):
+            rewrite(rm, (1, letter, -1))
+
+    def test_unreduced_word(self):
+        rm = z2_rank3()
+        # x y y^-1 x^-1 = 1 and x x^-1 = 1 read as written
+        assert rewrite(rm, (1, 2, -2, -1)) == [0, 0, 0]
+        assert rewrite(rm, (1, 2, -1, 1, -1)) == [0, 0, 1]
 
 
 def padded_generators(H, d):
@@ -179,6 +171,16 @@ class TestRationalCharacter:
         expected = [d for d in tab.degrees]
         expected[0] += 1
         assert chi.mults == expected
+
+    @pytest.mark.parametrize("h", [1, 5])
+    def test_trace_check_catches_a_bumped_diagonal(self, h):
+        # the trace at h != identity must be 1; raising one diagonal entry
+        # of one action matrix must be caught
+        H = symmetric_group(3)
+        rm = schreier_data(H, padded_generators(H, 2))
+        rm.action[h][h][h] += 1
+        with pytest.raises(InternalError):
+            rational_character(rm)
 
     def test_rank_and_character_identity_over_corpus(self):
         # rank = |H|(d-1)+1 and character = trivial + (d-1)*regular for
