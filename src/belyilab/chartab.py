@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .cyclotomic import Cyclotomic, prime_1_mod, root_of_unity_mod
+from .cyclotomic import Cyclotomic, fold, prime_1_mod, root_of_unity_mod
 from .errors import InternalError, PreconditionError
 from .permgroup import PermGroup
 
@@ -223,7 +223,7 @@ class CharacterTable:
                 m = orders[j]
                 zm = pow(z, N // m, p)
                 minv = pow(m, p - 2, p)
-                val = Cyclotomic.zero(N)
+                terms = []
                 for k in range(m):
                     mu = 0
                     for s in range(m):
@@ -231,9 +231,8 @@ class CharacterTable:
                     mu = (mu * minv) % p
                     if mu > d:
                         raise TableError("eigenvalue multiplicity %d exceeds degree %d" % (mu, d))
-                    if mu:
-                        val = val + mu * Cyclotomic.root_of_unity(N, k * (N // m))
-                row.append(val)
+                    terms.append((k * (N // m), mu))
+                row.append(Cyclotomic(N, fold(N, terms)))
             rows.append(row)
 
         # deterministic order: trivial first, then by degree and value key

@@ -450,13 +450,13 @@ def aut_h(M: FiniteHModule):
 
 
 def _is_equivariant_automorphism(M, mat):
-    """Whether mat is a bijection of M that commutes with every generator
-    matrix of the H-action."""
+    """Whether mat commutes with every generator matrix of the H-action
+    and is a bijection of M (tested in that order: commuting is cheap)."""
     shape = M.shape
-    return len({_mat_apply(mat, m, shape) for m in M.elements()}) == M.size and all(
+    return all(
         _mat_eq(_mat_mul_mod(mat, A, shape), _mat_mul_mod(A, mat, shape), shape)
         for A in (M.action[g] for g in M.T.gens)
-    )
+    ) and len({_mat_apply(mat, m, shape) for m in M.elements()}) == M.size
 
 
 def stabilizer_beta(autos, beta: Cocycle2, h2data: H2Data):

@@ -6,10 +6,15 @@ polynomial.  The conductor is fixed by the caller (the group exponent in
 character-table work) and never minimized; equality is coordinate equality
 at equal conductors.
 
+There is one reduction modulo Phi_N, `fold`: the power-basis coordinates
+of a sum of c * zeta_N^e, by one exact division by the monic Phi_N in
+integers.  Products, Galois conjugates, lifts to a larger conductor and
+Dixon's lift in chartab all go through it; no table of powers of zeta_N
+is kept.
+
 The elementary number theory the package needs (factorization, Euler phi,
-primality, cyclotomic polynomials, primes p = 1 (mod N), elements of order
-N in F_p, and fold, power-basis coordinates of a sum of powers of zeta_N)
-lives here too, in plain integers.
+primality, cyclotomic polynomials, primes p = 1 (mod N) and elements of
+order N in F_p) lives here too, in plain integers.
 """
 
 from __future__ import annotations
@@ -91,6 +96,21 @@ def root_of_unity_mod(p, N):
     return pow(g, (p - 1) // N, p)
 
 
+def _divide_monic(num, den):
+    """Divide the integer coefficients num by the monic den (both constant
+    term first), in place: afterwards num[:deg den] is the remainder.
+    Returns the quotient."""
+    k = len(den) - 1
+    low = [(j, a) for j, a in enumerate(den[:k]) if a]
+    quot = [0] * (len(num) - k)
+    for i in range(len(num) - 1, k - 1, -1):
+        c = quot[i - k] = num[i]
+        if c:
+            for j, a in low:
+                num[i - k + j] -= c * a
+    return quot
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(N):
     """Integer coefficients of the N-th cyclotomic polynomial, constant term
@@ -100,62 +120,26 @@ def cyclotomic_coeffs(N):
         if N % d:
             continue
         den = cyclotomic_coeffs(d)
-        k = len(den) - 1
-        quot = [0] * (len(num) - k)
-        for i in range(len(quot) - 1, -1, -1):  # den is monic
-            c = quot[i] = num[i + k]
-            if c:
-                for j in range(k + 1):
-                    num[i + j] -= c * den[j]
-        if any(num[:k]):
+        quot = _divide_monic(num, den)
+        if any(num[: len(den) - 1]):
             raise InternalError("Phi_%d does not divide x^%d - 1" % (d, N))
         num = quot
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
-def _power_table(N):
-    """Coordinates of zeta_N^k for k = 0..N-1 in the power basis (int tuples)."""
-    phi = phi_of(N)
-    coeffs = cyclotomic_coeffs(N)
-    assert len(coeffs) == phi + 1 and coeffs[-1] == 1
-    # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1})
-    top = [-c for c in coeffs[:phi]]
-    table = []
-    for k in range(phi):
-        table.append(tuple(1 if i == k else 0 for i in range(phi)))
-    for _ in range(phi, N):
-        prev = table[-1]
-        # multiply by zeta: shift, then fold the overflow through `top`
-        nxt = [0] * phi
-        for i in range(phi - 1):
-            nxt[i + 1] += prev[i]
-        ov = prev[phi - 1]
-        if ov:
-            for i in range(phi):
-                nxt[i] += ov * top[i]
-        table.append(tuple(nxt))
-    return tuple(table)
-
-
 def fold(N, terms):
     """Power-basis coordinates of the sum of c * zeta_N^e over the (e, c)
-    pairs in terms, by division by the monic Phi_N in integers over a
-    common denominator: O(N) memory, not the N * phi(N) of a power table."""
+    pairs in terms, c an int or Fraction: exponents are taken mod N, then
+    the sum is divided by the monic Phi_N in integers over a common
+    denominator (O(N) memory)."""
     coeffs = cyclotomic_coeffs(N)
-    k = len(coeffs) - 1
-    low = [(j, a) for j, a in enumerate(coeffs[:k]) if a]
-    terms = [(e, Fraction(c)) for e, c in terms if c]
+    terms = [(e, c) for e, c in terms if c]
     den = lcm(*(c.denominator for _, c in terms))
     rem = [0] * N
     for e, c in terms:
         rem[e % N] += c.numerator * (den // c.denominator)
-    for i in range(N - 1, k - 1, -1):
-        c = rem[i]
-        if c:
-            for j, a in low:
-                rem[i - k + j] -= c * a
-    return [Fraction(c, den) for c in rem[:k]]
+    _divide_monic(rem, coeffs)
+    return [Fraction(c, den) for c in rem[: len(coeffs) - 1]]
 
 
 class Cyclotomic:
@@ -182,20 +166,10 @@ class Cyclotomic:
         coords = [Fraction(r)] + [Fraction(0)] * (phi_of(N) - 1)
         return cls(N, coords)
 
-    @classmethod
-    def root_of_unity(cls, N, k=1):
-        """zeta_N^k."""
-        return cls(N, _power_table(N)[k % N])
-
     # -- structure ---------------------------------------------------------
 
     def is_rational(self):
         return all(c == 0 for c in self.coords[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("value is not rational: %r" % (self,))
-        return self.coords[0]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -225,27 +199,14 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return Cyclotomic(self.conductor, [a * Fraction(other) for a in self.coords])
         other = self._check(other)
-        N = self.conductor
-        table = _power_table(N)
-        phi = len(self.coords)
-        # convolve, reducing exponents >= phi through the table
-        acc = [Fraction(0)] * phi
+        # sparse convolution, then one reduction modulo Phi_N
+        right = [(j, b) for j, b in enumerate(other.coords) if b]
+        terms = {}
         for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                e = i + j
-                c = a * b
-                if e < phi:
-                    acc[e] += c
-                else:
-                    row = table[e % N]
-                    for t, r in enumerate(row):
-                        if r:
-                            acc[t] += c * r
-        return Cyclotomic(N, acc)
+            if a:
+                for j, b in right:
+                    terms[i + j] = terms.get(i + j, 0) + a * b
+        return Cyclotomic(self.conductor, fold(self.conductor, terms.items()))
 
     __rmul__ = __mul__
 
@@ -282,6 +243,9 @@ class Cyclotomic:
         )
 
     def __hash__(self):
+        # a rational value equals, so hashes as, its Fraction
+        if self.is_rational():
+            return hash(self.coords[0])
         return hash((self.conductor, self.coords))
 
     def __str__(self):

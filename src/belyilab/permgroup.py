@@ -362,7 +362,7 @@ class PermGroup:
         return self._class_index[p.imgs]
 
     def _compute_classes(self):
-        pairs = [(g.imgs, g.inverse().imgs) for g in self.small_generating_set()]
+        pairs = [(g.imgs, g.inverse().imgs) for g in self.generators]
 
         def conjugate(p, pair):
             g, ginv = pair  # image tuple of ginv * p * g

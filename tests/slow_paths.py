@@ -9,14 +9,18 @@ and the table built from |E|^2 calls to it, and extend_automorphism
 factoring [D1 | diag(moduli)] on every call, and relmod's action,
 extension cocycle and P-generator images from freely reduced products of
 FreeWords (s w s^-1, s1 s2 s(h1 h2)^-1, x_i s(g_i)^-1) rewritten from the
-identity coset.  test_fast_paths.py and test_extension_table.py assert
-that the library returns identical results.
+identity coset, and cyclotomic's product and reduction read off an
+N x phi(N) table of the powers of zeta_N.  test_fast_paths.py and
+test_extension_table.py assert that the library returns identical results.
 """
 
 import itertools
+from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from belyilab import cohomology, relmod
+from belyilab import chartab, cohomology, cyclotomic, relmod
+from belyilab.cyclotomic import Cyclotomic, cyclotomic_coeffs, phi_of
 from belyilab.errors import InternalError, PreconditionError
 from belyilab.groups import TableGroup, homomorphism_from_generators, preserves_products
 from belyilab.permgroup import orbit
@@ -360,3 +364,77 @@ def use_slow_relmod(monkeypatch):
     the FreeWord oracles above for the rest of a test."""
     monkeypatch.setattr(relmod, "extension_cocycle", extension_cocycle)
     monkeypatch.setattr(relmod, "_h_fixing_automorphisms", h_fixing_automorphisms)
+
+
+@lru_cache(maxsize=None)
+def power_table(N):
+    """Coordinates of zeta_N^k for k = 0..N-1 in the power basis (int tuples)."""
+    phi = phi_of(N)
+    coeffs = cyclotomic_coeffs(N)
+    assert len(coeffs) == phi + 1 and coeffs[-1] == 1
+    # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1})
+    top = [-c for c in coeffs[:phi]]
+    table = []
+    for k in range(phi):
+        table.append(tuple(1 if i == k else 0 for i in range(phi)))
+    for _ in range(phi, N):
+        prev = table[-1]
+        # multiply by zeta: shift, then fold the overflow through `top`
+        nxt = [0] * phi
+        for i in range(phi - 1):
+            nxt[i + 1] += prev[i]
+        ov = prev[phi - 1]
+        if ov:
+            for i in range(phi):
+                nxt[i] += ov * top[i]
+        table.append(tuple(nxt))
+    return tuple(table)
+
+
+def cyclotomic_mul(self, other):
+    """Cyclotomic.__mul__ with exponents >= phi(N) reduced through the
+    power table."""
+    if not isinstance(other, Cyclotomic):
+        return Cyclotomic(self.conductor, [a * Fraction(other) for a in self.coords])
+    other = self._check(other)
+    N = self.conductor
+    table = power_table(N)
+    phi = len(self.coords)
+    # convolve, reducing exponents >= phi through the table
+    acc = [Fraction(0)] * phi
+    for i, a in enumerate(self.coords):
+        if a == 0:
+            continue
+        for j, b in enumerate(other.coords):
+            if b == 0:
+                continue
+            e = i + j
+            c = a * b
+            if e < phi:
+                acc[e] += c
+            else:
+                row = table[e % N]
+                for t, r in enumerate(row):
+                    if r:
+                        acc[t] += c * r
+    return Cyclotomic(N, acc)
+
+
+def fold(N, terms):
+    """cyclotomic.fold as the sum of c times the table row of zeta_N^e."""
+    table = power_table(N)
+    acc = [Fraction(0)] * phi_of(N)
+    for e, c in terms:
+        for t, r in enumerate(table[e % N]):
+            if r:
+                acc[t] += c * r
+    return acc
+
+
+def use_slow_cyclotomic(monkeypatch):
+    """Route Cyclotomic products, galois, lift and Dixon's lift in chartab
+    through the power table for the rest of a test."""
+    monkeypatch.setattr(Cyclotomic, "__mul__", cyclotomic_mul)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", cyclotomic_mul)
+    monkeypatch.setattr(cyclotomic, "fold", fold)
+    monkeypatch.setattr(chartab, "fold", fold)

@@ -12,6 +12,7 @@ from belyilab.permgroup import (
     symmetric_group,
     trivial_group,
 )
+from test_cyclotomic import zeta
 
 
 def perm(n, *cycles):
@@ -50,7 +51,7 @@ class TestTableStructure:
     def test_z3_degrees_and_values(self):
         tab = character_table(cyclic_group(3))
         assert tab.degrees == [1, 1, 1]
-        z3 = Cyclotomic.root_of_unity(3)
+        z3 = zeta(3)
         vals = {tab.rows[i][1] for i in range(3)}
         assert vals == {Cyclotomic.from_rational(1, 3), z3, z3 * z3}
 
@@ -225,7 +226,7 @@ class TestVirtualCharacters:
             tab.decompose(half)
         # zeta_6 at every class: its multiplicity of the trivial character
         # is zeta_6 itself
-        z6 = [Cyclotomic.root_of_unity(6, 1)] * tab.nclasses()
+        z6 = [zeta(6)] * tab.nclasses()
         with pytest.raises(TableError):
             tab.decompose(z6)
 

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from belyilab.cyclotomic import (
     Cyclotomic,
+    _divide_monic,
+    cyclotomic_coeffs,
     factorint,
     fold,
     phi_of,
@@ -14,7 +16,7 @@ from belyilab.cyclotomic import (
 
 
 def zeta(N, k=1):
-    return Cyclotomic.root_of_unity(N, k)
+    return Cyclotomic(N, fold(N, [(k, 1)]))
 
 
 class TestBasics:
@@ -37,10 +39,19 @@ class TestBasics:
             zeta(3) + zeta(4)
 
     def test_rational_detection(self):
-        assert Cyclotomic.from_rational(Fraction(2, 3), 5).rational_value() == Fraction(2, 3)
+        r = Cyclotomic.from_rational(Fraction(2, 3), 5)
+        assert r.is_rational() and r == Fraction(2, 3)
         assert not zeta(5).is_rational()
-        with pytest.raises(ValueError):
-            zeta(5).rational_value()
+        assert zeta(5) != zeta(5).coords[0]
+
+    def test_equal_values_hash_equal(self):
+        # a rational value equals its int or Fraction, so it must find the
+        # dict entry keyed by it
+        assert {1: "x"}.get(Cyclotomic.from_rational(1, 5)) == "x"
+        assert {Fraction(-2, 3): "y"}.get(Cyclotomic.from_rational(Fraction(-2, 3), 7)) == "y"
+        assert {Cyclotomic.from_rational(1, 5): "z"}.get(1) == "z"
+        assert hash(zeta(5) * zeta(5, 4)) == hash(1)
+        assert {zeta(5): "w"}.get(zeta(5, 6)) == "w"
 
     def test_conjugation(self):
         z = zeta(5)
@@ -123,3 +134,20 @@ class TestFold:
         # 1 + x + ... + x^(p-1) vanishes at zeta_p; 1 + x does not
         assert not any(fold(7, enumerate([1] * 7)))
         assert any(fold(7, enumerate([1, 1])))
+
+    def test_shared_division_is_exact_on_cyclotomic_factors(self):
+        # Phi_d divides x^N - 1 for every d | N: the remainder is zero and
+        # quotient * Phi_d gives x^N - 1 back; and Phi_d vanishes at
+        # zeta_N^(N/d), so fold of Phi_d(x^(N/d)) is zero at conductor N
+        for N in range(1, 61):
+            for d in (d for d in range(1, N + 1) if N % d == 0):
+                den = cyclotomic_coeffs(d)
+                num = [-1] + [0] * (N - 1) + [1]
+                quot = _divide_monic(num, den)
+                assert not any(num[: len(den) - 1]), (N, d)
+                back = [0] * (N + 1)
+                for i, q in enumerate(quot):
+                    for j, c in enumerate(den):
+                        back[i + j] += q * c
+                assert back == [-1] + [0] * (N - 1) + [1], (N, d)
+                assert not any(fold(N, [(j * (N // d), c) for j, c in enumerate(den)])), (N, d)

@@ -1,25 +1,29 @@
-"""The integer kernels of snf, cohomology and relmod against their slow
-paths.
+"""The integer kernels of snf, cohomology, relmod and cyclotomic against
+their slow paths.
 
 The oracles in slow_paths.py are the versions the library replaced: the
 nested-loop Smith normal form, the dense mat_vec, the column-major
 congruence lattice, the extension table from the product on module
-tuples, extend_automorphism factoring its system on every call, and
-relmod's Schreier data from FreeWord products.  They do the same
+tuples, extend_automorphism factoring its system on every call,
+relmod's Schreier data from FreeWord products, and the power table of
+zeta_N behind Cyclotomic products and Dixon's lift.  They do the same
 arithmetic, so every result here must be identical, not just equivalent:
 the SNF (diag, U, V), h2's invariants, basis tables and class coordinates,
-the extension tables and the extended maps, and the relation modules'
+the extension tables and the extended maps, the relation modules'
 words, action matrices, cocycle tables, P-generator positions and
-main-theorem reports.
+main-theorem reports, and the coordinates of products, powers of zeta_N
+and character tables.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import slow_paths
 from belyilab import relmod, snf
+from belyilab.chartab import CharacterTable
 from belyilab.cohomology import (
     Cocycle2,
     FiniteHModule,
@@ -31,8 +35,9 @@ from belyilab.cohomology import (
     h2,
 )
 from belyilab.corpus import _module_corpus, _padded_generators, _relmod_groups
+from belyilab.cyclotomic import Cyclotomic, fold, phi_of
 from belyilab.errors import PreconditionError
-from belyilab.permgroup import cyclic_group, symmetric_group
+from belyilab.permgroup import Permutation, PermGroup, cyclic_group, symmetric_group
 from belyilab.relmod import (
     _p_generators,
     extension_cocycle,
@@ -173,3 +178,66 @@ def test_relation_module_matches_free_words(H, d, monkeypatch):
             with monkeypatch.context() as patch:
                 slow_paths.use_slow_relmod(patch)
                 assert verify_main_theorem(rm, m) == fast
+
+
+CONDUCTORS = list(range(1, 61)) + [330, 546]
+
+
+def sparse_element(rng, N, nonzero):
+    coords = [0] * phi_of(N)
+    for _ in range(nonzero):
+        coords[rng.randrange(len(coords))] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return Cyclotomic(N, coords)
+
+
+@pytest.mark.parametrize("N", CONDUCTORS)
+def test_products_match_power_table(N):
+    rng = random.Random(N)
+    for _ in range(6):
+        a = sparse_element(rng, N, rng.randint(1, 4))
+        b = sparse_element(rng, N, rng.randint(1, 4))
+        assert (a * b).coords == slow_paths.cyclotomic_mul(a, b).coords
+    if N <= 60:
+        a, b = sparse_element(rng, N, phi_of(N)), sparse_element(rng, N, phi_of(N))
+        assert (a * b).coords == slow_paths.cyclotomic_mul(a, b).coords
+
+
+@pytest.mark.parametrize("N", CONDUCTORS)
+def test_roots_of_unity_match_power_table(N):
+    table = slow_paths.power_table(N)
+    for k in range(-N, 2 * N):
+        assert Cyclotomic(N, fold(N, [(k, 1)])).coords == table[k % N]
+
+
+def psl2(q):
+    """PSL(2, q), q prime, on the projective line {0..q-1, oo = q}."""
+    t = [(x + 1) % q for x in range(q)] + [q]
+    s = [q] + [(-pow(x, q - 2, q)) % q for x in range(1, q)] + [0]
+    return PermGroup([Permutation(t, zero_based=True), Permutation(s, zero_based=True)])
+
+
+def direct_product(m, n):
+    """C_m x C_n on m + n points."""
+    a = [(x + 1) % m for x in range(m)] + list(range(m, m + n))
+    b = list(range(m)) + [m + (x + 1) % n for x in range(n)]
+    return PermGroup([Permutation(a, zero_based=True), Permutation(b, zero_based=True)])
+
+
+DIXON_GROUPS = {
+    "PSL(2,7)": lambda: psl2(7),
+    "PSL(2,11)": lambda: psl2(11),
+    "S5": lambda: symmetric_group(5),
+    "C16": lambda: cyclic_group(16),
+    "C2xC8": lambda: direct_product(2, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIXON_GROUPS))
+def test_dixon_tables_match_power_table(name, monkeypatch):
+    fast = CharacterTable(DIXON_GROUPS[name]())
+    slow_paths.use_slow_cyclotomic(monkeypatch)
+    slow = CharacterTable(DIXON_GROUPS[name]())
+    assert fast.exponent == slow.exponent and fast.degrees == slow.degrees
+    assert [[v.coords for v in row] for row in fast.rows] == [
+        [v.coords for v in row] for row in slow.rows
+    ]

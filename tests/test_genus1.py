@@ -17,6 +17,7 @@ from belyilab.genus1 import (
     kummer_cover,
 )
 from belyilab.permgroup import orbit
+from test_cyclotomic import zeta
 
 EXPECTED_ORDERS = {3: (3, 3, 3), 6: (6, 3, 2), 4: (4, 4, 2)}
 
@@ -161,7 +162,7 @@ class TestJInvariantDegree:
             units = [a for a in range(1, t) if gcd(a, t) == 1]
             parts = {}
             for a in units:
-                parts[a] = j_parts(Cyclotomic.root_of_unity(t, a))
+                parts[a] = j_parts(zeta(t, a))
             distinct = []
             for a in units:
                 na, da = parts[a]
