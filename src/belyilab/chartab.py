@@ -119,6 +119,8 @@ class CharacterTable:
                 % (r, _CLASS_LIMIT, work, _LIFT_LIMIT)
             )
         self.exponent = group.exponent()
+        # the class of g^-1 for each class of g: conj(chi(g)) = chi(g^-1)
+        self.inverse_class = [group.class_index_of(rep.inverse()) for rep, _ in self.classes]
         self.rows, self.degrees = self._dixon()
         self._validate()
 
@@ -138,8 +140,6 @@ class CharacterTable:
         members = [[] for _ in range(r)]
         for g in G.elements:
             members[G.class_index_of(g)].append(g)
-
-        inv_class = [G.class_index_of(rep.inverse()) for rep, _ in classes]
 
         # class-sum matrices: (N_i)[j][k] = #{x in C_i : class(x^-1 rep_k) = j}
         reps = [rep for rep, _ in classes]
@@ -207,7 +207,7 @@ class CharacterTable:
             # degree from the second orthogonality sum
             t = 0
             for j in range(r):
-                t = (t + v[j] * v[inv_class[j]] * pow(sizes[j], p - 2, p)) % p
+                t = (t + v[j] * v[self.inverse_class[j]] * pow(sizes[j], p - 2, p)) % p
             if t == 0:
                 raise TableError("degenerate norm sum")
             dsq = (order_mod * pow(t, p - 2, p)) % p
@@ -275,9 +275,12 @@ class CharacterTable:
     # -- inner products and dimensions -------------------------------------
 
     def inner_product(self, f, h):
-        """Exact inner product of two class functions (lists of Cyclotomic
-        at one conductor); TableError unless it is an integer."""
-        terms = (size * (a * b.conj()) for (_, size), a, b in zip(self.classes, f, h))
+        """Exact inner product of a class function f with a (virtual)
+        character h of the table's group, both lists of Cyclotomic at one
+        conductor; TableError unless it is an integer.  The conjugate of
+        h(g) is h(g^-1), read at the inverse class."""
+        inv = self.inverse_class
+        terms = (size * (f[j] * h[inv[j]]) for j, (_, size) in enumerate(self.classes))
         return _integer_mean(sum(terms, Cyclotomic.zero(f[0].conductor)), self.group.order)
 
     def decompose(self, values):

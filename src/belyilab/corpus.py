@@ -118,7 +118,7 @@ def criterion_3():
         )
         i, j = nontrivial
         _check(
-            all(tab.rows[i][k].conj() == tab.rows[j][k] for k in range(tab.nclasses())),
+            all(tab.rows[i][inv] == tab.rows[j][k] for k, inv in enumerate(tab.inverse_class)),
             "characters not conjugate at (%d,%d,%d)" % (a, b, d),
         )
     return "all 6 admissible (a,b,d) verified"
@@ -297,16 +297,16 @@ def criterion_8():
     return "%d surjections: lifts found, count tuple-invariant" % surjections
 
 
+def _table_groups():
+    """The groups whose character tables criterion 9 builds."""
+    groups = [cyclic_group(n) for n in range(2, 13)]
+    groups += [symmetric_group(3), _v4(), _quaternion_group()]
+    return groups + [alternating_group(4), alternating_group(5)]
+
+
 def criterion_9():
     """Character-table suite: orthogonality, degree sums, Burnside."""
-    groups = [cyclic_group(n) for n in range(2, 13)]
-    groups += [
-        symmetric_group(3),
-        _v4(),
-        _quaternion_group(),
-        alternating_group(4),
-        alternating_group(5),
-    ]
+    groups = _table_groups()
     for G in groups:
         tab = character_table(G)  # orthogonality is validated on build
         _check(

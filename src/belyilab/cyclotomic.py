@@ -4,28 +4,30 @@ Values are stored as rational coordinate vectors in the power basis
 1, zeta, ..., zeta^(phi(N)-1), kept reduced modulo the N-th cyclotomic
 polynomial.  The conductor is fixed by the caller (the group exponent in
 character-table work) and never minimized; equality is coordinate equality
-at equal conductors.
+at equal conductors, and a rational value equals its Fraction at any
+conductor.  Only the field operations the package uses are here: sums,
+products and lifts to a multiple of the conductor.  There are no Galois
+automorphisms; the complex conjugate of a character value chi(g) is
+chi(g^-1), which chartab reads at the inverse class.
 
 There is one reduction modulo Phi_N, `fold`: the power-basis coordinates
 of a sum of c * zeta_N^e, by one exact division by the monic Phi_N in
-integers.  Products, Galois conjugates, lifts to a larger conductor and
-Dixon's lift in chartab all go through it; no table of powers of zeta_N
-is kept.
+integers.  Products, lifts to a larger conductor and Dixon's lift in
+chartab all go through it; no table of powers of zeta_N is kept.
 
 The elementary number theory the package needs (factorization, Euler phi,
 primality, cyclotomic polynomials, primes p = 1 (mod N) and elements of
-order N in F_p) lives here too, in plain integers.
+order N in F_p) lives here too, in plain integers.  Primality is trial
+division: every modulus the package picks is below 230,000.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .errors import InternalError
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def factorint(n):
@@ -52,28 +54,8 @@ def phi_of(N):
 
 
 def isprime(n):
-    """Miller-Rabin with the first 13 prime bases, deterministic for
-    n < 3.3 * 10^24 (far above every modulus this package chooses)."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division."""
+    return factorint(n) == {n: 1}
 
 
 def prime_1_mod(N, bound):
@@ -210,19 +192,6 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def galois(self, k):
-        """Apply the Galois automorphism zeta -> zeta^k (gcd(k, N) = 1)."""
-        N = self.conductor
-        if gcd(k, N) != 1:
-            raise ValueError("k = %d is not prime to the conductor %d" % (k, N))
-        return Cyclotomic(N, fold(N, ((i * k, a) for i, a in enumerate(self.coords))))
-
-    def conj(self):
-        """Complex conjugation zeta -> zeta^-1."""
-        if self.conductor == 1:
-            return self
-        return self.galois(self.conductor - 1)
-
     def lift(self, L):
         """Re-express in Q(zeta_L) for a multiple L of the conductor."""
         N = self.conductor
@@ -234,13 +203,11 @@ class Cyclotomic:
         return Cyclotomic(L, fold(L, ((i * step, a) for i, a in enumerate(self.coords))))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
-        return (
-            isinstance(other, Cyclotomic)
-            and self.conductor == other.conductor
-            and self.coords == other.coords
-        )
+        if isinstance(other, Cyclotomic) and other.conductor == self.conductor:
+            return self.coords == other.coords
+        if isinstance(other, Cyclotomic) and other.is_rational():
+            other = other.coords[0]
+        return isinstance(other, (int, Fraction)) and self.is_rational() and self.coords[0] == other
 
     def __hash__(self):
         # a rational value equals, so hashes as, its Fraction

@@ -64,10 +64,10 @@ def inertia_orders(a, b, d):
     return (d // gcd(a, d), d // gcd(b, d), d // gcd(a + b, d))
 
 
-# bound on the level n: the companion-matrix check visits all n^2 vectors
-# and the output lists every stable subgroup's elements; `genus1 cm 4 256`
-# takes 1.6 s and prints 5.4 MB of JSON on a 2-core x86 VM, n = 720 about
-# 12 s and 45 MB
+# bound on the level n: the stable-subgroup search spans every subgroup of
+# (Z/n)^2 and the output lists every stable subgroup's elements;
+# `genus1 cm 4 256` takes 1.6 s and prints 5.4 MB of JSON on a 2-core x86
+# VM, n = 720 about 12 s and 45 MB
 _CM_LEVEL_LIMIT = 256
 
 
@@ -85,13 +85,14 @@ class CmModule:
         self.n = n
         c0, c1 = _MINIMAL_POLYNOMIALS[d]
         # companion matrix of x^2 + c1 x + c0, the minimal polynomial of zeta_d
-        self.matrix = ((0, (-c0) % n), (1, (-c1) % n))
-        for v in ((i, j) for i in range(n) for j in range(n)):
-            av = self._apply(v)
-            aav = self._apply(av)
-            w = tuple((aav[i] + c1 * av[i] + c0 * v[i]) % n for i in range(2))
-            if w != (0, 0):
-                raise InternalError("companion matrix violates its minimal polynomial")
+        A = self.matrix = ((0, (-c0) % n), (1, (-c1) % n))
+        # A^2 + c1 A + c0 I = 0 (mod n), entry by entry
+        if any(
+            (sum(A[i][k] * A[k][j] for k in range(2)) + c1 * A[i][j] + c0 * (i == j)) % n
+            for i in range(2)
+            for j in range(2)
+        ):
+            raise InternalError("companion matrix violates its minimal polynomial")
         self.stable_subgroups = self._stable_subgroups()
 
     def _apply(self, v):

@@ -9,9 +9,10 @@ and the table built from |E|^2 calls to it, and extend_automorphism
 factoring [D1 | diag(moduli)] on every call, and relmod's action,
 extension cocycle and P-generator images from freely reduced products of
 FreeWords (s w s^-1, s1 s2 s(h1 h2)^-1, x_i s(g_i)^-1) rewritten from the
-identity coset, and cyclotomic's product and reduction read off an
-N x phi(N) table of the powers of zeta_N.  test_fast_paths.py and
-test_extension_table.py assert that the library returns identical results.
+identity coset, and cyclotomic's product, reduction and Galois
+automorphisms read off an N x phi(N) table of the powers of zeta_N.
+test_fast_paths.py and test_extension_table.py assert that the library
+returns identical results.
 """
 
 import itertools
@@ -431,9 +432,19 @@ def fold(N, terms):
     return acc
 
 
+def galois(a, k):
+    """The Galois automorphism zeta -> zeta^k (gcd(k, N) = 1) applied to a,
+    read off the power table: with k = -1 the oracle for complex
+    conjugation, which chartab reads at the inverse class."""
+    N = a.conductor
+    if gcd(k, N) != 1:
+        raise ValueError("k = %d is not prime to the conductor %d" % (k, N))
+    return Cyclotomic(N, fold(N, ((i * k, c) for i, c in enumerate(a.coords))))
+
+
 def use_slow_cyclotomic(monkeypatch):
-    """Route Cyclotomic products, galois, lift and Dixon's lift in chartab
-    through the power table for the rest of a test."""
+    """Route Cyclotomic products, lift and Dixon's lift in chartab through
+    the power table for the rest of a test."""
     monkeypatch.setattr(Cyclotomic, "__mul__", cyclotomic_mul)
     monkeypatch.setattr(Cyclotomic, "__rmul__", cyclotomic_mul)
     monkeypatch.setattr(cyclotomic, "fold", fold)

@@ -81,7 +81,8 @@ class TestTableStructure:
                 for k in range(r):
                     acc = Cyclotomic.zero(tab.exponent)
                     for i in range(r):
-                        acc = acc + tab.rows[i][j] * tab.rows[i][k].conj()
+                        # conj(chi(g_k)) = chi(g_k^-1)
+                        acc = acc + tab.rows[i][j] * tab.rows[i][tab.inverse_class[k]]
                     expect = G.order // tab.classes[j][1] if j == k else 0
                     assert acc == expect
 

@@ -396,7 +396,8 @@ class TestGenus1:
         assert len(json.loads(out)["stable_subgroups"]) == 3
 
     def test_cm_level_over_limit_refused(self, capsys):
-        # the companion-matrix check alone would visit 1440^2 vectors
+        # the stable-subgroup search alone would span every subgroup of
+        # (Z/1440)^2
         refused_quickly(capsys, ["--json", "genus1", "cm", "4", "1440"], "exceeds the limit")
 
     def test_jdeg(self, capsys):
@@ -425,6 +426,13 @@ class TestCorpus:
         assert run(capsys, ["--json", "corpus"])[0] == 0
         assert run(capsys, ["--seed", "7", "corpus"])[0] == 0
         assert seeds == [20259, 7]
+
+    def test_failed_criterion_exits_2(self, capsys, monkeypatch):
+        # the corpus inputs are built in: a failure is a fault of the program
+        failing = {"criterion": 1, "pass": False, "description": "d", "detail": "x"}
+        monkeypatch.setattr(belyilab.corpus, "run_corpus", lambda seed: [failing])
+        code, out = run(capsys, ["--json", "corpus"])
+        assert code == 2 and json.loads(out)["pass"] is False
 
     def test_cli_import_leaves_corpus_out(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(belyilab.__file__)))

@@ -5,7 +5,8 @@ running time.  These tests run each command under `-X importtime` on a
 tiny input and compare the belyilab modules it loaded with the modules
 the command uses; a command without cyclotomic arithmetic must not load
 `fractions` either.  A library `import belyilab.cli` still loads them all
-(tests/test_bench_targets.py).
+(tests/test_bench_targets.py), and everything they load is in the
+standard library.
 """
 
 import json
@@ -92,3 +93,19 @@ def test_command_loads_only_its_modules(inputs, argv, modules):
     assert belyilab_loaded == BASE | {"belyilab." + m for m in modules}
     if "cyclotomic" not in modules:
         assert "fractions" not in loaded
+
+
+def test_runtime_needs_only_the_stdlib():
+    # a fresh process imports the CLI and the corpus, which between them
+    # load every belyilab module; nothing new outside the stdlib may come in
+    code = (
+        "import sys; before = set(sys.modules); import belyilab.cli, belyilab.corpus; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = {name.split(".")[0] for name in out.split()}
+    assert "belyilab" in loaded
+    assert loaded - {"belyilab"} <= sys.stdlib_module_names

@@ -6,13 +6,14 @@ nested-loop Smith normal form, the dense mat_vec, the column-major
 congruence lattice, the extension table from the product on module
 tuples, extend_automorphism factoring its system on every call,
 relmod's Schreier data from FreeWord products, and the power table of
-zeta_N behind Cyclotomic products and Dixon's lift.  They do the same
-arithmetic, so every result here must be identical, not just equivalent:
-the SNF (diag, U, V), h2's invariants, basis tables and class coordinates,
-the extension tables and the extended maps, the relation modules'
-words, action matrices, cocycle tables, P-generator positions and
-main-theorem reports, and the coordinates of products, powers of zeta_N
-and character tables.
+zeta_N behind Cyclotomic products, Dixon's lift and the Galois
+automorphisms.  They do the same arithmetic, so every result here must be
+identical, not just equivalent: the SNF (diag, U, V), h2's invariants,
+basis tables and class coordinates, the extension tables and the
+extended maps, the relation modules' words, action matrices, cocycle
+tables, P-generator positions and main-theorem reports, the coordinates
+of products, powers of zeta_N and character tables, and each character
+value at the inverse class against its complex conjugate.
 """
 
 import random
@@ -34,7 +35,7 @@ from belyilab.cohomology import (
     extend_automorphism,
     h2,
 )
-from belyilab.corpus import _module_corpus, _padded_generators, _relmod_groups
+from belyilab.corpus import _module_corpus, _padded_generators, _relmod_groups, _table_groups
 from belyilab.cyclotomic import Cyclotomic, fold, phi_of
 from belyilab.errors import PreconditionError
 from belyilab.permgroup import Permutation, PermGroup, cyclic_group, symmetric_group
@@ -241,3 +242,17 @@ def test_dixon_tables_match_power_table(name, monkeypatch):
     assert [[v.coords for v in row] for row in fast.rows] == [
         [v.coords for v in row] for row in slow.rows
     ]
+
+
+CONJUGATION_GROUPS = {"criterion9-%d" % i: G for i, G in enumerate(_table_groups())}
+CONJUGATION_GROUPS.update((name, make()) for name, make in DIXON_GROUPS.items())
+
+
+@pytest.mark.parametrize("name", sorted(CONJUGATION_GROUPS))
+def test_conjugation_is_the_inverse_class(name):
+    # the value at the inverse class is the Galois conjugate zeta -> zeta^-1
+    tab = CharacterTable(CONJUGATION_GROUPS[name])
+    N = tab.exponent
+    for row in tab.rows:
+        for j, inv in enumerate(tab.inverse_class):
+            assert row[inv] == slow_paths.galois(row[j], N - 1)

@@ -90,7 +90,7 @@ class TestKummerCovers:
             assert all(tab.degrees[i] == 1 for i in nontrivial)
             i, j = nontrivial
             assert all(
-                tab.rows[i][k].conj() == tab.rows[j][k] for k in range(tab.nclasses())
+                tab.rows[i][inv] == tab.rows[j][k] for k, inv in enumerate(tab.inverse_class)
             )
 
     def test_kummer_covers_descend(self):
