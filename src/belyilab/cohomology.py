@@ -10,15 +10,19 @@ built.  Normalized 2-cochains form the free abelian group Z^n2 modulo the
 component moduli, n2 = (|H|-1)^2 * k, with the value at positions (i, j),
 i, j >= 1, in block (i-1)(|H|-1) + j-1.  The cocycle conditions are
 congruences, so Z^2 lifts to a finite-index lattice L in Z^n2.
-H^2 = L / (coboundaries + moduli) is read off from two Smith normal forms,
-of a basis B of L and of the coboundaries and moduli Y in B-coordinates,
+H^2 = L / (coboundaries + moduli) is read off from one Smith normal
+form.  _congruence_lattice builds a basis B of L from the identity by
+column operations and records them; undoing them in order gives B^-1 x
+exactly, or None when x is outside L, so the coboundaries and moduli
+come into B-coordinates as Y = B^-1 [D1 | diag(moduli)] and a cocycle's
+class from B^-1 of its table, with no factorization of B.  Then
 U Y V = diag(d): row i of U gives class coordinate i, and basis cocycle i
-is B Y V e_i / d_i (column i of U^-1, which is never formed).  h2 factors
-its lattices on every call.  extend_automorphism finds the 1-cochain by
+is B Y V e_i / d_i (column i of U^-1, which is never formed).  h2 builds
+L and factors Y on every call.  extend_automorphism finds the 1-cochain by
 which an automorphism of the module extends with its own factorization of
 [D1 | diag(moduli)], cached per module (FiniteHModule.coboundary_snf), so
 "gamma extends iff it fixes the class" compares two independent
-computations.  snf.mat_vec skips zero entries.
+computations.
 """
 
 from __future__ import annotations
@@ -33,8 +37,10 @@ from .permgroup import orbit
 from .snf import identity_matrix, mat_vec, smith_normal_form, solve_from_snf
 
 # bound on n2 = (|H|-1)^2 * k, the dimension of the cocycle lattice and of
-# the Smith normal forms h2 computes; |H|*|M| alone lets Q8 on (Z/2)^9
-# through with n2 = 441, which takes about 100 s
+# the Smith normal forms h2 and extend_automorphism compute; |H|*|M| alone
+# lets Q8 on (Z/2)^9 through with n2 = 441, where h2 takes about 1 s and
+# factoring [D1 | diag(moduli)] about 3 s (C17 on Z/2, n2 = 256: 0.8 s
+# and 0.6 s; 2-core x86-64 VM, CPython 3.11)
 _LATTICE_LIMIT = 256
 
 
@@ -329,14 +335,19 @@ def _coboundary_system(M):
 
 
 def _congruence_lattice(n, rows):
-    """An n x n matrix whose columns are a basis of
-    {x in Z^n : row . x = 0 mod m for each (row, m)}.
+    """(B, ops): an n x n matrix B whose columns are a basis of
+    L = {x in Z^n : row . x = 0 mod m for each (row, m)}, and the column
+    operations that build B from the identity, in order.
 
     Maintains a basis of the running lattice and intersects with one
     congruence at a time by integer column operations.  A congruence's
-    values on the basis combine only the rows of B it touches.
+    values on the basis combine only the rows of B it touches.  ops holds
+    (j0, j, q) for col_j -= q * col_j0 and (j0, None, t) for
+    col_j0 *= t, with t = m / gcd(w, m) > 1, so det B, the product of
+    the t, is nonzero; _lattice_coordinates undoes them.
     """
     B = identity_matrix(n)
+    ops = []
     for row, m in rows:
         w = [0] * n
         for v, coeff in row.items():
@@ -358,11 +369,36 @@ def _congruence_lattice(n, rows):
                     w[j] -= q * w[j0]
                     for r in B:
                         r[j] -= q * r[j0]
+                    ops.append((j0, j, q))
         j0 = next(j for j in range(len(w)) if w[j])
         t = m // gcd(w[j0], m)
         for r in B:
             r[j0] *= t
-    return B
+        ops.append((j0, None, t))
+    return B, ops
+
+
+def _lattice_coordinates(ops, X):
+    """B^-1 X for (B, ops) = _congruence_lattice(...), or None when a
+    column of X is outside L.
+
+    B is the identity times the operations in ops, so B^-1 X undoes them
+    in the same order on the rows of X: col_j -= q * col_j0 becomes
+    row_j0 += q * row_j, and col_j0 *= t becomes row_j0 /= t.  Each
+    intermediate basis spans a lattice containing L, so every division is
+    exact on a column in L; if all are exact the result Z is integral with
+    B Z = X, so a column outside L fails one.
+    """
+    Z = list(X)
+    for j0, j, q in ops:
+        r = Z[j0]
+        if j is not None:
+            Z[j0] = [a + q * b for a, b in zip(r, Z[j])]
+        elif any(a % q for a in r):
+            return None
+        else:
+            Z[j0] = [a // q for a in r]
+    return Z
 
 
 def h2(M: FiniteHModule) -> H2Data:
@@ -379,20 +415,12 @@ def h2(M: FiniteHModule) -> H2Data:
         # H trivial: the only normalized cocycle is zero
         return H2Data(M, [], [], lambda beta: ())
 
-    B = _congruence_lattice(n2, _cocycle_rows(M))
-    B_snf = smith_normal_form(B)
-    if any(d == 0 for d in B_snf[0]):
-        raise InternalError("cocycle lattice basis is singular")
-
+    B, ops = _congruence_lattice(n2, _cocycle_rows(M))
     # sublattice of coboundaries plus the component moduli, expressed in
     # lattice coordinates
-    Y = []
-    for x in zip(*_coboundary_system(M)):
-        y = solve_from_snf(B_snf, x)
-        if y is None:
-            raise InternalError("coboundary escapes the cocycle lattice")
-        Y.append(y)
-    Ymat = [list(row) for row in zip(*Y)]
+    Ymat = _lattice_coordinates(ops, _coboundary_system(M))
+    if Ymat is None:
+        raise InternalError("coboundary escapes the cocycle lattice")
     diag, U2, V2 = smith_normal_form(Ymat)
     if len(diag) < n2 or any(d == 0 for d in diag):
         raise InternalError("H^2 is not finite at finite level")
@@ -404,10 +432,10 @@ def h2(M: FiniteHModule) -> H2Data:
         N = beta.module
         if N is not M and (N.T.names, N.shape, N.action) != (M.T.names, M.shape, M.action):
             raise PreconditionError("cocycle belongs to a different module")
-        y = solve_from_snf(B_snf, _flatten(beta.table))
+        y = _lattice_coordinates(ops, [[x] for x in _flatten(beta.table)])
         if y is None:
             raise InternalError("valid cocycle is outside the cocycle lattice")
-        z = mat_vec(U2, y)
+        z = mat_vec(U2, [x for x, in y])
         return tuple(z[i] % diag[i] for i in keep)
 
     basis = []

@@ -7,9 +7,13 @@ library normal forms expose only the diagonal.  The row transform U and
 the column transform V suffice: where a caller needs a column of U^-1 it
 reads it off A*V, since U*A*V = diag(d).
 Matrices are lists of lists of Python ints, at most a few hundred rows.
-The right-hand sides h2 and extend_automorphism solve for are mostly a
-modulus times a unit vector, so mat_vec skips the zero entries of v; the
-factorizations themselves are cached by the callers (see cohomology).
+The systems cohomology factors are sparse with many unit entries, so the
+elimination skips zero work without changing a single step: a unit pivot
+is found by list.index, row operations add only the pivot row's nonzero
+entries, column operations touch only the rows of S and V that are
+nonzero in the pivot column, and a pivot 1 needs no divisibility scan.
+The right-hand sides extend_automorphism solves for are mostly a modulus
+times a unit vector, so mat_vec skips the zero entries of v.
 """
 
 from __future__ import annotations
@@ -33,33 +37,25 @@ def smith_normal_form(A):
     m = len(A)
     n = len(A[0]) if m else 0
     # row i of S is row i of A followed by row i of U, so each row
-    # operation transforms both with one list operation
+    # operation transforms both
     S = [row + e for row, e in zip(A, identity_matrix(m))]
     V = identity_matrix(n)
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        S[i] = [a + c * b for a, b in zip(S[i], S[j])]
-
-    def add_col(i, j, c):
-        # col_i += c * col_j
-        for r in S:
-            r[i] += c * r[j]
-        for r in V:
-            r[i] += c * r[j]
 
     t = 0
     size = min(m, n)
     while t < size:
         # the nonzero entry of smallest magnitude in the submatrix, first
-        # in row-major order among ties
-        piv = min(
-            ((abs(a), i, j) for i in range(t, m) for j, a in enumerate(S[i][t:n], t) if a),
-            default=None,
-        )
+        # in row-major order among ties: the first unit if there is one
+        piv = _first_unit(S, t, n)
         if piv is None:
-            break
-        _, i, j = piv
+            piv = min(
+                ((abs(a), i, j) for i in range(t, m) for j, a in enumerate(S[i][t:n], t) if a),
+                default=None,
+            )
+            if piv is None:
+                break
+            piv = piv[1:]
+        i, j = piv
         S[t], S[i] = S[i], S[t]
         if j != t:
             for r in S:
@@ -68,36 +64,56 @@ def smith_normal_form(A):
                 r[t], r[j] = r[j], r[t]
         if S[t][t] < 0:
             S[t] = [-a for a in S[t]]
-        # clear the pivot row and column; restart if a remainder survives
+        # clear the pivot row and column; restart if a remainder survives.
+        # Row operations add multiples of the pivot row's nonzero entries,
+        # column operations reach only the rows nonzero in the pivot column.
         dirty = False
-        p = S[t][t]
+        pivot_row = S[t]
+        p = pivot_row[t]
+        support = [(c, a) for c, a in enumerate(pivot_row) if a]
         for i in range(t + 1, m):
-            if S[i][t]:
-                q = S[i][t] // p
+            r = S[i]
+            if r[t]:
+                q = r[t] // p
                 if q:
-                    add_row(i, t, -q)
-                if S[i][t]:
+                    for c, a in support:
+                        r[c] -= q * a
+                if r[t]:
                     dirty = True
+        rows = [r for r in S if r[t]] + [r for r in V if r[t]]
         for j in range(t + 1, n):
-            if S[t][j]:
-                q = S[t][j] // p
+            if pivot_row[j]:
+                q = pivot_row[j] // p
                 if q:
-                    add_col(j, t, -q)
-                if S[t][j]:
+                    for r in rows:
+                        r[j] -= q * r[t]
+                if pivot_row[j]:
                     dirty = True
         if dirty:
             continue
-        # divisibility: pivot must divide every remaining entry
-        offender = next(
-            (i for i in range(t + 1, m) if any(a % p for a in S[i][t + 1 : n])), None
-        )
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
+        # divisibility: the pivot must divide every remaining entry
+        if p != 1:
+            offender = next(
+                (i for i in range(t + 1, m) if any(a % p for a in S[i][t + 1 : n])), None
+            )
+            if offender is not None:
+                S[t] = [a + b for a, b in zip(S[t], S[offender])]
+                continue
         t += 1
 
     diag = [S[i][i] for i in range(size)]
     return diag, [row[n:] for row in S], V
+
+
+def _first_unit(S, t, n):
+    """(i, j) of the first entry +-1 of S[t:][t:n] in row-major order, or
+    None."""
+    for i in range(t, len(S)):
+        seg = S[i][t:n]
+        j = min((seg.index(u) for u in (1, -1) if u in seg), default=None)
+        if j is not None:
+            return i, j + t
+    return None
 
 
 def solve_from_snf(snf, b):

@@ -81,7 +81,8 @@ def cases():
         out.append(
             (name + "/descend", ["--json", "descend", "--refine", "--input", "{cover}"], inputs)
         )
-    # Q8 with --mod 2 spends about 100 s in H^2, so Q8 runs without it
+    # Q8 with --mod 2 has a cocycle lattice of dimension 441, over the
+    # limit of 256 (exit 1), so Q8 runs without it
     relmod = (
         ("s3", S3, ["--rank", "2", "--mod", "2"]),
         ("z3", Z3, ["--rank", "2", "--mod", "2"]),
@@ -111,6 +112,8 @@ def cases():
         out.append((name + "/chartab", argv, {"group": group}))
     argv = ["--json", "cohomology", "--module", "{module}"]
     out.append(("readme/cohomology", argv, {"module": README_MODULE}))
+    # the built-in corpus, every criterion (its JSON carries no timings)
+    out.append(("builtin/corpus", ["--json", "corpus"], {}))
     return out
 
 

@@ -4,8 +4,9 @@ snf, for the extension table and for relmod's Schreier rewriting.
 Each function here is the version the library replaced, kept verbatim in
 its arithmetic: the nested-loop Smith normal form (which also tracks the
 inverse of its row transform, U^-1), the dense mat_vec, the
-column-major congruence lattice, the extension product on module tuples
-and the table built from |E|^2 calls to it, and extend_automorphism
+column-major congruence lattice with coordinates in it solved from its
+basis's Smith normal form, the extension product on module tuples and
+the table built from |E|^2 calls to it, and extend_automorphism
 factoring [D1 | diag(moduli)] on every call, and relmod's action,
 extension cocycle and P-generator images from freely reduced products of
 FreeWords (s w s^-1, s1 s2 s(h1 h2)^-1, x_i s(g_i)^-1) rewritten from the
@@ -179,18 +180,38 @@ def congruence_lattice_columns(n, rows):
 
 
 def congruence_lattice(n, rows):
-    """The columns above as the n x n matrix h2 expects."""
+    """The columns above as the n x n matrix B h2 expects, and in place of
+    its column operations B's Smith normal form, which
+    lattice_coordinates solves with."""
     cols = congruence_lattice_columns(n, rows)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    B = [[cols[j][i] for j in range(n)] for i in range(n)]
+    B_snf = smith_normal_form_3(B)
+    if any(d == 0 for d in B_snf[0]):
+        raise InternalError("cocycle lattice basis is singular")
+    return B, B_snf
+
+
+def lattice_coordinates(B_snf, X):
+    """B^-1 X, one column at a time from B's Smith normal form, or None
+    when a column of X is outside the lattice."""
+    Y = []
+    for x in zip(*X):
+        y = solve_from_snf(B_snf, x)
+        if y is None:
+            return None
+        Y.append(y)
+    return [list(row) for row in zip(*Y)]
 
 
 def use_slow_kernels(monkeypatch):
-    """Route cohomology's SNF, solve, mat_vec and congruence lattice
-    through the oracles above for the rest of a test."""
+    """Route cohomology's SNF, solve, mat_vec, congruence lattice and
+    lattice coordinates through the oracles above for the rest of a
+    test."""
     monkeypatch.setattr(cohomology, "smith_normal_form", smith_normal_form_3)
     monkeypatch.setattr(cohomology, "solve_from_snf", solve_from_snf)
     monkeypatch.setattr(cohomology, "mat_vec", mat_vec)
     monkeypatch.setattr(cohomology, "_congruence_lattice", congruence_lattice)
+    monkeypatch.setattr(cohomology, "_lattice_coordinates", lattice_coordinates)
 
 
 def mult(E, a, b):

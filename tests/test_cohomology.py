@@ -15,7 +15,7 @@ from belyilab.cohomology import (
     h2,
     stabilizer_beta,
 )
-from belyilab.errors import PreconditionError
+from belyilab.errors import InternalError, PreconditionError
 from belyilab.permgroup import Permutation, cyclic_group, generate, trivial_group
 
 
@@ -357,6 +357,28 @@ class TestTrustedCocycles:
             made += [apply_aut(g, r) for g in aut_h(M) for r in reps]
             for r in made:
                 assert Cocycle2(M, r.table) == r
+
+    def test_class_of_a_bumped_table_is_an_internal_error(self):
+        # one value of a trusted table bumped so that a cocycle identity
+        # fails is outside the cocycle lattice: class_of raises instead of
+        # returning a class
+        from belyilab.corpus import _module_corpus
+
+        bumped = 0
+        for M in _module_corpus():
+            data = h2(M)
+            for beta in [Cocycle2.zero(M)] + data.basis:
+                for a, b, r in itertools.product(range(1, M.T.n), range(1, M.T.n), range(M.k)):
+                    table = [list(row) for row in beta.table]
+                    table[a][b] = M.add(table[a][b], [int(s == r) for s in range(M.k)])
+                    try:
+                        Cocycle2(M, table)
+                        continue
+                    except PreconditionError:
+                        bumped += 1
+                    with pytest.raises(InternalError, match="outside the cocycle lattice"):
+                        data.class_of(Cocycle2._trusted(M, table))
+        assert bumped > 100
 
     def test_apply_aut_rejects_non_equivariant_matrices(self):
         H = cyclic_group(2)

@@ -3,11 +3,12 @@ their slow paths.
 
 The oracles in slow_paths.py are the versions the library replaced: the
 nested-loop Smith normal form, the dense mat_vec, the column-major
-congruence lattice, the extension table from the product on module
-tuples, extend_automorphism factoring its system on every call,
-relmod's Schreier data from FreeWord products, and the power table of
-zeta_N behind Cyclotomic products, Dixon's lift and the Galois
-automorphisms.  They do the same arithmetic, so every result here must be
+congruence lattice and the solve from its basis's Smith normal form that
+h2's replayed column operations replace, the extension table from the
+product on module tuples, extend_automorphism factoring its system on
+every call, relmod's Schreier data from FreeWord products, and the power
+table of zeta_N behind Cyclotomic products, Dixon's lift and the Galois
+automorphisms. They do the same arithmetic, so every result here must be
 identical, not just equivalent: the SNF (diag, U, V), h2's invariants,
 basis tables and class coordinates, the extension tables and the
 extended maps, the relation modules' words, action matrices, cocycle
@@ -28,8 +29,11 @@ from belyilab.chartab import CharacterTable
 from belyilab.cohomology import (
     Cocycle2,
     FiniteHModule,
+    _coboundary_system,
     _cocycle_rows,
     _congruence_lattice,
+    _flatten,
+    _lattice_coordinates,
     aut_h,
     build_extension,
     extend_automorphism,
@@ -101,7 +105,49 @@ def test_congruence_lattice_is_the_transposed_columns(M):
     n2 = (M.T.n - 1) ** 2 * M.k
     rows = _cocycle_rows(M)
     cols = slow_paths.congruence_lattice_columns(n2, rows)
-    assert _congruence_lattice(n2, rows) == [[col[i] for col in cols] for i in range(n2)]
+    B, _ = _congruence_lattice(n2, rows)
+    assert B == [[col[i] for col in cols] for i in range(n2)]
+
+
+@pytest.mark.parametrize("M", MODULES, ids=IDS)
+def test_replay_matches_lattice_snf_solve(M):
+    # B^-1 x by undoing the lattice's column operations against the
+    # solve from B's Smith normal form: on every coboundary column, random
+    # cocycles, unit vectors and random vectors, which are mostly off the
+    # lattice and must give None
+    rng = random.Random(M.T.n * 100 + M.size + 1)
+    n2 = (M.T.n - 1) ** 2 * M.k
+    B, ops = _congruence_lattice(n2, _cocycle_rows(M))
+    B_snf = slow_paths.smith_normal_form_3(B)
+    D = _coboundary_system(M)
+    data = h2(M)
+    vectors = [list(x) for x in zip(*D)]
+    vectors += [_flatten(random_cocycle(M, data, rng).table) for _ in range(8)]
+    vectors += [[int(i == j) for j in range(n2)] for i in range(n2)]
+    vectors += [[rng.randrange(-4, 5) for _ in range(n2)] for _ in range(8)]
+    ys = []
+    for x in vectors:
+        y = _lattice_coordinates(ops, [[v] for v in x])
+        y = None if y is None else [v for v, in y]
+        assert y == slow_paths.solve_from_snf(B_snf, x)
+        ys.append(y)
+    # B is the identity when no congruence cuts the lattice down
+    assert None in ys or B == snf.identity_matrix(n2)
+    # all coboundary columns at once, as h2 replays them
+    assert _lattice_coordinates(ops, D) == [list(r) for r in zip(*ys[: len(D[0])])]
+    assert _lattice_coordinates(ops, B) == snf.identity_matrix(n2)
+
+
+@pytest.mark.parametrize("M", MODULES, ids=IDS)
+def test_snf_matches_nested_loops_on_h2_systems(M):
+    # the sparse systems h2 and extend_automorphism factor, up to 50 x 60,
+    # with long runs of unit pivots: B, Ymat = B^-1 [D1 | diag(moduli)]
+    # and [D1 | diag(moduli)] itself
+    n2 = (M.T.n - 1) ** 2 * M.k
+    B, ops = _congruence_lattice(n2, _cocycle_rows(M))
+    D = _coboundary_system(M)
+    for A in (B, _lattice_coordinates(ops, D), D):
+        assert snf.smith_normal_form(A) == slow_paths.smith_normal_form_3(A)
 
 
 @pytest.mark.parametrize("M", MODULES, ids=IDS)

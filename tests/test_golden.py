@@ -1,7 +1,7 @@
 """Byte-identity of CLI outputs against tests/data/golden.json.
 
 The golden file holds frozen `analyze`, `descend --refine`, `relmod`,
-`chartab` and `cohomology` outputs (see make_golden.py); every case is
+`chartab`, `cohomology` and `corpus` outputs (see make_golden.py); every case is
 recomputed in process here.  A refactor that must not change any output
 keeps this test green without regenerating the file.
 """
