@@ -262,8 +262,6 @@ def _cmd_relmod(args):
 def _cmd_gaschuetz(args):
     from .gaschuetz import SurjectionProblem, count_lifts, lift_generators
 
-    if args.subcommand != "lift":
-        raise PreconditionError("unknown gaschuetz subcommand %r" % args.subcommand)
     G1 = _parse_group(_load_json(args.g1))
     G2 = _parse_group(_load_json(args.g2))
     psi_images = _parse_permutations(_load_json(args.psi), "psi")

@@ -19,7 +19,8 @@ from .errors import InternalError, PreconditionError
 from .groups import TableGroup, map_from_generators, preserves_products
 from .permgroup import PermGroup
 
-# the most tuples count_lifts enumerates (the product of the fiber sizes);
+# the most tuples lift_generators and count_lifts enumerate (the product of
+# the fiber sizes, or |G1|^d when a failed lift search is confirmed);
 # S4 onto the trivial group with d = 4 is 331,776 tuples and about 2.5 s
 _COUNT_LIMIT = 10**6
 
@@ -73,47 +74,54 @@ class SurjectionProblem:
         ]
 
 
+def _generated_by_some(T, d):
+    """Whether some d-tuple of the TableGroup T generates it (at most
+    |T|^d tuples)."""
+    return any(T.generates(list(tup)) for tup in itertools.product(range(T.n), repeat=d))
+
+
 def min_generators(G) -> int:
     """The least d such that G has a generating d-tuple."""
     T, _, _ = _as_table(G)
-    if T.n == 1:
-        return 0
-    d = 1
-    while True:
-        for tup in itertools.product(range(T.n), repeat=d):
-            if T.generates(list(tup)):
-                return d
+    d = 0
+    while not _generated_by_some(T, d):
         d += 1
+    return d
 
 
-def lift_generators(p: SurjectionProblem):
-    """The lexicographically least tuple S1 with psi(S1) = S2 elementwise
-    and <S1> = G1.
-
-    A valid instance always has a lift; exhausting the search space on one
-    is an internal defect, not a user error.
-    """
-    if p.d < min_generators(p.T1):
-        raise PreconditionError(
-            "tuple length %d is below the minimal generator number of G1" % p.d
-        )
-    for tup in itertools.product(*p.fibers()):
-        if p.T1.generates(list(tup)):
-            return tuple(p.from1(a) for a in tup)
-    raise InternalError("no lift found on a valid instance")
-
-
-def count_lifts(p: SurjectionProblem) -> int:
-    """The number of generating tuples of G1 over S2, refused before the
-    search when the fibers hold more than _COUNT_LIMIT tuples."""
+def _bounded_fibers(p: SurjectionProblem):
+    """p's fibers, refused before any search when their product holds more
+    than _COUNT_LIMIT tuples."""
     fibers = p.fibers()
     space = prod(map(len, fibers))
     if space > _COUNT_LIMIT:
         raise PreconditionError(
             "lift count search too large: %d tuples > %d" % (space, _COUNT_LIMIT)
         )
-    count = 0
-    for tup in itertools.product(*fibers):
+    return fibers
+
+
+def lift_generators(p: SurjectionProblem):
+    """The lexicographically least tuple S1 with psi(S1) = S2 elementwise
+    and <S1> = G1.
+
+    By Gaschuetz's lemma the fibers hold no generating tuple exactly when
+    d is below the minimal generator number of G1.  When |G1|^d tuples are
+    within _COUNT_LIMIT that is confirmed, and a valid instance without a
+    lift is an internal defect, not a user error.
+    """
+    for tup in itertools.product(*_bounded_fibers(p)):
         if p.T1.generates(list(tup)):
-            count += 1
-    return count
+            return tuple(p.from1(a) for a in tup)
+    if p.T1.n**p.d <= _COUNT_LIMIT and _generated_by_some(p.T1, p.d):
+        raise InternalError("no lift found on a valid instance")
+    raise PreconditionError(
+        "tuple length %d is below the minimal generator number of G1" % p.d
+    )
+
+
+def count_lifts(p: SurjectionProblem) -> int:
+    """The number of generating tuples of G1 over S2, refused before the
+    search when the fibers hold more than _COUNT_LIMIT tuples."""
+    fibers = _bounded_fibers(p)
+    return sum(p.T1.generates(list(tup)) for tup in itertools.product(*fibers))

@@ -114,6 +114,16 @@ def cases():
     out.append(("readme/cohomology", argv, {"module": README_MODULE}))
     # the built-in corpus, every criterion (its JSON carries no timings)
     out.append(("builtin/corpus", ["--json", "corpus"], {}))
+    genus1 = [["triples"], ["kummer", "1", "2", "6"], ["cm", "3", "7"]]
+    genus1 += [["jdeg", str(t)] for t in (21, 1155, 3003)]
+    for args in genus1:
+        out.append(("_".join(args) + "/genus1", ["--json", "genus1"] + args, {}))
+    z6 = {"generators": [[2, 3, 4, 5, 6, 1]]}
+    z3 = {"generators": [[2, 3, 1]]}
+    argv = ["--json", "gaschuetz", "lift", "--g1", "{g1}", "--g2", "{g2}"]
+    argv += ["--psi", "{psi}", "--tuple", "{tuple}"]
+    inputs = {"g1": z6, "g2": z3, "psi": [[2, 3, 1]], "tuple": [[2, 3, 1]]}
+    out.append(("z6_z3/gaschuetz", argv, inputs))
     return out
 
 

@@ -11,9 +11,11 @@ factoring [D1 | diag(moduli)] on every call, and relmod's action,
 extension cocycle and P-generator images from freely reduced products of
 FreeWords (s w s^-1, s1 s2 s(h1 h2)^-1, x_i s(g_i)^-1) rewritten from the
 identity coset, and cyclotomic's product, reduction and Galois
-automorphisms read off an N x phi(N) table of the powers of zeta_N.
-test_fast_paths.py and test_extension_table.py assert that the library
-returns identical results.
+automorphisms read off an N x phi(N) table of the powers of zeta_N, and
+genus1's j-invariant degree with j's numerator and denominator
+cross-multiplied as dense lists in Z[x]/(x^t - 1).
+test_fast_paths.py, test_extension_table.py and test_genus1.py assert
+that the library returns identical results.
 """
 
 import itertools
@@ -470,3 +472,69 @@ def use_slow_cyclotomic(monkeypatch):
     monkeypatch.setattr(Cyclotomic, "__rmul__", cyclotomic_mul)
     monkeypatch.setattr(cyclotomic, "fold", fold)
     monkeypatch.setattr(chartab, "fold", fold)
+
+
+def _poly_mul(a, b, t):
+    """Product of integer coefficient lists in Z[x]/(x^t - 1)."""
+    out = [0] * t
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[(i + j) % t] += ai * bj
+    return out
+
+
+def _j_parts_poly(a, t):
+    """(numerator, denominator) of j/256 at x^a in Z[x]/(x^t - 1)."""
+    base = [0] * t
+    base[(2 * a) % t] += 1
+    base[a % t] -= 1
+    base[0] += 1
+    num = _poly_mul(_poly_mul(base, base, t), base, t)
+    lin = [0] * t
+    lin[a % t] += 1
+    lin[0] -= 1
+    sq = [0] * t
+    sq[(2 * a) % t] = 1
+    den = _poly_mul(sq, _poly_mul(lin, lin, t), t)
+    return num, den
+
+
+def j_fixed_by(t, a, parts1=None):
+    """genus1's exact test on one unit a: the cross-multiplied difference,
+    computed with integer coefficients in Z[x]/(x^t - 1), must vanish at
+    zeta_t (parts1, when given, is _j_parts_poly(1, t))."""
+    num1_p, den1_p = parts1 or _j_parts_poly(1, t)
+    num_a, den_a = _j_parts_poly(a, t)
+    diff = [
+        u - v
+        for u, v in zip(_poly_mul(num_a, den1_p, t), _poly_mul(num1_p, den_a, t))
+    ]
+    return not any(cyclotomic.fold(t, enumerate(diff)))
+
+
+def j_invariant_degree(t):
+    """genus1.j_invariant_degree with j written as jnum_mod for the mod-q
+    prefilter and j_fixed_by as the exact test on its survivors."""
+    units = [a for a in range(1, t) if gcd(a, t) == 1]
+    phi = len(units)
+    q = cyclotomic.prime_1_mod(t, t)
+    r = cyclotomic.root_of_unity_mod(q, t)
+    powers = {a: pow(r, a, q) for a in range(t)}
+
+    def jnum_mod(a):
+        z = powers[a % t]
+        num = pow((z * z - z + 1) % q, 3, q)
+        den = (z * z) % q * pow(z - 1, 2, q) % q
+        return num, den
+
+    num1, den1 = jnum_mod(1)
+    survivors = []
+    for a in units:
+        num_a, den_a = jnum_mod(a)
+        if (num_a * den1 - num1 * den_a) % q == 0:
+            survivors.append(a)
+    parts1 = _j_parts_poly(1, t)
+    stab = [a for a in survivors if j_fixed_by(t, a, parts1)]
+    return phi // len(stab)

@@ -372,6 +372,37 @@ class TestGaschuetz:
         argv = ["--json", "gaschuetz", "lift", "--g1", g1, "--g2", g2, "--psi", psi]
         refused_quickly(capsys, argv + ["--tuple", tup], "group of order 40320 is too large")
 
+    @staticmethod
+    def transpositions(k):
+        """The generators (1 2), (3 4), ..., (2k-1 2k) of (Z/2)^k."""
+        gens = []
+        for i in range(k):
+            images = list(range(1, 2 * k + 1))
+            images[2 * i], images[2 * i + 1] = 2 * i + 2, 2 * i + 1
+            gens.append(images)
+        return gens
+
+    def test_lift_search_refused_before_it_runs(self, capsys, tmp_path):
+        # (Z/2)^5 onto the trivial group over five identities: 32^5 tuples
+        # in the fibers, refused before lift_generators searches them
+        g1 = write_json(tmp_path, "g1.json", {"generators": self.transpositions(5)})
+        g2 = write_json(tmp_path, "one.json", {"generators": [[1]]})
+        psi = write_json(tmp_path, "psi.json", [[1]] * 5)
+        tup = write_json(tmp_path, "tup.json", [[1]] * 5)
+        argv = ["--json", "gaschuetz", "lift", "--g1", g1, "--g2", g2, "--psi", psi]
+        refused_quickly(capsys, argv + ["--tuple", tup], "lift count search too large")
+
+    def test_tuple_below_minimal_generator_number(self, capsys, tmp_path):
+        # (Z/2)^6 onto (Z/2)^5 over a 5-tuple: d(G1) = 6, so the 2^5 tuples
+        # of the fibers hold no lift; the 64^5 5-tuples of G1 are not walked
+        g1 = write_json(tmp_path, "g1.json", {"generators": self.transpositions(6)})
+        g2_gens = self.transpositions(5)
+        g2 = write_json(tmp_path, "g2.json", {"generators": g2_gens})
+        psi = write_json(tmp_path, "psi.json", g2_gens + [list(range(1, 11))])
+        tup = write_json(tmp_path, "tup.json", g2_gens)
+        argv = ["--json", "gaschuetz", "lift", "--g1", g1, "--g2", g2, "--psi", psi]
+        refused_quickly(capsys, argv + ["--tuple", tup], "below the minimal generator number")
+
 
 class TestGenus1:
     def test_triples(self, capsys):

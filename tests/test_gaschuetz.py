@@ -1,6 +1,6 @@
 import pytest
 
-from belyilab.errors import PreconditionError
+from belyilab.errors import InternalError, PreconditionError
 from belyilab.gaschuetz import (
     SurjectionProblem,
     count_lifts,
@@ -89,6 +89,25 @@ class TestLiftGenerators:
         G2, _, project = V4.coset_action(generate([V4.generators[0]]))
         with pytest.raises(PreconditionError):
             lift_generators(SurjectionProblem(V4, G2, project, tuple(G2.small_generating_set())))
+
+    def test_search_bound(self):
+        # S4 onto the trivial group over five identities: the 24^5 tuples
+        # of the fibers are refused before the lift search
+        G1 = symmetric_group(4)
+        one = trivial_group(1).identity()
+        p = SurjectionProblem(G1, trivial_group(1), lambda x: one, (one,) * 5)
+        with pytest.raises(PreconditionError, match="too large"):
+            lift_generators(p)
+
+    def test_missing_lift_on_a_valid_instance(self, monkeypatch):
+        # fibers corrupted to the identity alone: Z/6 has a generating
+        # 1-tuple, so the failed search is an internal defect
+        G1 = cyclic_group(6)
+        g = G1.generators[0]
+        p, _, _ = quotient_problem(G1, [g * g * g])
+        monkeypatch.setattr(p, "fibers", lambda: [[p.to1(G1.identity())]])
+        with pytest.raises(InternalError, match="no lift found"):
+            lift_generators(p)
 
     def test_non_generating_tuple_rejected(self):
         G = cyclic_group(4)

@@ -2,11 +2,14 @@ from math import gcd
 
 import pytest
 
+import slow_paths
+from belyilab import genus1
 from belyilab.chartab import character_table
+from belyilab.cli import main
 from belyilab.cover import genus, tate_characters, validate
 from belyilab.cyclotomic import Cyclotomic, phi_of
 from belyilab.descent import DESCENDS, descent_report
-from belyilab.errors import PreconditionError
+from belyilab.errors import InternalError, PreconditionError
 from belyilab.genus1 import (
     ADMISSIBLE_KUMMER,
     CmModule,
@@ -179,3 +182,47 @@ class TestJInvariantDegree:
             assert 6 * deg >= phi
             if phi > 24:
                 assert deg > 4
+
+    def test_exact_test_matches_polynomial_oracle(self):
+        # every unit, those the mod-q prefilter drops included, against the
+        # cross-multiplication in Z[x]/(x^t - 1)
+        fixed = moved = 0
+        for t in range(3, 202, 2):
+            parts1 = slow_paths._j_parts_poly(1, t)
+            for a in range(1, t):
+                if gcd(a, t) == 1:
+                    expected = slow_paths.j_fixed_by(t, a, parts1)
+                    assert genus1._fixes_j(t, a) == expected, (t, a)
+                    fixed += expected
+                    moved += not expected
+        assert fixed and moved
+
+    @pytest.mark.parametrize("t", [1155, 3003, 3465, 4999])
+    def test_large_levels_match_polynomial_oracle(self, t):
+        assert j_invariant_degree(t) == slow_paths.j_invariant_degree(t)
+
+
+class TestJInvariantDegreeChecks:
+    """Each InternalError of j_invariant_degree, fired by corrupting the
+    computation upstream of it."""
+
+    def test_unit_count_against_euler_phi(self, monkeypatch):
+        monkeypatch.setattr(genus1, "phi_of", lambda t: t - 1)
+        with pytest.raises(InternalError, match="disagrees with Euler phi"):
+            j_invariant_degree(9)
+
+    def test_identity_in_the_stabilizer(self, monkeypatch):
+        # an exact test that fixes nothing, not even a = 1
+        monkeypatch.setattr(genus1, "fold", lambda N, terms: [1])
+        with pytest.raises(InternalError, match="identity is missing"):
+            j_invariant_degree(7)
+
+    def test_stabilizer_size_divides_phi_through_cli(self, monkeypatch, capsys):
+        # r = 1 lets every unit through the prefilter, and an exact test
+        # that rejects only a = 3 leaves 5 of the 6 units of Z/7
+        monkeypatch.setattr(genus1, "root_of_unity_mod", lambda q, t: 1)
+        monkeypatch.setattr(genus1, "_fixes_j", lambda t, a: a != 3)
+        assert main(["genus1", "jdeg", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: stabilizer size does not divide phi(t)" in captured.err

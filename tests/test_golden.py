@@ -1,8 +1,8 @@
 """Byte-identity of CLI outputs against tests/data/golden.json.
 
 The golden file holds frozen `analyze`, `descend --refine`, `relmod`,
-`chartab`, `cohomology` and `corpus` outputs (see make_golden.py); every case is
-recomputed in process here.  A refactor that must not change any output
+`chartab`, `cohomology`, `corpus`, `genus1` and `gaschuetz lift` outputs
+(see make_golden.py); every case is recomputed in process here.  A refactor that must not change any output
 keeps this test green without regenerating the file.
 """
 
