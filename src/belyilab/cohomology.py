@@ -19,28 +19,40 @@ class from B^-1 of its table, with no factorization of B.  Then
 U Y V = diag(d): row i of U gives class coordinate i, and basis cocycle i
 is B Y V e_i / d_i (column i of U^-1, which is never formed).  h2 builds
 L and factors Y on every call.  extend_automorphism finds the 1-cochain by
-which an automorphism of the module extends with its own factorization of
-[D1 | diag(moduli)], cached per module (FiniteHModule.coboundary_snf), so
-"gamma extends iff it fixes the class" compares two independent
-computations.
+which an automorphism of the module extends with its own factorization,
+cached per module (FiniteHModule.coboundary_snf), so "gamma extends iff
+it fixes the class" compares two independent computations.  It factors
+D1 alone, n2 x n1, with row v scaled by L/m_v, L the lcm of the moduli:
+dc = delta holds in M exactly when the scaled rows agree modulo L, which
+the diagonal decides entry by entry.
+
+End_H(M) is a lattice too: a k x k integer matrix X is an endomorphism
+when X[r][c] = 0 mod m_r/gcd(m_r, m_c) (a well-defined map Z/m_c ->
+Z/m_r), and it commutes with the action when (X A_g - A_g X)[r][c] = 0
+mod m_r for H's generators g.  _congruence_lattice gives a basis of the
+solutions, which contain m_r times every unit matrix of row r, so
+|End_H| is the product of the k^2 row moduli over the product of the
+lattice's recorded scalings.  aut_h counts End_H before it enumerates it
+from the basis and keeps the bijective members: Aut_H(M) is the group of
+units of End_H(M).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import InternalError, PreconditionError
 from .groups import TABLE_LIMIT, TableGroup, preserves_products
 from .permgroup import orbit
-from .snf import identity_matrix, mat_vec, smith_normal_form, solve_from_snf
+from .snf import identity_matrix, mat_vec, smith_normal_form, solve_mod_from_snf
 
 # bound on n2 = (|H|-1)^2 * k, the dimension of the cocycle lattice and of
 # the Smith normal forms h2 and extend_automorphism compute; |H|*|M| alone
-# lets Q8 on (Z/2)^9 through with n2 = 441, where h2 takes about 1 s and
-# factoring [D1 | diag(moduli)] about 3 s (C17 on Z/2, n2 = 256: 0.8 s
-# and 0.6 s; 2-core x86-64 VM, CPython 3.11)
+# lets Q8 on (Z/2)^9 through with n2 = 441, where h2 takes 1.1-1.3 s and
+# factoring the scaled D1 (441 x 63) 0.06 s (C17 on Z/2, n2 = 256: 1.2 s
+# and 0.01 s; 2-core x86-64 VM, CPython 3.11)
 _LATTICE_LIMIT = 256
 
 
@@ -146,8 +158,12 @@ class FiniteHModule:
 
     @cached_property
     def coboundary_snf(self):
-        """The Smith normal form of _coboundary_system(self)."""
-        return smith_normal_form(_coboundary_system(self))
+        """(L, the Smith normal form of D1 with row v scaled by L/m_v), L
+        the lcm of the moduli."""
+        L = lcm(*self.shape)
+        scale = [L // m for m in self.shape]
+        D = [[scale[v % self.k] * a for a in row] for v, row in enumerate(_coboundary_map(self))]
+        return L, smith_normal_form(D)
 
     def zero(self):
         return (0,) * self.k
@@ -312,26 +328,34 @@ def _cocycle_rows(M):
     return rows
 
 
-def _coboundary_system(M):
-    """[D1 | diag(moduli)], n2 x (n1 + n2): D1 is the map C^1 -> C^2,
-    c -> dc, on normalized cochains, and column n1 + v holds the modulus
-    of coordinate v."""
+def _coboundary_map(M):
+    """D1, n2 x n1: the map C^1 -> C^2, c -> dc, on normalized cochains."""
     t, n, k = M.T.table, M.T.n, M.k
     n1, n2 = (n - 1) * k, (n - 1) ** 2 * k
-    D = [[0] * n1 + [M.shape[v % k] if u == v else 0 for u in range(n2)] for v in range(n2)]
+    D = [[0] * n1 for _ in range(n2)]
     for i in range(1, n):
         Ai = M.action[i]
         for j in range(1, n):
             ij = t[i][j]
             base = _block(n, k, i, j)
             for r in range(k):
-                v = base + r
+                row = D[base + r]
                 for s in range(k):
-                    D[v][(j - 1) * k + s] += Ai[r][s]
+                    row[(j - 1) * k + s] += Ai[r][s]
                 if ij:
-                    D[v][(ij - 1) * k + r] -= 1
-                D[v][(i - 1) * k + r] += 1
+                    row[(ij - 1) * k + r] -= 1
+                row[(i - 1) * k + r] += 1
     return D
+
+
+def _coboundary_system(M):
+    """[D1 | diag(moduli)], n2 x (n1 + n2): column n1 + v holds the
+    modulus of coordinate v."""
+    k, n2 = M.k, (M.T.n - 1) ** 2 * M.k
+    return [
+        row + [M.shape[v % k] if u == v else 0 for u in range(n2)]
+        for v, row in enumerate(_coboundary_map(M))
+    ]
 
 
 def _congruence_lattice(n, rows):
@@ -455,36 +479,70 @@ def h2(M: FiniteHModule) -> H2Data:
     return data
 
 
-def aut_h(M: FiniteHModule):
-    """All module automorphisms commuting with the H-action, as matrices."""
-    k = M.k
-    shape = M.shape
-    pools = []
-    total = 1
+def _end_h_rows(M):
+    """The congruences on a k x k matrix X, entry (r, c) at r*k + c, that
+    make it a well-defined endomorphism of M commuting with the
+    generator matrices of the action."""
+    k, shape = M.k, M.shape
+    rows = []
     for r in range(k):
         for c in range(k):
             step = shape[r] // gcd(shape[r], shape[c])
-            pool = list(range(0, shape[r], step))
-            total *= len(pool)
-            pools.append(pool)
-    if total > 10**6:
+            if step > 1:
+                rows.append(({r * k + c: 1}, step))
+    for A in (M.action[g] for g in M.T.gens):
+        for r in range(k):
+            for c in range(k):
+                # (X A - A X)[r][c]
+                row = {}
+                for t in range(k):
+                    row[r * k + t] = row.get(r * k + t, 0) + A[t][c]
+                    row[t * k + c] = row.get(t * k + c, 0) - A[r][t]
+                row = {v: coeff for v, coeff in row.items() if coeff}
+                if row:
+                    rows.append((row, shape[r]))
+    return rows
+
+
+def aut_h(M: FiniteHModule):
+    """All module automorphisms commuting with the H-action, as matrices,
+    in lexicographic order of their entries: the units of End_H(M),
+    enumerated from a basis of its lattice once |End_H| <= 10^6."""
+    k, kk = M.k, M.k**2
+    moduli = [M.shape[v // k] for v in range(kk)]
+    B, ops = _congruence_lattice(kk, _end_h_rows(M))
+    size = prod(moduli) // prod(t for _, j, t in ops if j is None)
+    if size > 10**6:
         raise PreconditionError("module too large for automorphism enumeration")
+    gens = [tuple(row[j] % m for row, m in zip(B, moduli)) for j in range(kk)]
+    ends = orbit((0,) * kk, gens, lambda x, g: tuple((a + b) % m for a, b, m in zip(x, g, moduli)))
     out = []
-    for entries in itertools.product(*pools):
-        mat = tuple(tuple(entries[r * k + c] for c in range(k)) for r in range(k))
-        if _is_equivariant_automorphism(M, mat):
+    for entries in sorted(ends):
+        mat = tuple(entries[r * k : r * k + k] for r in range(k))
+        if not _commutes(M, mat):
+            raise InternalError("endomorphism from the lattice does not commute with H")
+        if _is_bijective(M, mat):
             out.append(mat)
     return out
 
 
-def _is_equivariant_automorphism(M, mat):
-    """Whether mat commutes with every generator matrix of the H-action
-    and is a bijection of M (tested in that order: commuting is cheap)."""
+def _commutes(M, mat):
+    """Whether mat commutes with every generator matrix of the H-action."""
     shape = M.shape
     return all(
         _mat_eq(_mat_mul_mod(mat, A, shape), _mat_mul_mod(A, mat, shape), shape)
         for A in (M.action[g] for g in M.T.gens)
-    ) and len({_mat_apply(mat, m, shape) for m in M.elements()}) == M.size
+    )
+
+
+def _is_bijective(M, mat):
+    return len({_mat_apply(mat, m, M.shape) for m in M.elements()}) == M.size
+
+
+def _is_equivariant_automorphism(M, mat):
+    """Whether mat commutes with the H-action and is a bijection of M
+    (tested in that order: commuting is cheap)."""
+    return _commutes(M, mat) and _is_bijective(M, mat)
 
 
 def stabilizer_beta(autos, beta: Cocycle2, h2data: H2Data):
@@ -589,7 +647,8 @@ def extend_automorphism(gamma, E: ExtensionGroup):
     delta = _flatten(
         [[M.sub(_mat_apply(gamma, val, shape), val) for val in row] for row in E.beta.table]
     )
-    sol = solve_from_snf(M.coboundary_snf, delta)
+    L, snf = M.coboundary_snf
+    sol = solve_mod_from_snf(snf, [L // shape[v % k] * x for v, x in enumerate(delta)], L)
     if sol is None:
         return None
     cochain = [M.zero()] + [M.reduce(sol[(h - 1) * k : h * k]) for h in range(1, n)]

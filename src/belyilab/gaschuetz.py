@@ -20,8 +20,9 @@ from .groups import TableGroup, map_from_generators, preserves_products
 from .permgroup import PermGroup
 
 # the most tuples lift_generators and count_lifts enumerate (the product of
-# the fiber sizes, or |G1|^d when a failed lift search is confirmed);
-# S4 onto the trivial group with d = 4 is 331,776 tuples and about 2.5 s
+# the fiber sizes, or |G1|^d when a failed lift search is confirmed) and
+# min_generators walks at one length; S4 onto the trivial group with d = 4
+# is 331,776 tuples and about 2.5 s
 _COUNT_LIMIT = 10**6
 
 
@@ -81,12 +82,19 @@ def _generated_by_some(T, d):
 
 
 def min_generators(G) -> int:
-    """The least d such that G has a generating d-tuple."""
+    """The least d such that G has a generating d-tuple, refused before
+    walking a length d whose |G|^d tuples exceed _COUNT_LIMIT."""
     T, _, _ = _as_table(G)
     d = 0
-    while not _generated_by_some(T, d):
+    while True:
+        if T.n**d > _COUNT_LIMIT:
+            raise PreconditionError(
+                "generator search too large: %d tuples of length %d > %d"
+                % (T.n**d, d, _COUNT_LIMIT)
+            )
+        if _generated_by_some(T, d):
+            return d
         d += 1
-    return d
 
 
 def _bounded_fibers(p: SurjectionProblem):

@@ -18,6 +18,8 @@ times a unit vector, so mat_vec skips the zero entries of v.
 
 from __future__ import annotations
 
+from math import gcd
+
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -130,6 +132,26 @@ def solve_from_snf(snf, b):
             z[i] = v // d
         elif v:
             return None
+    return mat_vec(V, z)
+
+
+def solve_mod_from_snf(snf, b, modulus):
+    """One integer solution x of A x = b (mod modulus), or None, given
+    snf = smith_normal_form(A).
+
+    With y = U b and z = V^-1 x the system is d_i z_i = y_i (mod modulus)
+    row by row (d_i = 0 past the diagonal): solvable exactly when
+    g = gcd(d_i, modulus) divides y_i, with z_i = (y_i/g) (d_i/g)^-1
+    modulo modulus/g."""
+    diag, U, V = snf
+    z = [0] * len(V)
+    for i, v in enumerate(mat_vec(U, b)):
+        d = diag[i] if i < len(diag) else 0
+        g = gcd(d, modulus)
+        if v % g:
+            return None
+        if d:
+            z[i] = v // g * pow(d // g, -1, modulus // g) % (modulus // g)
     return mat_vec(V, z)
 
 

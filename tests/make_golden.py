@@ -124,6 +124,10 @@ def cases():
     argv += ["--psi", "{psi}", "--tuple", "{tuple}"]
     inputs = {"g1": z6, "g2": z3, "psi": [[2, 3, 1]], "tuple": [[2, 3, 1]]}
     out.append(("z6_z3/gaschuetz", argv, inputs))
+    # Z/3 at rank 2 and m = 2 (|P| = 48): aut_h looks for the units of
+    # End_H(R-bar/2) among the 2^16 matrices on (Z/2)^4
+    argv = ["--json", "relmod", "--group", "{group}", "--rank", "2", "--mod", "2"]
+    out.append(("z3_rank2/verify_main", argv + ["--verify-main"], {"group": Z3}))
     return out
 
 

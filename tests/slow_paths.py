@@ -6,8 +6,9 @@ its arithmetic: the nested-loop Smith normal form (which also tracks the
 inverse of its row transform, U^-1), the dense mat_vec, the
 column-major congruence lattice with coordinates in it solved from its
 basis's Smith normal form, the extension product on module tuples and
-the table built from |E|^2 calls to it, and extend_automorphism
-factoring [D1 | diag(moduli)] on every call, and relmod's action,
+the table built from |E|^2 calls to it, extend_automorphism solving
+[D1 | diag(moduli)] over the integers, factored on every call, aut_h
+trying every matrix on the module, and relmod's action,
 extension cocycle and P-generator images from freely reduced products of
 FreeWords (s w s^-1, s1 s2 s(h1 h2)^-1, x_i s(g_i)^-1) rewritten from the
 identity coset, and cyclotomic's product, reduction and Galois
@@ -206,11 +207,9 @@ def lattice_coordinates(B_snf, X):
 
 
 def use_slow_kernels(monkeypatch):
-    """Route cohomology's SNF, solve, mat_vec, congruence lattice and
-    lattice coordinates through the oracles above for the rest of a
-    test."""
+    """Route cohomology's SNF, mat_vec, congruence lattice and lattice
+    coordinates through the oracles above for the rest of a test."""
     monkeypatch.setattr(cohomology, "smith_normal_form", smith_normal_form_3)
-    monkeypatch.setattr(cohomology, "solve_from_snf", solve_from_snf)
     monkeypatch.setattr(cohomology, "mat_vec", mat_vec)
     monkeypatch.setattr(cohomology, "_congruence_lattice", congruence_lattice)
     monkeypatch.setattr(cohomology, "_lattice_coordinates", lattice_coordinates)
@@ -267,6 +266,29 @@ def extend_automorphism(gamma, E):
     ]
     assert len(set(f)) == E.order and preserves_products(f, T, T)
     return {E.elements[a]: E.elements[b] for a, b in enumerate(f)}
+
+
+def aut_h(M):
+    """All module automorphisms commuting with the H-action, by trying
+    every matrix whose entries are well-defined maps Z/m_c -> Z/m_r."""
+    k = M.k
+    shape = M.shape
+    pools = []
+    total = 1
+    for r in range(k):
+        for c in range(k):
+            step = shape[r] // gcd(shape[r], shape[c])
+            pool = list(range(0, shape[r], step))
+            total *= len(pool)
+            pools.append(pool)
+    if total > 10**6:
+        raise PreconditionError("module too large for automorphism enumeration")
+    out = []
+    for entries in itertools.product(*pools):
+        mat = tuple(tuple(entries[r * k + c] for c in range(k)) for r in range(k))
+        if cohomology._is_equivariant_automorphism(M, mat):
+            out.append(mat)
+    return out
 
 
 class FreeWord:

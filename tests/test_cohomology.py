@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from belyilab import cohomology
 from belyilab.cohomology import (
     Cocycle2,
     ExtensionGroup,
@@ -243,6 +244,48 @@ class TestAutH:
     def test_gl2_f2_order(self):
         M = FiniteHModule.trivial(trivial_group(1), (2, 2))
         assert len(aut_h(M)) == 6
+
+
+class TestAutHChecks:
+    def test_a_dropped_commutation_congruence_is_caught(self, monkeypatch):
+        # Z/2 acting by [[3,0],[0,1]] on (Z/4)^2: X commutes exactly when
+        # 2 X[0][1] = 2 X[1][0] = 0 mod 4.  With one congruence dropped the
+        # lattice holds matrices that do not commute, and aut_h raises
+        # instead of skipping them; a drop that loses nothing changes
+        # nothing.
+        M = FiniteHModule.from_generator_matrices(cyclic_group(2), (4, 4), [[[3, 0], [0, 1]]])
+        rows = cohomology._end_h_rows(M)
+        want = aut_h(M)
+        fired = 0
+        for i in range(len(rows)):
+            monkeypatch.setattr(cohomology, "_end_h_rows", lambda M, i=i: rows[:i] + rows[i + 1 :])
+            try:
+                got = aut_h(M)
+            except InternalError as exc:
+                assert "does not commute" in str(exc)
+                fired += 1
+            else:
+                assert got == want
+        assert fired == len(rows) == 2
+
+
+class TestExtendAutomorphismChecks:
+    def test_a_perturbed_cochain_is_caught(self, monkeypatch):
+        # one value of the solved 1-cochain moved by 1: on trivial Z/3 by
+        # Z/3 the result is no derivation, so the map is a bijection but
+        # not a homomorphism
+        M = FiniteHModule.trivial(cyclic_group(3), (3,))
+        E = build_extension(M, h2(M).basis[0])
+        assert extend_automorphism(((1,),), E) is not None
+        solve = cohomology.solve_mod_from_snf
+
+        def perturbed(*args):
+            sol = solve(*args)
+            return None if sol is None else [sol[0] + 1] + sol[1:]
+
+        monkeypatch.setattr(cohomology, "solve_mod_from_snf", perturbed)
+        with pytest.raises(InternalError, match="not a homomorphism"):
+            extend_automorphism(((1,),), E)
 
 
 class TestStabilizerAndLifting:

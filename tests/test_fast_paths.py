@@ -18,7 +18,9 @@ value at the inverse class against its complex conjugate.
 """
 
 import random
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,15 +36,18 @@ from belyilab.cohomology import (
     _congruence_lattice,
     _flatten,
     _lattice_coordinates,
+    _mat_apply,
     aut_h,
     build_extension,
     extend_automorphism,
     h2,
+    stabilizer_beta,
 )
 from belyilab.corpus import _module_corpus, _padded_generators, _relmod_groups, _table_groups
 from belyilab.cyclotomic import Cyclotomic, fold, phi_of
 from belyilab.errors import PreconditionError
-from belyilab.permgroup import Permutation, PermGroup, cyclic_group, symmetric_group
+from belyilab.groups import preserves_products
+from belyilab.permgroup import Permutation, PermGroup, cyclic_group, symmetric_group, trivial_group
 from belyilab.relmod import (
     _p_generators,
     extension_cocycle,
@@ -225,6 +230,95 @@ def test_relation_module_matches_free_words(H, d, monkeypatch):
             with monkeypatch.context() as patch:
                 slow_paths.use_slow_relmod(patch)
                 assert verify_main_theorem(rm, m) == fast
+
+
+def mixed_moduli():
+    """Modules whose coordinates have different moduli: trivial Z/2, Z/3
+    and Z/4 on (2,4), (4,2), (2,2,4) and (3,9) with |H|*|M| <= 200, and Z/2
+    acting by matrices that mix or scale the coordinates."""
+    out = [
+        FiniteHModule.trivial(cyclic_group(n), shape)
+        for n in (2, 3, 4)
+        for shape in ((2, 4), (4, 2), (2, 2, 4), (3, 9))
+        if n * prod(shape) <= 200
+    ]
+    actions = (((2, 4), [[1, 0], [2, 1]]), ((4, 2), [[1, 2], [0, 1]]), ((4, 4), [[3, 0], [0, 1]]))
+    out += [
+        FiniteHModule.from_generator_matrices(cyclic_group(2), shape, [A]) for shape, A in actions
+    ]
+    return out
+
+
+def relation_module_quotients():
+    """R-bar/m for the relation modules above and m = 2, 3, where the
+    enumeration tries m^(rank^2) <= 2^16 matrices."""
+    out = []
+    for H, d in RELATION_MODULES:
+        rm = schreier_data(H, _padded_generators(H, d))
+        for m in (2, 3):
+            if m ** (rm.rank**2) <= 2**16:
+                out.append(relmod.reduce_mod(rm, m))
+    return out
+
+
+MIXED = mixed_moduli()
+MIXED_IDS = ["|H|=%d,%s,%d" % (M.H.order, M.shape, i) for i, M in enumerate(MIXED)]
+QUOTIENTS = relation_module_quotients()
+QUOTIENT_IDS = ["|H|=%d,%s,%d" % (M.H.order, M.shape, i) for i, M in enumerate(QUOTIENTS)]
+
+
+@pytest.mark.parametrize(
+    "M", MODULES + MIXED + QUOTIENTS, ids=["module" + i for i in IDS + MIXED_IDS + QUOTIENT_IDS]
+)
+def test_aut_h_matches_enumeration(M):
+    # the units of End_H(M) from its lattice against every matrix tried,
+    # as the same list in the same order
+    assert aut_h(M) == slow_paths.aut_h(M)
+
+
+def test_aut_h_refuses_a_large_endomorphism_ring_at_once():
+    # trivial H on (Z/2)^5: End_H holds all 2^25 matrices
+    M = FiniteHModule.trivial(trivial_group(1), (2,) * 5)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="too large for automorphism enumeration"):
+        aut_h(M)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("M", MIXED, ids=MIXED_IDS)
+def test_extend_automorphism_on_mixed_moduli(M, monkeypatch):
+    # the cochain solved modulo the lcm of the moduli may differ from the
+    # integer solve's by a 1-cocycle, so the maps are compared as
+    # automorphisms: None exactly when the oracle gives None and exactly
+    # off the class stabilizer, and otherwise an automorphism of E fixing
+    # H and restricting to gamma.  The oracle's factorization depends only
+    # on the module, so it is made once per matrix.
+    factored = {}
+
+    def smith_normal_form_3(A, snf=slow_paths.smith_normal_form_3):
+        key = tuple(map(tuple, A))
+        if key not in factored:
+            factored[key] = snf(A)
+        return factored[key]
+
+    monkeypatch.setattr(slow_paths, "smith_normal_form_3", smith_normal_form_3)
+    data = h2(M)
+    autos = aut_h(M)
+    for beta in all_classes(M, data):
+        E = build_extension(M, beta)
+        T, pos = E.group, {e: i for i, e in enumerate(E.elements)}
+        stab = stabilizer_beta(autos, beta, data)
+        for gamma in autos:
+            phi = extend_automorphism(gamma, E)
+            slow = slow_paths.extend_automorphism(gamma, E)
+            assert (phi is None) == (slow is None) == (gamma not in stab)
+            if phi is None:
+                continue
+            f = [pos[phi[e]] for e in E.elements]
+            assert len(set(f)) == E.order and preserves_products(f, T, T)
+            assert all(phi[e][0] == e[0] for e in E.elements)
+            for m in M.elements():
+                assert phi[E.embed(m)] == E.embed(_mat_apply(gamma, m, M.shape))
 
 
 CONDUCTORS = list(range(1, 61)) + [330, 546]

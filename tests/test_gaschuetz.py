@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from belyilab.errors import InternalError, PreconditionError
@@ -54,6 +56,16 @@ class TestMinGenerators:
 
     def test_a5_needs_two(self):
         assert min_generators(alternating_group(5)) == 2
+
+    def test_search_bound(self):
+        # (Z/2)^5 needs 5 generators; length 4 would walk 32^4 > 10^6
+        # tuples and is refused after lengths 0..3, where the unbounded
+        # walk went on through length 5 for about 20 s
+        G = generate([perm(10, (2 * i + 1, 2 * i + 2)) for i in range(5)])
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="generator search too large"):
+            min_generators(G)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLiftGenerators:
