@@ -34,7 +34,8 @@ solutions, which contain m_r times every unit matrix of row r, so
 |End_H| is the product of the k^2 row moduli over the product of the
 lattice's recorded scalings.  aut_h counts End_H before it enumerates it
 from the basis and keeps the bijective members: Aut_H(M) is the group of
-units of End_H(M).
+units of End_H(M).  X is bijective when its columns and the relations
+m_i e_i span Z^k, read off one Smith normal form with no element of M.
 """
 
 from __future__ import annotations
@@ -507,12 +508,12 @@ def _end_h_rows(M):
 def aut_h(M: FiniteHModule):
     """All module automorphisms commuting with the H-action, as matrices,
     in lexicographic order of their entries: the units of End_H(M),
-    enumerated from a basis of its lattice once |End_H| <= 10^6."""
+    enumerated from a basis of its lattice once |End_H| <= 2^16."""
     k, kk = M.k, M.k**2
     moduli = [M.shape[v // k] for v in range(kk)]
     B, ops = _congruence_lattice(kk, _end_h_rows(M))
     size = prod(moduli) // prod(t for _, j, t in ops if j is None)
-    if size > 10**6:
+    if size > 2**16:
         raise PreconditionError("module too large for automorphism enumeration")
     gens = [tuple(row[j] % m for row, m in zip(B, moduli)) for j in range(kk)]
     ends = orbit((0,) * kk, gens, lambda x, g: tuple((a + b) % m for a, b, m in zip(x, g, moduli)))
@@ -536,7 +537,12 @@ def _commutes(M, mat):
 
 
 def _is_bijective(M, mat):
-    return len({_mat_apply(mat, m, M.shape) for m in M.elements()}) == M.size
+    """Whether mat is a bijection of M: its columns and the relations
+    m_i e_i span Z^k, that is [mat | diag(shape)] has every invariant 1."""
+    rows = [list(row) + [0] * M.k for row in mat]
+    for r, m in enumerate(M.shape):
+        rows[r][M.k + r] = m
+    return all(d == 1 for d in smith_normal_form(rows)[0])
 
 
 def _is_equivariant_automorphism(M, mat):

@@ -4,10 +4,18 @@ Given generators images = (g_1, ..., g_d) of H, the kernel R of the
 induced map F_d -> H is free on |H|(d-1)+1 Schreier generators attached to
 a shortlex transversal.  The abelianization R-bar is Z^rank with H acting
 by conjugation through the transversal section; its rational character is
-trivial + (d-1)*regular.  Reducing mod m gives a finite module together
-with the extension cocycle of the sequence 1 -> R-bar/m -> P -> H -> 1,
-and the finite-level main-theorem check compares the automorphisms of P
-that fix H pointwise with the cocycle-class stabilizer in Aut_H.
+trivial + (d-1)*regular.  Reducing mod m gives a finite module M = R-bar/m
+and the cocycle beta of 1 -> M -> P -> H -> 1, P = F_d / R^m[R,R].
+
+The finite-level main theorem: the automorphisms of P over id_H restrict
+onto the stabilizer of beta's class in Aut_H(M).  Those endomorphisms are
+x_i -> m_i x_i, (m_i) in M^d, and restrict to 1 + D, D the derivation with
+D(x_i) = m_i (Fox calculus), read off the transversal tree.  No table of P
+is built: the check is bounded by |H|*|M| (FiniteHModule), the cocycle
+lattice (h2) and |End_H| (aut_h).  The stabilizer comes from the cochain
+h2, independent of the tree; H^2 computed as End_H(M) modulo the
+derivation image, where beta's class is the identity, would make the
+comparison a tautology.
 
 As in cohomology, H is indexed by position in its Cayley table
 (TableGroup.from_permgroup), and the transversal, the action matrices and
@@ -26,12 +34,10 @@ letter i read from the identity.  No word is multiplied or reduced.
 
 from __future__ import annotations
 
-import itertools
-
 from .chartab import character_table, VirtualCharacter
-from .cohomology import Cocycle2, FiniteHModule, aut_h, build_extension, h2, stabilizer_beta
+from .cohomology import Cocycle2, FiniteHModule, _commutes, aut_h, h2, stabilizer_beta
 from .errors import InternalError, PreconditionError
-from .groups import TableGroup, homomorphism_from_generators
+from .groups import TableGroup
 from .permgroup import PermGroup, orbit
 
 
@@ -179,67 +185,60 @@ def extension_cocycle(rm: RelationModule, m: int) -> Cocycle2:
     return Cocycle2(M, table)
 
 
-_VERIFY_LIMIT = 64
-
-
-def _p_generators(rm: RelationModule, T, m: int):
-    """Positions in P's table T of the free generators' images (g_i,
-    x_i s(g_i)^-1 mod m): the letter i read from the identity ends at g_i."""
-    coords = [_walk(rm, (i + 1,), 0)[0] for i in range(rm.d)]
-    return [T.index[(g, tuple(v % m for v in c))] for g, c in zip(rm.images, coords)]
-
-
-def _h_fixing_automorphisms(rm: RelationModule, E, m: int):
-    """The automorphisms of P = E.group, E built on extension_cocycle(rm,
-    m), that fix H pointwise, as image lists.  P is a quotient of F_d
-    (_p_generators), so these are the bijective maps sending each free
-    generator's image into its own H-fiber: |M|^d candidates."""
-    T = E.group
-    gens = _p_generators(rm, T, m)
-    if not T.generates(gens):
-        raise InternalError("the images of the free generators do not generate P")
-    fibers = [[a for a, (h, _) in enumerate(T.names) if h == g] for g in rm.images]
-    maps = (homomorphism_from_generators(T, T, gens, list(c)) for c in itertools.product(*fibers))
-    return [f for f in maps if f is not None and len(set(f)) == T.n]
+def _derivations(rm: RelationModule, m: int):
+    """The restrictions to R-bar/m of the derivations D(x_i) = e_c (0 on
+    the other letters), (i, c) in order, as matrices: column j is D of the
+    j-th Schreier generator s_h x_i s_k^-1, k = h g_i, that is D(s_h x_i) -
+    D(s_k), with D(s_h x_i) = D(s_h) + h.D(x_i) along the transversal."""
+    k, t, s = rm.rank, rm.T.table, rm.transversal
+    order = sorted(range(1, rm.T.n), key=lambda h: len(s[h]))  # parents first
+    out = []
+    for i0 in range(rm.d):
+        for c in range(k):
+            def step(v, h, i):  # D(s_h x_i) from v = D(s_h)
+                return [x + row[c] for x, row in zip(v, rm.action[h])] if i == i0 else v
+            D = [[0] * k] + [None] * (rm.T.n - 1)
+            for h in order:
+                i = s[h][-1] - 1
+                parent = t[h][rm.T.inv[rm.images[i]]]
+                D[h] = step(D[parent], parent, i)
+            cols = [None] * k
+            for (h, l), j in rm.gen_index.items():
+                ends = step(D[h], h, l - 1), D[t[h][rm.images[l - 1]]]
+                cols[j] = [(a - b) % m for a, b in zip(*ends)]
+            out.append(tuple(zip(*cols)))
+    return out
 
 
 def verify_main_theorem(rm: RelationModule, m: int, beta=None, data=None) -> dict:
-    """Compare Aut_{H,beta}(R-bar/m) with the fiber restrictions of the
-    automorphisms of P = build_extension that fix H pointwise.
-
-    A caller that already holds beta = extension_cocycle(rm, m) and
-    data = h2(beta.module) passes them in; they are computed otherwise.
-    Returns a report dict with both sets' sizes and the equality flag.
-    """
-    if rm.H.order * m**rm.rank > _VERIFY_LIMIT:
-        raise PreconditionError(
-            "extension of order %d exceeds the enumeration limit %d"
-            % (rm.H.order * m**rm.rank, _VERIFY_LIMIT)
-        )
+    """Compare Aut_{H,beta}(R-bar/m), from the cochain h2, with the
+    restrictions of the automorphisms of P over id_H, from the tree: the
+    units in 1 + F, F the span of the _derivations, each shared by |M|^d /
+    |F| of them; FiniteHModule, h2 and aut_h bound the work.  beta
+    (extension_cocycle) and data (h2) are computed unless passed in.
+    Returns a report dict with both sets' sizes and the equality flag."""
     if beta is None:
         beta = extension_cocycle(rm, m)
     M = beta.module
     if data is None:
         data = h2(M)
     autos = aut_h(M)
-    stab = stabilizer_beta(autos, beta, data)
-
-    E = build_extension(M, beta)
-    T = E.group
-    units = [T.index[(0, tuple(1 if r == c else 0 for r in range(M.k)))] for c in range(M.k)]
-    fixing = _h_fixing_automorphisms(rm, E, m)
-    # the matrix whose column c is the image of the c-th unit vector
-    restrictions = {tuple(zip(*(T.names[f[u]][1] for u in units))) for f in fixing}
-
-    stab_set = {tuple(tuple(row) for row in g) for g in stab}
+    stab = {sum(g, ()) for g in stabilizer_beta(autos, beta, data)}
+    gens = _derivations(rm, m)
+    if not all(_commutes(M, X) for X in gens):
+        raise InternalError("a derivation does not commute with the action of H")
+    plus = lambda x, y: tuple((a + b) % m for a, b in zip(x, y))
+    image = orbit((0,) * rm.rank**2, [sum(X, ()) for X in gens], plus)
+    one = tuple(int(r == c) for r in range(rm.rank) for c in range(rm.rank))
+    restrictions = {sum(g, ()) for g in autos} & {plus(one, x) for x in image}
     return {
         "rank": rm.rank,
         "modulus": m,
-        "order_P": E.order,
+        "order_P": rm.H.order * M.size,
         "h2_invariants": data.invariants,
         "aut_h_count": len(autos),
-        "stabilizer_count": len(stab_set),
-        "extension_fixing_count": len(fixing),
+        "stabilizer_count": len(stab),
+        "extension_fixing_count": M.size**rm.d // len(image) * len(restrictions),
         "restriction_count": len(restrictions),
-        "equal": restrictions == stab_set,
+        "equal": restrictions == stab,
     }

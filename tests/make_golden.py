@@ -93,9 +93,7 @@ def cases():
         out.append(
             (name + "/relmod", ["--json", "relmod", "--group", "{group}"] + flags, {"group": group})
         )
-    # --verify-main builds the extension group P, so |P| = |H| * m^rank
-    # must stay within relmod._VERIFY_LIMIT; Z/5 and Z/2 at m = 32 have
-    # |P| > 40, where build_extension samples associativity
+    # --verify-main on R-bar/m for cyclic H, |P| = |H| * m^rank up to 64
     verify = (
         ("z2", Z2, 2, 2),
         ("z3", Z3, 1, 3),
@@ -128,6 +126,11 @@ def cases():
     # End_H(R-bar/2) among the 2^16 matrices on (Z/2)^4
     argv = ["--json", "relmod", "--group", "{group}", "--rank", "2", "--mod", "2"]
     out.append(("z3_rank2/verify_main", argv + ["--verify-main"], {"group": Z3}))
+    # past |P| = 64, which no table of P reached: S3 at rank 2 and m = 2
+    # (|P| = 768) and Z/3 at rank 2 and m = 3 (|P| = 243)
+    out.append(("s3_rank2/verify_main", argv + ["--verify-main"], {"group": S3}))
+    argv = ["--json", "relmod", "--group", "{group}", "--rank", "2", "--mod", "3"]
+    out.append(("z3_rank2_m3/verify_main", argv + ["--verify-main"], {"group": Z3}))
     return out
 
 

@@ -8,10 +8,12 @@ column-major congruence lattice with coordinates in it solved from its
 basis's Smith normal form, the extension product on module tuples and
 the table built from |E|^2 calls to it, extend_automorphism solving
 [D1 | diag(moduli)] over the integers, factored on every call, aut_h
-trying every matrix on the module, and relmod's action,
-extension cocycle and P-generator images from freely reduced products of
-FreeWords (s w s^-1, s1 s2 s(h1 h2)^-1, x_i s(g_i)^-1) rewritten from the
-identity coset, and cyclotomic's product, reduction and Galois
+trying every matrix on the module and testing bijectivity by mapping
+every element, relmod's action, extension cocycle and P-generator images
+from freely reduced products of FreeWords (s w s^-1, s1 s2 s(h1 h2)^-1,
+x_i s(g_i)^-1) rewritten from the identity coset, the main-theorem check
+from P's Cayley table by searching each generator's H-fiber for the
+automorphisms that fix H, and cyclotomic's product, reduction and Galois
 automorphisms read off an N x phi(N) table of the powers of zeta_N, and
 genus1's j-invariant degree with j's numerator and denominator
 cross-multiplied as dense lists in Z[x]/(x^t - 1).
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from belyilab import chartab, cohomology, cyclotomic, relmod
+from belyilab import chartab, cohomology, cyclotomic
 from belyilab.cyclotomic import Cyclotomic, cyclotomic_coeffs, phi_of
 from belyilab.errors import InternalError, PreconditionError
 from belyilab.groups import TableGroup, homomorphism_from_generators, preserves_products
@@ -286,9 +288,14 @@ def aut_h(M):
     out = []
     for entries in itertools.product(*pools):
         mat = tuple(tuple(entries[r * k + c] for c in range(k)) for r in range(k))
-        if cohomology._is_equivariant_automorphism(M, mat):
+        if cohomology._commutes(M, mat) and is_bijective(M, mat):
             out.append(mat)
     return out
+
+
+def is_bijective(M, mat):
+    """cohomology._is_bijective by mapping every element of M."""
+    return len({cohomology._mat_apply(mat, m, M.shape) for m in M.elements()}) == M.size
 
 
 class FreeWord:
@@ -394,8 +401,11 @@ def extension_cocycle(rm, m):
 
 
 def h_fixing_automorphisms(rm, E, m):
-    """relmod._h_fixing_automorphisms with P's generators from FreeWord
-    products."""
+    """The automorphisms of P = E.group, E built on the extension cocycle
+    of rm mod m, that fix H pointwise, as image lists.  P is a quotient of
+    F_d, generated by the images of the free generators (FreeWordSchreier
+    .p_generators), so these are the bijective maps sending each one into
+    its own H-fiber: |M|^d candidates."""
     T = E.group
     gens = FreeWordSchreier(rm.T, rm.images).p_generators(T, m)
     if not T.generates(gens):
@@ -405,11 +415,34 @@ def h_fixing_automorphisms(rm, E, m):
     return [f for f in maps if f is not None and len(set(f)) == T.n]
 
 
-def use_slow_relmod(monkeypatch):
-    """Route relmod's extension cocycle and H-fixing automorphisms through
-    the FreeWord oracles above for the rest of a test."""
-    monkeypatch.setattr(relmod, "extension_cocycle", extension_cocycle)
-    monkeypatch.setattr(relmod, "_h_fixing_automorphisms", h_fixing_automorphisms)
+def verify_main_theorem(rm, m):
+    """relmod.verify_main_theorem from P's Cayley table: the extension
+    cocycle from FreeWord products, P = build_extension on it, and the
+    restrictions to the fiber over the identity of the H-fixing
+    automorphisms found by the fiber search above."""
+    beta = extension_cocycle(rm, m)
+    M = beta.module
+    data = cohomology.h2(M)
+    autos = cohomology.aut_h(M)
+    stab = cohomology.stabilizer_beta(autos, beta, data)
+    E = cohomology.build_extension(M, beta)
+    T = E.group
+    units = [T.index[(0, tuple(1 if r == c else 0 for r in range(M.k)))] for c in range(M.k)]
+    fixing = h_fixing_automorphisms(rm, E, m)
+    # the matrix whose column c is the image of the c-th unit vector
+    restrictions = {tuple(zip(*(T.names[f[u]][1] for u in units))) for f in fixing}
+    stab_set = {tuple(tuple(row) for row in g) for g in stab}
+    return {
+        "rank": rm.rank,
+        "modulus": m,
+        "order_P": E.order,
+        "h2_invariants": data.invariants,
+        "aut_h_count": len(autos),
+        "stabilizer_count": len(stab_set),
+        "extension_fixing_count": len(fixing),
+        "restriction_count": len(restrictions),
+        "equal": restrictions == stab_set,
+    }
 
 
 @lru_cache(maxsize=None)

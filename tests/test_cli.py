@@ -16,6 +16,7 @@ from belyilab.cli import main
 from belyilab.cover import BelyiCover
 from belyilab.permgroup import Permutation
 from make_golden import run_case
+from test_relmod import replace_last_derivation, zero_matrix
 
 
 def write_json(tmp_path, name, data):
@@ -281,15 +282,41 @@ class TestRelmod:
 
     def test_q8_lattice_too_large(self, capsys, tmp_path):
         # |H|*|M| = 8 * 2^9 passes the size limit, but the cocycle lattice
-        # has dimension (8-1)^2 * 9 = 441; it is refused before it is built
+        # has dimension (8-1)^2 * 9 = 441; it is refused before it is built,
+        # with or without the main-theorem check
         q8 = {"degree": 8, "generators": [[2, 3, 4, 1, 6, 7, 8, 5], [5, 8, 7, 6, 3, 2, 1, 4]]}
         path = write_json(tmp_path, "q8.json", q8)
-        code = main(["--json", "relmod", "--group", path, "--rank", "2", "--mod", "2"])
+        argv = ["--json", "relmod", "--group", path, "--rank", "2", "--mod", "2"]
+        refused_quickly(capsys, argv, "lattice dimension 441 > 256")
+        refused_quickly(capsys, argv + ["--verify-main"], "lattice dimension 441 > 256")
+
+    def test_verify_main_past_the_old_limit(self, capsys, tmp_path):
+        # S3 at rank 2, m = 2: |P| = 768, read off the derivation image
+        path = write_json(tmp_path, "s3.json", {"generators": [[2, 1, 3], [2, 3, 1]]})
+        argv = ["--json", "relmod", "--group", path, "--rank", "2", "--mod", "2", "--verify-main"]
+        start = time.perf_counter()
+        code, out = run(capsys, argv)
+        assert code == 0 and time.perf_counter() - start < 3.0
+        report = json.loads(out)["verify_main"]
+        assert report["equal"] is True and report["order_P"] == 768
+
+    def test_verify_main_refuses_a_large_endomorphism_ring(self, capsys, tmp_path):
+        # trivial H at rank 3, m = 4: End_H(R-bar/4) is all 4^9 matrices
+        path = write_json(tmp_path, "trivial.json", {"generators": [[1]]})
+        argv = ["--json", "relmod", "--group", path, "--rank", "3", "--mod", "4", "--verify-main"]
+        refused_quickly(capsys, argv, "too large for automorphism enumeration")
+
+    def test_verify_main_mismatch_exits_2(self, capsys, tmp_path, monkeypatch):
+        # a lost derivation generator shrinks the restrictions below the
+        # stabilizer: a fault of the program, reported on stderr only
+        replace_last_derivation(monkeypatch, zero_matrix)
+        path = write_json(tmp_path, "z2.json", {"generators": [[2, 1]]})
+        argv = ["--json", "relmod", "--group", path, "--rank", "2", "--mod", "2", "--verify-main"]
+        code = main(argv)
         captured = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         assert captured.out == ""
-        assert "lattice dimension 441" in captured.err
-        assert "Traceback" not in captured.err
+        assert "main-theorem verification failed" in captured.err
 
     def test_s6_rank2_refused_before_its_transversal(self, capsys, tmp_path):
         # rank 721, so the conjugation action holds 720 * 721^2 = 3.7e8 integers

@@ -6,21 +6,24 @@ nested-loop Smith normal form, the dense mat_vec, the column-major
 congruence lattice and the solve from its basis's Smith normal form that
 h2's replayed column operations replace, the extension table from the
 product on module tuples, extend_automorphism factoring its system on
-every call, relmod's Schreier data from FreeWord products, and the power
-table of zeta_N behind Cyclotomic products, Dixon's lift and the Galois
-automorphisms. They do the same arithmetic, so every result here must be
+every call, aut_h and its bijectivity test walking the module's elements,
+relmod's Schreier data from FreeWord products, the main-theorem check
+from P's Cayley table, and the power table of zeta_N behind Cyclotomic
+products, Dixon's lift and the Galois automorphisms. They do the same
+arithmetic or count the same sets, so every result here must be
 identical, not just equivalent: the SNF (diag, U, V), h2's invariants,
 basis tables and class coordinates, the extension tables and the
 extended maps, the relation modules' words, action matrices, cocycle
-tables, P-generator positions and main-theorem reports, the coordinates
-of products, powers of zeta_N and character tables, and each character
-value at the inverse class against its complex conjugate.
+tables and main-theorem reports, the coordinates of products, powers of
+zeta_N and character tables, and each character value at the inverse
+class against its complex conjugate.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 import slow_paths
 from belyilab import relmod, snf
 from belyilab.chartab import CharacterTable
+from belyilab.cli import _parse_group
 from belyilab.cohomology import (
     Cocycle2,
     FiniteHModule,
@@ -35,6 +39,7 @@ from belyilab.cohomology import (
     _cocycle_rows,
     _congruence_lattice,
     _flatten,
+    _is_bijective,
     _lattice_coordinates,
     _mat_apply,
     aut_h,
@@ -48,13 +53,9 @@ from belyilab.cyclotomic import Cyclotomic, fold, phi_of
 from belyilab.errors import PreconditionError
 from belyilab.groups import preserves_products
 from belyilab.permgroup import Permutation, PermGroup, cyclic_group, symmetric_group, trivial_group
-from belyilab.relmod import (
-    _p_generators,
-    extension_cocycle,
-    schreier_data,
-    verify_main_theorem,
-)
+from belyilab.relmod import extension_cocycle, schreier_data, verify_main_theorem
 from test_cohomology import all_classes
+from test_golden import CASES
 from test_relabeling import conjugator, relabeled
 
 entries = st.one_of(st.just(0), st.integers(-9, 9))
@@ -201,8 +202,15 @@ RELATION_MODULES = relation_modules()
 RM_IDS = ["|H|=%d,d=%d,%d" % (H.order, d, i) for i, (H, d) in enumerate(RELATION_MODULES)]
 
 
+def oracle_finishes(rm, m):
+    """Whether the P-table oracle's fiber search, |M|^d candidate maps
+    checked on |P| = |H| |M| elements, stays within a few seconds."""
+    size = m**rm.rank
+    return size**rm.d * rm.H.order * size <= 4 * 10**6
+
+
 @pytest.mark.parametrize("H, d", RELATION_MODULES, ids=RM_IDS)
-def test_relation_module_matches_free_words(H, d, monkeypatch):
+def test_relation_module_matches_free_words(H, d):
     rm = schreier_data(H, _padded_generators(H, d))
     slow = slow_paths.FreeWordSchreier(rm.T, rm.images)
     assert rm.transversal == [w.letters for w in slow.transversal]
@@ -218,18 +226,28 @@ def test_relation_module_matches_free_words(H, d, monkeypatch):
                 slow_paths.extension_cocycle(rm, m)
             continue
         assert beta.table == slow.cocycle_table(m)
-        if H.order * m**rm.rank > relmod._VERIFY_LIMIT:
-            continue
-        # with the same P generators _h_fixing_automorphisms runs the same
-        # search; the reports are compared where aut_h, which dominates
-        # them, tries at most 2^9 matrices (m^rank <= 8)
-        P = build_extension(beta.module, beta).group
-        assert _p_generators(rm, P, m) == slow.p_generators(P, m)
-        if m**rm.rank <= 8:
-            fast = verify_main_theorem(rm, m)
-            with monkeypatch.context() as patch:
-                slow_paths.use_slow_relmod(patch)
-                assert verify_main_theorem(rm, m) == fast
+        if oracle_finishes(rm, m):
+            # the report from the derivation image against the one from
+            # P's Cayley table, its fiber search and FreeWord products
+            assert verify_main_theorem(rm, m) == slow_paths.verify_main_theorem(rm, m)
+
+
+GOLDEN_VERIFY = [case for case in CASES if case["name"].endswith("/verify_main")]
+
+
+@pytest.mark.parametrize("record", GOLDEN_VERIFY, ids=[r["name"] for r in GOLDEN_VERIFY])
+def test_golden_verify_main_matches_the_p_table(record):
+    # the relmod command's images: the group's generators padded with
+    # identities up to the rank.  s3_rank2 (|P| = 768) is past the few
+    # seconds the oracle is given; z3_rank2_m3 (|P| = 243) is within them
+    flags = record["argv"]
+    rank, m = int(flags[flags.index("--rank") + 1]), int(flags[flags.index("--mod") + 1])
+    H = _parse_group(record["inputs"]["group"])
+    rm = schreier_data(H, list(H.generators) + [H.identity()] * (rank - len(H.generators)))
+    golden = json.loads(record["stdout"])["verify_main"]
+    assert golden == verify_main_theorem(rm, m)
+    if oracle_finishes(rm, m):
+        assert golden == slow_paths.verify_main_theorem(rm, m)
 
 
 def mixed_moduli():
@@ -274,6 +292,28 @@ def test_aut_h_matches_enumeration(M):
     # the units of End_H(M) from its lattice against every matrix tried,
     # as the same list in the same order
     assert aut_h(M) == slow_paths.aut_h(M)
+
+
+@pytest.mark.parametrize(
+    "M", MODULES + MIXED + QUOTIENTS, ids=["module" + i for i in IDS + MIXED_IDS + QUOTIENT_IDS]
+)
+def test_bijectivity_from_the_snf_matches_the_element_walk(M):
+    # random well-defined matrices, mostly singular, and unipotent ones,
+    # 1 plus a random strictly upper triangular part, which are bijective
+    rng = random.Random(M.T.n * 1000 + M.size)
+    k, shape = M.k, M.shape
+    steps = [[shape[r] // gcd(shape[r], shape[c]) for c in range(k)] for r in range(k)]
+
+    def entry(r, c):
+        return steps[r][c] * rng.randrange(shape[r])
+
+    for _ in range(40):
+        mat = tuple(tuple(entry(r, c) for c in range(k)) for r in range(k))
+        unipotent = tuple(
+            tuple(int(r == c) if c <= r else entry(r, c) for c in range(k)) for r in range(k)
+        )
+        assert _is_bijective(M, mat) == slow_paths.is_bijective(M, mat)
+        assert _is_bijective(M, unipotent) and slow_paths.is_bijective(M, unipotent)
 
 
 def test_aut_h_refuses_a_large_endomorphism_ring_at_once():

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import slow_paths
+from belyilab import corpus, relmod
 from belyilab.cohomology import Cocycle2, build_extension, h2
 from belyilab.errors import InternalError, PreconditionError
 from belyilab.groups import automorphisms
@@ -15,7 +17,6 @@ from belyilab.permgroup import (
     trivial_group,
 )
 from belyilab.relmod import (
-    _h_fixing_automorphisms,
     extension_cocycle,
     rational_character,
     reduce_mod,
@@ -252,10 +253,47 @@ class TestMainTheorem:
             assert report["equal"]
 
     def test_scale_guard(self):
-        H = symmetric_group(3)
-        rm = schreier_data(H, padded_generators(H, 2))
-        with pytest.raises(PreconditionError):
-            verify_main_theorem(rm, 2)
+        # trivial H at d = 3, m = 4: End_H(R-bar/4) is all 4^9 matrices,
+        # refused by aut_h before anything is enumerated
+        H = trivial_group(1)
+        rm = schreier_data(H, [H.identity()] * 3)
+        with pytest.raises(PreconditionError, match="too large for automorphism enumeration"):
+            verify_main_theorem(rm, 4)
+
+
+def replace_last_derivation(monkeypatch, matrix, order=None):
+    """Make relmod._derivations return matrix(rank) in place of its last
+    generator, the one with D(x_d) = e_rank, for groups of the given order
+    or for all."""
+    derivations = relmod._derivations
+
+    def patched(rm, m):
+        out = derivations(rm, m)
+        return out if order not in (None, rm.H.order) else out[:-1] + [matrix(rm.rank)]
+
+    monkeypatch.setattr(relmod, "_derivations", patched)
+
+
+def zero_matrix(k):
+    return ((0,) * k,) * k
+
+
+class TestMainTheoremChecks:
+    @pytest.mark.parametrize("order", [2, 1, 3], ids=["Z2,d=2", "trivial", "Z3,d=1"])
+    def test_a_lost_derivation_fails_corpus_criterion_6(self, monkeypatch, order):
+        # the fault reaches one of the criterion's three checks at a time
+        replace_last_derivation(monkeypatch, zero_matrix, order)
+        monkeypatch.setattr(corpus, "CRITERIA", [row for row in corpus.CRITERIA if row[0] == 6])
+        [result] = corpus.run_corpus()
+        assert result["criterion"] == 6 and result["pass"] is False
+
+    def test_a_derivation_off_the_commutant_is_refused(self, monkeypatch):
+        def corner(k):
+            return tuple(tuple(int((r, c) == (0, 1)) for c in range(k)) for r in range(k))
+
+        replace_last_derivation(monkeypatch, corner)
+        with pytest.raises(InternalError, match="does not commute"):
+            verify_main_theorem(z2_rank3(), 2)
 
 
 def fixing_cases():
@@ -283,8 +321,9 @@ def fixing_cases():
 
 @pytest.mark.parametrize("H, images, m", fixing_cases())
 def test_fiber_search_finds_the_h_fixing_automorphisms(H, images, m):
-    # P is generated by the images of x_1..x_d, so searching each one's
-    # H-fiber finds exactly the automorphisms of P that fix H pointwise
+    # the P-table oracle: P is generated by the images of x_1..x_d, so
+    # searching each one's H-fiber finds exactly the automorphisms of P
+    # that fix H pointwise
     rm = schreier_data(H, images)
     beta = extension_cocycle(rm, m)
     E = build_extension(beta.module, beta)
@@ -294,6 +333,7 @@ def test_fiber_search_finds_the_h_fixing_automorphisms(H, images, m):
         for f in automorphisms(T)
         if all(T.names[f[a]][0] == T.names[a][0] for a in range(T.n))
     ]
-    found = _h_fixing_automorphisms(rm, E, m)
+    found = slow_paths.h_fixing_automorphisms(rm, E, m)
     assert len(found) == len(brute) > 0
     assert set(map(tuple, found)) == set(map(tuple, brute))
+    assert verify_main_theorem(rm, m)["extension_fixing_count"] == len(brute)
