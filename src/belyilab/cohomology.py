@@ -9,12 +9,16 @@ module tuples, so nothing here multiplies permutations once the table is
 built.  Normalized 2-cochains form the free abelian group Z^n2 modulo the
 component moduli, n2 = (|H|-1)^2 * k, with the value at positions (i, j),
 i, j >= 1, in block (i-1)(|H|-1) + j-1.  The cocycle conditions are
-congruences, so Z^2 lifts to a finite-index lattice L in Z^n2.
+congruences, so Z^2 lifts to a finite-index lattice L in Z^n2.  They are
+stated only at the triples (a, b, c) with c one of H's generators: by the
+lemma in groups.TableGroup, applied to the extension, that is exact
+(_cocycle_rows).
 H^2 = L / (coboundaries + moduli) is read off from one Smith normal
 form.  _congruence_lattice builds a basis B of L from the identity by
-column operations and records them; undoing them in order gives B^-1 x
-exactly, or None when x is outside L, so the coboundaries and moduli
-come into B-coordinates as Y = B^-1 [D1 | diag(moduli)] and a cocycle's
+column operations on sparse rows and records them; undoing them in
+order gives B^-1 x exactly, or None when x is outside L, so the
+coboundaries and moduli come into B-coordinates as
+Y = B^-1 [D1 | diag(moduli)] and a cocycle's
 class from B^-1 of its table, with no factorization of B.  Then
 U Y V = diag(d): row i of U gives class coordinate i, and basis cocycle i
 is B Y V e_i / d_i (column i of U^-1, which is never formed).  h2 builds
@@ -51,8 +55,8 @@ from .snf import identity_matrix, mat_vec, smith_normal_form, solve_mod_from_snf
 
 # bound on n2 = (|H|-1)^2 * k, the dimension of the cocycle lattice and of
 # the Smith normal forms h2 and extend_automorphism compute; |H|*|M| alone
-# lets Q8 on (Z/2)^9 through with n2 = 441, where h2 takes 1.1-1.3 s and
-# factoring the scaled D1 (441 x 63) 0.06 s (C17 on Z/2, n2 = 256: 1.2 s
+# lets Q8 on (Z/2)^9 through with n2 = 441, where h2 takes 0.3 s and
+# factoring the scaled D1 (441 x 63) 0.03 s (C17 on Z/2, n2 = 256: 0.08 s
 # and 0.01 s; 2-core x86-64 VM, CPython 3.11)
 _LATTICE_LIMIT = 256
 
@@ -287,6 +291,15 @@ class H2Data:
         return self._class_fn(beta)
 
 
+def _internal_cocycle(M, table, what):
+    """Cocycle2(M, table) for a table the library computed, where a failed
+    check is a fault of the library, not of its input."""
+    try:
+        return Cocycle2(M, table)
+    except PreconditionError as exc:
+        raise InternalError("%s fails the cocycle identity" % what) from exc
+
+
 def _block(n, k, a, b):
     """The first normalized C^2 coordinate of positions a, b >= 1 in a
     group of order n, for a module of k coordinates."""
@@ -300,14 +313,23 @@ def _flatten(table):
 
 def _cocycle_rows(M):
     """The cocycle conditions as (sparse row, modulus) congruences on the
-    n2 normalized C^2 coordinates."""
+    n2 normalized C^2 coordinates: the identity at (a, b, c) for a, b >= 1
+    and c in T.gens, (|H|-1)^2 * |gens| * k rows.
+
+    That suffices (the lemma in groups.TableGroup): the identity at
+    (a, b, c) is associativity of the extension at ((a, x), (b, y), (c, 0)),
+    and at z = (1, m) it holds for any normalized cochain.  The z at which
+    associativity holds for all x, y are closed under products, and the
+    (c, 0), c in T.gens, with the (1, m) generate the extension.  With a
+    or b the identity a normalized cochain satisfies the identity.
+    """
     t, n, k = M.T.table, M.T.n, M.k
     rows = []
     for a in range(1, n):
         Aa = M.action[a]
         for b in range(1, n):
             ab = t[a][b]
-            for c in range(1, n):
+            for c in M.T.gens:
                 bc = t[b][c]
                 for r in range(k):
                     row = {}
@@ -365,42 +387,68 @@ def _congruence_lattice(n, rows):
     operations that build B from the identity, in order.
 
     Maintains a basis of the running lattice and intersects with one
-    congruence at a time by integer column operations.  A congruence's
-    values on the basis combine only the rows of B it touches.  ops holds
-    (j0, j, q) for col_j -= q * col_j0 and (j0, None, t) for
-    col_j0 *= t, with t = m / gcd(w, m) > 1, so det B, the product of
-    the t, is nonzero; _lattice_coordinates undoes them.
+    congruence at a time by integer column operations.  B is kept as one
+    dict of nonzero entries per row, with the set of rows nonzero in each
+    column: a congruence's values on the basis add up only the nonzero
+    entries of the rows it touches, and a column operation reaches only
+    the rows nonzero in the pivot column.  ops holds (j0, j, q) for
+    col_j -= q * col_j0 and (j0, None, t) for col_j0 *= t, with
+    t = m / gcd(w, m) > 1, so det B, the product of the t, is nonzero;
+    _lattice_coordinates undoes them.  B is returned dense.
     """
-    B = identity_matrix(n)
+    Brows = [{i: 1} for i in range(n)]
+    support = [{i} for i in range(n)]
     ops = []
     for row, m in rows:
-        w = [0] * n
+        w = {}
         for v, coeff in row.items():
-            w = [a + coeff * b for a, b in zip(w, B[v])]
-        if all(x % m == 0 for x in w):
+            for j, b in Brows[v].items():
+                w[j] = w.get(j, 0) + coeff * b
+        if all(x % m == 0 for x in w.values()):
             continue
         # column-reduce w to a single nonzero entry, mirroring the
         # operations on the basis columns
         while True:
-            nz = [j for j in range(len(w)) if w[j]]
+            nz = sorted(j for j, x in w.items() if x)
             if len(nz) <= 1:
                 break
             j0 = min(nz, key=lambda j: abs(w[j]))
+            p, rows0 = w[j0], support[j0]
             for j in nz:
                 if j == j0:
                     continue
-                q = w[j] // w[j0]
+                q = w[j] // p
                 if q:
-                    w[j] -= q * w[j0]
-                    for r in B:
-                        r[j] -= q * r[j0]
+                    w[j] -= q * p
+                    col = support[j]
+                    for r in rows0:
+                        R = Brows[r]
+                        x = R.get(j, 0) - q * R[j0]
+                        if x:
+                            R[j] = x
+                            col.add(r)
+                        else:
+                            del R[j]
+                            col.discard(r)
                     ops.append((j0, j, q))
-        j0 = next(j for j in range(len(w)) if w[j])
+        # the operations keep the gcd of w, so one entry is left
+        (j0,) = nz
         t = m // gcd(w[j0], m)
-        for r in B:
-            r[j0] *= t
+        for r in support[j0]:
+            Brows[r][j0] *= t
         ops.append((j0, None, t))
-    return B, ops
+    return _dense(Brows, n), ops
+
+
+def _dense(rows, width):
+    """Lists of length width from dicts of their nonzero entries."""
+    out = []
+    for R in rows:
+        row = [0] * width
+        for j, x in R.items():
+            row[j] = x
+        out.append(row)
+    return out
 
 
 def _lattice_coordinates(ops, X):
@@ -412,18 +460,24 @@ def _lattice_coordinates(ops, X):
     row_j0 += q * row_j, and col_j0 *= t becomes row_j0 /= t.  Each
     intermediate basis spans a lattice containing L, so every division is
     exact on a column in L; if all are exact the result Z is integral with
-    B Z = X, so a column outside L fails one.
+    B Z = X, so a column outside L fails one.  The rows are kept as dicts
+    of their nonzero entries, so a row operation adds only those of row_j.
     """
-    Z = list(X)
+    Z = [{c: a for c, a in enumerate(row) if a} for row in X]
     for j0, j, q in ops:
         r = Z[j0]
         if j is not None:
-            Z[j0] = [a + q * b for a, b in zip(r, Z[j])]
-        elif any(a % q for a in r):
+            for c, b in Z[j].items():
+                x = r.get(c, 0) + q * b
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+        elif any(a % q for a in r.values()):
             return None
         else:
-            Z[j0] = [a // q for a in r]
-    return Z
+            Z[j0] = {c: a // q for c, a in r.items()}
+    return _dense(Z, len(X[0]) if X else 0)
 
 
 def h2(M: FiniteHModule) -> H2Data:
@@ -471,7 +525,7 @@ def h2(M: FiniteHModule) -> H2Data:
         x = mat_vec(B, [v // d for v in mat_vec(Ymat, [row[pos_i] for row in V2])])
         cells = [x[v : v + k] for v in range(0, n2, k)]
         rows = [[zero] + cells[i : i + n - 1] for i in range(0, len(cells), n - 1)]
-        basis.append(Cocycle2(M, [[zero] * n] + rows))
+        basis.append(_internal_cocycle(M, [[zero] * n] + rows, "basis cocycle"))
     data = H2Data(M, invariants, basis, class_fn)
     for idx, b in enumerate(basis):
         expect = tuple(1 if t == idx else 0 for t in range(len(keep)))
@@ -516,6 +570,7 @@ def aut_h(M: FiniteHModule):
     if size > 2**16:
         raise PreconditionError("module too large for automorphism enumeration")
     gens = [tuple(row[j] % m for row, m in zip(B, moduli)) for j in range(kk)]
+    gens = [g for g in gens if any(g)]
     ends = orbit((0,) * kk, gens, lambda x, g: tuple((a + b) % m for a, b, m in zip(x, g, moduli)))
     out = []
     for entries in sorted(ends):
@@ -635,7 +690,7 @@ def extension_class(E, section=None) -> Cocycle2:
             if h != 0:
                 raise InternalError("cocycle value is not in the fiber")
             table[h1][h2] = m
-    return Cocycle2(M, table)
+    return _internal_cocycle(M, table, "extension class")
 
 
 def extend_automorphism(gamma, E: ExtensionGroup):

@@ -8,10 +8,11 @@ the column transform V suffice: where a caller needs a column of U^-1 it
 reads it off A*V, since U*A*V = diag(d).
 Matrices are lists of lists of Python ints, at most a few hundred rows.
 The systems cohomology factors are sparse with many unit entries, so the
-elimination skips zero work without changing a single step: a unit pivot
-is found by list.index, row operations add only the pivot row's nonzero
-entries, column operations touch only the rows of S and V that are
-nonzero in the pivot column, and a pivot 1 needs no divisibility scan.
+elimination skips zero work without changing a single step: the pivot
+is found in one scan of the rows that stops at the first row holding a
+unit, row operations add only the pivot row's nonzero entries, column
+operations touch only the rows of S and V that are nonzero in the pivot
+column, and a pivot 1 needs no divisibility scan.
 The right-hand sides extend_automorphism solves for are mostly a modulus
 times a unit vector, so mat_vec skips the zero entries of v.
 """
@@ -46,17 +47,9 @@ def smith_normal_form(A):
     t = 0
     size = min(m, n)
     while t < size:
-        # the nonzero entry of smallest magnitude in the submatrix, first
-        # in row-major order among ties: the first unit if there is one
-        piv = _first_unit(S, t, n)
+        piv = _pivot(S, t, n)
         if piv is None:
-            piv = min(
-                ((abs(a), i, j) for i in range(t, m) for j, a in enumerate(S[i][t:n], t) if a),
-                default=None,
-            )
-            if piv is None:
-                break
-            piv = piv[1:]
+            break
         i, j = piv
         S[t], S[i] = S[i], S[t]
         if j != t:
@@ -107,15 +100,25 @@ def smith_normal_form(A):
     return diag, [row[n:] for row in S], V
 
 
-def _first_unit(S, t, n):
-    """(i, j) of the first entry +-1 of S[t:][t:n] in row-major order, or
-    None."""
+def _pivot(S, t, n):
+    """(i, j) of the nonzero entry of S[t:][t:n] of smallest magnitude,
+    first in row-major order among ties, or None if there is none.
+
+    One scan of the rows, ending at the first row holding a unit: a unit
+    is the smallest magnitude there is."""
+    best = None
     for i in range(t, len(S)):
         seg = S[i][t:n]
-        j = min((seg.index(u) for u in (1, -1) if u in seg), default=None)
-        if j is not None:
-            return i, j + t
-    return None
+        a = min(map(abs, filter(None, seg)), default=0)
+        if not a or (best is not None and a >= best[0]):
+            continue
+        best = a, i, seg
+        if a == 1:
+            break
+    if best is None:
+        return None
+    a, i, seg = best
+    return i, t + min(seg.index(u) for u in (a, -a) if u in seg)
 
 
 def solve_from_snf(snf, b):

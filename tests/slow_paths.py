@@ -3,13 +3,14 @@ snf, for the extension table and for relmod's Schreier rewriting.
 
 Each function here is the version the library replaced, kept verbatim in
 its arithmetic: the nested-loop Smith normal form (which also tracks the
-inverse of its row transform, U^-1), the dense mat_vec, the
-column-major congruence lattice with coordinates in it solved from its
-basis's Smith normal form, the extension product on module tuples and
-the table built from |E|^2 calls to it, extend_automorphism solving
-[D1 | diag(moduli)] over the integers, factored on every call, aut_h
-trying every matrix on the module and testing bijectivity by mapping
-every element, relmod's action, extension cocycle and P-generator images
+inverse of its row transform, U^-1), the dense mat_vec, the cocycle
+congruences at every triple of elements, not only at generators in the
+third place, the column-major congruence lattice with coordinates in it
+solved from its basis's Smith normal form, the extension product on
+module tuples and the table built from |E|^2 calls to it,
+extend_automorphism solving [D1 | diag(moduli)] over the integers,
+factored on every call, aut_h trying every matrix on the module and
+testing bijectivity by mapping every element, relmod's action, extension cocycle and P-generator images
 from freely reduced products of FreeWords (s w s^-1, s1 s2 s(h1 h2)^-1,
 x_i s(g_i)^-1) rewritten from the identity coset, the main-theorem check
 from P's Cayley table by searching each generator's H-fiber for the
@@ -18,7 +19,9 @@ automorphisms read off an N x phi(N) table of the powers of zeta_N, and
 genus1's j-invariant degree with j's numerator and denominator
 cross-multiplied as dense lists in Z[x]/(x^t - 1).
 test_fast_paths.py, test_extension_table.py and test_genus1.py assert
-that the library returns identical results.
+that the library returns identical results; from the all-triples
+congruences, which build another basis of the same lattice, it asserts
+the same lattice, H^2 invariants and classes.
 """
 
 import itertools
@@ -152,6 +155,38 @@ def solve_from_snf(snf, b):
         elif v:
             return None
     return mat_vec(V, z)
+
+
+def cocycle_rows_all_triples(M):
+    """The cocycle conditions as (sparse row, modulus) congruences at
+    every triple (a, b, c) of nonidentity positions, (|H|-1)^3 * k rows."""
+    t, n, k = M.T.table, M.T.n, M.k
+    block = cohomology._block
+    rows = []
+    for a in range(1, n):
+        Aa = M.action[a]
+        for b in range(1, n):
+            ab = t[a][b]
+            for c in range(1, n):
+                bc = t[b][c]
+                for r in range(k):
+                    row = {}
+
+                    def put(v, coeff, row=row):
+                        row[v] = row.get(v, 0) + coeff
+
+                    for s in range(k):
+                        if Aa[r][s]:
+                            put(block(n, k, b, c) + s, Aa[r][s])
+                    if ab:
+                        put(block(n, k, ab, c) + r, -1)
+                    if bc:
+                        put(block(n, k, a, bc) + r, 1)
+                    put(block(n, k, a, b) + r, -1)
+                    row = {v: coeff for v, coeff in row.items() if coeff}
+                    if row:
+                        rows.append((row, M.shape[r]))
+    return rows
 
 
 def congruence_lattice_columns(n, rows):

@@ -227,6 +227,18 @@ class TestCohomology:
         argv = ["--json", "cohomology", "--module", path]
         refused_quickly(capsys, argv, "|H|*|M| > 4096")
 
+    def test_c17_at_the_lattice_limit(self, capsys, tmp_path):
+        # C17 acting trivially on Z/2: the cocycle lattice has dimension
+        # (17-1)^2 * 1 = 256, exactly the limit, so it is admitted (Q8 on
+        # (Z/2)^9 at 441 is refused, in TestRelmod); H^2 = Z/gcd(17, 2) = 0
+        c17 = {"generators": [list(range(2, 18)) + [1]]}
+        doc = {"group": c17, "shape": [2], "action": [[[1]]] * 17}
+        path = write_json(tmp_path, "c17.json", doc)
+        code, out = run(capsys, ["--json", "cohomology", "--module", path])
+        assert code == 0
+        data = json.loads(out)
+        assert data["invariants"] == [] and data["order_H2"] == 1
+
 
 class TestRelmod:
     def test_z3_rank2(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -244,6 +245,48 @@ class TestAutH:
     def test_gl2_f2_order(self):
         M = FiniteHModule.trivial(trivial_group(1), (2, 2))
         assert len(aut_h(M)) == 6
+
+
+class TestInternalFaults:
+    def test_a_dropped_generator_is_caught(self, monkeypatch):
+        # the cocycle congruences of one generator dropped: where that
+        # loses a congruence, the lattice holds cochains that are not
+        # cocycles, and the basis cocycle h2 builds from one fails the
+        # cocycle identity, a fault of h2 and not bad input; a drop that
+        # loses nothing changes nothing
+        from belyilab.corpus import _module_corpus
+
+        rows = cohomology._cocycle_rows
+        fired = 0
+        for M in _module_corpus():
+            want = h2(M).invariants
+            for drop in range(len(M.T.gens)):
+                gens = M.T.gens[:drop] + M.T.gens[drop + 1 :]
+                T = SimpleNamespace(table=M.T.table, n=M.T.n, gens=gens)
+                fewer = SimpleNamespace(T=T, k=M.k, action=M.action, shape=M.shape)
+                monkeypatch.setattr(cohomology, "_cocycle_rows", lambda M, N=fewer: rows(N))
+                try:
+                    got = h2(M).invariants
+                except InternalError as exc:
+                    assert "basis cocycle fails the cocycle identity" in str(exc)
+                    fired += 1
+                else:
+                    assert got == want
+                monkeypatch.setattr(cohomology, "_cocycle_rows", rows)
+        assert fired == 14
+
+    def test_an_extension_read_against_another_action_is_caught(self):
+        # the extension of Z/2 by trivial Z/4 with beta(1, 1) = 1 read as
+        # one over the sign module: its class table fails the sign
+        # module's cocycle identity, which only a fault inside the library
+        # can bring about
+        H = cyclic_group(2)
+        M = FiniteHModule.trivial(H, (4,))
+        E = build_extension(M, Cocycle2(M, sparse_table(M, {(1, 1): (1,)})))
+        assert extension_class(E).table[1][1] == (1,)
+        E.module = sign_module(H, 4)
+        with pytest.raises(InternalError, match="extension class fails the cocycle identity"):
+            extension_class(E)
 
 
 class TestAutHChecks:

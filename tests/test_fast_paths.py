@@ -16,9 +16,13 @@ basis tables and class coordinates, the extension tables and the
 extended maps, the relation modules' words, action matrices, cocycle
 tables and main-theorem reports, the coordinates of products, powers of
 zeta_N and character tables, and each character value at the inverse
-class against its complex conjugate.
+class against its complex conjugate.  The one exception is the cocycle
+congruences at every triple, where h2 states them at generators only:
+the two build different bases of one lattice, so what must agree is the
+lattice, H^2's invariants and which cocycles share a class.
 """
 
+import itertools
 import json
 import random
 import time
@@ -29,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slow_paths
-from belyilab import relmod, snf
+from belyilab import cohomology, relmod, snf
 from belyilab.chartab import CharacterTable
 from belyilab.cli import _parse_group
 from belyilab.cohomology import (
@@ -167,6 +171,75 @@ def test_h2_matches_slow_kernels(M, monkeypatch):
     assert fast.invariants == slow.invariants
     assert [b.table for b in fast.basis] == [b.table for b in slow.basis]
     assert fast_classes == [slow.class_of(beta) for beta in cocycles]
+
+
+GOLDEN_RELMOD = [c for c in CASES if c["argv"][1] == "relmod" and "--mod" in c["argv"]]
+
+
+def golden_cocycle(case):
+    """The extension cocycle on R-bar/m whose class a golden relmod case
+    prints, built as the relmod command builds it."""
+    argv = case["argv"]
+    rank, m = (int(argv[argv.index(flag) + 1]) for flag in ("--rank", "--mod"))
+    H = _parse_group(case["inputs"]["group"])
+    rm = schreier_data(H, list(H.generators) + [H.identity()] * (rank - len(H.generators)))
+    return extension_cocycle(rm, m)
+
+
+def is_coboundary(M, table):
+    """Whether a normalized cochain table is dc for a 1-cochain c, solved
+    on the scaled coboundary map alone."""
+    L, factored = M.coboundary_snf
+    rhs = [L // M.shape[v % M.k] * x for v, x in enumerate(_flatten(table))]
+    return snf.solve_mod_from_snf(factored, rhs, L) is not None
+
+
+def check_generator_rows(M, monkeypatch, rng, extra=()):
+    """The cocycle lattice and H^2 of M from the generator congruences
+    against those from every triple."""
+    n2 = (M.T.n - 1) ** 2 * M.k
+    rows, oracle = _cocycle_rows(M), slow_paths.cocycle_rows_all_triples(M)
+    assert len(rows) <= len(oracle)
+    B, ops = _congruence_lattice(n2, rows)
+    _, oracle_ops = _congruence_lattice(n2, oracle)
+    # B's columns meet every all-triples congruence, and their lattice has
+    # the oracle's index in Z^n2 (det B, the product of the scalings), so
+    # the two lattices are equal
+    for row, m in oracle:
+        for j in range(n2):
+            assert sum(coeff * B[v][j] for v, coeff in row.items()) % m == 0
+    assert prod(t for _, j, t in ops if j is None) == prod(
+        t for _, j, t in oracle_ops if j is None
+    )
+    fast = h2(M)
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_cocycle_rows", slow_paths.cocycle_rows_all_triples)
+        slow = h2(M)
+    assert fast.invariants == slow.invariants
+    # random cocycles over either basis, few enough classes to collide:
+    # two share a class exactly when their difference is a coboundary
+    cocycles = list(extra)
+    cocycles += [random_cocycle(M, data, rng) for data in (fast, slow) for _ in range(6)]
+    classes = [fast.class_of(beta) for beta in cocycles]
+    outcomes = set()
+    for (a, ca), (b, cb) in itertools.combinations(zip(cocycles, classes), 2):
+        diff = [[M.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a.table, b.table)]
+        assert (ca == cb) == is_coboundary(M, diff)
+        outcomes.add(ca == cb)
+    assert outcomes == ({True, False} if fast.order > 1 else {True})
+
+
+@pytest.mark.parametrize("M", MODULES, ids=IDS)
+def test_generator_rows_match_all_triples(M, monkeypatch):
+    check_generator_rows(M, monkeypatch, random.Random(M.T.n * 100 + M.size + 2))
+
+
+@pytest.mark.parametrize("case", GOLDEN_RELMOD, ids=[c["name"] for c in GOLDEN_RELMOD])
+def test_generator_rows_match_all_triples_on_golden_relmod(case, monkeypatch):
+    # the relation modules whose cocycle class the golden file holds
+    assert '"cocycle_class"' in case["stdout"]
+    beta = golden_cocycle(case)
+    check_generator_rows(beta.module, monkeypatch, random.Random(len(case["stdout"])), [beta])
 
 
 @pytest.mark.parametrize("M", MODULES, ids=IDS)
