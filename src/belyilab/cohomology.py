@@ -6,29 +6,32 @@ position i is H.elements[i], and the identity is 0.  A module is
 M = Z/m_1 + ... + Z/m_k with the H-action given by a list of integer
 matrices, one per position, and a 2-cochain is an |H| x |H| list of
 module tuples, so nothing here multiplies permutations once the table is
-built.  Normalized 2-cochains form the free abelian group Z^n2 modulo the
-component moduli, n2 = (|H|-1)^2 * k, with the value at positions (i, j),
-i, j >= 1, in block (i-1)(|H|-1) + j-1.  The cocycle conditions are
-congruences, so Z^2 lifts to a finite-index lattice L in Z^n2.  They are
-stated only at the triples (a, b, c) with c one of H's generators: by the
-lemma in groups.TableGroup, applied to the extension, that is exact
-(_cocycle_rows).
-H^2 = L / (coboundaries + moduli) is read off from one Smith normal
-form.  _congruence_lattice builds a basis B of L from the identity by
-column operations on sparse rows and records them; undoing them in
-order gives B^-1 x exactly, or None when x is outside L, so the
-coboundaries and moduli come into B-coordinates as
-Y = B^-1 [D1 | diag(moduli)] and a cocycle's
-class from B^-1 of its table, with no factorization of B.  Then
-U Y V = diag(d): row i of U gives class coordinate i, and basis cocycle i
-is B Y V e_i / d_i (column i of U^-1, which is never formed).  h2 builds
-L and factors Y on every call.  extend_automorphism finds the 1-cochain by
-which an automorphism of the module extends with its own factorization,
-cached per module (FiniteHModule.coboundary_snf), so "gamma extends iff
-it fixes the class" compares two independent computations.  It factors
-D1 alone, n2 x n1, with row v scaled by L/m_v, L the lcm of the moduli:
-dc = delta holds in M exactly when the scaled rows agree modulo L, which
-the diagonal decides entry by entry.
+built.
+
+h2 presents H as F_d / R by the table's own generators T.gens
+(groups.SchreierTree) and uses Gruenberg's resolution: H^2(H, M) is
+Hom_H(R-bar, M) modulo the restrictions of the derivations F -> M.  A
+homomorphism is its values on the rank = |H|(d-1)+1 Schreier generators,
+rank * k integers, and H-equivariance at T.gens (the g where it holds are
+closed under products) is a set of congruences, so Hom_H lifts to a
+finite-index lattice L in Z^(rank*k), the cocycle lattice.
+_congruence_lattice builds a basis B of L from the identity by column
+operations on sparse rows and records them; undoing them in order gives
+B^-1 x exactly, or None when x is outside L.  So the derivations D(x_i) =
+e_c and the moduli come into B-coordinates as Y = B^-1 [D | diag(moduli)]
+with no factorization of B, and U Y V = diag(d): row i of U gives class
+coordinate i, and basis class i is B Y V e_i / d_i (column i of U^-1,
+which is never formed).  A cocycle and a homomorphism correspond through
+the extension they define (_restriction, _pushed_cocycle).
+
+extend_automorphism finds the 1-cochain by which an automorphism of the
+module extends with its own factorization, on normalized cochains (n2 =
+(|H|-1)^2 * k of them, value at positions (i, j), i, j >= 1, in block
+(i-1)(|H|-1) + j-1), cached per module (FiniteHModule.coboundary_snf), so
+"gamma extends iff it fixes the class" compares two independent
+computations.  It factors D1 alone, n2 x n1, with row v scaled by L/m_v,
+L the lcm of the moduli: dc = delta holds in M exactly when the scaled
+rows agree modulo L, which the diagonal decides entry by entry.
 
 End_H(M) is a lattice too: a k x k integer matrix X is an endomorphism
 when X[r][c] = 0 mod m_r/gcd(m_r, m_c) (a well-defined map Z/m_c ->
@@ -47,24 +50,29 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import InternalError, PreconditionError
-from .groups import TABLE_LIMIT, TableGroup, preserves_products
+from .groups import TABLE_LIMIT, SchreierTree, TableGroup, preserves_products
 from .permgroup import orbit
 from .snf import identity_matrix, mat_vec, smith_normal_form, solve_mod_from_snf
 
-# bound on n2 = (|H|-1)^2 * k, the dimension of the cocycle lattice and of
-# the Smith normal forms h2 and extend_automorphism compute; |H|*|M| alone
-# lets Q8 on (Z/2)^9 through with n2 = 441, where h2 takes 0.3 s and
-# factoring the scaled D1 (441 x 63) 0.03 s (C17 on Z/2, n2 = 256: 0.08 s
-# and 0.01 s; 2-core x86-64 VM, CPython 3.11)
+# The two bounds of this module, timed on a 2-core x86-64 VM, CPython 3.11.
+# _RELATION_LIMIT bounds rank * k, the unknowns of h2 and the side of the
+# Smith normal form it computes: Q8 on (Z/2)^9 (81) takes 0.02 s, S5 on
+# Z/2 (361) 0.25 s, (Z/2)^6 on Z/2 (321, with 21 basis cocycles of 64^2
+# values each to check) 1.2 s; past it, (Z/2)^5 on (Z/2)^4 (516) 1.3 s and
+# (Z/2)^7 on Z/2 (769) 3.8 s.  _LATTICE_LIMIT bounds n2 = (|H|-1)^2 * k,
+# the rows of the coboundary map extend_automorphism and
+# verify_main_theorem solve on: factoring it takes 0.01 s for C17 on Z/2
+# (n2 = 256) and 0.03 s for Q8 on (Z/2)^9 (n2 = 441), but the work of
+# those checks grows with n2 * |End_H| and with |H|^2 * |M|.
+_RELATION_LIMIT = 512
 _LATTICE_LIMIT = 256
 
 
 def _mat_apply(mat, m, shape):
-    return tuple(
-        sum(a * x for a, x in zip(row, m)) % mod for row, mod in zip(mat, shape)
-    )
+    return tuple(sum(map(mul, row, m)) % mod for row, mod in zip(mat, shape))
 
 
 def _mat_eq(A, B, shape):
@@ -77,11 +85,8 @@ def _mat_eq(A, B, shape):
 
 
 def _mat_mul_mod(A, B, shape):
-    k = len(shape)
-    return tuple(
-        tuple(sum(A[r][t] * B[t][c] for t in range(k)) % shape[r] for c in range(k))
-        for r in range(k)
-    )
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row, m in zip(A, shape))
 
 
 def _checked_table(H, shape):
@@ -164,7 +169,13 @@ class FiniteHModule:
     @cached_property
     def coboundary_snf(self):
         """(L, the Smith normal form of D1 with row v scaled by L/m_v), L
-        the lcm of the moduli."""
+        the lcm of the moduli; refused past _LATTICE_LIMIT rows."""
+        n2 = (self.T.n - 1) ** 2 * self.k
+        if n2 > _LATTICE_LIMIT:
+            raise PreconditionError(
+                "cohomology instance too large: 2-cochain dimension %d > %d"
+                % (n2, _LATTICE_LIMIT)
+            )
         L = lcm(*self.shape)
         scale = [L // m for m in self.shape]
         D = [[scale[v % self.k] * a for a in row] for v, row in enumerate(_coboundary_map(self))]
@@ -190,6 +201,32 @@ class FiniteHModule:
         return list(itertools.product(*map(range, self.shape)))
 
 
+def _is_cocycle(M, table):
+    """Whether a normalized table satisfies the cocycle identity
+    h1.beta(h2, g) - beta(h1 h2, g) + beta(h1, h2 g) - beta(h1, h2) = 0.
+
+    The identity at (h1, h2, g) is associativity of the extension table at
+    z = (g, 0); at z = (1, m) it holds for any normalized beta.  These z
+    generate the extension, so by the lemma in groups.TableGroup checking
+    g in T.gens is exact.
+    """
+    t, shape = M.T.table, M.shape
+    one = identity_matrix(M.k)
+    acts = [None if _mat_eq(A, one, shape) else A for A in M.action]
+    for g in M.T.gens:
+        col = [row[g] for row in table]
+        times_g = [row[g] for row in t]
+        for h1, row1 in enumerate(table):
+            A, th1 = acts[h1], t[h1]
+            for h2, v in enumerate(col):
+                Av = v if A is None else [sum(map(mul, row, v)) for row in A]
+                a, b, c = col[th1[h2]], row1[times_g[h2]], row1[h2]
+                for x, y, z, w, m in zip(Av, a, b, c, shape):
+                    if (x - y + z - w) % m:
+                        return False
+    return True
+
+
 class Cocycle2:
     """A normalized 2-cocycle on H with values in a FiniteHModule, stored
     as an |H| x |H| list: table[i][j] is its value at the elements of
@@ -205,21 +242,8 @@ class Cocycle2:
         if any(val != zero for val in full[0]) or any(row[0] != zero for row in full):
             raise PreconditionError("cocycle is not normalized")
         self.table = full
-        # The identity at (h1, h2, g) is associativity of the extension
-        # table at z = (g, 0); at z = (1, m) it holds for any normalized
-        # beta.  These z generate the extension, so by the lemma in
-        # groups.TableGroup checking g in T.gens is exact.
-        t = module.T.table
-        for g in module.T.gens:
-            for h1 in range(n):
-                row1 = full[h1]
-                for h2 in range(n):
-                    lhs = module.apply(h1, full[h2][g])
-                    lhs = module.sub(lhs, full[t[h1][h2]][g])
-                    lhs = module.add(lhs, row1[t[h2][g]])
-                    lhs = module.sub(lhs, row1[h2])
-                    if lhs != zero:
-                        raise PreconditionError("cocycle identity fails at a triple")
+        if not _is_cocycle(module, full):
+            raise PreconditionError("cocycle identity fails at a triple")
 
     @classmethod
     def _trusted(cls, module, table):
@@ -311,46 +335,6 @@ def _flatten(table):
     return [x for row in table[1:] for val in row[1:] for x in val]
 
 
-def _cocycle_rows(M):
-    """The cocycle conditions as (sparse row, modulus) congruences on the
-    n2 normalized C^2 coordinates: the identity at (a, b, c) for a, b >= 1
-    and c in T.gens, (|H|-1)^2 * |gens| * k rows.
-
-    That suffices (the lemma in groups.TableGroup): the identity at
-    (a, b, c) is associativity of the extension at ((a, x), (b, y), (c, 0)),
-    and at z = (1, m) it holds for any normalized cochain.  The z at which
-    associativity holds for all x, y are closed under products, and the
-    (c, 0), c in T.gens, with the (1, m) generate the extension.  With a
-    or b the identity a normalized cochain satisfies the identity.
-    """
-    t, n, k = M.T.table, M.T.n, M.k
-    rows = []
-    for a in range(1, n):
-        Aa = M.action[a]
-        for b in range(1, n):
-            ab = t[a][b]
-            for c in M.T.gens:
-                bc = t[b][c]
-                for r in range(k):
-                    row = {}
-
-                    def put(v, coeff, row=row):
-                        row[v] = row.get(v, 0) + coeff
-
-                    for s in range(k):
-                        if Aa[r][s]:
-                            put(_block(n, k, b, c) + s, Aa[r][s])
-                    if ab:
-                        put(_block(n, k, ab, c) + r, -1)
-                    if bc:
-                        put(_block(n, k, a, bc) + r, 1)
-                    put(_block(n, k, a, b) + r, -1)
-                    row = {v: coeff for v, coeff in row.items() if coeff}
-                    if row:
-                        rows.append((row, M.shape[r]))
-    return rows
-
-
 def _coboundary_map(M):
     """D1, n2 x n1: the map C^1 -> C^2, c -> dc, on normalized cochains."""
     t, n, k = M.T.table, M.T.n, M.k
@@ -369,16 +353,6 @@ def _coboundary_map(M):
                     row[(ij - 1) * k + r] -= 1
                 row[(i - 1) * k + r] += 1
     return D
-
-
-def _coboundary_system(M):
-    """[D1 | diag(moduli)], n2 x (n1 + n2): column n1 + v holds the
-    modulus of coordinate v."""
-    k, n2 = M.k, (M.T.n - 1) ** 2 * M.k
-    return [
-        row + [M.shape[v % k] if u == v else 0 for u in range(n2)]
-        for v, row in enumerate(_coboundary_map(M))
-    ]
 
 
 def _congruence_lattice(n, rows):
@@ -480,52 +454,119 @@ def _lattice_coordinates(ops, X):
     return _dense(Z, len(X[0]) if X else 0)
 
 
+def _equivariance_rows(M, pres, gens):
+    """The congruences on the values f(e_j) of a homomorphism R-bar -> M,
+    coordinate r of f(e_j) at j*k + r, that make f commute with the
+    elements at positions gens: f(g.e_j) = g.f(e_j) coordinate by
+    coordinate, modulo m_r in coordinate r, with g.e_j read off the
+    presentation pres (SchreierTree.conjugation)."""
+    k, shape = M.k, M.shape
+    rows = []
+    for g in gens:
+        A = M.action[g]
+        for j, col in enumerate(pres.conjugation(g)):
+            for r in range(k):
+                row = {l * k + r: a for l, a in enumerate(col) if a}
+                for s, a in enumerate(A[r]):
+                    if a:
+                        row[j * k + s] = row.get(j * k + s, 0) - a
+                row = {v: coeff for v, coeff in row.items() if coeff}
+                if row:
+                    rows.append((row, shape[r]))
+    return rows
+
+
+def _relation_system(M, pres):
+    """[D | diag(moduli)]: column (i, c) of D is the derivation with D(x_i)
+    = e_c restricted to the Schreier generators, flattened as the unknowns
+    of _equivariance_rows are."""
+    k, dim = M.k, pres.rank * M.k
+    cols = [[x for val in der for x in val] for der in pres.derivations(M.action, k)]
+    return [
+        [col[v] for col in cols] + [M.shape[v % k] if u == v else 0 for u in range(dim)]
+        for v in range(dim)
+    ]
+
+
+def _restriction(M, pres, table):
+    """f_beta, flattened: the Schreier generators' images in M under F ->
+    the extension by the cocycle table, x_i -> (g_i, 0).  c_h, the fiber
+    part of s_h's image, grows along the tree by c_{h g_i} = c_h + beta(h,
+    g_i), and s_h x_i s_k^-1 maps to c_h + beta(h, g_i) - c_k."""
+    t, gens = M.T.table, pres.images
+    c = [M.zero()] * M.T.n
+    for h, edge in pres.tree.items():
+        if edge is not None:
+            c[h] = M.add(c[edge[0]], table[edge[0]][gens[edge[1]]])
+    f = [None] * pres.rank
+    for (h, l), j in pres.gen_index.items():
+        g = gens[l - 1]
+        f[j] = M.sub(M.add(c[h], table[h][g]), c[t[h][g]])
+    return [x for val in f for x in val]
+
+
+def _pushed_cocycle(M, pres, f):
+    """The table of beta_f(h1, h2) = f(s(h1) s(h2) s(h1 h2)^-1), that is f
+    of s(h2) read from h1, for f given by its flattened values: along the
+    tree in h2, the walk crosses generator j of the edge (h1 p, i)."""
+    k, t = M.k, M.T.table
+    vals = [M.reduce(f[j * k : j * k + k]) for j in range(pres.rank)]
+    table = []
+    for h1 in range(M.T.n):
+        row = [M.zero()] * M.T.n
+        for h2, edge in pres.tree.items():
+            if edge is not None:
+                p, i = edge
+                j = pres.gen_index.get((t[h1][p], i + 1))
+                row[h2] = row[p] if j is None else M.add(row[p], vals[j])
+        table.append(row)
+    return table
+
+
 def h2(M: FiniteHModule) -> H2Data:
     """H^2(H, M) with invariant factors, basis cocycles and a
-    representative-to-class map."""
-    n, k = M.T.n, M.k
-    n2 = (n - 1) ** 2 * k
-    if n2 > _LATTICE_LIMIT:
+    representative-to-class map, from Hom_H(R-bar, M) over the
+    presentation of H by T.gens."""
+    gens = M.T.gens
+    dim = (M.T.n * (len(gens) - 1) + 1) * M.k
+    if dim > _RELATION_LIMIT:
         raise PreconditionError(
-            "cohomology instance too large: cocycle lattice dimension %d > %d"
-            % (n2, _LATTICE_LIMIT)
+            "cohomology instance too large: %d unknowns in Hom_H(R-bar, M) > %d"
+            % (dim, _RELATION_LIMIT)
         )
-    if n2 == 0:
-        # H trivial: the only normalized cocycle is zero
-        return H2Data(M, [], [], lambda beta: ())
 
-    B, ops = _congruence_lattice(n2, _cocycle_rows(M))
-    # sublattice of coboundaries plus the component moduli, expressed in
-    # lattice coordinates
-    Ymat = _lattice_coordinates(ops, _coboundary_system(M))
+    pres = SchreierTree(M.T, gens)
+    B, ops = _congruence_lattice(dim, _equivariance_rows(M, pres, gens))
+    # the restricted derivations and the moduli, in lattice coordinates
+    Ymat = _lattice_coordinates(ops, _relation_system(M, pres))
     if Ymat is None:
         raise InternalError("coboundary escapes the cocycle lattice")
     diag, U2, V2 = smith_normal_form(Ymat)
-    if len(diag) < n2 or any(d == 0 for d in diag):
+    if len(diag) < dim or any(d == 0 for d in diag):
         raise InternalError("H^2 is not finite at finite level")
 
-    keep = [i for i in range(n2) if diag[i] > 1]
+    keep = [i for i in range(dim) if diag[i] > 1]
     invariants = [diag[i] for i in keep]
 
     def class_fn(beta):
         N = beta.module
         if N is not M and (N.T.names, N.shape, N.action) != (M.T.names, M.shape, M.action):
             raise PreconditionError("cocycle belongs to a different module")
-        y = _lattice_coordinates(ops, [[x] for x in _flatten(beta.table)])
+        # f_beta reads beta at the generator columns only
+        y = None
+        if _is_cocycle(M, beta.table):
+            y = _lattice_coordinates(ops, [[x] for x in _restriction(M, pres, beta.table)])
         if y is None:
             raise InternalError("valid cocycle is outside the cocycle lattice")
         z = mat_vec(U2, [x for x, in y])
         return tuple(z[i] % diag[i] for i in keep)
 
     basis = []
-    zero = M.zero()
     for pos_i in keep:
         # column pos_i of U2^-1 is Ymat V2 e_i / d_i, since U2 Ymat V2 = diag(d)
         d = diag[pos_i]
-        x = mat_vec(B, [v // d for v in mat_vec(Ymat, [row[pos_i] for row in V2])])
-        cells = [x[v : v + k] for v in range(0, n2, k)]
-        rows = [[zero] + cells[i : i + n - 1] for i in range(0, len(cells), n - 1)]
-        basis.append(_internal_cocycle(M, [[zero] * n] + rows, "basis cocycle"))
+        f = mat_vec(B, [v // d for v in mat_vec(Ymat, [row[pos_i] for row in V2])])
+        basis.append(_internal_cocycle(M, _pushed_cocycle(M, pres, f), "basis cocycle"))
     data = H2Data(M, invariants, basis, class_fn)
     for idx, b in enumerate(basis):
         expect = tuple(1 if t == idx else 0 for t in range(len(keep)))
@@ -583,10 +624,11 @@ def aut_h(M: FiniteHModule):
 
 
 def _commutes(M, mat):
-    """Whether mat commutes with every generator matrix of the H-action."""
+    """Whether mat commutes with every generator matrix of the H-action
+    (_mat_mul_mod reduces both products, so they compare as tuples)."""
     shape = M.shape
     return all(
-        _mat_eq(_mat_mul_mod(mat, A, shape), _mat_mul_mod(A, mat, shape), shape)
+        _mat_mul_mod(mat, A, shape) == _mat_mul_mod(A, mat, shape)
         for A in (M.action[g] for g in M.T.gens)
     )
 
@@ -693,29 +735,41 @@ def extension_class(E, section=None) -> Cocycle2:
     return _internal_cocycle(M, table, "extension class")
 
 
-def extend_automorphism(gamma, E: ExtensionGroup):
-    """An automorphism of E restricting to gamma on M and to the identity
-    on H, or None if no such automorphism exists.
-
-    Searches for a normalized 1-cochain c with gamma(beta) - beta = dc; on
-    success the automorphism is (h, m) -> (h, gamma(m) + c(h)), returned
-    as a map on E.elements.
-    """
-    M = E.module
-    shape, k, n = M.shape, M.k, M.T.n
-    if not _is_equivariant_automorphism(M, gamma):
-        raise PreconditionError("gamma is not an H-equivariant module automorphism")
+def _lifting_cochain(gamma, beta: Cocycle2):
+    """The normalized 1-cochain c with gamma(beta) - beta = dc, as module
+    values by position, or None when there is none: gamma fixes beta's
+    class exactly when one exists.  Solved on the cached scaled coboundary
+    map (FiniteHModule.coboundary_snf); gamma is taken to be an
+    H-equivariant automorphism."""
+    M = beta.module
+    shape, k = M.shape, M.k
     delta = _flatten(
-        [[M.sub(_mat_apply(gamma, val, shape), val) for val in row] for row in E.beta.table]
+        [[M.sub(_mat_apply(gamma, val, shape), val) for val in row] for row in beta.table]
     )
     L, snf = M.coboundary_snf
     sol = solve_mod_from_snf(snf, [L // shape[v % k] * x for v, x in enumerate(delta)], L)
     if sol is None:
         return None
-    cochain = [M.zero()] + [M.reduce(sol[(h - 1) * k : h * k]) for h in range(1, n)]
+    return [M.zero()] + [M.reduce(sol[(h - 1) * k : h * k]) for h in range(1, M.T.n)]
+
+
+def extend_automorphism(gamma, E: ExtensionGroup):
+    """An automorphism of E restricting to gamma on M and to the identity
+    on H, or None if no such automorphism exists.
+
+    Searches for a normalized 1-cochain c with gamma(beta) - beta = dc
+    (_lifting_cochain); on success the automorphism is (h, m) -> (h,
+    gamma(m) + c(h)), returned as a map on E.elements.
+    """
+    M = E.module
+    if not _is_equivariant_automorphism(M, gamma):
+        raise PreconditionError("gamma is not an H-equivariant module automorphism")
+    cochain = _lifting_cochain(gamma, E.beta)
+    if cochain is None:
+        return None
 
     T = E.group
-    f = [T.index[(h, M.add(_mat_apply(gamma, m, shape), cochain[h]))] for h, m in T.names]
+    f = [T.index[(h, M.add(_mat_apply(gamma, m, M.shape), cochain[h]))] for h, m in T.names]
     if len(set(f)) != E.order:
         raise InternalError("extended map is not a bijection")
     if not preserves_products(f, T, T):

@@ -5,6 +5,11 @@ degree, so parts of the library work with explicit multiplication tables
 instead.  Elements are indices 0..n-1 with 0 the identity.  The group
 axioms and the homomorphism property are checked against a generating
 set only, which is exact (see TableGroup.__init__ and preserves_products).
+
+SchreierTree presents a table group as a quotient of a free group F_d:
+the transversal, the free generators of the kernel R and the walk that
+rewrites words in them.  relmod builds the relation module R-bar on it,
+and cohomology.h2 computes H^2 through Hom_H(R-bar, M).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .permgroup import greedy_generators, orbit
 
 # the most elements a Cayley table may have: 4096^2 = 16.8 million entries
@@ -142,3 +147,95 @@ def automorphisms(T: TableGroup):
         if f is not None and len(set(f)) == T.n:
             out.append(f)
     return out
+
+
+class SchreierTree:
+    """The Schreier transversal of F_d -> H, x_i -> images[i] (positions
+    in the table T), and the free generators of its kernel R.
+
+    tree is the breadth-first orbit of the identity, each position mapped
+    to the edge (parent, i), position = parent * images[i], that first
+    reached it, parents first.  So the transversal words s_h are positive.
+    Every other edge (h, i), k = h * images[i], gives the Schreier generator
+    s_h x_i s_k^-1, number gen_index[(h, i + 1)] of free_gens, and there are
+    rank = |H|(d-1)+1 of them.  A word is a tuple of nonzero letters, +i
+    for x_i and -i for its inverse.  All rewriting is one coset walk: tree
+    edges carry no Schreier generator, so s_h w s_h^-1 rewrites as w read
+    from h, and s(h1) s(h2) s(h1 h2)^-1 as s(h2) read from h1.
+    """
+
+    def __init__(self, T: TableGroup, images):
+        self.T = T
+        self.images = images = list(images)
+        self.d = len(images)
+        self.tree = tree = orbit(0, images, T.mult)
+        if len(tree) != T.n:
+            raise InternalError("transversal misses part of the group")
+        transversal = [None] * T.n
+        for h, edge in tree.items():
+            transversal[h] = () if edge is None else transversal[edge[0]] + (edge[1] + 1,)
+        back = [tuple(-l for l in reversed(w)) for w in transversal]  # s_h^-1
+        self.transversal = transversal
+        self.free_gens, self.gen_index = [], {}
+        for h in tree:
+            for i, g in enumerate(images):
+                k = T.table[h][g]
+                if tree[k] != (h, i):
+                    self.gen_index[(h, i + 1)] = len(self.free_gens)
+                    self.free_gens.append(transversal[h] + (i + 1,) + back[k])
+        self.rank = len(self.free_gens)
+        if self.rank != T.n * (self.d - 1) + 1:
+            raise InternalError(
+                "Schreier generator count %d != rank %d" % (self.rank, T.n * (self.d - 1) + 1)
+            )
+
+    def walk(self, letters, state):
+        """Read letters from position state: (coordinates of the Schreier
+        generators crossed, the position where the walk ends)."""
+        coords = [0] * self.rank
+        t, inv, images, index = self.T.table, self.T.inv, self.images, self.gen_index
+        for l in letters:
+            if l > 0:
+                j = index.get((state, l))
+                if j is not None:
+                    coords[j] += 1
+                state = t[state][images[l - 1]]
+            else:
+                state = t[state][inv[images[-l - 1]]]
+                j = index.get((state, -l))
+                if j is not None:
+                    coords[j] -= 1
+        return coords, state
+
+    def conjugation(self, h):
+        """The columns of h acting on R-bar by conjugation through the
+        transversal: column j is the j-th generator read from h, a walk
+        that must end at h."""
+        cols = []
+        for w in self.free_gens:
+            coords, end = self.walk(w, h)
+            if end != h:
+                raise InternalError("a walk from %d ends at %d, not at %d" % (h, end, h))
+            cols.append(coords)
+        return cols
+
+    def derivations(self, action, k):
+        """For D: F -> Z^k the derivation with D(x_i) = e_c (0 on the
+        other letters), H acting by the integer matrices action[h], and
+        (i, c) in order: D on each Schreier generator s_h x_i s_k^-1, that
+        is D(s_h x_i) - D(s_k), with D(s_h x_i) = D(s_h) + h.D(x_i)."""
+        t = self.T.table
+        out = []
+        for i0 in range(self.d):
+            for c in range(k):
+                def step(v, h, i):  # D(s_h x_i) from v = D(s_h)
+                    return [x + row[c] for x, row in zip(v, action[h])] if i == i0 else v
+                D = [None] * self.T.n
+                for h, edge in self.tree.items():  # parents first
+                    D[h] = [0] * k if edge is None else step(D[edge[0]], *edge)
+                cols = [None] * self.rank
+                for (h, l), j in self.gen_index.items():
+                    ends = step(D[h], h, l - 1), D[t[h][self.images[l - 1]]]
+                    cols[j] = [a - b for a, b in zip(*ends)]
+                out.append(cols)
+        return out

@@ -81,8 +81,6 @@ def cases():
         out.append(
             (name + "/descend", ["--json", "descend", "--refine", "--input", "{cover}"], inputs)
         )
-    # Q8 with --mod 2 has a cocycle lattice of dimension 441, over the
-    # limit of 256 (exit 1), so Q8 runs without it
     relmod = (
         ("s3", S3, ["--rank", "2", "--mod", "2"]),
         ("z3", Z3, ["--rank", "2", "--mod", "2"]),
@@ -131,6 +129,10 @@ def cases():
     out.append(("s3_rank2/verify_main", argv + ["--verify-main"], {"group": S3}))
     argv = ["--json", "relmod", "--group", "{group}", "--rank", "2", "--mod", "3"]
     out.append(("z3_rank2_m3/verify_main", argv + ["--verify-main"], {"group": Z3}))
+    # Q8 at rank 2 and m = 2: H^2 from 81 unknowns of Hom_H(R-bar, M), where
+    # the 2-cochains have dimension (8-1)^2 * 9 = 441
+    argv = ["--json", "relmod", "--group", "{group}", "--rank", "2", "--mod", "2"]
+    out.append(("q8/relmod_mod2", argv, {"group": Q8}))
     return out
 
 

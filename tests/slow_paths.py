@@ -3,25 +3,31 @@ snf, for the extension table and for relmod's Schreier rewriting.
 
 Each function here is the version the library replaced, kept verbatim in
 its arithmetic: the nested-loop Smith normal form (which also tracks the
-inverse of its row transform, U^-1), the dense mat_vec, the cocycle
-congruences at every triple of elements, not only at generators in the
-third place, the column-major congruence lattice with coordinates in it
-solved from its basis's Smith normal form, the extension product on
-module tuples and the table built from |E|^2 calls to it,
-extend_automorphism solving [D1 | diag(moduli)] over the integers,
-factored on every call, aut_h trying every matrix on the module and
-testing bijectivity by mapping every element, relmod's action, extension cocycle and P-generator images
+inverse of its row transform, U^-1), the dense mat_vec, h2 on the
+lattice of normalized 2-cocycles in Z^n2, n2 = (|H|-1)^2 * k, cut out by
+the cocycle congruences at generators in the third place or at every
+triple of elements (the library's h2 works on Hom_H(R-bar, M) instead),
+the column-major congruence lattice with coordinates in it solved from
+its basis's Smith normal form, the extension product on module tuples
+and the table built from |E|^2 calls to it, extend_automorphism solving
+[D1 | diag(moduli)] over the integers, factored on every call, aut_h
+trying every matrix on the module and testing bijectivity by mapping
+every element, relmod's action, extension cocycle and P-generator images
 from freely reduced products of FreeWords (s w s^-1, s1 s2 s(h1 h2)^-1,
 x_i s(g_i)^-1) rewritten from the identity coset, the main-theorem check
 from P's Cayley table by searching each generator's H-fiber for the
-automorphisms that fix H, and cyclotomic's product, reduction and Galois
+automorphisms that fix H, with H^2 and the class stabilizer from the
+cochain h2 (verify_main_theorem names the report keys it computes
+without the library), and cyclotomic's product, reduction and Galois
 automorphisms read off an N x phi(N) table of the powers of zeta_N, and
 genus1's j-invariant degree with j's numerator and denominator
 cross-multiplied as dense lists in Z[x]/(x^t - 1).
 test_fast_paths.py, test_extension_table.py and test_genus1.py assert
-that the library returns identical results; from the all-triples
-congruences, which build another basis of the same lattice, it asserts
-the same lattice, H^2 invariants and classes.
+that the library returns identical results; where the library's h2 and
+the cochain h2 work on different lattices, and where the generator and
+the all-triples congruences build different bases of one lattice, they
+assert the same H^2 invariants and class maps that differ by an
+automorphism of H^2.
 """
 
 import itertools
@@ -157,6 +163,101 @@ def solve_from_snf(snf, b):
     return mat_vec(V, z)
 
 
+def cocycle_rows(M):
+    """The cocycle conditions as (sparse row, modulus) congruences on the
+    n2 normalized C^2 coordinates: the identity at (a, b, c) for a, b >= 1
+    and c in T.gens, (|H|-1)^2 * |gens| * k rows.
+
+    That suffices (the lemma in groups.TableGroup): the identity at
+    (a, b, c) is associativity of the extension at ((a, x), (b, y), (c, 0)),
+    and at z = (1, m) it holds for any normalized cochain.  The z at which
+    associativity holds for all x, y are closed under products, and the
+    (c, 0), c in T.gens, with the (1, m) generate the extension.  With a
+    or b the identity a normalized cochain satisfies the identity.
+    """
+    t, n, k = M.T.table, M.T.n, M.k
+    block = cohomology._block
+    rows = []
+    for a in range(1, n):
+        Aa = M.action[a]
+        for b in range(1, n):
+            ab = t[a][b]
+            for c in M.T.gens:
+                bc = t[b][c]
+                for r in range(k):
+                    row = {}
+
+                    def put(v, coeff, row=row):
+                        row[v] = row.get(v, 0) + coeff
+
+                    for s in range(k):
+                        if Aa[r][s]:
+                            put(block(n, k, b, c) + s, Aa[r][s])
+                    if ab:
+                        put(block(n, k, ab, c) + r, -1)
+                    if bc:
+                        put(block(n, k, a, bc) + r, 1)
+                    put(block(n, k, a, b) + r, -1)
+                    row = {v: coeff for v, coeff in row.items() if coeff}
+                    if row:
+                        rows.append((row, M.shape[r]))
+    return rows
+
+
+def coboundary_system(M):
+    """[D1 | diag(moduli)], n2 x (n1 + n2): column n1 + v holds the
+    modulus of coordinate v."""
+    k, n2 = M.k, (M.T.n - 1) ** 2 * M.k
+    return [
+        row + [M.shape[v % k] if u == v else 0 for u in range(n2)]
+        for v, row in enumerate(cohomology._coboundary_map(M))
+    ]
+
+
+def h2(M, rows=cocycle_rows):
+    """cohomology.h2 on the lattice of normalized 2-cocycles in Z^n2, n2 =
+    (|H|-1)^2 * k, cut out by rows(M) (the generator congruences above by
+    default), with the coboundaries [D1 | diag(moduli)] brought into
+    lattice coordinates and factored; no limit on n2."""
+    n, k = M.T.n, M.k
+    n2 = (n - 1) ** 2 * k
+    if n2 == 0:
+        return cohomology.H2Data(M, [], [], lambda beta: ())
+    B, ops = cohomology._congruence_lattice(n2, rows(M))
+    Ymat = cohomology._lattice_coordinates(ops, coboundary_system(M))
+    if Ymat is None:
+        raise InternalError("coboundary escapes the cocycle lattice")
+    diag, U2, V2 = cohomology.smith_normal_form(Ymat)
+    if len(diag) < n2 or any(d == 0 for d in diag):
+        raise InternalError("H^2 is not finite at finite level")
+    keep = [i for i in range(n2) if diag[i] > 1]
+
+    def class_fn(beta):
+        N = beta.module
+        if N is not M and (N.T.names, N.shape, N.action) != (M.T.names, M.shape, M.action):
+            raise PreconditionError("cocycle belongs to a different module")
+        y = cohomology._lattice_coordinates(ops, [[x] for x in cohomology._flatten(beta.table)])
+        if y is None:
+            raise InternalError("valid cocycle is outside the cocycle lattice")
+        z = cohomology.mat_vec(U2, [x for x, in y])
+        return tuple(z[i] % diag[i] for i in keep)
+
+    basis = []
+    zero = M.zero()
+    for pos_i in keep:
+        d = diag[pos_i]
+        col = cohomology.mat_vec(Ymat, [row[pos_i] for row in V2])
+        x = cohomology.mat_vec(B, [v // d for v in col])
+        cells = [x[v : v + k] for v in range(0, n2, k)]
+        rows_ = [[zero] + cells[i : i + n - 1] for i in range(0, len(cells), n - 1)]
+        basis.append(cohomology._internal_cocycle(M, [[zero] * n] + rows_, "basis cocycle"))
+    data = cohomology.H2Data(M, [diag[i] for i in keep], basis, class_fn)
+    for idx, b in enumerate(basis):
+        if data.class_of(b) != tuple(int(t == idx) for t in range(len(keep))):
+            raise InternalError("basis cocycle does not map to its unit class")
+    return data
+
+
 def cocycle_rows_all_triples(M):
     """The cocycle conditions as (sparse row, modulus) congruences at
     every triple (a, b, c) of nonidentity positions, (|H|-1)^3 * k rows."""
@@ -290,7 +391,7 @@ def extend_automorphism(gamma, E):
                 for row in E.beta.table
             ]
         )
-        stacked = cohomology._coboundary_system(M)
+        stacked = coboundary_system(M)
         sol = solve_from_snf(smith_normal_form_3(stacked), delta)
         if sol is None:
             return None
@@ -454,19 +555,31 @@ def verify_main_theorem(rm, m):
     """relmod.verify_main_theorem from P's Cayley table: the extension
     cocycle from FreeWord products, P = build_extension on it, and the
     restrictions to the fiber over the identity of the H-fixing
-    automorphisms found by the fiber search above."""
+    automorphisms found by the fiber search above.
+
+    Computed here without the library's h2 or main-theorem code:
+    h2_invariants (the cochain h2 above), stabilizer_count (its class_of on
+    each pushed cocycle), order_P, extension_fixing_count and
+    restriction_count (P's table and the fiber search), and equal.  rank
+    and modulus are read off rm.  aut_h_count, and the automorphisms the
+    stabilizer is taken over, come from cohomology.aut_h, whose own oracle
+    is aut_h above."""
     beta = extension_cocycle(rm, m)
     M = beta.module
-    data = cohomology.h2(M)
+    data = h2(M)
     autos = cohomology.aut_h(M)
-    stab = cohomology.stabilizer_beta(autos, beta, data)
+    ref = data.class_of(beta)
+    stab_set = set()
+    for g in autos:
+        pushed = [[cohomology._mat_apply(g, val, M.shape) for val in row] for row in beta.table]
+        if data.class_of(cohomology.Cocycle2._trusted(M, pushed)) == ref:
+            stab_set.add(tuple(tuple(row) for row in g))
     E = cohomology.build_extension(M, beta)
     T = E.group
     units = [T.index[(0, tuple(1 if r == c else 0 for r in range(M.k)))] for c in range(M.k)]
     fixing = h_fixing_automorphisms(rm, E, m)
     # the matrix whose column c is the image of the c-th unit vector
     restrictions = {tuple(zip(*(T.names[f[u]][1] for u in units))) for f in fixing}
-    stab_set = {tuple(tuple(row) for row in g) for g in stab}
     return {
         "rank": rm.rank,
         "modulus": m,

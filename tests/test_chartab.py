@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from belyilab.chartab import TableError, VirtualCharacter, character_table, perm_character
+from belyilab import chartab
+from belyilab.chartab import (
+    CharacterTable,
+    TableError,
+    VirtualCharacter,
+    character_table,
+    perm_character,
+)
 from belyilab.cyclotomic import Cyclotomic
 from belyilab.permgroup import (
     Permutation,
@@ -237,3 +244,31 @@ class TestVirtualCharacters:
         assert t.degree == 1
         r = VirtualCharacter(tab, list(tab.degrees))
         assert (r - t).degree == tab.group.order - 1
+
+
+class TestDixonChecks:
+    def test_a_wrong_degree_fails_the_degree_sum(self, monkeypatch):
+        # one degree of Dixon's list raised by 1: the rows, and so their
+        # orthogonality, are untouched, and only the degree sum sees it
+        dixon = CharacterTable._dixon
+
+        def bumped(self):
+            rows, degrees = dixon(self)
+            return rows, degrees[:-1] + [degrees[-1] + 1]
+
+        monkeypatch.setattr(CharacterTable, "_dixon", bumped)
+        with pytest.raises(TableError, match="degree squares do not sum to the group order"):
+            CharacterTable(symmetric_group(3))
+
+    @pytest.mark.parametrize(
+        "make", [lambda: alternating_group(4), lambda: cyclic_group(5)], ids=["A4", "Z5"]
+    )
+    def test_a_wrong_root_of_unity_fails_the_multiplicity_bound(self, monkeypatch, make):
+        # 2 in place of a primitive N-th root of unity mod p (p = 13 for A4,
+        # N = 6, and p = 11 for Z/5; 2 has order 12 and 10 there): the
+        # eigenvalue multiplicities read mod p are no longer counts, and
+        # the first one past the character's degree stops the lift before
+        # the rows reach the orthogonality check
+        monkeypatch.setattr(chartab, "root_of_unity_mod", lambda p, N: 2)
+        with pytest.raises(TableError, match="eigenvalue multiplicity \\d+ exceeds degree"):
+            CharacterTable(make())

@@ -228,9 +228,11 @@ class TestCohomology:
         refused_quickly(capsys, argv, "|H|*|M| > 4096")
 
     def test_c17_at_the_lattice_limit(self, capsys, tmp_path):
-        # C17 acting trivially on Z/2: the cocycle lattice has dimension
-        # (17-1)^2 * 1 = 256, exactly the limit, so it is admitted (Q8 on
-        # (Z/2)^9 at 441 is refused, in TestRelmod); H^2 = Z/gcd(17, 2) = 0
+        # C17 acting trivially on Z/2: one generator, so Hom_H(R-bar, M)
+        # has one unknown, while its 2-cochains have dimension
+        # (17-1)^2 * 1 = 256, exactly the limit of the coboundary solve (Q8
+        # on (Z/2)^9 at 441 is refused there, in TestRelmod);
+        # H^2 = Z/gcd(17, 2) = 0
         c17 = {"generators": [list(range(2, 18)) + [1]]}
         doc = {"group": c17, "shape": [2], "action": [[[1]]] * 17}
         path = write_json(tmp_path, "c17.json", doc)
@@ -292,15 +294,31 @@ class TestRelmod:
         code, _ = run(capsys, ["relmod", "--group", path, "--rank", "2", "--verify-main"])
         assert code == 1
 
-    def test_q8_lattice_too_large(self, capsys, tmp_path):
-        # |H|*|M| = 8 * 2^9 passes the size limit, but the cocycle lattice
-        # has dimension (8-1)^2 * 9 = 441; it is refused before it is built,
-        # with or without the main-theorem check
+    def test_q8_mod2_runs_past_the_cochain_limit(self, capsys, tmp_path):
+        # |H|*|M| = 8 * 2^9 passes the size limit; h2 has 81 unknowns in
+        # Hom_H(R-bar, M), so it runs at once, but the main-theorem check
+        # solves on 2-cochains of dimension (8-1)^2 * 9 = 441 and is refused
+        # before anything is built
         q8 = {"degree": 8, "generators": [[2, 3, 4, 1, 6, 7, 8, 5], [5, 8, 7, 6, 3, 2, 1, 4]]}
         path = write_json(tmp_path, "q8.json", q8)
         argv = ["--json", "relmod", "--group", path, "--rank", "2", "--mod", "2"]
-        refused_quickly(capsys, argv, "lattice dimension 441 > 256")
-        refused_quickly(capsys, argv + ["--verify-main"], "lattice dimension 441 > 256")
+        start = time.perf_counter()
+        code, out = run(capsys, argv)
+        assert code == 0 and time.perf_counter() - start < 1.0
+        assert json.loads(out)["h2_invariants"] == [2]
+        refused_quickly(capsys, argv + ["--verify-main"], "2-cochain dimension 441 > 256")
+
+    def test_h2_unknowns_too_large(self, capsys, tmp_path):
+        # (Z/2)^7 acting trivially on Z/2: |H|*|M| = 256, but the
+        # presentation by 7 generators has rank 128 * 6 + 1 = 769, so
+        # Hom_H(R-bar, M) has 769 unknowns, over the limit of 512
+        gens = [
+            [p + 1 if p // 2 != i else (p ^ 1) + 1 for p in range(14)] for i in range(7)
+        ]
+        doc = {"group": {"generators": gens}, "shape": [2], "action": [[[1]]] * 128}
+        path = write_json(tmp_path, "c2_7.json", doc)
+        argv = ["--json", "cohomology", "--module", path]
+        refused_quickly(capsys, argv, "769 unknowns in Hom_H(R-bar, M) > 512")
 
     def test_verify_main_past_the_old_limit(self, capsys, tmp_path):
         # S3 at rank 2, m = 2: |P| = 768, read off the derivation image

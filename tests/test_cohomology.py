@@ -1,6 +1,5 @@
 import itertools
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -249,22 +248,22 @@ class TestAutH:
 
 class TestInternalFaults:
     def test_a_dropped_generator_is_caught(self, monkeypatch):
-        # the cocycle congruences of one generator dropped: where that
-        # loses a congruence, the lattice holds cochains that are not
-        # cocycles, and the basis cocycle h2 builds from one fails the
-        # cocycle identity, a fault of h2 and not bad input; a drop that
-        # loses nothing changes nothing
+        # the equivariance congruences of one generator dropped: where that
+        # loses a congruence, the lattice holds homomorphisms R-bar -> M
+        # that are not H-equivariant, and the basis cocycle h2 reads off
+        # one fails the cocycle identity, a fault of h2 and not bad input;
+        # a drop that loses nothing changes nothing
         from belyilab.corpus import _module_corpus
 
-        rows = cohomology._cocycle_rows
+        rows = cohomology._equivariance_rows
         fired = 0
         for M in _module_corpus():
             want = h2(M).invariants
             for drop in range(len(M.T.gens)):
-                gens = M.T.gens[:drop] + M.T.gens[drop + 1 :]
-                T = SimpleNamespace(table=M.T.table, n=M.T.n, gens=gens)
-                fewer = SimpleNamespace(T=T, k=M.k, action=M.action, shape=M.shape)
-                monkeypatch.setattr(cohomology, "_cocycle_rows", lambda M, N=fewer: rows(N))
+                fewer = M.T.gens[:drop] + M.T.gens[drop + 1 :]
+                monkeypatch.setattr(
+                    cohomology, "_equivariance_rows", lambda M, pres, gens, N=fewer: rows(M, pres, N)
+                )
                 try:
                     got = h2(M).invariants
                 except InternalError as exc:
@@ -272,8 +271,29 @@ class TestInternalFaults:
                     fired += 1
                 else:
                     assert got == want
-                monkeypatch.setattr(cohomology, "_cocycle_rows", rows)
-        assert fired == 14
+                monkeypatch.setattr(cohomology, "_equivariance_rows", rows)
+        assert fired == 10
+
+    def test_a_doubled_restriction_fails_the_round_trip(self, monkeypatch):
+        # f_beta read off the tree twice over: still in the lattice, so
+        # class_of returns 2 e_i for basis cocycle i, which h2's round trip
+        # refuses wherever H^2 is nontrivial
+        from belyilab.corpus import _module_corpus
+
+        modules = _module_corpus()
+        nontrivial = sum(h2(M).order > 1 for M in modules)
+        restriction = cohomology._restriction
+        monkeypatch.setattr(
+            cohomology, "_restriction", lambda *args: [2 * x for x in restriction(*args)]
+        )
+        fired = 0
+        for M in modules:
+            try:
+                assert h2(M).order == 1
+            except InternalError as exc:
+                assert "basis cocycle does not map to its unit class" in str(exc)
+                fired += 1
+        assert fired == nontrivial == 10
 
     def test_an_extension_read_against_another_action_is_caught(self):
         # the extension of Z/2 by trivial Z/4 with beta(1, 1) = 1 read as

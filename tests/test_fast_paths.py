@@ -4,30 +4,35 @@ their slow paths.
 The oracles in slow_paths.py are the versions the library replaced: the
 nested-loop Smith normal form, the dense mat_vec, the column-major
 congruence lattice and the solve from its basis's Smith normal form that
-h2's replayed column operations replace, the extension table from the
-product on module tuples, extend_automorphism factoring its system on
-every call, aut_h and its bijectivity test walking the module's elements,
-relmod's Schreier data from FreeWord products, the main-theorem check
-from P's Cayley table, and the power table of zeta_N behind Cyclotomic
-products, Dixon's lift and the Galois automorphisms. They do the same
-arithmetic or count the same sets, so every result here must be
-identical, not just equivalent: the SNF (diag, U, V), h2's invariants,
-basis tables and class coordinates, the extension tables and the
+h2's replayed column operations replace, h2 on the 2-cocycle lattice,
+the extension table from the product on module tuples,
+extend_automorphism factoring its system on every call, aut_h and its
+bijectivity test walking the module's elements, relmod's Schreier data
+from FreeWord products, the main-theorem check from P's Cayley table,
+and the power table of zeta_N behind Cyclotomic products, Dixon's lift
+and the Galois automorphisms. They do the same arithmetic or count the
+same sets, so every result here must be identical, not just equivalent:
+the SNF (diag, U, V), h2's invariants, basis tables and class
+coordinates under the slow kernels, the extension tables and the
 extended maps, the relation modules' words, action matrices, cocycle
 tables and main-theorem reports, the coordinates of products, powers of
 zeta_N and character tables, and each character value at the inverse
-class against its complex conjugate.  The one exception is the cocycle
-congruences at every triple, where h2 states them at generators only:
-the two build different bases of one lattice, so what must agree is the
-lattice, H^2's invariants and which cocycles share a class.
+class against its complex conjugate.  The exception is H^2 itself: h2
+works on Hom_H(R-bar, M) and the cochain oracle on 2-cocycles, and the
+oracle's congruences at generators and at every triple build different
+bases of one lattice.  There what must agree is the lattice, H^2's
+invariants, and class maps that differ by an automorphism of H^2, so
+that two cocycles share a class exactly when they are cohomologous.
 """
 
 import itertools
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,13 +44,15 @@ from belyilab.cli import _parse_group
 from belyilab.cohomology import (
     Cocycle2,
     FiniteHModule,
-    _coboundary_system,
-    _cocycle_rows,
+    H2Data,
     _congruence_lattice,
+    _equivariance_rows,
     _flatten,
     _is_bijective,
     _lattice_coordinates,
     _mat_apply,
+    _relation_system,
+    _restriction,
     aut_h,
     build_extension,
     extend_automorphism,
@@ -55,7 +62,7 @@ from belyilab.cohomology import (
 from belyilab.corpus import _module_corpus, _padded_generators, _relmod_groups, _table_groups
 from belyilab.cyclotomic import Cyclotomic, fold, phi_of
 from belyilab.errors import PreconditionError
-from belyilab.groups import preserves_products
+from belyilab.groups import SchreierTree, preserves_products
 from belyilab.permgroup import Permutation, PermGroup, cyclic_group, symmetric_group, trivial_group
 from belyilab.relmod import extension_cocycle, schreier_data, verify_main_theorem
 from test_cohomology import all_classes
@@ -110,31 +117,40 @@ def random_cocycle(M, data, rng):
     return Cocycle2(M, beta.table)
 
 
+def relation_system(M):
+    """(presentation, unknowns, equivariance congruences, [D | diag(moduli)])
+    as h2 builds them."""
+    pres = SchreierTree(M.T, M.T.gens)
+    rows = _equivariance_rows(M, pres, M.T.gens)
+    return pres, pres.rank * M.k, rows, _relation_system(M, pres)
+
+
 @pytest.mark.parametrize("M", MODULES, ids=IDS)
 def test_congruence_lattice_is_the_transposed_columns(M):
+    # on h2's equivariance congruences and on the cochain oracle's
+    _, dim, rows, _ = relation_system(M)
     n2 = (M.T.n - 1) ** 2 * M.k
-    rows = _cocycle_rows(M)
-    cols = slow_paths.congruence_lattice_columns(n2, rows)
-    B, _ = _congruence_lattice(n2, rows)
-    assert B == [[col[i] for col in cols] for i in range(n2)]
+    for n, congruences in ((dim, rows), (n2, slow_paths.cocycle_rows(M))):
+        cols = slow_paths.congruence_lattice_columns(n, congruences)
+        B, _ = _congruence_lattice(n, congruences)
+        assert B == [[col[i] for col in cols] for i in range(n)]
 
 
 @pytest.mark.parametrize("M", MODULES, ids=IDS)
 def test_replay_matches_lattice_snf_solve(M):
     # B^-1 x by undoing the lattice's column operations against the
-    # solve from B's Smith normal form: on every coboundary column, random
-    # cocycles, unit vectors and random vectors, which are mostly off the
-    # lattice and must give None
+    # solve from B's Smith normal form: on every coboundary column, the
+    # homomorphisms of random cocycles, unit vectors and random vectors,
+    # which are mostly off the lattice and must give None
     rng = random.Random(M.T.n * 100 + M.size + 1)
-    n2 = (M.T.n - 1) ** 2 * M.k
-    B, ops = _congruence_lattice(n2, _cocycle_rows(M))
+    pres, dim, rows, D = relation_system(M)
+    B, ops = _congruence_lattice(dim, rows)
     B_snf = slow_paths.smith_normal_form_3(B)
-    D = _coboundary_system(M)
     data = h2(M)
     vectors = [list(x) for x in zip(*D)]
-    vectors += [_flatten(random_cocycle(M, data, rng).table) for _ in range(8)]
-    vectors += [[int(i == j) for j in range(n2)] for i in range(n2)]
-    vectors += [[rng.randrange(-4, 5) for _ in range(n2)] for _ in range(8)]
+    vectors += [_restriction(M, pres, random_cocycle(M, data, rng).table) for _ in range(8)]
+    vectors += [[int(i == j) for j in range(dim)] for i in range(dim)]
+    vectors += [[rng.randrange(-4, 5) for _ in range(dim)] for _ in range(8)]
     ys = []
     for x in vectors:
         y = _lattice_coordinates(ops, [[v] for v in x])
@@ -142,20 +158,18 @@ def test_replay_matches_lattice_snf_solve(M):
         assert y == slow_paths.solve_from_snf(B_snf, x)
         ys.append(y)
     # B is the identity when no congruence cuts the lattice down
-    assert None in ys or B == snf.identity_matrix(n2)
+    assert None in ys or B == snf.identity_matrix(dim)
     # all coboundary columns at once, as h2 replays them
     assert _lattice_coordinates(ops, D) == [list(r) for r in zip(*ys[: len(D[0])])]
-    assert _lattice_coordinates(ops, B) == snf.identity_matrix(n2)
+    assert _lattice_coordinates(ops, B) == snf.identity_matrix(dim)
 
 
 @pytest.mark.parametrize("M", MODULES, ids=IDS)
 def test_snf_matches_nested_loops_on_h2_systems(M):
-    # the sparse systems h2 and extend_automorphism factor, up to 50 x 60,
-    # with long runs of unit pivots: B, Ymat = B^-1 [D1 | diag(moduli)]
-    # and [D1 | diag(moduli)] itself
-    n2 = (M.T.n - 1) ** 2 * M.k
-    B, ops = _congruence_lattice(n2, _cocycle_rows(M))
-    D = _coboundary_system(M)
+    # the sparse systems h2 factors, with long runs of unit pivots: B,
+    # Ymat = B^-1 [D | diag(moduli)] and [D | diag(moduli)] itself
+    _, dim, rows, D = relation_system(M)
+    B, ops = _congruence_lattice(dim, rows)
     for A in (B, _lattice_coordinates(ops, D), D):
         assert snf.smith_normal_form(A) == slow_paths.smith_normal_form_3(A)
 
@@ -173,7 +187,17 @@ def test_h2_matches_slow_kernels(M, monkeypatch):
     assert fast_classes == [slow.class_of(beta) for beta in cocycles]
 
 
+def cochain_dimension(case):
+    """n2 = (|H|-1)^2 * rank for the module R-bar/m of a golden relmod case."""
+    out = json.loads(case["stdout"])
+    return (out["order_H"] - 1) ** 2 * out["rank"]
+
+
 GOLDEN_RELMOD = [c for c in CASES if c["argv"][1] == "relmod" and "--mod" in c["argv"]]
+# the cases whose 2-cochain lattice the oracle factors within seconds, at
+# every triple too, and the rest (Q8 at rank 2, n2 = 441)
+WITHIN_LIMIT = [c for c in GOLDEN_RELMOD if cochain_dimension(c) <= cohomology._LATTICE_LIMIT]
+PAST_LIMIT = [c for c in GOLDEN_RELMOD if c not in WITHIN_LIMIT]
 
 
 def golden_cocycle(case):
@@ -194,11 +218,52 @@ def is_coboundary(M, table):
     return snf.solve_mod_from_snf(factored, rhs, L) is not None
 
 
-def check_generator_rows(M, monkeypatch, rng, extra=()):
-    """The cocycle lattice and H^2 of M from the generator congruences
-    against those from every triple."""
+def check_against_cochains(M, rng, extra=(), slow=None):
+    """h2 against the cochain oracle slow (slow_paths.h2 unless given):
+    equal invariants, and class maps that differ by an automorphism of
+    the sum of the Z/d_i, so that two cocycles share a class exactly when
+    their difference is a coboundary."""
+    fast = h2(M)
+    slow = slow or slow_paths.h2(M)
+    assert fast.invariants == slow.invariants
+    # phi sends the oracle's unit classes to h2's classes of its basis;
+    # every cocycle's class must be phi of its oracle class
+    phi = [fast.class_of(b) for b in slow.basis]
+
+    def mapped(coords):
+        return tuple(
+            sum(x * p[i] for x, p in zip(coords, phi)) % d for i, d in enumerate(fast.invariants)
+        )
+
+    # phi is onto, so it is an automorphism: h2's basis classes are hit
+    if slow.order <= 4096:
+        image = {mapped(c) for c in itertools.product(*map(range, slow.invariants))}
+        assert len(image) == slow.order
+    # random cocycles over either basis, few enough classes to collide:
+    # two share a class exactly when their difference is a coboundary
+    cocycles = list(extra)
+    cocycles += [random_cocycle(M, data, rng) for data in (fast, slow) for _ in range(6)]
+    # and, however many classes there are, one cohomologous to the first
+    # and one a basis class away from it
+    cocycles.append(cocycles[0] + random_cocycle(M, H2Data(M, [], [], None), rng))
+    cocycles += [cocycles[0] + b for b in fast.basis[:1]]
+    classes = []
+    for beta in cocycles:
+        classes.append(fast.class_of(beta))
+        assert classes[-1] == mapped(slow.class_of(beta))
+    outcomes = set()
+    for (a, ca), (b, cb) in itertools.combinations(zip(cocycles, classes), 2):
+        diff = [[M.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a.table, b.table)]
+        assert (ca == cb) == is_coboundary(M, diff)
+        outcomes.add(ca == cb)
+    assert outcomes == ({True, False} if fast.order > 1 else {True})
+
+
+def check_generator_rows(M, rng, extra=()):
+    """The cochain oracle's lattice from the generator congruences against
+    the one from every triple, and h2 against the oracle on either."""
     n2 = (M.T.n - 1) ** 2 * M.k
-    rows, oracle = _cocycle_rows(M), slow_paths.cocycle_rows_all_triples(M)
+    rows, oracle = slow_paths.cocycle_rows(M), slow_paths.cocycle_rows_all_triples(M)
     assert len(rows) <= len(oracle)
     B, ops = _congruence_lattice(n2, rows)
     _, oracle_ops = _congruence_lattice(n2, oracle)
@@ -211,35 +276,75 @@ def check_generator_rows(M, monkeypatch, rng, extra=()):
     assert prod(t for _, j, t in ops if j is None) == prod(
         t for _, j, t in oracle_ops if j is None
     )
-    fast = h2(M)
-    with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "_cocycle_rows", slow_paths.cocycle_rows_all_triples)
-        slow = h2(M)
-    assert fast.invariants == slow.invariants
-    # random cocycles over either basis, few enough classes to collide:
-    # two share a class exactly when their difference is a coboundary
-    cocycles = list(extra)
-    cocycles += [random_cocycle(M, data, rng) for data in (fast, slow) for _ in range(6)]
-    classes = [fast.class_of(beta) for beta in cocycles]
-    outcomes = set()
-    for (a, ca), (b, cb) in itertools.combinations(zip(cocycles, classes), 2):
-        diff = [[M.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a.table, b.table)]
-        assert (ca == cb) == is_coboundary(M, diff)
-        outcomes.add(ca == cb)
-    assert outcomes == ({True, False} if fast.order > 1 else {True})
+    slow = slow_paths.h2(M, slow_paths.cocycle_rows_all_triples)
+    assert slow.invariants == slow_paths.h2(M).invariants
+    check_against_cochains(M, rng, extra, slow)
 
 
 @pytest.mark.parametrize("M", MODULES, ids=IDS)
-def test_generator_rows_match_all_triples(M, monkeypatch):
-    check_generator_rows(M, monkeypatch, random.Random(M.T.n * 100 + M.size + 2))
+def test_generator_rows_match_all_triples(M):
+    check_generator_rows(M, random.Random(M.T.n * 100 + M.size + 2))
 
 
-@pytest.mark.parametrize("case", GOLDEN_RELMOD, ids=[c["name"] for c in GOLDEN_RELMOD])
-def test_generator_rows_match_all_triples_on_golden_relmod(case, monkeypatch):
+@pytest.mark.parametrize("case", WITHIN_LIMIT, ids=[c["name"] for c in WITHIN_LIMIT])
+def test_generator_rows_match_all_triples_on_golden_relmod(case):
     # the relation modules whose cocycle class the golden file holds
     assert '"cocycle_class"' in case["stdout"]
     beta = golden_cocycle(case)
-    check_generator_rows(beta.module, monkeypatch, random.Random(len(case["stdout"])), [beta])
+    check_generator_rows(beta.module, random.Random(len(case["stdout"])), [beta])
+
+
+@pytest.mark.parametrize("case", PAST_LIMIT, ids=[c["name"] for c in PAST_LIMIT])
+def test_h2_matches_the_cochain_oracle_past_the_limit(case, monkeypatch):
+    # the golden relation modules past the 2-cochain limit, against the
+    # oracle from the generator congruences only; is_coboundary factors
+    # the scaled D1 (441 x 63 for Q8, 0.03 s) past the limit that keeps
+    # extend_automorphism's inputs small
+    monkeypatch.setattr(cohomology, "_LATTICE_LIMIT", cochain_dimension(case))
+    assert '"cocycle_class"' in case["stdout"]
+    beta = golden_cocycle(case)
+    check_against_cochains(beta.module, random.Random(len(case["stdout"])), [beta])
+
+
+def algebra_modules():
+    """The 17 modules of the algebra benchmark's module ops
+    (bench/wl_algebra.py), on their groups as listed there."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import wl_algebra
+    finally:
+        sys.path.pop(0)
+    return [
+        FiniteHModule.from_generator_matrices(
+            PermGroup([Permutation(g, zero_based=True) for g in gens]), shape, mats
+        )
+        for gens, shape, mats in wl_algebra.MODULES
+    ]
+
+
+def relabeled_modules(modules):
+    """Each module on its group conjugated by a random permutation, the
+    generators sent to the same matrices: other positions, other T.gens
+    and so another presentation for h2."""
+    rng = random.Random(11)
+    out = []
+    for M in modules:
+        H2, _ = relabeled(M.H, conjugator(rng, M.H.degree))
+        gen_mats = [M.action[M.H.elements.index(g)] for g in M.H.generators]
+        out.append(FiniteHModule.from_generator_matrices(H2, M.shape, gen_mats))
+    return out
+
+
+ALGEBRA = algebra_modules()
+ORACLE_MODULES = ALGEBRA + relabeled_modules(MODULES + ALGEBRA)
+ORACLE_IDS = ["algebra%d" % i for i in range(len(ALGEBRA))]
+ORACLE_IDS += ["relabeled%d" % i for i in range(len(ORACLE_MODULES) - len(ALGEBRA))]
+
+
+@pytest.mark.parametrize("M", ORACLE_MODULES, ids=ORACLE_IDS)
+def test_h2_matches_the_cochain_oracle(M):
+    assert len(ALGEBRA) == 17
+    check_against_cochains(M, random.Random(M.T.n * 100 + M.size + 3))
 
 
 @pytest.mark.parametrize("M", MODULES, ids=IDS)
@@ -282,8 +387,25 @@ def oracle_finishes(rm, m):
     return size**rm.d * rm.H.order * size <= 4 * 10**6
 
 
+def share_aut_h(monkeypatch):
+    """Compute aut_h once per module for both sides of a main-theorem
+    comparison: the oracle takes Aut_H(M) from the library (aut_h's own
+    oracle is slow_paths.aut_h), so its call would repeat the library's."""
+    found = {}
+
+    def cached(M):
+        key = (tuple(M.T.names), M.shape, tuple(M.action))
+        if key not in found:
+            found[key] = aut_h(M)
+        return found[key]
+
+    monkeypatch.setattr(cohomology, "aut_h", cached)
+    monkeypatch.setattr(relmod, "aut_h", cached)
+
+
 @pytest.mark.parametrize("H, d", RELATION_MODULES, ids=RM_IDS)
-def test_relation_module_matches_free_words(H, d):
+def test_relation_module_matches_free_words(H, d, monkeypatch):
+    share_aut_h(monkeypatch)
     rm = schreier_data(H, _padded_generators(H, d))
     slow = slow_paths.FreeWordSchreier(rm.T, rm.images)
     assert rm.transversal == [w.letters for w in slow.transversal]
@@ -309,7 +431,8 @@ GOLDEN_VERIFY = [case for case in CASES if case["name"].endswith("/verify_main")
 
 
 @pytest.mark.parametrize("record", GOLDEN_VERIFY, ids=[r["name"] for r in GOLDEN_VERIFY])
-def test_golden_verify_main_matches_the_p_table(record):
+def test_golden_verify_main_matches_the_p_table(record, monkeypatch):
+    share_aut_h(monkeypatch)
     # the relmod command's images: the group's generators padded with
     # identities up to the rank.  s3_rank2 (|P| = 768) is past the few
     # seconds the oracle is given; z3_rank2_m3 (|P| = 243) is within them
@@ -356,6 +479,14 @@ MIXED = mixed_moduli()
 MIXED_IDS = ["|H|=%d,%s,%d" % (M.H.order, M.shape, i) for i, M in enumerate(MIXED)]
 QUOTIENTS = relation_module_quotients()
 QUOTIENT_IDS = ["|H|=%d,%s,%d" % (M.H.order, M.shape, i) for i, M in enumerate(QUOTIENTS)]
+
+
+@pytest.mark.parametrize("M", MIXED + QUOTIENTS, ids=MIXED_IDS + QUOTIENT_IDS)
+def test_h2_matches_the_cochain_oracle_on_mixed_moduli_and_quotients(M):
+    # coordinates of different moduli, where the equivariance congruences
+    # mix unknowns taken modulo different m_s, and the relation modules
+    # R-bar/m themselves
+    check_against_cochains(M, random.Random(M.T.n * 100 + M.size + 4))
 
 
 @pytest.mark.parametrize(
