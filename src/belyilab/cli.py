@@ -4,16 +4,17 @@ Commands: analyze, descend, chartab, cohomology, relmod, gaschuetz,
 genus1, corpus.  Input is JSON (covers, groups, modules); output is JSON
 (--json) or an aligned text report (default).  Input is validated as it
 is parsed.  Exit codes: 0 success, 1 precondition or input error
-(PreconditionError), 2 for an internal invariant violation or any other
-exception, which is a bug and is printed with its traceback.  Each
-command imports the belyilab modules it runs, so a `python -m
-belyilab.cli` process loads only what its command needs.
+(PreconditionError), a usage error or a closed stdout, 2 for an internal
+invariant violation or any other exception, which is a bug and is printed
+with its traceback.  Each command imports the belyilab modules it runs,
+so a `python -m belyilab.cli` process loads only what its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InternalError, PreconditionError
@@ -345,8 +346,17 @@ def _cmd_corpus(args):
 # -- argument parsing -------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, as bad input does;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="belyilab",
         description="exact computational algebra for Belyi covers and descent",
     )
@@ -420,17 +430,23 @@ def main(argv=None):
     if args.json and args.text:
         parser.error("--json and --text are mutually exclusive")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: not a fault of the program.  Stdout now
+        # points at devnull, so the interpreter's last flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PreconditionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except InternalError as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
-        return 2
-    except Exception:  # a bug, never reported as bad input
+    except Exception as exc:  # a bug, never reported as bad input
         import traceback
 
         traceback.print_exc()
+        if isinstance(exc, InternalError):
+            print("internal error: %s" % exc, file=sys.stderr)
         return 2
 
 

@@ -322,20 +322,28 @@ def criterion_9():
     return "%d tables: orthogonality, sum d^2 = |G|, Burnside" % len(groups)
 
 
-def criterion_10(seed=DEFAULT_SEED):
-    """Structural properties on 200 seeded random transitive covers."""
+def random_covers(seed=DEFAULT_SEED, count=200):
+    """The first `count` transitive random pairs of degree 2..8 drawn from
+    the seed, as covers: criterion 10's inputs."""
     rng = random.Random(seed)
-    done = 0
-    while done < 200:
+    covers = []
+    while len(covers) < count:
         n = rng.randint(2, 8)
         try:
-            cover = BelyiCover(
-                Permutation(rng.sample(range(1, n + 1), n)),
-                Permutation(rng.sample(range(1, n + 1), n)),
+            covers.append(
+                BelyiCover(
+                    Permutation(rng.sample(range(1, n + 1), n)),
+                    Permutation(rng.sample(range(1, n + 1), n)),
+                )
             )
         except PreconditionError:
             continue
-        done += 1
+    return covers
+
+
+def criterion_10(seed=DEFAULT_SEED):
+    """Structural properties on 200 seeded random transitive covers."""
+    for done, cover in enumerate(random_covers(seed), 1):
         rep = descent_report(cover)
         cd = rep.closure
         left, middle, jac = tate_characters(cd)

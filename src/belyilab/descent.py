@@ -77,15 +77,21 @@ def _certifies(left, jac, D1):
 
 def refine_search(cd):
     """Certifying subgroups among cyclic subgroups of D (one generator per
-    conjugacy class) plus D itself."""
+    conjugacy class) plus D itself.
+
+    A cyclic candidate whose elements are all of D (always the case when D
+    is cyclic, trivial D included) keeps its cyclic label but is certified
+    on, and returned as, D itself, so its restrictions read the table that
+    tate_characters already built for D."""
     D = cd.D
+    whole = frozenset(g.imgs for g in D.elements)
     # one (label, subgroup) per distinct element set, the first label kept
     candidates = {}
     for rep, _ in D.conjugacy_classes():
         sub = PermGroup([rep])
         key = frozenset(g.imgs for g in sub.elements)
-        candidates.setdefault(key, ("cyclic(order %d)" % sub.order, sub))
-    candidates.setdefault(frozenset(g.imgs for g in D.elements), ("D", D))
+        candidates.setdefault(key, ("cyclic(order %d)" % sub.order, D if key == whole else sub))
+    candidates.setdefault(whole, ("D", D))
     left, _, jac = tate_characters(cd)
     return [(label, sub) for label, sub in candidates.values() if _certifies(left, jac, sub)]
 

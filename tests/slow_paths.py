@@ -21,7 +21,9 @@ cochain h2 (verify_main_theorem names the report keys it computes
 without the library), and cyclotomic's product, reduction and Galois
 automorphisms read off an N x phi(N) table of the powers of zeta_N, and
 genus1's j-invariant degree with j's numerator and denominator
-cross-multiplied as dense lists in Z[x]/(x^t - 1).
+cross-multiplied as dense lists in Z[x]/(x^t - 1), and descent's
+subgroup certificates from a fresh PermGroup (and so a fresh character
+table) for every cyclic candidate, also one whose elements are all of D.
 test_fast_paths.py, test_extension_table.py and test_genus1.py assert
 that the library returns identical results; where the library's h2 and
 the cochain h2 work on different lattices, and where the generator and
@@ -35,11 +37,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from belyilab import chartab, cohomology, cyclotomic
+from belyilab import chartab, cohomology, cyclotomic, descent
+from belyilab.cover import tate_characters
 from belyilab.cyclotomic import Cyclotomic, cyclotomic_coeffs, phi_of
 from belyilab.errors import InternalError, PreconditionError
 from belyilab.groups import TableGroup, homomorphism_from_generators, preserves_products
-from belyilab.permgroup import orbit
+from belyilab.permgroup import PermGroup, orbit
 from belyilab.snf import identity_matrix
 
 
@@ -741,3 +744,19 @@ def j_invariant_degree(t):
     parts1 = _j_parts_poly(1, t)
     stab = [a for a in survivors if j_fixed_by(t, a, parts1)]
     return phi // len(stab)
+
+
+def refine_search(cd):
+    """descent.refine_search certifying each cyclic candidate on its own
+    PermGroup([rep]), never on D."""
+    D = cd.D
+    candidates = {}
+    for rep, _ in D.conjugacy_classes():
+        sub = PermGroup([rep])
+        key = frozenset(g.imgs for g in sub.elements)
+        candidates.setdefault(key, ("cyclic(order %d)" % sub.order, sub))
+    candidates.setdefault(frozenset(g.imgs for g in D.elements), ("D", D))
+    left, _, jac = tate_characters(cd)
+    return [
+        (label, sub) for label, sub in candidates.values() if descent._certifies(left, jac, sub)
+    ]

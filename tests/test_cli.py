@@ -117,6 +117,16 @@ class TestDescend:
         _, out2 = run(capsys, ["--json", "descend", "--input", cubic])
         assert out1 == out2
 
+    def test_necessity_violation_exits_2_with_traceback(self, capsys, a5_regular, monkeypatch):
+        # a certificate on a Galois cover that fails the criterion is a fault
+        monkeypatch.setattr("belyilab.descent.refine_search", lambda cd: [("D", cd.D)])
+        code = main(["--json", "descend", "--refine", "--input", a5_regular])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" in captured.err
+        assert "internal error: necessity violated" in captured.err
+
 
 class TestLargeGroups:
     S12 = {"x": [2, 1] + list(range(3, 13)), "y": list(range(2, 13)) + [1]}
@@ -529,6 +539,63 @@ class TestCorpus:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         ).stdout
         assert out.strip() == "False"
+
+
+# -- usage errors and a closed stdout exit 1 -------------------------------
+
+USAGE_ERRORS = [
+    ["analyze"],
+    ["--json", "--text", "corpus"],
+    ["genus1", "jdeg", "x"],
+    ["no-such-command"],
+]
+USAGE_IDS = ["missing_input", "json_and_text", "jdeg_not_an_int", "unknown_command"]
+
+
+def cli_process(argv, **kwargs):
+    """A `python -m belyilab.cli` process on argv."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(belyilab.__file__)))
+    return subprocess.Popen([sys.executable, "-m", "belyilab.cli"] + argv, env=env, **kwargs)
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=USAGE_IDS)
+    def test_usage_error_in_process(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=USAGE_IDS)
+    def test_usage_error_in_a_process(self, argv):
+        proc = cli_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate()
+        assert proc.returncode == 1
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: belyilab" in capsys.readouterr().out
+
+    def test_closed_stdout_exits_1(self, s3_group):
+        # the read end is closed before the child writes, so its output
+        # always meets a broken pipe
+        proc = cli_process(
+            ["--json", "chartab", "--group", s3_group],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == ""
 
 
 # -- malformed input: exit 0 or 1, never a traceback ------------------------

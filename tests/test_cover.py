@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from belyilab import chartab, cover as cover_module
 from belyilab.chartab import character_table
 from belyilab.cover import (
     BelyiCover,
@@ -10,11 +11,11 @@ from belyilab.cover import (
     tate_characters,
     validate,
 )
-from belyilab.corpus import DEFAULT_SEED
+from belyilab.corpus import random_covers
 from belyilab.cyclotomic import Cyclotomic
 from belyilab.descent import descent_report
-from belyilab.errors import PreconditionError
-from belyilab.permgroup import Permutation, generate
+from belyilab.errors import InternalError, PreconditionError
+from belyilab.permgroup import PermGroup, Permutation, generate
 from make_golden import fixture_covers
 
 
@@ -267,21 +268,6 @@ class TestRandomCoverInvariants:
             assert rows[0] == rows[1]
 
 
-def criterion_10_covers(count):
-    """The first covers criterion 10 draws at the default seed."""
-    rng = random.Random(DEFAULT_SEED)
-    out = []
-    while len(out) < count:
-        n = rng.randint(2, 8)
-        x = Permutation(rng.sample(range(1, n + 1), n))
-        y = Permutation(rng.sample(range(1, n + 1), n))
-        try:
-            out.append(BelyiCover(x, y))
-        except PreconditionError:
-            continue
-    return out
-
-
 @pytest.mark.parametrize(
     "relabel",
     [lambda c: (c.y, c.x), lambda c: (c.y, c.z)],
@@ -295,7 +281,7 @@ def test_branch_point_relabeling_invariance(relabel):
         rows = sorted((r["degree"], r["n_V"], r["m_V"]) for r in rep.rows)
         return genus(cover), rep.closure.D.order, rep.verdict, rows
 
-    covers = list(fixture_covers().values()) + criterion_10_covers(40)
+    covers = list(fixture_covers().values()) + random_covers(count=40)
     for cover in covers:
         assert invariants(BelyiCover(*relabel(cover))) == invariants(cover)
 
@@ -314,3 +300,44 @@ def test_analysis_report_shape():
     assert rep["is_galois"] is True
     # Galois cover: Z = P^1, single unramified record carrying d of order 3
     assert rep["branch"]["0"] == [{"e": 1, "order_d": 3}]
+
+
+class TestClosureChecks:
+    """The InternalErrors of validate, genus and tate_characters, each
+    fired by corrupting a value upstream of its check."""
+
+    def test_d_acts_regularly(self, monkeypatch):
+        class DoubledOrder(PermGroup):
+            def __init__(self, generators):
+                super().__init__(generators)
+                self.order *= 2
+
+        monkeypatch.setattr(cover_module, "PermGroup", DoubledOrder)
+        with pytest.raises(InternalError, match="D does not act regularly"):
+            validate(a5_degree5_cover())
+
+    def test_riemann_hurwitz_parity(self, monkeypatch):
+        count = Permutation.cycle_count
+        monkeypatch.setattr(Permutation, "cycle_count", lambda self: count(self) + 1)
+        with pytest.raises(InternalError, match="Riemann-Hurwitz total is odd"):
+            genus(cubic_cover())
+
+    def test_negative_genus(self, monkeypatch):
+        count = Permutation.cycle_count
+        monkeypatch.setattr(Permutation, "cycle_count", lambda self: count(self) + 2)
+        with pytest.raises(InternalError, match="negative genus"):
+            genus(cubic_cover())
+
+    def test_jacobian_multiplicities_nonnegative(self, monkeypatch):
+        # every branch record fixing 5 more dimensions inflates the left term
+        fixed = chartab.CharacterTable.fixed_space_dim
+        monkeypatch.setattr(
+            chartab.CharacterTable, "fixed_space_dim", lambda self, i, g: fixed(self, i, g) + 5
+        )
+        with pytest.raises(InternalError, match="negative multiplicity"):
+            tate_characters(validate(cubic_cover()))
+
+    def test_jacobian_degree_is_twice_the_genus(self, monkeypatch):
+        monkeypatch.setattr(cover_module, "genus", lambda cover: genus(cover) + 1)
+        with pytest.raises(InternalError, match="Jacobian character degree 2 != 2\\*genus = 4"):
+            tate_characters(validate(cubic_cover()))

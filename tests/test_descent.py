@@ -1,6 +1,10 @@
 import random
 
-from belyilab.chartab import character_table
+import pytest
+
+import slow_paths
+from belyilab import chartab, descent
+from belyilab.chartab import VirtualCharacter, character_table
 from belyilab.cover import BelyiCover, validate, tate_characters
 from belyilab.descent import (
     DESCENDS,
@@ -10,8 +14,10 @@ from belyilab.descent import (
     refine_search,
     subgroup_certify,
 )
-from belyilab.errors import PreconditionError
+from belyilab.corpus import random_covers
+from belyilab.errors import InternalError, PreconditionError
 from belyilab.permgroup import Permutation, PermGroup, trivial_group
+from make_golden import fixture_covers, seeded_covers
 
 
 def perm(n, *cycles):
@@ -159,3 +165,133 @@ class TestFormulas:
                 for _, d in cd.branch[b]:
                     n_direct += tab.fixed_space_dim(i, d)
             assert r["n_V"] == n_direct
+
+
+class TestDescentChecks:
+    """The InternalErrors of criterion_rows and descent_report, each fired
+    by corrupting a value upstream of its check."""
+
+    @staticmethod
+    def corrupt(monkeypatch, which, index, delta):
+        # tate_characters with one multiplicity of left (0) or middle (1) moved
+        exact = descent.tate_characters
+
+        def corrupted(cd):
+            chars = list(exact(cd))
+            mults = list(chars[which].mults)
+            mults[index] += delta
+            chars[which] = VirtualCharacter(chars[which].table, mults)
+            return tuple(chars)
+
+        monkeypatch.setattr(descent, "tate_characters", corrupted)
+
+    def test_middle_term_matches_m_v(self, monkeypatch):
+        self.corrupt(monkeypatch, 1, 0, 1)
+        with pytest.raises(InternalError, match="middle multiplicity disagrees"):
+            descent_report(cubic_cover())
+
+    @pytest.mark.parametrize("delta", [-3, 5], ids=["below_0", "above_m_V"])
+    def test_n_v_between_0_and_m_v(self, monkeypatch, delta):
+        # the trivial row of the cubic cover has n_V = 2, m_V = 2
+        self.corrupt(monkeypatch, 0, 0, delta)
+        with pytest.raises(InternalError, match="outside \\[0, m_V = 2\\]"):
+            descent_report(cubic_cover())
+
+    def test_necessity_on_galois_covers(self, monkeypatch):
+        # the A5 regular cover fails the criterion, so no certificate may exist
+        monkeypatch.setattr(descent, "refine_search", lambda cd: [("D", cd.D)])
+        with pytest.raises(InternalError, match="necessity violated"):
+            descent_report(a5_regular_cover(), refine=True)
+
+
+def relabelled(cover, rng):
+    n = cover.degree
+    pi = Permutation(rng.sample(range(1, n + 1), n))
+    pinv = pi.inverse()
+    return BelyiCover(pinv * cover.x * pi, pinv * cover.y * pi)
+
+
+def cyclic_galois_covers():
+    """Regular covers of Z/3, Z/5 and Z/6: D = H, cyclic of order >= 3."""
+    z5 = perm(5, (1, 2, 3, 4, 5))
+    z6 = perm(6, (1, 2, 3, 4, 5, 6))
+    return [cubic_cover(), BelyiCover.regular(z5, z5 * z5), BelyiCover.regular(z6, z6)]
+
+
+def golden_covers():
+    return list(fixture_covers().values()) + list(seeded_covers().values())
+
+
+COVER_SETS = {
+    "criterion_10": random_covers,
+    "golden": golden_covers,
+    "cyclic_galois": cyclic_galois_covers,
+}
+
+
+def certificate_sets(certs):
+    return [(label, frozenset(g.imgs for g in sub.elements)) for label, sub in certs]
+
+
+def is_cyclic(G):
+    return any(PermGroup([rep]).order == G.order for rep, _ in G.conjugacy_classes())
+
+
+@pytest.fixture
+def tables_built(monkeypatch):
+    """The element set of every CharacterTable built, in build order."""
+    built = []
+    build = chartab.CharacterTable.__init__
+
+    def counting(self, group):
+        built.append(frozenset(g.imgs for g in group.elements))
+        build(self, group)
+
+    monkeypatch.setattr(chartab.CharacterTable, "__init__", counting)
+    return built
+
+
+class TestRefineSearchOracle:
+    @pytest.mark.parametrize("name", list(COVER_SETS))
+    def test_certificates_match_fresh_subgroups(self, name):
+        for cover in COVER_SETS[name]():
+            cd = validate(cover)
+            fast = certificate_sets(refine_search(cd))
+            assert fast == certificate_sets(slow_paths.refine_search(cd))
+
+    def test_relabelled_covers_match_and_keep_their_labels(self):
+        for i, cover in enumerate(random_covers() + golden_covers()):
+            cd = validate(relabelled(cover, random.Random(i)))
+            fast = certificate_sets(refine_search(cd))
+            assert fast == certificate_sets(slow_paths.refine_search(cd))
+            labels = sorted(label for label, _ in refine_search(validate(cover)))
+            assert sorted(label for label, _ in fast) == labels
+
+    @pytest.mark.parametrize("name", list(COVER_SETS))
+    def test_no_element_set_is_tabled_twice(self, name, tables_built):
+        # one Dixon table per element set, so D's own table serves a cyclic
+        # candidate that is all of D
+        for cover in COVER_SETS[name]():
+            del tables_built[:]
+            rep = descent_report(cover, refine=True)
+            assert len(set(tables_built)) == len(tables_built)
+            assert tables_built[0] == frozenset(g.imgs for g in rep.closure.D.elements)
+
+    def test_one_table_of_d_per_report_on_cyclic_d(self, tables_built):
+        # D's table is built once, by tate_characters; the other tables are
+        # the proper subgroups <rep>, so trivial D makes exactly one table
+        for cover in cyclic_galois_covers():
+            cd = validate(cover)
+            assert cd.is_galois and cd.D.order >= 3 and is_cyclic(cd.D)
+        cyclic = cyclic_galois_covers() + [c for c in random_covers() if is_cyclic(validate(c).D)]
+        assert any(validate(c).D.order == 1 for c in cyclic)
+        for cover in cyclic:
+            del tables_built[:]
+            D = descent_report(cover, refine=True).closure.D
+            subgroups = {
+                frozenset(g.imgs for g in PermGroup([rep])) for rep, _ in D.conjugacy_classes()
+            }
+            assert len(tables_built) == len(subgroups)
+            assert tables_built.count(frozenset(g.imgs for g in D.elements)) == 1
+            if D.order == 1:
+                assert len(tables_built) == 1
