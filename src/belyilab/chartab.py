@@ -6,6 +6,10 @@ multiplicities as honest integers; values are then lifted to exact
 Cyclotomic numbers at the group exponent's conductor through a fixed
 primitive root of unity in F_p.  Every table is validated against row
 orthogonality and the degree sum before it is returned.
+
+A table keeps its group's class data (order, classes, class index and
+power table), not the group, so it stays usable once the group is gone and
+the memo `G._chartab` is the only link between the two.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from math import isqrt
 
 from .cyclotomic import Cyclotomic, fold, prime_1_mod, root_of_unity_mod
 from .errors import InternalError, PreconditionError
-from .permgroup import PermGroup
+from .permgroup import Permutation, PermGroup
 
 
 class TableError(InternalError):
@@ -24,9 +28,11 @@ class TableError(InternalError):
 
 _SCALE_LIMIT = 2000
 # Dixon's cost past the order: Faddeev's characteristic polynomial grows as
-# r^4 in the class count r, and the lift makes r * sum(m_j^2) power-map
-# steps over the class orders m_j.  On a 2-core x86 VM, (Z/2)^6 (64 classes)
-# takes about 4 s and Z/30 (work 287,850) 3.5 s; Z/24 (work 133,608) 1.4 s.
+# r^4 in the class count r, and the lift makes r * sum(m_j^2) multiply-adds
+# over the group's power table, m_j the class orders.  On a 2-core x86 VM
+# (CPython 3.11, one session, limits lifted), (Z/2)^6 (64 classes) took
+# 4.5-6.9 s, Z/30 (work 287,850) 1.5-2.2 s and Z/24 (work 133,608)
+# 0.65-1.1 s.
 _CLASS_LIMIT = 40
 _LIFT_LIMIT = 150_000
 
@@ -101,7 +107,10 @@ def _poly_roots_mod(coeffs, p):
 
 
 class CharacterTable:
-    """Complete exact character table of a finite permutation group."""
+    """Complete exact character table of a finite permutation group.
+
+    It holds the group's order, classes, class index ({image tuple: class})
+    and power table (row i: the classes of rep_i^s, s = 0..ord(rep_i)-1)."""
 
     def __init__(self, group: PermGroup):
         if group.order > _SCALE_LIMIT:
@@ -109,7 +118,7 @@ class CharacterTable:
                 "group order %d exceeds the character-table scale limit %d"
                 % (group.order, _SCALE_LIMIT)
             )
-        self.group = group
+        self.order = group.order
         self.classes = group.conjugacy_classes()
         r = len(self.classes)
         work = r * sum(rep.order() ** 2 for rep, _ in self.classes)
@@ -119,37 +128,40 @@ class CharacterTable:
                 % (r, _CLASS_LIMIT, work, _LIFT_LIMIT)
             )
         self.exponent = group.exponent()
+        self._index = group.class_index()
+        self.powers = group.power_table
         # the class of g^-1 for each class of g: conj(chi(g)) = chi(g^-1)
-        self.inverse_class = [group.class_index_of(rep.inverse()) for rep, _ in self.classes]
+        self.inverse_class = [self.class_of(rep.inverse()) for rep, _ in self.classes]
         self.rows, self.degrees = self._dixon()
         self._validate()
 
     # -- construction ------------------------------------------------------
 
     def _dixon(self):
-        G = self.group
         classes = self.classes
         r = len(classes)
         N = self.exponent
+        index = self._index
         # p > |G| keeps Faddeev's divisions legal on r <= |G| classes, and
         # p > 2*sqrt(|G|) determines each degree from its square mod p
-        p = prime_1_mod(N, max(2 * isqrt(G.order) + 1, G.order))
+        p = prime_1_mod(N, max(2 * isqrt(self.order) + 1, self.order))
         self._prime = p
 
-        # bucket the elements by class
+        # bucket the elements, as image tuples, by class
         members = [[] for _ in range(r)]
-        for g in G.elements:
-            members[G.class_index_of(g)].append(g)
+        for g, ci in index.items():
+            members[ci].append(g)
 
-        # class-sum matrices: (N_i)[j][k] = #{x in C_i : class(x^-1 rep_k) = j}
-        reps = [rep for rep, _ in classes]
+        # class-sum matrices: (N_i)[j][k] = #{x in C_i : class(x^-1 rep_k) = j};
+        # x^-1 runs over the inverse class, and y * rep_k has the images
+        # rep_k[y[t]]
+        reps = [rep.imgs for rep, _ in classes]
         mats = []
         for i in range(r):
             M = [[0] * r for _ in range(r)]
-            for x in members[i]:
-                xi = x.inverse()
+            for y in members[self.inverse_class[i]]:
                 for k in range(r):
-                    j = G.class_index_of(xi * reps[k])
+                    j = index[tuple(reps[k][t] for t in y)]
                     M[j][k] += 1
             mats.append(M)
 
@@ -193,11 +205,10 @@ class CharacterTable:
             raise TableError("class-sum eigenspace splitting failed")
 
         sizes = [s for _, s in classes]
-        order_mod = G.order % p
+        order_mod = self.order % p
         rows = []
         degrees = []
         z = root_of_unity_mod(p, N)
-        orders = [rep.order() for rep, _ in classes]
         for (vec,) in spaces:
             # normalize so the identity-class coordinate is 1
             if vec[0] % p == 0:
@@ -220,14 +231,15 @@ class CharacterTable:
             # lift each value through root-of-unity multiplicities
             row = []
             for j in range(r):
-                m = orders[j]
+                powers = self.powers[j]
+                m = len(powers)
                 zm = pow(z, N // m, p)
                 minv = pow(m, p - 2, p)
                 terms = []
                 for k in range(m):
                     mu = 0
                     for s in range(m):
-                        mu = (mu + chi_p[G.power_map(j, s)] * pow(zm, (-k * s) % (p - 1), p)) % p
+                        mu = (mu + chi_p[powers[s]] * pow(zm, (-k * s) % (p - 1), p)) % p
                     mu = (mu * minv) % p
                     if mu > d:
                         raise TableError("eigenvalue multiplicity %d exceeds degree %d" % (mu, d))
@@ -255,11 +267,10 @@ class CharacterTable:
         return [rd[0] for rd in ordered], [rd[1] for rd in ordered]
 
     def _validate(self):
-        G = self.group
         r = len(self.classes)
         if len(self.rows) != r:
             raise TableError("row count != class count")
-        if sum(d * d for d in self.degrees) != G.order:
+        if sum(d * d for d in self.degrees) != self.order:
             raise TableError("degree squares do not sum to the group order")
         for i in range(r):
             for j in range(i, r):
@@ -272,6 +283,14 @@ class CharacterTable:
     def nclasses(self):
         return len(self.classes)
 
+    def class_of(self, g):
+        """Index of the class of an element of the table's group;
+        ValueError for anything else."""
+        ci = self._index.get(g.imgs) if isinstance(g, Permutation) else None
+        if ci is None:
+            raise ValueError("element does not belong to the table's group")
+        return ci
+
     # -- inner products and dimensions -------------------------------------
 
     def inner_product(self, f, h):
@@ -281,7 +300,7 @@ class CharacterTable:
         h(g) is h(g^-1), read at the inverse class."""
         inv = self.inverse_class
         terms = (size * (f[j] * h[inv[j]]) for j, (_, size) in enumerate(self.classes))
-        return _integer_mean(sum(terms, Cyclotomic.zero(f[0].conductor)), self.group.order)
+        return _integer_mean(sum(terms, Cyclotomic.zero(f[0].conductor)), self.order)
 
     def decompose(self, values):
         """Multiplicities of a class function over the irreducible rows.
@@ -299,14 +318,12 @@ class CharacterTable:
         return mults
 
     def fixed_space_dim(self, row, g):
-        """dim of the <g>-fixed subspace in the row's representation."""
-        G = self.group
-        if g not in G:
-            raise ValueError("element does not belong to the table's group")
-        ci = G.class_index_of(g)
-        m = self.classes[ci][0].order()
-        terms = (self.rows[row][G.power_map(ci, k)] for k in range(m))
-        v = _integer_mean(sum(terms, Cyclotomic.zero(self.exponent)), m)
+        """dim of the <g>-fixed subspace in the row's representation: the
+        row's mean over the powers of g."""
+        powers = self.powers[self.class_of(g)]
+        chi = self.rows[row]
+        terms = (chi[c] for c in powers)
+        v = _integer_mean(sum(terms, Cyclotomic.zero(self.exponent)), len(powers))
         if v < 0:
             raise TableError("fixed-space dimension %d is negative" % v)
         return v
@@ -357,7 +374,7 @@ class VirtualCharacter:
         """Restriction to a subgroup, decomposed in the subgroup's table at
         this table's conductor."""
         vals = self.values()
-        index = self.table.group.class_index_of
+        index = self.table.class_of
         return VirtualCharacter(
             subtable, subtable.decompose([vals[index(rep)] for rep, _ in subtable.classes])
         )

@@ -97,7 +97,7 @@ def _cyclotomic_json(value):
 
 def _table_json(tab):
     return {
-        "order": tab.group.order,
+        "order": tab.order,
         "classes": [
             {"rep": [list(c) for c in rep.cycles()], "size": size}
             for rep, size in tab.classes

@@ -276,7 +276,7 @@ class PermGroup:
     """A finite permutation group.
 
     The order is computed on construction; the element closure and the
-    conjugacy data (classes, power map) are computed lazily on first use.
+    conjugacy data (classes, power table) are computed lazily on first use.
     All values are immutable after construction; operations never mutate.
     """
 
@@ -355,11 +355,12 @@ class PermGroup:
             self._compute_classes()
         return self._classes
 
-    def class_index_of(self, p):
-        """Index of the class containing p (in conjugacy_classes order)."""
+    def class_index(self):
+        """{image tuple: index of its class in conjugacy_classes order} for
+        every element."""
         if self._class_index is None:
             self._compute_classes()
-        return self._class_index[p.imgs]
+        return self._class_index
 
     def _compute_classes(self):
         pairs = [(g.imgs, g.inverse().imgs) for g in self.generators]
@@ -383,10 +384,25 @@ class PermGroup:
             imgs: ci for ci, (_, cls) in enumerate(orbits) for imgs in cls
         }
 
+    @cached_property
+    def power_table(self):
+        """Row i holds the class of rep_i^s for s = 0..ord(rep_i)-1, built on
+        first use by repeated multiplication; its length is the order."""
+        index = self.class_index()
+        ident = tuple(range(self.degree))
+        table = []
+        for rep, _ in self.conjugacy_classes():
+            row, x = [0], rep.imgs  # rep^0 is the identity, class 0
+            while x != ident:
+                row.append(index[x])
+                x = _compose(x, rep.imgs)
+            table.append(row)
+        return table
+
     def power_map(self, class_idx, k):
         """Class index of rep^k for the given class."""
-        rep, _ = self.conjugacy_classes()[class_idx]
-        return self.class_index_of(rep ** (k % rep.order()))
+        row = self.power_table[class_idx]
+        return row[k % len(row)]
 
     # -- subgroups and actions ---------------------------------------------
 

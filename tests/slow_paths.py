@@ -23,7 +23,9 @@ automorphisms read off an N x phi(N) table of the powers of zeta_N, and
 genus1's j-invariant degree with j's numerator and denominator
 cross-multiplied as dense lists in Z[x]/(x^t - 1), and descent's
 subgroup certificates from a fresh PermGroup (and so a fresh character
-table) for every cyclic candidate, also one whose elements are all of D.
+table) for every cyclic candidate, also one whose elements are all of D,
+and PermGroup.power_map powering the class representative and classing
+the result on every call instead of reading the group's power table.
 test_fast_paths.py, test_extension_table.py and test_genus1.py assert
 that the library returns identical results; where the library's h2 and
 the cochain h2 work on different lattices, and where the generator and
@@ -760,3 +762,10 @@ def refine_search(cd):
     return [
         (label, sub) for label, sub in candidates.values() if descent._certifies(left, jac, sub)
     ]
+
+
+def power_map(G, class_idx, k):
+    """PermGroup.power_map as the class of rep^(k mod ord(rep)), the power
+    taken on rep's cycles, for the given class of G."""
+    rep, _ = G.conjugacy_classes()[class_idx]
+    return G.class_index()[(rep ** (k % rep.order())).imgs]

@@ -11,8 +11,10 @@ from belyilab.chartab import (
     perm_character,
 )
 from belyilab.cyclotomic import Cyclotomic
+from belyilab.errors import PreconditionError
 from belyilab.permgroup import (
     Permutation,
+    PermGroup,
     alternating_group,
     cyclic_group,
     generate,
@@ -24,6 +26,25 @@ from test_cyclotomic import zeta
 
 def perm(n, *cycles):
     return Permutation.from_cycles(n, list(cycles))
+
+
+def swapped_powers(powers, swaps):
+    """A copy of a power table with the entries at each pair of (class, s)
+    positions swapped."""
+    rows = [list(row) for row in powers]
+    for (c1, s1), (c2, s2) in swaps:
+        rows[c1][s1], rows[c2][s2] = rows[c2][s2], rows[c1][s1]
+    return rows
+
+
+def corrupt_power_tables(monkeypatch, swaps):
+    """Make every group's power table come out with the given swaps."""
+    build = PermGroup.power_table.func
+
+    def corrupted(G):
+        return swapped_powers(build(G), swaps)
+
+    monkeypatch.setattr(PermGroup, "power_table", property(corrupted))
 
 
 def quaternion_group():
@@ -222,7 +243,7 @@ class TestVirtualCharacters:
                     chi = VirtualCharacter(tab, [int(j == i) for j in range(tab.nclasses())])
                     res = chi.restrict(subtab)
                     assert res.degree == tab.degrees[i]
-                    expect = [chi.values()[G.class_index_of(rep)] for rep, _ in subtab.classes]
+                    expect = [chi.values()[G.class_index()[rep.imgs]] for rep, _ in subtab.classes]
                     assert [v.lift(tab.exponent) for v in res.values()] == expect
 
     def test_decompose_rejects_a_lifted_non_character(self):
@@ -243,7 +264,7 @@ class TestVirtualCharacters:
         t = VirtualCharacter(tab, [1] + [0] * (tab.nclasses() - 1))
         assert t.degree == 1
         r = VirtualCharacter(tab, list(tab.degrees))
-        assert (r - t).degree == tab.group.order - 1
+        assert (r - t).degree == tab.order - 1
 
 
 class TestDixonChecks:
@@ -271,4 +292,60 @@ class TestDixonChecks:
         # the rows reach the orthogonality check
         monkeypatch.setattr(chartab, "root_of_unity_mod", lambda p, N: 2)
         with pytest.raises(TableError, match="eigenvalue multiplicity \\d+ exceeds degree"):
+            CharacterTable(make())
+
+    # A power table with two entries of one row swapped: rep^a and rep^b
+    # trade classes, so the lift reads chi(rep^b) where it wants chi(rep^a).
+
+    def test_a_swapped_power_fails_the_multiplicity_bound(self, monkeypatch):
+        # Z/5, rep^1 and rep^2 of the generator's class: the multiplicities
+        # read mod 11 are no longer counts, and the first past the degree
+        # stops the lift
+        G = cyclic_group(5)
+        monkeypatch.setattr(G, "power_table", swapped_powers(G.power_table, [((1, 1), (1, 2))]))
+        with pytest.raises(TableError, match="eigenvalue multiplicity \\d+ exceeds degree 1"):
+            CharacterTable(G)
+
+    def test_a_swapped_power_fails_orthogonality(self, monkeypatch):
+        # A4, rep and rep^2 of a 3-cycle's class, which lie in the two
+        # classes of 3-cycles: every multiplicity is still a count, so the
+        # lift goes through, but the rows it gives are not orthogonal and
+        # the inner product's integer check fires
+        G = alternating_group(4)
+        ci = next(c for c, row in enumerate(G.power_table) if len(row) == 3)
+        monkeypatch.setattr(G, "power_table", swapped_powers(G.power_table, [((ci, 1), (ci, 2))]))
+        with pytest.raises(TableError, match="/ 12 is not an integer"):
+            CharacterTable(G)
+
+    def test_a_swapped_power_fails_the_fixed_space_mean(self, monkeypatch):
+        # fixed_space_dim averages a row over all powers of g, so a swap
+        # inside one row leaves it unchanged; a swap between the rows of a
+        # 3-cycle and a 5-cycle in A5 puts a 5-cycle among the 3-cycle's
+        # powers, and the 3-dimensional rows' mean there is irrational
+        G = alternating_group(5)
+        tab = CharacterTable(G)
+        assert tab.powers is G.power_table  # the table reads the group's
+        c3 = tab.class_of(perm(5, (1, 2, 3)))
+        c5 = tab.class_of(perm(5, (1, 2, 3, 4, 5)))
+        monkeypatch.setattr(tab, "powers", swapped_powers(tab.powers, [((c3, 1), (c5, 1))]))
+        row3 = tab.degrees.index(3)
+        with pytest.raises(TableError, match="is not an integer"):
+            tab.fixed_space_dim(row3, perm(5, (1, 2, 3)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: cyclic_group(30),
+            lambda: generate([perm(12, (2 * i + 1, 2 * i + 2)) for i in range(6)]),
+        ],
+        ids=["Z30-lift", "Z2^6-classes"],
+    )
+    def test_refused_before_the_power_table(self, monkeypatch, make):
+        # the class and lift limits refuse a table before anything reads
+        # the group's power table
+        def unbuilt(G):
+            raise AssertionError("power table built before the size check")
+
+        monkeypatch.setattr(PermGroup, "power_table", property(unbuilt))
+        with pytest.raises(PreconditionError, match="character table too large"):
             CharacterTable(make())

@@ -16,6 +16,7 @@ from belyilab.cli import main
 from belyilab.cover import BelyiCover
 from belyilab.permgroup import Permutation
 from make_golden import run_case
+from test_chartab import corrupt_power_tables
 from test_relmod import replace_last_derivation, zero_matrix
 
 
@@ -180,6 +181,16 @@ class TestChartab:
             gens.append(imgs)
         path = write_json(tmp_path, "z2_6.json", {"generators": gens})
         refused_quickly(capsys, ["--json", "chartab", "--group", path], "64 classes")
+
+    def test_swapped_power_table_exits_2(self, capsys, s3_group, monkeypatch):
+        # S3's 3-cycle row with rep^0 and rep^1 swapped: Dixon's lift
+        # finds a multiplicity past the degree, a fault and not bad input
+        corrupt_power_tables(monkeypatch, [((2, 0), (2, 1))])
+        code = main(["--json", "chartab", "--group", s3_group])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "internal error: eigenvalue multiplicity" in captured.err
 
 
 class TestCohomology:

@@ -9,15 +9,17 @@ the extension table from the product on module tuples,
 extend_automorphism factoring its system on every call, aut_h and its
 bijectivity test walking the module's elements, relmod's Schreier data
 from FreeWord products, the main-theorem check from P's Cayley table,
-and the power table of zeta_N behind Cyclotomic products, Dixon's lift
-and the Galois automorphisms. They do the same arithmetic or count the
+the power table of zeta_N behind Cyclotomic products, Dixon's lift
+and the Galois automorphisms, and the power map from powering each class
+representative. They do the same arithmetic or count the
 same sets, so every result here must be identical, not just equivalent:
 the SNF (diag, U, V), h2's invariants, basis tables and class
 coordinates under the slow kernels, the extension tables and the
 extended maps, the relation modules' words, action matrices, cocycle
 tables and main-theorem reports, the coordinates of products, powers of
-zeta_N and character tables, and each character value at the inverse
-class against its complex conjugate.  The exception is H^2 itself: h2
+zeta_N and character tables, each character value at the inverse
+class against its complex conjugate, and the class of every power of
+every class representative.  The exception is H^2 itself: h2
 works on Hom_H(R-bar, M) and the cochain oracle on 2-cocycles, and the
 oracle's congruences at generators and at every triple build different
 bases of one lattice.  There what must agree is the lattice, H^2's
@@ -65,6 +67,7 @@ from belyilab.errors import PreconditionError
 from belyilab.groups import SchreierTree, preserves_products
 from belyilab.permgroup import Permutation, PermGroup, cyclic_group, symmetric_group, trivial_group
 from belyilab.relmod import extension_cocycle, schreier_data, verify_main_theorem
+from test_chartab import quaternion_group
 from test_cohomology import all_classes
 from test_golden import CASES
 from test_relabeling import conjugator, relabeled
@@ -640,3 +643,33 @@ def test_conjugation_is_the_inverse_class(name):
     for row in tab.rows:
         for j, inv in enumerate(tab.inverse_class):
             assert row[inv] == slow_paths.galois(row[j], N - 1)
+
+
+def dihedral_group(n):
+    """D_n, the symmetries of a regular n-gon, on its n vertices."""
+    r = [(x + 1) % n for x in range(n)]
+    s = [(-x) % n for x in range(n)]
+    return PermGroup([Permutation(r, zero_based=True), Permutation(s, zero_based=True)])
+
+
+POWER_GROUPS = {
+    "S4": lambda: symmetric_group(4),
+    "S5": lambda: symmetric_group(5),
+    "PSL(2,7)": lambda: psl2(7),
+    "Q8": quaternion_group,
+    "D6": lambda: dihedral_group(6),
+    "C2xC8": lambda: direct_product(2, 8),
+}
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["natural", "relabelled"])
+@pytest.mark.parametrize("name", sorted(POWER_GROUPS))
+def test_power_table_matches_powering(name, relabel):
+    G = POWER_GROUPS[name]()
+    if relabel:
+        G, _ = relabeled(G, conjugator(random.Random(name), G.degree))
+    for ci, (rep, _) in enumerate(G.conjugacy_classes()):
+        m = rep.order()
+        assert len(G.power_table[ci]) == m
+        for k in range(-2 * m, 2 * m + 1):
+            assert G.power_map(ci, k) == slow_paths.power_map(G, ci, k)
