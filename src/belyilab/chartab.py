@@ -15,7 +15,7 @@ the memo `G._chartab` is the only link between the two.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .cyclotomic import Cyclotomic, fold, prime_1_mod, root_of_unity_mod
 from .errors import InternalError, PreconditionError
@@ -127,9 +127,9 @@ class CharacterTable:
                 "character table too large: %d classes (limit %d), lift work %d (limit %d)"
                 % (r, _CLASS_LIMIT, work, _LIFT_LIMIT)
             )
-        self.exponent = group.exponent()
         self._index = group.class_index()
         self.powers = group.power_table
+        self.exponent = lcm(*map(len, self.powers))
         # the class of g^-1 for each class of g: conj(chi(g)) = chi(g^-1)
         self.inverse_class = [self.class_of(rep.inverse()) for rep, _ in self.classes]
         self.rows, self.degrees = self._dixon()

@@ -75,15 +75,6 @@ def _mat_apply(mat, m, shape):
     return tuple(sum(map(mul, row, m)) % mod for row, mod in zip(mat, shape))
 
 
-def _mat_eq(A, B, shape):
-    """Equality of matrices as maps on the module (entries mod the row
-    modulus)."""
-    k = len(shape)
-    return all(
-        (A[r][c] - B[r][c]) % shape[r] == 0 for r in range(k) for c in range(k)
-    )
-
-
 def _mat_mul_mod(A, B, shape):
     cols = tuple(zip(*B))
     return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row, m in zip(A, shape))
@@ -121,10 +112,7 @@ class FiniteHModule:
         for mat in action:
             if len(mat) != self.k or any(len(row) != self.k for row in mat):
                 raise PreconditionError("action matrix has the wrong shape")
-            mat = tuple(
-                tuple(mat[r][c] % self.shape[r] for c in range(self.k))
-                for r in range(self.k)
-            )
+            mat = tuple(tuple(x % m for x in row) for row, m in zip(mat, self.shape))
             for r in range(self.k):
                 for c in range(self.k):
                     if (mat[r][c] * self.shape[c]) % self.shape[r]:
@@ -134,7 +122,9 @@ class FiniteHModule:
                         )
             norm.append(mat)
         self.action = norm
-        if not _mat_eq(norm[0], identity_matrix(self.k), self.shape):
+        # reduced mod the row moduli, maps on M compare as tuples
+        one = tuple(tuple(int(r == c) % m for c in range(self.k)) for r, m in enumerate(self.shape))
+        if norm[0] != one:
             raise PreconditionError("action at the identity is not the identity matrix")
         # {s : A(g)A(s) = A(gs) for all g} contains 1, as A(1) = I, and is
         # closed under products: for s, t in it, A(g)A(st) = A(g)A(s)A(t)
@@ -142,8 +132,7 @@ class FiniteHModule:
         # generate H, so checking s in T.gens is exact.
         for s in T.gens:
             for g in range(T.n):
-                product = _mat_mul_mod(norm[g], norm[s], self.shape)
-                if not _mat_eq(product, norm[T.table[g][s]], self.shape):
+                if _mat_mul_mod(norm[g], norm[s], self.shape) != norm[T.table[g][s]]:
                     raise PreconditionError("action is not a homomorphism")
 
     @classmethod
@@ -211,8 +200,7 @@ def _is_cocycle(M, table):
     g in T.gens is exact.
     """
     t, shape = M.T.table, M.shape
-    one = identity_matrix(M.k)
-    acts = [None if _mat_eq(A, one, shape) else A for A in M.action]
+    acts = [None if A == M.action[0] else A for A in M.action]
     for g in M.T.gens:
         col = [row[g] for row in table]
         times_g = [row[g] for row in t]
@@ -287,7 +275,7 @@ def apply_aut(gamma, beta: Cocycle2) -> Cocycle2:
     """The pushed cocycle (gamma . beta)(h1, h2) = gamma(beta(h1, h2)),
     for an H-equivariant automorphism gamma of beta's module."""
     M = beta.module
-    if not _is_equivariant_automorphism(M, gamma):
+    if not (_commutes(M, gamma) and _is_bijective(M, gamma)):
         raise PreconditionError("gamma is not an H-equivariant module automorphism")
     return Cocycle2._trusted(
         M, [[_mat_apply(gamma, val, M.shape) for val in row] for row in beta.table]
@@ -490,19 +478,12 @@ def _relation_system(M, pres):
 
 def _restriction(M, pres, table):
     """f_beta, flattened: the Schreier generators' images in M under F ->
-    the extension by the cocycle table, x_i -> (g_i, 0).  c_h, the fiber
-    part of s_h's image, grows along the tree by c_{h g_i} = c_h + beta(h,
-    g_i), and s_h x_i s_k^-1 maps to c_h + beta(h, g_i) - c_k."""
-    t, gens = M.T.table, pres.images
-    c = [M.zero()] * M.T.n
-    for h, edge in pres.tree.items():
-        if edge is not None:
-            c[h] = M.add(c[edge[0]], table[edge[0]][gens[edge[1]]])
-    f = [None] * pres.rank
-    for (h, l), j in pres.gen_index.items():
-        g = gens[l - 1]
-        f[j] = M.sub(M.add(c[h], table[h][g]), c[t[h][g]])
-    return [x for val in f for x in val]
+    the extension by the cocycle table, x_i -> (g_i, 0).  The fiber part
+    of s_h's image grows along the tree by beta(h, g_i)
+    (SchreierTree.generator_values), reduced once at the end."""
+    gens = pres.images
+    step = lambda v, h, i: [a + b for a, b in zip(v, table[h][gens[i]])]
+    return [x for val in pres.generator_values(M.zero(), step) for x in M.reduce(val)]
 
 
 def _pushed_cocycle(M, pres, f):
@@ -642,12 +623,6 @@ def _is_bijective(M, mat):
     return all(d == 1 for d in smith_normal_form(rows)[0])
 
 
-def _is_equivariant_automorphism(M, mat):
-    """Whether mat commutes with the H-action and is a bijection of M
-    (tested in that order: commuting is cheap)."""
-    return _commutes(M, mat) and _is_bijective(M, mat)
-
-
 def stabilizer_beta(autos, beta: Cocycle2, h2data: H2Data):
     """The automorphisms gamma with class(gamma . beta) = class(beta)."""
     ref = h2data.class_of(beta)
@@ -762,7 +737,7 @@ def extend_automorphism(gamma, E: ExtensionGroup):
     gamma(m) + c(h)), returned as a map on E.elements.
     """
     M = E.module
-    if not _is_equivariant_automorphism(M, gamma):
+    if not (_commutes(M, gamma) and _is_bijective(M, gamma)):
         raise PreconditionError("gamma is not an H-equivariant module automorphism")
     cochain = _lifting_cochain(gamma, E.beta)
     if cochain is None:

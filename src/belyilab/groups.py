@@ -219,23 +219,30 @@ class SchreierTree:
             cols.append(coords)
         return cols
 
+    def generator_values(self, zero, step):
+        """The values at the Schreier generators of a crossed homomorphism
+        D (or the fiber part of a map to an extension), from zero = D(1)
+        and step(D(s_h), h, i) = D(s_h x_i): the tree gives every D(s_h),
+        parents first, and s_h x_i s_k^-1 takes D(s_h x_i) - D(s_k)."""
+        t = self.T.table
+        D = [None] * self.T.n
+        for h, edge in self.tree.items():
+            D[h] = zero if edge is None else step(D[edge[0]], *edge)
+        cols = [None] * self.rank
+        for (h, l), j in self.gen_index.items():
+            ends = step(D[h], h, l - 1), D[t[h][self.images[l - 1]]]
+            cols[j] = [a - b for a, b in zip(*ends)]
+        return cols
+
     def derivations(self, action, k):
         """For D: F -> Z^k the derivation with D(x_i) = e_c (0 on the
         other letters), H acting by the integer matrices action[h], and
-        (i, c) in order: D on each Schreier generator s_h x_i s_k^-1, that
-        is D(s_h x_i) - D(s_k), with D(s_h x_i) = D(s_h) + h.D(x_i)."""
-        t = self.T.table
+        (i, c) in order: D on each Schreier generator, with D(s_h x_i) =
+        D(s_h) + h.D(x_i)."""
         out = []
         for i0 in range(self.d):
             for c in range(k):
-                def step(v, h, i):  # D(s_h x_i) from v = D(s_h)
+                def step(v, h, i):
                     return [x + row[c] for x, row in zip(v, action[h])] if i == i0 else v
-                D = [None] * self.T.n
-                for h, edge in self.tree.items():  # parents first
-                    D[h] = [0] * k if edge is None else step(D[edge[0]], *edge)
-                cols = [None] * self.rank
-                for (h, l), j in self.gen_index.items():
-                    ends = step(D[h], h, l - 1), D[t[h][self.images[l - 1]]]
-                    cols[j] = [a - b for a, b in zip(*ends)]
-                out.append(cols)
+                out.append(self.generator_values([0] * k, step))
         return out

@@ -92,10 +92,6 @@ class Permutation:
                 imgs[i] = cyc[(pos + k) % len(cyc)]
         return Permutation(imgs, zero_based=True)
 
-    def __call__(self, point):
-        """Image of a 1-based point."""
-        return self.imgs[point - 1] + 1
-
     def order(self):
         return lcm(*(len(cyc) for cyc in self.all_cycles()))
 
@@ -319,24 +315,12 @@ class PermGroup:
     def __contains__(self, p):
         return isinstance(p, Permutation) and p.imgs in self._elt_map
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return self.order
-
     def identity(self):
         return Permutation.identity(self.degree)
 
     def is_subgroup(self, other):
         """True if self is a subgroup of other."""
         return self.degree == other.degree and all(g in other for g in self.generators)
-
-    def exponent(self):
-        e = 1
-        for rep, _ in self.conjugacy_classes():
-            e = lcm(e, rep.order())
-        return e
 
     def small_generating_set(self):
         """Greedy reduction of the element list to a short generating set."""

@@ -12,8 +12,9 @@ P = F_d / R^m[R,R].
 The finite-level main theorem: the automorphisms of P over id_H restrict
 onto the stabilizer of beta's class in Aut_H(M).  Those endomorphisms are
 x_i -> m_i x_i, (m_i) in M^d, and restrict to 1 + D, D the derivation with
-D(x_i) = m_i (Fox calculus), read off the transversal tree.  No table of P
-is built: the check is bounded by |H|*|M| (FiniteHModule), the 2-cochain
+D(x_i) = m_i (Fox calculus), read off the transversal tree; these D span F,
+whose size and members are read off one Smith form.  No table of P is
+built: the check is bounded by |H|*|M| (FiniteHModule), the 2-cochain
 dimension (FiniteHModule.coboundary_snf) and |End_H| (aut_h).  The
 stabilizer is {gamma : gamma(beta) - beta = dc}, solved on the coboundary
 map of normalized cochains, independent of the tree.  h2 works through
@@ -28,6 +29,8 @@ the extension cocycle are lists by position.
 
 from __future__ import annotations
 
+from math import gcd, prod
+
 from .chartab import character_table, VirtualCharacter
 from .cohomology import (
     Cocycle2,
@@ -40,7 +43,8 @@ from .cohomology import (
 )
 from .errors import InternalError, PreconditionError
 from .groups import SchreierTree, TableGroup
-from .permgroup import PermGroup, orbit
+from .permgroup import PermGroup
+from .snf import smith_normal_form, solve_mod_from_snf
 
 
 class RelationModule(SchreierTree):
@@ -138,14 +142,28 @@ def _derivations(rm: RelationModule, m: int):
     ]
 
 
+def _restrictions(rm: RelationModule, m: int, M: FiniteHModule, autos):
+    """(|F|, {gamma in autos, flattened : gamma - 1 in F}), F read off one
+    Smith form U A V = diag(d) of the _derivations A as columns: |F| is the
+    product of m / gcd(d_i, m), and A x = gamma - 1 is solved mod m."""
+    gens = _derivations(rm, m)
+    if not all(_commutes(M, X) for X in gens):
+        raise InternalError("a derivation does not commute with the action of H")
+    snf = smith_normal_form([list(row) for row in zip(*(sum(X, ()) for X in gens))])
+    one = [int(r == c) for r in range(rm.rank) for c in range(rm.rank)]
+    in_span = lambda v: solve_mod_from_snf(snf, [a - b for a, b in zip(v, one)], m) is not None
+    return prod(m // gcd(d, m) for d in snf[0]), set(filter(in_span, (sum(g, ()) for g in autos)))
+
+
 def verify_main_theorem(rm: RelationModule, m: int, beta=None, data=None) -> dict:
     """Compare Aut_{H,beta}(R-bar/m), the gamma in aut_h with gamma(beta) -
     beta a coboundary, with the restrictions of the automorphisms of P
     over id_H, from the tree: the units in 1 + F, F the span of the
-    _derivations, each shared by |M|^d / |F| of them.  FiniteHModule,
-    coboundary_snf and aut_h bound the work.  beta (extension_cocycle) and
-    data (h2, for the invariants) are computed unless passed in.  Returns
-    a report dict with both sets' sizes and the equality flag."""
+    _derivations read off their Smith form, each shared by |M|^d / |F| of
+    them.  FiniteHModule, coboundary_snf and aut_h bound the work.  beta
+    (extension_cocycle) and data (h2, for the invariants) are computed
+    unless passed in.  Returns a report dict with both sets' sizes and the
+    equality flag."""
     if beta is None:
         beta = extension_cocycle(rm, m)
     M = beta.module
@@ -154,13 +172,7 @@ def verify_main_theorem(rm: RelationModule, m: int, beta=None, data=None) -> dic
         data = h2(M)
     autos = aut_h(M)
     stab = {sum(g, ()) for g in autos if _lifting_cochain(g, beta) is not None}
-    gens = _derivations(rm, m)
-    if not all(_commutes(M, X) for X in gens):
-        raise InternalError("a derivation does not commute with the action of H")
-    plus = lambda x, y: tuple((a + b) % m for a, b in zip(x, y))
-    image = orbit((0,) * rm.rank**2, [sum(X, ()) for X in gens], plus)
-    one = tuple(int(r == c) for r in range(rm.rank) for c in range(rm.rank))
-    restrictions = {sum(g, ()) for g in autos} & {plus(one, x) for x in image}
+    span, restrictions = _restrictions(rm, m, M, autos)
     return {
         "rank": rm.rank,
         "modulus": m,
@@ -168,7 +180,7 @@ def verify_main_theorem(rm: RelationModule, m: int, beta=None, data=None) -> dic
         "h2_invariants": data.invariants,
         "aut_h_count": len(autos),
         "stabilizer_count": len(stab),
-        "extension_fixing_count": M.size**rm.d // len(image) * len(restrictions),
+        "extension_fixing_count": M.size**rm.d // span * len(restrictions),
         "restriction_count": len(restrictions),
         "equal": restrictions == stab,
     }

@@ -14,11 +14,12 @@ and the table built from |E|^2 calls to it, extend_automorphism solving
 trying every matrix on the module and testing bijectivity by mapping
 every element, relmod's action, extension cocycle and P-generator images
 from freely reduced products of FreeWords (s w s^-1, s1 s2 s(h1 h2)^-1,
-x_i s(g_i)^-1) rewritten from the identity coset, the main-theorem check
-from P's Cayley table by searching each generator's H-fiber for the
-automorphisms that fix H, with H^2 and the class stabilizer from the
-cochain h2 (verify_main_theorem names the report keys it computes
-without the library), and cyclotomic's product, reduction and Galois
+x_i s(g_i)^-1) rewritten from the identity coset, the derivation span
+F walked element by element, the main-theorem check from P's Cayley
+table by searching each generator's H-fiber for the automorphisms that
+fix H, with H^2 and the class stabilizer from the cochain h2
+(verify_main_theorem names the report keys it computes without the
+library), and cyclotomic's product, reduction and Galois
 automorphisms read off an N x phi(N) table of the powers of zeta_N, and
 genus1's j-invariant degree with j's numerator and denominator
 cross-multiplied as dense lists in Z[x]/(x^t - 1), and descent's
@@ -39,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from belyilab import chartab, cohomology, cyclotomic, descent
+from belyilab import chartab, cohomology, cyclotomic, descent, relmod
 from belyilab.cover import tate_characters
 from belyilab.cyclotomic import Cyclotomic, cyclotomic_coeffs, phi_of
 from belyilab.errors import InternalError, PreconditionError
@@ -554,6 +555,15 @@ def h_fixing_automorphisms(rm, E, m):
     fibers = [[a for a, (h, _) in enumerate(T.names) if h == g] for g in rm.images]
     maps = (homomorphism_from_generators(T, T, gens, list(c)) for c in itertools.product(*fibers))
     return [f for f in maps if f is not None and len(set(f)) == T.n]
+
+
+def derivation_span(rm, m):
+    """The span F of relmod._derivations mod m, flattened, walked from 0
+    by adding the generators one at a time, where the library reads |F|
+    and membership in F off one Smith form."""
+    gens = [sum(X, ()) for X in relmod._derivations(rm, m)]
+    plus = lambda x, y: tuple((a + b) % m for a, b in zip(x, y))
+    return set(orbit((0,) * rm.rank**2, gens, plus))
 
 
 def verify_main_theorem(rm, m):

@@ -233,7 +233,7 @@ class TestRandomCoverInvariants:
                 sigma = cover.sigma(b)
                 ref = sorted((e, dims(d)) for e, d in cd.branch[b])
                 orbits = {}
-                for h in cd.H:
+                for h in cd.H.elements:
                     start = block(h)
                     orbit = [start]
                     while block(h * sigma ** len(orbit)) != start:

@@ -129,10 +129,10 @@ class TestCertificates:
                 continue
         for cover in covers:
             cd = validate(cover)
-            certified = {frozenset(g.imgs for g in sub) for _, sub in refine_search(cd)}
+            certified = {frozenset(g.imgs for g in sub.elements) for _, sub in refine_search(cd)}
             candidates = [PermGroup([rep]) for rep, _ in cd.D.conjugacy_classes()] + [cd.D]
             for sub in candidates:
-                key = frozenset(g.imgs for g in sub)
+                key = frozenset(g.imgs for g in sub.elements)
                 assert subgroup_certify(cd, sub) == (key in certified)
 
 
@@ -289,7 +289,8 @@ class TestRefineSearchOracle:
             del tables_built[:]
             D = descent_report(cover, refine=True).closure.D
             subgroups = {
-                frozenset(g.imgs for g in PermGroup([rep])) for rep, _ in D.conjugacy_classes()
+                frozenset(g.imgs for g in PermGroup([rep]).elements)
+                for rep, _ in D.conjugacy_classes()
             }
             assert len(tables_built) == len(subgroups)
             assert tables_built.count(frozenset(g.imgs for g in D.elements)) == 1

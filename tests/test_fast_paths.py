@@ -8,7 +8,8 @@ h2's replayed column operations replace, h2 on the 2-cocycle lattice,
 the extension table from the product on module tuples,
 extend_automorphism factoring its system on every call, aut_h and its
 bijectivity test walking the module's elements, relmod's Schreier data
-from FreeWord products, the main-theorem check from P's Cayley table,
+from FreeWord products, the derivation span walked element by element,
+the main-theorem check from P's Cayley table,
 the power table of zeta_N behind Cyclotomic products, Dixon's lift
 and the Galois automorphisms, and the power map from powering each class
 representative. They do the same arithmetic or count the
@@ -16,10 +17,10 @@ same sets, so every result here must be identical, not just equivalent:
 the SNF (diag, U, V), h2's invariants, basis tables and class
 coordinates under the slow kernels, the extension tables and the
 extended maps, the relation modules' words, action matrices, cocycle
-tables and main-theorem reports, the coordinates of products, powers of
-zeta_N and character tables, each character value at the inverse
-class against its complex conjugate, and the class of every power of
-every class representative.  The exception is H^2 itself: h2
+tables, |F| and restriction sets and main-theorem reports, the
+coordinates of products, powers of zeta_N and character tables, each
+character value at the inverse class against its complex conjugate, and
+the class of every power of every class representative.  The exception is H^2 itself: h2
 works on Hom_H(R-bar, M) and the cochain oracle on 2-cocycles, and the
 oracle's congruences at generators and at every triple build different
 bases of one lattice.  There what must agree is the lattice, H^2's
@@ -428,6 +429,32 @@ def test_relation_module_matches_free_words(H, d, monkeypatch):
             # the report from the derivation image against the one from
             # P's Cayley table, its fiber search and FreeWord products
             assert verify_main_theorem(rm, m) == slow_paths.verify_main_theorem(rm, m)
+
+
+@pytest.mark.parametrize("H, d", RELATION_MODULES, ids=RM_IDS)
+def test_derivation_span_matches_the_walk(H, d):
+    # |F| and the matrices gamma with gamma - 1 in F, read off the Smith
+    # form of F's generators, against F walked element by element.  The
+    # candidates are 1 + x for 200 sampled x in F (all of F when smaller)
+    # and 50 random matrices: membership does not depend on gamma being a
+    # unit, and aut_h would cost seconds here
+    rng = random.Random(d)
+    rm = schreier_data(H, _padded_generators(H, d))
+    for m in (2, 3):
+        if m ** (d * rm.rank) > 2**18:
+            continue  # |F| <= m^(d * rank) may be too many points to walk
+        try:
+            M = relmod.reduce_mod(rm, m)
+        except PreconditionError:
+            continue  # |H| * m^rank is over the Cayley-table limit
+        walk = slow_paths.derivation_span(rm, m)
+        one = [int(r == c) for r in range(rm.rank) for c in range(rm.rank)]
+        sample = rng.sample(sorted(walk), min(200, len(walk)))
+        shifted = {tuple((a + b) % m for a, b in zip(x, one)) for x in sample}
+        noise = [tuple(rng.randrange(m) for _ in one) for _ in range(50)]
+        expect = shifted | {v for v in noise if tuple((a - b) % m for a, b in zip(v, one)) in walk}
+        candidates = [tuple(zip(*[iter(v)] * rm.rank)) for v in sorted(shifted) + noise]
+        assert relmod._restrictions(rm, m, M, candidates) == (len(walk), expect)
 
 
 GOLDEN_VERIFY = [case for case in CASES if case["name"].endswith("/verify_main")]

