@@ -33,16 +33,16 @@ computations.  It factors D1 alone, n2 x n1, with row v scaled by L/m_v,
 L the lcm of the moduli: dc = delta holds in M exactly when the scaled
 rows agree modulo L, which the diagonal decides entry by entry.
 
-End_H(M) is a lattice too: a k x k integer matrix X is an endomorphism
-when X[r][c] = 0 mod m_r/gcd(m_r, m_c) (a well-defined map Z/m_c ->
-Z/m_r), and it commutes with the action when (X A_g - A_g X)[r][c] = 0
-mod m_r for H's generators g.  _congruence_lattice gives a basis of the
-solutions, which contain m_r times every unit matrix of row r, so
-|End_H| is the product of the k^2 row moduli over the product of the
-lattice's recorded scalings.  aut_h counts End_H before it enumerates it
-from the basis and keeps the bijective members: Aut_H(M) is the group of
-units of End_H(M).  X is bijective when its columns and the relations
-m_i e_i span Z^k, read off one Smith normal form with no element of M.
+End_H(M) is Hom_H(M, M), a lattice too: a k x k matrix X, entry (r, c)
+at c*k + r, is an endomorphism when m_c X[r][c] = 0 mod m_r (_map_steps)
+and _equivariance_rows holds with the columns of H's generator matrices
+as the source action.  Its basis from _congruence_lattice spans m_r times
+every unit matrix of row r, so |End_H| is the product of the k^2 row
+moduli over the lattice's index, the product of its recorded scalings.
+aut_h counts End_H before it enumerates it from the basis and keeps the
+units: Aut_H(M).  A well-defined X is bijective when its kernel lattice
+{x : X x = 0 mod m_r in row r}, which contains m_1 Z + ... + m_k Z, has
+index |M|, read off one more _congruence_lattice with no element of M.
 """
 
 from __future__ import annotations
@@ -80,6 +80,13 @@ def _mat_mul_mod(A, B, shape):
     return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row, m in zip(A, shape))
 
 
+def _map_steps(shape):
+    """((r, c), s) where s = m_r/gcd(m_r, m_c) > 1: entry X[r][c] is a
+    well-defined map Z/m_c -> Z/m_r, m_c X[r][c] = 0 mod m_r, iff s | X[r][c]."""
+    pairs = itertools.product(enumerate(shape), repeat=2)
+    return [((r, c), m // gcd(m, n)) for (r, m), (c, n) in pairs if n % m]
+
+
 def _checked_table(H, shape):
     """H's Cayley table, once the shape is valid and |H|*|M|, the order of
     every extension of H by M, is within TABLE_LIMIT."""
@@ -113,13 +120,12 @@ class FiniteHModule:
             if len(mat) != self.k or any(len(row) != self.k for row in mat):
                 raise PreconditionError("action matrix has the wrong shape")
             mat = tuple(tuple(x % m for x in row) for row, m in zip(mat, self.shape))
-            for r in range(self.k):
-                for c in range(self.k):
-                    if (mat[r][c] * self.shape[c]) % self.shape[r]:
-                        raise PreconditionError(
-                            "action entry (%d,%d) is not a well-defined map "
-                            "Z/%d -> Z/%d" % (r, c, self.shape[c], self.shape[r])
-                        )
+            for (r, c), step in _map_steps(self.shape):
+                if mat[r][c] % step:
+                    raise PreconditionError(
+                        "action entry (%d,%d) is not a well-defined map "
+                        "Z/%d -> Z/%d" % (r, c, self.shape[c], self.shape[r])
+                    )
             norm.append(mat)
         self.action = norm
         # reduced mod the row moduli, maps on M compare as tuples
@@ -275,8 +281,7 @@ def apply_aut(gamma, beta: Cocycle2) -> Cocycle2:
     """The pushed cocycle (gamma . beta)(h1, h2) = gamma(beta(h1, h2)),
     for an H-equivariant automorphism gamma of beta's module."""
     M = beta.module
-    if not (_commutes(M, gamma) and _is_bijective(M, gamma)):
-        raise PreconditionError("gamma is not an H-equivariant module automorphism")
+    _check_automorphism(M, gamma)
     return Cocycle2._trusted(
         M, [[_mat_apply(gamma, val, M.shape) for val in row] for row in beta.table]
     )
@@ -442,17 +447,17 @@ def _lattice_coordinates(ops, X):
     return _dense(Z, len(X[0]) if X else 0)
 
 
-def _equivariance_rows(M, pres, gens):
-    """The congruences on the values f(e_j) of a homomorphism R-bar -> M,
+def _equivariance_rows(M, source):
+    """The congruences on the values f(e_j) of a homomorphism N -> M,
     coordinate r of f(e_j) at j*k + r, that make f commute with the
-    elements at positions gens: f(g.e_j) = g.f(e_j) coordinate by
-    coordinate, modulo m_r in coordinate r, with g.e_j read off the
-    presentation pres (SchreierTree.conjugation)."""
+    positions g in source: f(g.e_j) = g.f(e_j) modulo m_r in coordinate r,
+    column j of source[g] holding g.e_j (for N = R-bar, from
+    SchreierTree.conjugation; for N = M, M's own matrices)."""
     k, shape = M.k, M.shape
     rows = []
-    for g in gens:
+    for g, cols in source.items():
         A = M.action[g]
-        for j, col in enumerate(pres.conjugation(g)):
+        for j, col in enumerate(cols):
             for r in range(k):
                 row = {l * k + r: a for l, a in enumerate(col) if a}
                 for s, a in enumerate(A[r]):
@@ -517,7 +522,8 @@ def h2(M: FiniteHModule) -> H2Data:
         )
 
     pres = SchreierTree(M.T, gens)
-    B, ops = _congruence_lattice(dim, _equivariance_rows(M, pres, gens))
+    rows = _equivariance_rows(M, {g: pres.conjugation(g) for g in gens})
+    B, ops = _congruence_lattice(dim, rows)
     # the restricted derivations and the moduli, in lattice coordinates
     Ymat = _lattice_coordinates(ops, _relation_system(M, pres))
     if Ymat is None:
@@ -557,28 +563,11 @@ def h2(M: FiniteHModule) -> H2Data:
 
 
 def _end_h_rows(M):
-    """The congruences on a k x k matrix X, entry (r, c) at r*k + c, that
+    """The congruences on a k x k matrix X, entry (r, c) at c*k + r, that
     make it a well-defined endomorphism of M commuting with the
-    generator matrices of the action."""
-    k, shape = M.k, M.shape
-    rows = []
-    for r in range(k):
-        for c in range(k):
-            step = shape[r] // gcd(shape[r], shape[c])
-            if step > 1:
-                rows.append(({r * k + c: 1}, step))
-    for A in (M.action[g] for g in M.T.gens):
-        for r in range(k):
-            for c in range(k):
-                # (X A - A X)[r][c]
-                row = {}
-                for t in range(k):
-                    row[r * k + t] = row.get(r * k + t, 0) + A[t][c]
-                    row[t * k + c] = row.get(t * k + c, 0) - A[r][t]
-                row = {v: coeff for v, coeff in row.items() if coeff}
-                if row:
-                    rows.append((row, shape[r]))
-    return rows
+    generator matrices of the action: End_H(M) is Hom_H(M, M)."""
+    rows = [({c * M.k + r: 1}, step) for (r, c), step in _map_steps(M.shape)]
+    return rows + _equivariance_rows(M, {g: list(zip(*M.action[g])) for g in M.T.gens})
 
 
 def aut_h(M: FiniteHModule):
@@ -586,17 +575,15 @@ def aut_h(M: FiniteHModule):
     in lexicographic order of their entries: the units of End_H(M),
     enumerated from a basis of its lattice once |End_H| <= 2^16."""
     k, kk = M.k, M.k**2
-    moduli = [M.shape[v // k] for v in range(kk)]
+    moduli = M.shape * k
     B, ops = _congruence_lattice(kk, _end_h_rows(M))
-    size = prod(moduli) // prod(t for _, j, t in ops if j is None)
-    if size > 2**16:
+    if prod(moduli) // prod(t for _, j, t in ops if j is None) > 2**16:
         raise PreconditionError("module too large for automorphism enumeration")
     gens = [tuple(row[j] % m for row, m in zip(B, moduli)) for j in range(kk)]
     gens = [g for g in gens if any(g)]
     ends = orbit((0,) * kk, gens, lambda x, g: tuple((a + b) % m for a, b, m in zip(x, g, moduli)))
     out = []
-    for entries in sorted(ends):
-        mat = tuple(entries[r * k : r * k + k] for r in range(k))
+    for mat in sorted(tuple(zip(*(x[c * k : c * k + k] for c in range(k)))) for x in ends):
         if not _commutes(M, mat):
             raise InternalError("endomorphism from the lattice does not commute with H")
         if _is_bijective(M, mat):
@@ -615,12 +602,21 @@ def _commutes(M, mat):
 
 
 def _is_bijective(M, mat):
-    """Whether mat is a bijection of M: its columns and the relations
-    m_i e_i span Z^k, that is [mat | diag(shape)] has every invariant 1."""
-    rows = [list(row) + [0] * M.k for row in mat]
-    for r, m in enumerate(M.shape):
-        rows[r][M.k + r] = m
-    return all(d == 1 for d in smith_normal_form(rows)[0])
+    """Whether a well-defined map mat is a bijection of M: its kernel
+    lattice {x : mat x = 0 mod m_r in row r} contains m_1 Z + ... + m_k Z
+    and has index |M|/|ker| in Z^k, so mat is one iff the index is |M|."""
+    rows = [({c: a for c, a in enumerate(row) if a}, m) for row, m in zip(mat, M.shape)]
+    _, ops = _congruence_lattice(M.k, rows)
+    return prod(t for _, j, t in ops if j is None) == M.size
+
+
+def _check_automorphism(M, gamma):
+    """Refuse gamma unless it is a k x k well-defined map, commutes with H
+    and is bijective."""
+    defined = len(gamma) == M.k and all(len(row) == M.k for row in gamma)
+    defined = defined and all(gamma[r][c] % step == 0 for (r, c), step in _map_steps(M.shape))
+    if not (defined and _commutes(M, gamma) and _is_bijective(M, gamma)):
+        raise PreconditionError("gamma is not an H-equivariant module automorphism")
 
 
 def stabilizer_beta(autos, beta: Cocycle2, h2data: H2Data):
@@ -737,8 +733,7 @@ def extend_automorphism(gamma, E: ExtensionGroup):
     gamma(m) + c(h)), returned as a map on E.elements.
     """
     M = E.module
-    if not (_commutes(M, gamma) and _is_bijective(M, gamma)):
-        raise PreconditionError("gamma is not an H-equivariant module automorphism")
+    _check_automorphism(M, gamma)
     cochain = _lifting_cochain(gamma, E.beta)
     if cochain is None:
         return None

@@ -262,7 +262,9 @@ class TestInternalFaults:
             for drop in range(len(M.T.gens)):
                 fewer = M.T.gens[:drop] + M.T.gens[drop + 1 :]
                 monkeypatch.setattr(
-                    cohomology, "_equivariance_rows", lambda M, pres, gens, N=fewer: rows(M, pres, N)
+                    cohomology,
+                    "_equivariance_rows",
+                    lambda M, source, N=fewer: rows(M, {g: source[g] for g in N}),
                 )
                 try:
                     got = h2(M).invariants
@@ -383,6 +385,31 @@ class TestStabilizerAndLifting:
         E = build_extension(M, Cocycle2.zero(M))
         with pytest.raises(PreconditionError):
             extend_automorphism(((1, 1), (0, 1)), E)
+
+    def test_an_ill_defined_gamma_is_rejected(self):
+        # gamma sends the generator of Z/2 to 1 in Z/4, no map Z/2 -> Z/4
+        # as 2 * 1 != 0 mod 4.  It commutes with the trivial action and its
+        # columns with the relations span Z^2, so only the well-definedness
+        # check refuses it; as an action matrix it is refused by entry.
+        # Matrices of the wrong size stay refused.
+        bad, good = ((1, 0), (1, 1)), ((1, 0), (2, 1))
+        refused = "gamma is not an H-equivariant module automorphism"
+        for H in (trivial_group(1), cyclic_group(2)):
+            M = FiniteHModule.trivial(H, (2, 4))
+            for beta in [Cocycle2.zero(M)] + h2(M).basis:
+                E = build_extension(M, beta)
+                with pytest.raises(PreconditionError, match=refused):
+                    apply_aut(bad, beta)
+                with pytest.raises(PreconditionError, match=refused):
+                    extend_automorphism(bad, E)
+                assert apply_aut(good, beta).module is M
+                assert extend_automorphism(good, E) is not None
+                for wrong_size in (((1,),), good + ((5, 5),), ((1, 0, 7), (0, 1, 9))):
+                    with pytest.raises(PreconditionError, match=refused):
+                        apply_aut(wrong_size, beta)
+        named = r"entry \(1,0\) is not a well-defined map Z/2 -> Z/4"
+        with pytest.raises(PreconditionError, match=named):
+            FiniteHModule.from_generator_matrices(cyclic_group(2), (2, 4), [bad])
 
 
 def lifting_corpus():

@@ -125,7 +125,7 @@ def relation_system(M):
     """(presentation, unknowns, equivariance congruences, [D | diag(moduli)])
     as h2 builds them."""
     pres = SchreierTree(M.T, M.T.gens)
-    rows = _equivariance_rows(M, pres, M.T.gens)
+    rows = _equivariance_rows(M, {g: pres.conjugation(g) for g in M.T.gens})
     return pres, pres.rank * M.k, rows, _relation_system(M, pres)
 
 
@@ -478,17 +478,30 @@ def test_golden_verify_main_matches_the_p_table(record, monkeypatch):
 
 def mixed_moduli():
     """Modules whose coordinates have different moduli: trivial Z/2, Z/3
-    and Z/4 on (2,4), (4,2), (2,2,4) and (3,9) with |H|*|M| <= 200, and Z/2
-    acting by matrices that mix or scale the coordinates."""
+    and Z/4 on (2,4), (4,2), (2,2,4) and (3,9) with |H|*|M| <= 200, Z/2
+    acting by matrices that mix or scale the coordinates, and composite
+    moduli, where two primes meet in one coordinate or across two: trivial
+    Z/2 and Z/3 on (6,), (2,6), (2,3), (12,) and (4,6)."""
     out = [
         FiniteHModule.trivial(cyclic_group(n), shape)
         for n in (2, 3, 4)
         for shape in ((2, 4), (4, 2), (2, 2, 4), (3, 9))
         if n * prod(shape) <= 200
     ]
-    actions = (((2, 4), [[1, 0], [2, 1]]), ((4, 2), [[1, 2], [0, 1]]), ((4, 4), [[3, 0], [0, 1]]))
+    actions = (
+        ((2, 4), [[1, 0], [2, 1]]),
+        ((4, 2), [[1, 2], [0, 1]]),
+        ((4, 4), [[3, 0], [0, 1]]),
+        ((6,), [[5]]),
+        ((2, 6), [[1, 3], [0, 5]]),
+    )
     out += [
         FiniteHModule.from_generator_matrices(cyclic_group(2), shape, [A]) for shape, A in actions
+    ]
+    out += [
+        FiniteHModule.trivial(cyclic_group(n), shape)
+        for n in (2, 3)
+        for shape in ((6,), (2, 6), (2, 3), (12,), (4, 6))
     ]
     return out
 
