@@ -5,17 +5,32 @@ monodromy group H = <x, y>.  Apart from |H|, the closure data is read off
 the action on the points.  For J = Stab_H(1), W = N_H(J) is the set of
 h with 1^h in Fix(J), the points fixed by J, and the deck group D = W/J
 acts regularly on Fix(J); so |D| = |Fix(J)| and [H:W] = n / |Fix(J)|.
-The images of Fix(J) under H are blocks partitioning the points, one per
-coset of W, and the branch records (e_j, d_j) come from sigma_b acting on
-the blocks, with d_j read on Fix(J).  The fiber model: points of X over a
-branch point b are the <sigma_b>-orbits on the points (H/J), points of Z
-over b the <sigma_b>-orbits on the blocks (H/W).
+A point a is in Fix(J) exactly when the map delta_a: p -> a^u[p], u the
+transversal, commutes with x and y; delta_a is then the deck
+transformation sending 1 to a.  (If J fixes a, a^h depends only on 1^h;
+conversely a commuting delta_a gives a^h = delta_a(1^h), so a^j = a for
+j in J.)  D is generated by the projections of u[a] for the points a of
+Fix(J) that the earlier ones do not reach, at most log2 |D| of them, and
+checked to have order |Fix(J)| and to contain the projection of every
+u[a].  The images of Fix(J) under H are blocks partitioning the points,
+one per coset of W, and the branch records (e_j, d_j) come from sigma_b
+acting on the blocks, with d_j read on Fix(J).  The fiber model: points
+of X over a branch point b are the <sigma_b>-orbits on the points (H/J),
+points of Z over b the <sigma_b>-orbits on the blocks (H/W).
 """
 
 from __future__ import annotations
 
 from .errors import InternalError, PreconditionError
 from .permgroup import PermGroup, Permutation, orbit, regular_representation
+
+# A regular cover has degree |G|, and its transversal alone holds |G|^2
+# integers.  Past order 2000 the character table of its deck group G,
+# which `descend` needs, is refused anyway (chartab._SCALE_LIMIT).  At that
+# size `analyze` takes about 7 s and 230 MB (W(D5), order 1920, on a 2-core
+# VM with CPython 3.11).  Memory grows as |G|^2: A7 (2520) peaked at 385 MB,
+# so S7 (5040) would need about 1.5 GB.
+_REGULAR_LIMIT = 2000
 
 
 class BelyiCover:
@@ -53,8 +68,15 @@ class BelyiCover:
 
     @classmethod
     def regular(cls, x, y):
-        """The regular (Galois) cover of the group generated by x and y."""
+        """The regular (Galois) cover of the group generated by x and y,
+        refused past _REGULAR_LIMIT on the Schreier-Sims order, before any
+        element is enumerated."""
         G = PermGroup([x, y])
+        if G.order > _REGULAR_LIMIT:
+            raise PreconditionError(
+                "a Galois cover of a group of order %d is too large (limit %d)"
+                % (G.order, _REGULAR_LIMIT)
+            )
         R, _ = regular_representation(G)
         return cls(R.generators[0], R.generators[1])
 
@@ -101,23 +123,56 @@ class ClosureData:
 
 
 def validate(cover: BelyiCover) -> ClosureData:
-    """Compute the full closure data of a cover."""
+    """Compute the full closure data of a cover.
+
+    Fix(J) by deck maps: for a point a let delta_a be p -> a^u[p], u the
+    transversal.  Then a is in Fix(J) exactly when delta_a commutes with x
+    and y, and delta_a is the deck transformation sending 0 to a.  If J
+    fixes a, then a^h depends only on 0^h, so delta_a(p^g) = delta_a(p)^g.
+    Conversely, a commuting delta_a has delta_a(0^h) = a^h for every h in
+    H, so a^j = a for every j in J.
+
+    D from the points it must reach: D acts regularly on Fix(J), so Fix(J)
+    is walked in order and u[a] is projected to a generator only when a's
+    position lies outside the orbit of position 0 under the generators
+    kept so far.  The kept generators span a transitive, hence the whole,
+    subgroup of D, and there are at most log2 |D| of them.  The check
+    that D has order |Fix(J)| and contains the projection of every u[a],
+    a in Fix(J), then covers each transversal element, as a generator list
+    of all of them would.
+    """
     n = cover.degree
     gens = (cover.x, cover.y)
     u = cover.transversal
     H = PermGroup(list(gens))
-    # the Schreier generators u[a] g u[a^g]^-1 generate J
-    u_inv = {a: ua.inverse() for a, ua in u.items()}
-    schreier = [u[a] * g * u_inv[g.imgs[a]] for a in u for g in gens]
-    fixed = [p for p in range(n) if all(s.imgs[p] == p for s in schreier)]
+    x, y = cover.x.imgs, cover.y.imgs
+    U = [u[p].imgs for p in range(n)]
+    fixed = []
+    for a in range(n):
+        for p in range(n):
+            b = U[p][a]  # delta_a(p)
+            if U[x[p]][a] != x[b] or U[y[p]][a] != y[b]:
+                break
+        else:
+            fixed.append(a)
     pos = {p: i for i, p in enumerate(fixed)}
 
     def project(w):
         return Permutation([pos[w.imgs[p]] for p in fixed], zero_based=True)
 
-    D = PermGroup([project(u[a]) for a in fixed])
+    deck = [project(u[a]) for a in fixed]
+    kept, reached = [], {0}
+    for i, d in enumerate(deck):
+        if len(reached) == len(fixed):
+            break
+        if i not in reached:
+            kept.append(d)
+            reached = orbit(0, [g.imgs for g in kept], lambda q, g: g[q])
+    D = PermGroup(kept or deck)
     if D.order != len(fixed):
         raise InternalError("D does not act regularly on Fix(J)")
+    if not all(d in D for d in deck):
+        raise InternalError("a deck transformation of Fix(J) lies outside D")
 
     # the blocks Fix(J)^t, each with its t, by BFS with x^-1 and y^-1.
     # Block Fix(J)^(g^-1) stands for the left coset gW, so the blocks come

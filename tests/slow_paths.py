@@ -25,8 +25,10 @@ genus1's j-invariant degree with j's numerator and denominator
 cross-multiplied as dense lists in Z[x]/(x^t - 1), and descent's
 subgroup certificates from a fresh PermGroup (and so a fresh character
 table) for every cyclic candidate, also one whose elements are all of D,
-and PermGroup.power_map powering the class representative and classing
-the result on every call instead of reading the group's power table.
+PermGroup.power_map powering the class representative and classing
+the result on every call instead of reading the group's power table, and
+cover.validate's Fix(J) from the Schreier generators of J with D built
+from the projections of every transversal element over Fix(J).
 test_fast_paths.py, test_extension_table.py and test_genus1.py assert
 that the library returns identical results; where the library's h2 and
 the cochain h2 work on different lattices, and where the generator and
@@ -45,7 +47,7 @@ from belyilab.cover import tate_characters
 from belyilab.cyclotomic import Cyclotomic, cyclotomic_coeffs, phi_of
 from belyilab.errors import InternalError, PreconditionError
 from belyilab.groups import TableGroup, homomorphism_from_generators, preserves_products
-from belyilab.permgroup import PermGroup, orbit
+from belyilab.permgroup import PermGroup, Permutation, orbit
 from belyilab.snf import identity_matrix
 
 
@@ -779,3 +781,19 @@ def power_map(G, class_idx, k):
     taken on rep's cycles, for the given class of G."""
     rep, _ = G.conjugacy_classes()[class_idx]
     return G.class_index()[(rep ** (k % rep.order())).imgs]
+
+
+def fixed_and_deck_group(cover):
+    """(Fix(J), D) as cover.validate read them before deck maps: Fix(J) as
+    the points fixed by all 2n Schreier generators u[a] g u[a^g]^-1 of J,
+    and D generated by the projections of u[a] for every a in Fix(J)."""
+    u = cover.transversal
+    gens = (cover.x, cover.y)
+    u_inv = {a: ua.inverse() for a, ua in u.items()}
+    schreier = [u[a] * g * u_inv[g.imgs[a]] for a in u for g in gens]
+    fixed = [p for p in range(cover.degree) if all(s.imgs[p] == p for s in schreier)]
+    pos = {p: i for i, p in enumerate(fixed)}
+    D = PermGroup(
+        [Permutation([pos[u[a].imgs[p]] for p in fixed], zero_based=True) for a in fixed]
+    )
+    return fixed, D

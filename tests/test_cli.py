@@ -17,6 +17,7 @@ from belyilab.cover import BelyiCover
 from belyilab.permgroup import Permutation
 from make_golden import run_case
 from test_chartab import corrupt_power_tables
+from test_cover import SwappedPoints
 from test_relmod import replace_last_derivation, zero_matrix
 
 
@@ -129,6 +130,20 @@ class TestDescend:
         assert "internal error: necessity violated" in captured.err
 
 
+class TestClosureFaults:
+    def test_deck_transformation_outside_d_exits_2(self, capsys, tmp_path, monkeypatch):
+        # the fault of test_cover's SwappedPoints: D built on relabelled
+        # positions misses a deck transformation of the Z/4 cover
+        monkeypatch.setattr("belyilab.cover.PermGroup", SwappedPoints)
+        path = write_json(tmp_path, "z4.json", {"x": [2, 3, 4, 1], "y": [2, 3, 4, 1]})
+        code = main(["--json", "analyze", "--input", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" in captured.err
+        assert "internal error: a deck transformation of Fix(J) lies outside D" in captured.err
+
+
 class TestLargeGroups:
     S12 = {"x": [2, 1] + list(range(3, 13)), "y": list(range(2, 13)) + [1]}
 
@@ -138,6 +153,17 @@ class TestLargeGroups:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_galois_s7_refused_before_its_regular_action(self, capsys, tmp_path):
+        # |S7| = 5040: a degree-5040 cover whose transversal would hold
+        # 5040^2 integers, refused on its Schreier-Sims order
+        cover = {"galois": True, "x": [2, 1, 3, 4, 5, 6, 7], "y": [2, 3, 4, 5, 6, 7, 1]}
+        path = write_json(tmp_path, "s7g.json", cover)
+        refused_quickly(
+            capsys,
+            ["--json", "analyze", "--input", path],
+            "a Galois cover of a group of order 5040 is too large (limit 2000)",
+        )
 
     def test_degree12_s12_cover(self, capsys, tmp_path):
         path = write_json(tmp_path, "s12.json", self.S12)

@@ -43,6 +43,22 @@ def isogeny_cover():
     return BelyiCover(Permutation([2, 4, 5, 1, 6, 3]), Permutation([3, 4, 5, 6, 1, 2]))
 
 
+def z4_cover():
+    # Z/4 acting on itself: D is Z/4, regular on all four points
+    return BelyiCover(perm(4, (1, 2, 3, 4)), perm(4, (1, 2, 3, 4)))
+
+
+class SwappedPoints(PermGroup):
+    """Fault: a PermGroup built on its generators with points 1 and 2
+    swapped, as if D were read on relabelled positions.  Orders do not
+    change, but on z4_cover the group built for D is <(1 3 4 2)>, which
+    misses the deck transformation (1 3)(2 4)."""
+
+    def __init__(self, generators):
+        swap = Permutation.from_cycles(generators[0].degree, [(1, 2)])
+        super().__init__([swap * g * swap for g in generators])
+
+
 class TestBelyiCover:
     def test_intransitive_rejected(self):
         with pytest.raises(PreconditionError):
@@ -293,6 +309,12 @@ def test_validate_does_not_enumerate_h():
     assert "_elt_map" not in vars(cd.H)
 
 
+def test_regular_s6_cover_is_admitted():
+    # the regular S7 cover is refused (test_cli.py); S6 stays under the limit
+    s6 = BelyiCover.regular(perm(6, (1, 2)), perm(6, (1, 2, 3, 4, 5, 6)))
+    assert s6.degree == 720 <= cover_module._REGULAR_LIMIT
+
+
 def test_analysis_report_shape():
     rep = analysis_report(cubic_cover())
     assert rep["genus"] == 1
@@ -315,6 +337,11 @@ class TestClosureChecks:
         monkeypatch.setattr(cover_module, "PermGroup", DoubledOrder)
         with pytest.raises(InternalError, match="D does not act regularly"):
             validate(a5_degree5_cover())
+
+    def test_every_deck_transformation_lies_in_d(self, monkeypatch):
+        monkeypatch.setattr(cover_module, "PermGroup", SwappedPoints)
+        with pytest.raises(InternalError, match="lies outside D"):
+            validate(z4_cover())
 
     def test_riemann_hurwitz_parity(self, monkeypatch):
         count = Permutation.cycle_count

@@ -11,8 +11,10 @@ bijectivity test walking the module's elements, relmod's Schreier data
 from FreeWord products, the derivation span walked element by element,
 the main-theorem check from P's Cayley table,
 the power table of zeta_N behind Cyclotomic products, Dixon's lift
-and the Galois automorphisms, and the power map from powering each class
-representative. They do the same arithmetic or count the
+and the Galois automorphisms, the power map from powering each class
+representative, and a cover's Fix(J) from the Schreier generators of J
+with its deck group D generated by every transversal element over
+Fix(J). They do the same arithmetic or count the
 same sets, so every result here must be identical, not just equivalent:
 the SNF (diag, U, V), h2's invariants, basis tables and class
 coordinates under the slow kernels, the extension tables and the
@@ -62,14 +64,29 @@ from belyilab.cohomology import (
     h2,
     stabilizer_beta,
 )
-from belyilab.corpus import _module_corpus, _padded_generators, _relmod_groups, _table_groups
+from belyilab.corpus import (
+    _module_corpus,
+    _padded_generators,
+    _relmod_groups,
+    _table_groups,
+    random_covers,
+)
+from belyilab.cover import BelyiCover, validate
 from belyilab.cyclotomic import Cyclotomic, fold, phi_of
 from belyilab.errors import PreconditionError
 from belyilab.groups import SchreierTree, preserves_products
-from belyilab.permgroup import Permutation, PermGroup, cyclic_group, symmetric_group, trivial_group
+from belyilab.permgroup import (
+    Permutation,
+    PermGroup,
+    alternating_group,
+    cyclic_group,
+    symmetric_group,
+    trivial_group,
+)
 from belyilab.relmod import extension_cocycle, schreier_data, verify_main_theorem
 from test_chartab import quaternion_group
 from test_cohomology import all_classes
+from test_descent import relabelled
 from test_golden import CASES
 from test_relabeling import conjugator, relabeled
 
@@ -713,3 +730,69 @@ def test_power_table_matches_powering(name, relabel):
         assert len(G.power_table[ci]) == m
         for k in range(-2 * m, 2 * m + 1):
             assert G.power_map(ci, k) == slow_paths.power_map(G, ci, k)
+
+
+def coset_cover(G, K):
+    """The cover given by G's two generators acting on the cosets of K."""
+    _, _, project = G.coset_action(K)
+    return BelyiCover(project(G.generators[0]), project(G.generators[1]))
+
+
+def closure_covers():
+    golden = {}
+    for case in CASES:
+        data = case["inputs"].get("cover")
+        if data is not None:
+            golden.setdefault(case["name"].split("/")[0], BelyiCover.from_json(data))
+    covers = {"criterion10-%03d" % i: c for i, c in enumerate(random_covers())}
+    for name, cover in golden.items():
+        covers["golden-" + name] = cover
+        covers["golden-%s-relabelled" % name] = relabelled(cover, random.Random(name))
+    regular = {
+        "S3": symmetric_group(3),
+        "D4": dihedral_group(4),
+        "Q8": quaternion_group(),
+        "A4": alternating_group(4),
+        "S4": symmetric_group(4),
+        "A5": alternating_group(5),
+    }
+    for name, G in regular.items():
+        covers["regular-" + name] = BelyiCover.regular(*G.generators)
+    # imprimitive covers with D = N_G(K)/K nontrivial but Fix(J) short of
+    # all points: S4 on the cosets of <(1 2)(3 4)> (D of order 4) and of
+    # <(1 2)> (order 2), A5 on those of Z/5 and Z/3 (order 2 each)
+    S4, A5 = symmetric_group(4), alternating_group(5)
+    perm = Permutation.from_cycles
+    for name, G, K in (
+        ("S4/V", S4, [perm(4, [(1, 2), (3, 4)])]),
+        ("S4/C2", S4, [perm(4, [(1, 2)])]),
+        ("A5/C5", A5, [perm(5, [(1, 2, 3, 4, 5)])]),
+        ("A5/C3", A5, [perm(5, [(1, 2, 3)])]),
+    ):
+        covers["imprimitive-" + name] = coset_cover(G, PermGroup(K))
+    return covers
+
+
+CLOSURE_COVERS = closure_covers()
+
+
+def test_closure_covers_reach_both_extremes_of_fix_j():
+    orders = {name: validate(c).D.order for name, c in CLOSURE_COVERS.items()}
+    degrees = {name: c.degree for name, c in CLOSURE_COVERS.items()}
+    assert all(orders[k] == degrees[k] for k in orders if k.startswith("regular"))
+    assert [orders["imprimitive-" + k] for k in ("S4/V", "S4/C2", "A5/C5", "A5/C3")] == [
+        4, 2, 2, 2
+    ]
+    assert sum(1 < orders[k] < degrees[k] for k in orders if k.startswith("criterion10"))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_COVERS))
+def test_fix_j_and_d_from_deck_maps_match_the_schreier_generators(name):
+    cover = CLOSURE_COVERS[name]
+    cd = validate(cover)
+    fixed, D = slow_paths.fixed_and_deck_group(cover)
+    assert cd.fixed == fixed
+    assert cd.D.order == D.order == len(fixed)
+    assert cd.D.elements == D.elements
+    # at most log2 |D| generators, each one reaching a new point
+    assert 2 ** len(cd.D.generators) <= max(2, cd.D.order)
