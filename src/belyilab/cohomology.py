@@ -54,7 +54,7 @@ from operator import mul
 
 from .errors import InternalError, PreconditionError
 from .groups import TABLE_LIMIT, SchreierTree, TableGroup, preserves_products
-from .permgroup import orbit
+from .permgroup import labels, orbit
 from .snf import identity_matrix, mat_vec, smith_normal_form, solve_mod_from_snf
 
 # The two bounds of this module, timed on a 2-core x86-64 VM, CPython 3.11.
@@ -152,14 +152,9 @@ class FiniteHModule:
             raise PreconditionError("one matrix per generator is required")
         T = _checked_table(H, shape)
         gens = [T.index[g] for g in H.generators]
-        action = [None] * T.n
-        for h, edge in orbit(0, gens, T.mult).items():
-            action[h] = (
-                identity_matrix(len(shape))
-                if edge is None
-                else _mat_mul_mod(action[edge[0]], gen_mats[edge[1]], shape)
-            )
-        return cls(H, shape, action)
+        step = lambda a, _, i: _mat_mul_mod(a, gen_mats[i], shape)
+        action = labels(orbit(0, gens, T.mult), identity_matrix(len(shape)), step)
+        return cls(H, shape, [action[h] for h in range(T.n)])
 
     @cached_property
     def coboundary_snf(self):
@@ -499,13 +494,11 @@ def _pushed_cocycle(M, pres, f):
     vals = [M.reduce(f[j * k : j * k + k]) for j in range(pres.rank)]
     table = []
     for h1 in range(M.T.n):
-        row = [M.zero()] * M.T.n
-        for h2, edge in pres.tree.items():
-            if edge is not None:
-                p, i = edge
-                j = pres.gen_index.get((t[h1][p], i + 1))
-                row[h2] = row[p] if j is None else M.add(row[p], vals[j])
-        table.append(row)
+        def step(v, p, i):
+            j = pres.gen_index.get((t[h1][p], i + 1))
+            return v if j is None else M.add(v, vals[j])
+        row = labels(pres.tree, M.zero(), step)
+        table.append([row[h2] for h2 in range(M.T.n)])
     return table
 
 

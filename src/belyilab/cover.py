@@ -22,7 +22,7 @@ points of Z over b the <sigma_b>-orbits on the blocks (H/W).
 from __future__ import annotations
 
 from .errors import InternalError, PreconditionError
-from .permgroup import PermGroup, Permutation, orbit, regular_representation
+from .permgroup import PermGroup, Permutation, labels, orbit, regular_representation
 
 # A regular cover has degree |G|, and its transversal alone holds |G|^2
 # integers.  Past order 2000 the character table of its deck group G,
@@ -45,7 +45,10 @@ class BelyiCover:
         self.x = x
         self.y = y
         self.z = (x * y).inverse()
-        self.transversal = _transversal((x, y))
+        # {a: u} with 1^u = a for every point a in the orbit of 1 (0-based)
+        gens = (x, y)
+        tree = orbit(0, [x.imgs, y.imgs], lambda a, g: g[a])
+        self.transversal = labels(tree, Permutation.identity(x.degree), lambda u, _, i: u * gens[i])
         if len(self.transversal) != self.degree:
             raise PreconditionError("monodromy group is not transitive: cover is reducible")
 
@@ -77,8 +80,7 @@ class BelyiCover:
                 "a Galois cover of a group of order %d is too large (limit %d)"
                 % (G.order, _REGULAR_LIMIT)
             )
-        R, _ = regular_representation(G)
-        return cls(R.generators[0], R.generators[1])
+        return cls(*regular_representation(G))
 
     def to_json(self):
         return {"degree": self.degree, "x": self.x.images, "y": self.y.images}
@@ -88,15 +90,6 @@ class BelyiCover:
 
 
 BRANCH_POINTS = ("0", "1", "inf")
-
-
-def _transversal(gens):
-    """{a: u} with 1^u = a for every point a in the orbit of 1, read off
-    its Schreier tree (0-based points)."""
-    u = {}
-    for b, edge in orbit(0, [g.imgs for g in gens], lambda a, g: g[a]).items():
-        u[b] = Permutation.identity(gens[0].degree) if edge is None else u[edge[0]] * gens[edge[1]]
-    return u
 
 
 class ClosureData:
@@ -181,10 +174,7 @@ def validate(cover: BelyiCover) -> ClosureData:
     tree = orbit(
         frozenset(fixed), inv_gens, lambda block, g: frozenset(g.imgs[p] for p in block)
     )
-    t_of = {}
-    for block, edge in tree.items():
-        t_of[block] = Permutation.identity(n) if edge is None else t_of[edge[0]] * inv_gens[edge[1]]
-    ts = list(t_of.values())
+    ts = list(labels(tree, Permutation.identity(n), lambda t, _, i: t * inv_gens[i]).values())
     block_of = {p: i for i, block in enumerate(tree) for p in block}
     if not len(block_of) == len(ts) * len(fixed) == n:
         raise InternalError("the images of Fix(J) do not partition the points")

@@ -8,7 +8,9 @@ set only, which is exact (see TableGroup.__init__ and preserves_products).
 
 SchreierTree presents a table group as a quotient of a free group F_d:
 the transversal, the free generators of the kernel R and the walk that
-rewrites words in them.  relmod builds the relation module R-bar on it,
+rewrites words in them.  Its transversal words and the generator values
+of a crossed homomorphism are both read off one `orbit` tree by
+`permgroup.labels`.  relmod builds the relation module R-bar on it,
 and cohomology.h2 computes H^2 through Hom_H(R-bar, M).
 """
 
@@ -18,7 +20,7 @@ import itertools
 from operator import itemgetter
 
 from .errors import InternalError, PreconditionError
-from .permgroup import greedy_generators, orbit
+from .permgroup import greedy_generators, labels, orbit
 
 # the most elements a Cayley table may have: 4096^2 = 16.8 million entries
 TABLE_LIMIT = 4096
@@ -123,10 +125,8 @@ def map_from_generators(src: TableGroup, dst: TableGroup, gens, images):
     tree = orbit(0, gens, src.mult)
     if len(tree) != src.n:
         raise PreconditionError("the given elements do not generate the group")
-    out = [0] * src.n
-    for b, edge in tree.items():
-        if edge is not None:
-            out[b] = dst.table[out[edge[0]]][images[edge[1]]]
+    f = labels(tree, 0, lambda v, _, i: dst.table[v][images[i]])
+    out = [f[b] for b in range(src.n)]
     return out if all(out[g] == y for g, y in zip(gens, images)) else None
 
 
@@ -155,7 +155,8 @@ class SchreierTree:
 
     tree is the breadth-first orbit of the identity, each position mapped
     to the edge (parent, i), position = parent * images[i], that first
-    reached it, parents first.  So the transversal words s_h are positive.
+    reached it, parents first.  `labels` reads the transversal words s_h
+    off it, so they are positive.
     Every other edge (h, i), k = h * images[i], gives the Schreier generator
     s_h x_i s_k^-1, number gen_index[(h, i + 1)] of free_gens, and there are
     rank = |H|(d-1)+1 of them.  A word is a tuple of nonzero letters, +i
@@ -171,9 +172,8 @@ class SchreierTree:
         self.tree = tree = orbit(0, images, T.mult)
         if len(tree) != T.n:
             raise InternalError("transversal misses part of the group")
-        transversal = [None] * T.n
-        for h, edge in tree.items():
-            transversal[h] = () if edge is None else transversal[edge[0]] + (edge[1] + 1,)
+        words = labels(tree, (), lambda w, _, i: w + (i + 1,))
+        transversal = [words[h] for h in range(T.n)]
         back = [tuple(-l for l in reversed(w)) for w in transversal]  # s_h^-1
         self.transversal = transversal
         self.free_gens, self.gen_index = [], {}
@@ -222,12 +222,10 @@ class SchreierTree:
     def generator_values(self, zero, step):
         """The values at the Schreier generators of a crossed homomorphism
         D (or the fiber part of a map to an extension), from zero = D(1)
-        and step(D(s_h), h, i) = D(s_h x_i): the tree gives every D(s_h),
-        parents first, and s_h x_i s_k^-1 takes D(s_h x_i) - D(s_k)."""
+        and step(D(s_h), h, i) = D(s_h x_i): `labels` gives every D(s_h)
+        along the tree, and s_h x_i s_k^-1 takes D(s_h x_i) - D(s_k)."""
         t = self.T.table
-        D = [None] * self.T.n
-        for h, edge in self.tree.items():
-            D[h] = zero if edge is None else step(D[edge[0]], *edge)
+        D = labels(self.tree, zero, step)
         cols = [None] * self.rank
         for (h, l), j in self.gen_index.items():
             ends = step(D[h], h, l - 1), D[t[h][self.images[l - 1]]]

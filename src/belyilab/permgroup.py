@@ -14,7 +14,8 @@ levels, conjugacy classes, cosets, cover transversals and blocks, words).
 It returns the Schreier tree {point: (parent, generator index)} with the
 start mapped to None, in discovery order: level by level, and within a
 level by parent, then by generator index.  Parents precede children, so
-callers label the points (words, elements, matrices) in one pass.
+`labels` gives every point its label (word, element, matrix) in one pass
+over the tree; it is the library's one labelling pass.
 """
 
 from __future__ import annotations
@@ -80,10 +81,7 @@ class Permutation:
         return Permutation(tuple(o[i] for i in self.imgs), zero_based=True)
 
     def inverse(self):
-        inv = [0] * len(self.imgs)
-        for i, j in enumerate(self.imgs):
-            inv[j] = i
-        return Permutation(inv, zero_based=True)
+        return Permutation(_inverse(self.imgs), zero_based=True)
 
     def __pow__(self, k):
         imgs = [0] * len(self.imgs)
@@ -155,9 +153,27 @@ def orbit(start, gens, act):
     return tree
 
 
+def labels(tree, root, step):
+    """{point: label} in the order of a tree from `orbit`: the start gets
+    root, and the point reached by the edge (parent, i) gets
+    step(label of parent, parent, i)."""
+    out = {}
+    for p, edge in tree.items():
+        out[p] = root if edge is None else step(out[edge[0]], *edge)
+    return out
+
+
 def _compose(p, g):
     """Image tuple of p * g."""
     return tuple(g[i] for i in p)
+
+
+def _inverse(imgs):
+    """Image tuple of the inverse permutation."""
+    inv = [0] * len(imgs)
+    for i, j in enumerate(imgs):
+        inv[j] = i
+    return tuple(inv)
 
 
 def _schreier_sims_order(gens, n):
@@ -182,18 +198,13 @@ def _schreier_sims_order(gens, n):
         trans.append(None)
 
     def level_orbit(i):
-        u = {}
-        for b, edge in orbit(base[i], strong[i], lambda a, s: s[a]).items():
-            if edge is None:
-                ub = ident
-            else:
-                s = strong[i][edge[1]]
-                ub = tuple(s[j] for j in u[edge[0]][0])
-            inv = [0] * n
-            for j, k in enumerate(ub):
-                inv[k] = j
-            u[b] = (ub, tuple(inv))
-        trans[i] = u
+        s = strong[i]
+
+        def step(pair, _, j):
+            ub = _compose(pair[0], s[j])
+            return ub, _inverse(ub)
+
+        trans[i] = labels(orbit(base[i], s, lambda a, g: g[a]), (ident, ident), step)
 
     def sift(g, i):
         """(residue, level it stopped at) of g sifted from level i on."""
@@ -427,10 +438,7 @@ class PermGroup:
             [g.imgs for g in gens],
             lambda coset, g: frozenset(_compose(c, g) for c in coset),
         )
-        rep = {}
-        for coset, edge in tree.items():
-            rep[coset] = self.identity() if edge is None else rep[edge[0]] * gens[edge[1]]
-        reps = list(rep.values())
+        reps = list(labels(tree, self.identity(), lambda r, _, i: r * gens[i]).values())
         coset_of = {c: i for i, coset in enumerate(tree) for c in coset}
         if not len(coset_of) == len(tree) * S.order == self.order:
             raise InternalError("the cosets of S do not partition G")
@@ -484,14 +492,10 @@ def alternating_group(n):
 
 
 def regular_representation(G):
-    """The right-regular action of G on its own elements.
-
-    Returns (group, elts) where elts lists G's elements in the point order
-    used by the regular action, and group is the degree-|G| image.
-    """
+    """The images of G's generators in the right-regular action of G on
+    its own elements, point i standing for G.elements[i]."""
     elts = G.elements
     pos = {g.imgs: i for i, g in enumerate(elts)}
-    gens = []
-    for g in G.generators:
-        gens.append(Permutation([pos[(e * g).imgs] for e in elts], zero_based=True))
-    return PermGroup(gens), elts
+    return [
+        Permutation([pos[(e * g).imgs] for e in elts], zero_based=True) for g in G.generators
+    ]

@@ -190,7 +190,7 @@ class TestPermCharacter:
         G = symmetric_group(3)
         from belyilab.permgroup import regular_representation
 
-        R, _ = regular_representation(G)
+        R = PermGroup(regular_representation(G))
         tab = character_table(R)
         pc = perm_character(R)
         assert pc.mults == list(tab.degrees)

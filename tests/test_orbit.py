@@ -1,5 +1,6 @@
 """The breadth-first orbit routine against the frontier BFS it replaced,
-and the coset action built on it against brute-force right cosets."""
+the labelling pass over its trees against replayed words, and the coset
+action built on it against brute-force right cosets."""
 
 import itertools
 
@@ -12,6 +13,7 @@ from belyilab.permgroup import (
     alternating_group,
     cyclic_group,
     generate,
+    labels,
     orbit,
     symmetric_group,
 )
@@ -103,6 +105,75 @@ class TestOrbitOrder:
             return ((v[0] + g[0]) % n, (v[1] + g[1]) % n)
 
         check_tree((start[0] % n, start[1] % n), gens, add)
+
+
+def replay(start, gens, act, word):
+    p = start
+    for gi in word:
+        p = act(p, gens[gi])
+    return p
+
+
+def check_labels(start, gens, act):
+    """labels with step appending the generator index: every label is the
+    word read off the tree back to start, and step sees the parent's label
+    and the parent itself, once per point other than start."""
+    tree = check_tree(start, gens, act)
+    calls = []
+
+    def step(word, parent, i):
+        assert replay(start, gens, act, word) == parent
+        calls.append((parent, i))
+        return word + (i,)
+
+    words = labels(tree, (), step)
+    assert list(words) == list(tree)
+    assert sorted(calls) == sorted(edge for edge in tree.values() if edge is not None)
+    for point, word in words.items():
+        back = []
+        p = point
+        while tree[p] is not None:
+            p, gi = tree[p]
+            back.append(gi)
+        assert word == tuple(reversed(back))
+        assert replay(start, gens, act, word) == point
+    return words
+
+
+class TestLabels:
+    @settings(max_examples=60, deadline=None)
+    @given(perm_lists)
+    def test_words_on_permutation_closure(self, n_gens):
+        n, gens = n_gens
+        check_labels(tuple(range(n)), gens, compose)
+
+    @settings(max_examples=60, deadline=None)
+    @given(perm_lists, st.integers(0, 5))
+    def test_words_on_point_orbit(self, n_gens, start):
+        n, gens = n_gens
+        check_labels(start % n, gens, lambda a, g: g[a])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["z12", "s4", "a4"]),
+        st.lists(st.integers(0, 23), max_size=3),
+    )
+    def test_words_on_table_indices(self, name, picks):
+        G = {"z12": cyclic_group(12), "s4": symmetric_group(4), "a4": alternating_group(4)}[name]
+        T = TableGroup.from_permgroup(G)
+        check_labels(0, [a % T.n for a in picks], T.mult)
+
+    @settings(max_examples=60, deadline=None)
+    @given(perm_lists)
+    def test_transversal_sends_start_to_each_point(self, n_gens):
+        # the orbit of 0 is a transitive action; u[p] = product along the tree
+        n, gens = n_gens
+        perms = [Permutation(g, zero_based=True) for g in gens]
+        tree = orbit(0, gens, lambda a, g: g[a])
+        u = labels(tree, Permutation.identity(n), lambda v, _, i: v * perms[i])
+        assert list(u) == list(tree)
+        for p, v in u.items():
+            assert v.imgs[0] == p
 
 
 def brute_coset_reps(G, S):

@@ -236,7 +236,7 @@ class TestSubgroupsAndActions:
 
     def test_regular_representation(self):
         G = symmetric_group(3)
-        R, elts = regular_representation(G)
+        R = PermGroup(regular_representation(G))
         assert R.degree == 6 and R.order == 6
         # regular action is free: nonidentity elements fix nothing
         for g in R.elements:
