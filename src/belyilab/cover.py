@@ -133,11 +133,14 @@ def validate(cover: BelyiCover) -> ClosureData:
     that D has order |Fix(J)| and contains the projection of every u[a],
     a in Fix(J), then covers each transversal element, as a generator list
     of all of them would.
+
+    When Fix(J) is every point, J = 1 and project is the identity, so D is
+    generated by elements u[a] of H and has order n = |H|: D is H on the
+    same points, and H costs no second Schreier-Sims.
     """
     n = cover.degree
     gens = (cover.x, cover.y)
     u = cover.transversal
-    H = PermGroup(list(gens))
     x, y = cover.x.imgs, cover.y.imgs
     U = [u[p].imgs for p in range(n)]
     fixed = []
@@ -166,6 +169,7 @@ def validate(cover: BelyiCover) -> ClosureData:
         raise InternalError("D does not act regularly on Fix(J)")
     if not all(d in D for d in deck):
         raise InternalError("a deck transformation of Fix(J) lies outside D")
+    H = D if len(fixed) == n else PermGroup(list(gens))
 
     # the blocks Fix(J)^t, each with its t, by BFS with x^-1 and y^-1.
     # Block Fix(J)^(g^-1) stands for the left coset gW, so the blocks come

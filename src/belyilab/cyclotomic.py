@@ -113,15 +113,19 @@ def fold(N, terms):
     """Power-basis coordinates of the sum of c * zeta_N^e over the (e, c)
     pairs in terms, c an int or Fraction: exponents are taken mod N, then
     the sum is divided by the monic Phi_N in integers over a common
-    denominator (O(N) memory)."""
+    denominator.  The dividend reaches only the highest exponent present
+    (never below phi(N) positions), so positions that are always zero are
+    neither filled nor divided (O(N) memory)."""
     coeffs = cyclotomic_coeffs(N)
-    terms = [(e, c) for e, c in terms if c]
+    phi = len(coeffs) - 1
+    terms = [(e % N, c) for e, c in terms if c]
     den = lcm(*(c.denominator for _, c in terms))
-    rem = [0] * N
+    rem = [0] * max([phi] + [e + 1 for e, _ in terms])
     for e, c in terms:
-        rem[e % N] += c.numerator * (den // c.denominator)
-    _divide_monic(rem, coeffs)
-    return [Fraction(c, den) for c in rem[: len(coeffs) - 1]]
+        rem[e] += c.numerator * (den // c.denominator)
+    if len(rem) > phi:
+        _divide_monic(rem, coeffs)
+    return [Fraction(c, den) for c in rem[:phi]]
 
 
 class Cyclotomic:

@@ -21,6 +21,7 @@ over the tree; it is the library's one labelling pass.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from math import lcm, prod
 
 from .errors import InternalError, PreconditionError
@@ -188,14 +189,28 @@ def _schreier_sims_order(gens, n):
     at the deepest of them.  When no level yields a residue, each level's
     generators generate the stabilizer of base[:i], and |G| is the product
     of the orbit lengths (Holt-Eick-O'Brien, Handbook of CGT, 4.4.2).
+
+    Each level's scan resumes where it stopped: `scan[i]` holds the
+    position (index of a in trans[i], index of s in strong[i]) of the next
+    pair to sift, and it goes back to (0, 0) only when `level_orbit(i)`
+    rebuilds the level, the one place strong[i] and trans[i] change.  This
+    skips no pair that could yield a residue: the scan returns to level i
+    only when every deeper level is complete, and the deeper groups have
+    only grown since an earlier pair sifted to the identity, so that pair
+    still lies in <strong[i+1]>.  A residue that moves a base point means
+    a faulty level, and raises InternalError (the base would otherwise
+    grow without end).
     """
     ident = tuple(range(n))
-    base, strong, trans = [], [], []
+    base, strong, trans, scan = [], [], [], []
 
     def add_level(h):
+        if any(h[b] != b for b in base):
+            raise InternalError("a Schreier-Sims residue moves a base point")
         base.append(next(p for p in range(n) if h[p] != p))
         strong.append([])
         trans.append(None)
+        scan.append(None)
 
     def level_orbit(i):
         s = strong[i]
@@ -205,6 +220,7 @@ def _schreier_sims_order(gens, n):
             return ub, _inverse(ub)
 
         trans[i] = labels(orbit(base[i], s, lambda a, g: g[a]), (ident, ident), step)
+        scan[i] = (0, 0)
 
     def sift(g, i):
         """(residue, level it stopped at) of g sifted from level i on."""
@@ -218,14 +234,21 @@ def _schreier_sims_order(gens, n):
         return g, i
 
     def residue(i):
-        """(residue, level) of the first Schreier generator of level i that
-        does not sift to the identity, or None."""
-        for a, (ua, _) in trans[i].items():
-            for s in strong[i]:
-                vinv = trans[i][s[a]][1]
-                h, j = sift(tuple(vinv[s[k]] for k in ua), i + 1)
+        """(residue, level) of the first Schreier generator of level i from
+        scan[i] on that does not sift to the identity, or None; scan[i]
+        then holds that generator's position."""
+        t, strong_i = trans[i], strong[i]
+        start, first = scan[i]
+        for k, (a, (ua, _)) in enumerate(islice(t.items(), start, None), start):
+            for m in range(first, len(strong_i)):
+                s = strong_i[m]
+                vinv = t[s[a]][1]
+                h, j = sift(tuple(vinv[s[q]] for q in ua), i + 1)
                 if h != ident:
+                    scan[i] = (k, m)
                     return h, j
+            first = 0
+        scan[i] = (len(t), 0)
         return None
 
     for g in gens:

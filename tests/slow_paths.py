@@ -28,7 +28,10 @@ table) for every cyclic candidate, also one whose elements are all of D,
 PermGroup.power_map powering the class representative and classing
 the result on every call instead of reading the group's power table, and
 cover.validate's Fix(J) from the Schreier generators of J with D built
-from the projections of every transversal element over Fix(J).
+from the projections of every transversal element over Fix(J),
+Schreier-Sims restarting each level's scan of Schreier generators from
+the first pair after every new strong generator, and cyclotomic's fold
+filling and dividing all N positions whatever exponents it is given.
 test_fast_paths.py, test_extension_table.py and test_genus1.py assert
 that the library returns identical results; where the library's h2 and
 the cochain h2 work on different lattices, and where the generator and
@@ -40,14 +43,14 @@ automorphism of H^2.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm, prod
 
 from belyilab import chartab, cohomology, cyclotomic, descent, relmod
 from belyilab.cover import tate_characters
-from belyilab.cyclotomic import Cyclotomic, cyclotomic_coeffs, phi_of
+from belyilab.cyclotomic import Cyclotomic, _divide_monic, cyclotomic_coeffs, phi_of
 from belyilab.errors import InternalError, PreconditionError
 from belyilab.groups import TableGroup, homomorphism_from_generators, preserves_products
-from belyilab.permgroup import PermGroup, Permutation, orbit
+from belyilab.permgroup import PermGroup, Permutation, _compose, _inverse, labels, orbit
 from belyilab.snf import identity_matrix
 
 
@@ -797,3 +800,83 @@ def fixed_and_deck_group(cover):
         [Permutation([pos[u[a].imgs[p]] for p in fixed], zero_based=True) for a in fixed]
     )
     return fixed, D
+
+
+def schreier_sims_order(gens, n):
+    """permgroup._schreier_sims_order with residue(i) scanning level i
+    from its first pair (a, s) every time, also after pairs that already
+    sifted to the identity."""
+    ident = tuple(range(n))
+    base, strong, trans = [], [], []
+
+    def add_level(h):
+        base.append(next(p for p in range(n) if h[p] != p))
+        strong.append([])
+        trans.append(None)
+
+    def level_orbit(i):
+        s = strong[i]
+
+        def step(pair, _, j):
+            ub = _compose(pair[0], s[j])
+            return ub, _inverse(ub)
+
+        trans[i] = labels(orbit(base[i], s, lambda a, g: g[a]), (ident, ident), step)
+
+    def sift(g, i):
+        while i < len(base):
+            entry = trans[i].get(g[base[i]])
+            if entry is None:
+                return g, i
+            uinv = entry[1]
+            g = tuple(uinv[j] for j in g)
+            i += 1
+        return g, i
+
+    def residue(i):
+        for a, (ua, _) in trans[i].items():
+            for s in strong[i]:
+                vinv = trans[i][s[a]][1]
+                h, j = sift(tuple(vinv[s[k]] for k in ua), i + 1)
+                if h != ident:
+                    return h, j
+        return None
+
+    for g in gens:
+        g = g.imgs
+        if g == ident:
+            continue
+        if all(g[b] == b for b in base):
+            add_level(g)
+        first_moved = next(i for i, b in enumerate(base) if g[b] != b)
+        for level in range(first_moved + 1):
+            strong[level].append(g)
+    for i in range(len(base)):
+        level_orbit(i)
+    i = len(base) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            add_level(h)
+        for level in range(i + 1, j + 1):
+            strong[level].append(h)
+            level_orbit(level)
+        i = j
+    return prod(len(u) for u in trans)
+
+
+def fold_full_width(N, terms):
+    """cyclotomic.fold with the dividend filled at all N positions and
+    divided by Phi_N whatever the highest exponent present."""
+    coeffs = cyclotomic_coeffs(N)
+    terms = [(e, c) for e, c in terms if c]
+    den = lcm(*(c.denominator for _, c in terms))
+    rem = [0] * N
+    for e, c in terms:
+        rem[e % N] += c.numerator * (den // c.denominator)
+    _divide_monic(rem, coeffs)
+    return [Fraction(c, den) for c in rem[: len(coeffs) - 1]]

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -307,6 +308,46 @@ def test_validate_does_not_enumerate_h():
     cd = validate(cover)
     assert cd.H.order == 40320 and cd.order_J == 5040
     assert "_elt_map" not in vars(cd.H)
+
+
+REGULAR_GENERATORS = {
+    "S3": (((1, 2),), ((1, 2, 3),)),
+    "D4": (((1, 2, 3, 4),), ((1, 3),)),
+    "Q8": (((1, 2, 3, 4), (5, 6, 7, 8)), ((1, 5, 3, 7), (2, 8, 4, 6))),
+    "A4": (((1, 2, 3),), ((1, 2), (3, 4))),
+    "S4": (((1, 2),), ((1, 2, 3, 4),)),
+    "A5": (((1, 2, 3),), ((1, 2, 3, 4, 5),)),
+    "S5": (((1, 2),), ((1, 2, 3, 4, 5),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULAR_GENERATORS))
+def test_galois_closure_reuses_d_as_h(name, monkeypatch):
+    # Fix(J) is every point, so validate takes D as H: same order and
+    # element set as the group of x and y, and the same report as with H
+    # built from x and y, also on a relabelled copy of the points
+    cycles = REGULAR_GENERATORS[name]
+    degree = max(p for c in cycles for cyc in c for p in cyc)
+    x, y = (perm(degree, *c) for c in cycles)
+    cover = BelyiCover.regular(x, y)
+    n = cover.degree
+    pi = Permutation(random.Random(n).sample(range(1, n + 1), n))
+    relabeled = BelyiCover(pi.inverse() * cover.x * pi, pi.inverse() * cover.y * pi)
+    for c in (cover, relabeled):
+        cd = validate(c)
+        H = PermGroup([c.x, c.y])
+        assert cd.is_galois and cd.H.order == H.order == n
+        assert set(cd.H.elements) == set(H.elements)
+        report = json.dumps(analysis_report(c), sort_keys=True)
+
+        def validate_with_h(cover):
+            cd = validate(cover)
+            cd.H = PermGroup([cover.x, cover.y])
+            return cd
+
+        with monkeypatch.context() as m:
+            m.setattr(cover_module, "validate", validate_with_h)
+            assert json.dumps(analysis_report(c), sort_keys=True) == report
 
 
 def test_regular_s6_cover_is_admitted():

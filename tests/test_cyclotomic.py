@@ -14,7 +14,7 @@ from belyilab.cyclotomic import (
     prime_1_mod,
     root_of_unity_mod,
 )
-from slow_paths import galois
+from slow_paths import fold_full_width, galois
 
 
 def zeta(N, k=1):
@@ -145,6 +145,27 @@ class TestFold:
             for e, c in terms:
                 expect = expect + c * zeta(N, e)
             assert Cyclotomic(N, fold(N, terms)) == expect
+
+    @given(
+        st.one_of(st.integers(1, 60), st.sampled_from([2, 3, 7, 13, 31, 61, 97])).flatmap(
+            lambda N: st.tuples(
+                st.just(N),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 3 * N),
+                        st.fractions(max_denominator=12).map(lambda c: c.limit_denominator(12)),
+                    ),
+                    max_size=12,
+                ),
+            )
+        )
+    )
+    def test_matches_full_width_division(self, case):
+        # the dividend cut at the highest exponent present gives the same
+        # coordinates as all N positions divided by Phi_N; at prime N,
+        # phi(N) = N - 1 and exponents from N on wrap below phi(N)
+        N, terms = case
+        assert fold(N, terms) == fold_full_width(N, terms)
 
     def test_vanishes_exactly_on_multiples_of_phi(self):
         # 1 + x + ... + x^(p-1) vanishes at zeta_p; 1 + x does not

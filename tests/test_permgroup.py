@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slow_paths
+from belyilab import permgroup
 from belyilab.errors import PreconditionError
 from belyilab.permgroup import (
     Permutation,
@@ -128,7 +135,110 @@ generator_lists = st.integers(1, 8).flatmap(
 )
 
 
+random_pairs = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(*(st.permutations(list(range(n))) for _ in range(3)))
+)
+
+
+def _block_perm(m, blocks, sigma):
+    """0-based images of the permutation sending point b*m + i of block b
+    to sigma[b]*m + blocks[b][i]: it permutes the blocks of size m."""
+    return [sigma[b] * m + blocks[b][i] for b in range(len(blocks)) for i in range(m)]
+
+
+def _imprimitive_gens(km):
+    k, m = km
+    block_perm = st.tuples(
+        st.lists(st.permutations(list(range(m))), min_size=k, max_size=k),
+        st.permutations(list(range(k))),
+    ).map(lambda t: _block_perm(m, *t))
+    return st.lists(block_perm, min_size=1, max_size=3)
+
+
+imprimitive_gens = (
+    st.sampled_from([(k, m) for k in range(2, 7) for m in range(2, 7) if k * m <= 12])
+    .flatmap(_imprimitive_gens)
+)
+
+
+def order_and_sifts(order_fn, gens):
+    """(order, number of calls to a function named sift) of
+    order_fn(gens, degree), the calls counted with sys.setprofile."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "sift":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        order = order_fn(gens, gens[0].degree)
+    finally:
+        sys.setprofile(None)
+    return order, calls
+
+
+def check_resumed_scan(gens):
+    """The resumed scan returns the restarting scan's order and never
+    sifts more; returns both sift counts."""
+    order, sifts = order_and_sifts(_schreier_sims_order, gens)
+    slow_order, slow_sifts = order_and_sifts(slow_paths.schreier_sims_order, gens)
+    assert order == slow_order
+    assert sifts <= slow_sifts
+    return sifts, slow_sifts
+
+
+# cyclic_group(12) with every transversal element read as one generator
+# step from the identity: the levels' (u, u^-1) pairs are wrong, so sifted
+# residues move base points.  The address space is capped at 1 GiB so that
+# a regression fails on the timeout or on memory, not the machine.
+_FAULTY_LEVELS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from belyilab import permgroup
+from belyilab.errors import InternalError
+permgroup.labels = lambda tree, root, step: {
+    p: root if edge is None else step(root, *edge) for p, edge in tree.items()
+}
+try:
+    permgroup.cyclic_group(12)
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
+
 class TestSchreierSims:
+    @settings(deadline=None)
+    @given(random_pairs)
+    def test_resumed_scan_matches_restarting_scan(self, images):
+        x, y, pi = (Permutation(imgs, zero_based=True) for imgs in images)
+        check_resumed_scan([x, y])
+        check_resumed_scan([pi.inverse() * x * pi, pi.inverse() * y * pi])
+
+    @settings(deadline=None)
+    @given(imprimitive_gens)
+    def test_resumed_scan_on_block_preserving_groups(self, images):
+        check_resumed_scan([Permutation(imgs, zero_based=True) for imgs in images])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_resumed_scan_sifts_fewer_on_symmetric_and_alternating(self, n):
+        for G in (symmetric_group(n), alternating_group(n)):
+            sifts, slow_sifts = check_resumed_scan(G.generators)
+            if n >= 5:
+                assert sifts < slow_sifts
+
+    def test_faulty_level_raises_instead_of_running_away(self):
+        src = str(Path(permgroup.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", _FAULTY_LEVELS],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.stdout.startswith("InternalError: "), done.stderr
+
     @settings(deadline=None)
     @given(generator_lists)
     def test_order_matches_closure(self, gens):
