@@ -130,8 +130,9 @@ class CharacterTable:
         self._index = group.class_index()
         self.powers = group.power_table
         self.exponent = lcm(*map(len, self.powers))
-        # the class of g^-1 for each class of g: conj(chi(g)) = chi(g^-1)
-        self.inverse_class = [self.class_of(rep.inverse()) for rep, _ in self.classes]
+        # the class of g^-1 = g^(o-1) for each class of g of order o:
+        # conj(chi(g)) = chi(g^-1)
+        self.inverse_class = [row[-1] for row in self.powers]
         self.rows, self.degrees = self._dixon()
         self._validate()
 

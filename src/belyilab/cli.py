@@ -23,7 +23,7 @@ from .permgroup import PermGroup, Permutation
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise PreconditionError("cannot read %s: %s" % (path, exc)) from exc
@@ -32,6 +32,10 @@ def _load_json(path):
             "malformed JSON in %s at line %d column %d"
             % (path, exc.lineno, exc.colno)
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer past Python's digit limit
+        # for int(), or nesting deeper than the recursion limit
+        raise PreconditionError("malformed JSON in %s: %s" % (path, exc)) from exc
 
 
 def _parse_permutations(data, what):

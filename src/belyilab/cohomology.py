@@ -246,9 +246,6 @@ class Cocycle2:
         n = module.T.n
         return cls._trusted(module, [[module.zero()] * n for _ in range(n)])
 
-    def __call__(self, h1, h2):
-        return self.table[h1][h2]
-
     def __add__(self, other):
         if other.module is not self.module:
             raise PreconditionError("cocycles live over different modules")
@@ -262,13 +259,6 @@ class Cocycle2:
         M = self.module
         return Cocycle2._trusted(
             M, [[M.reduce([n * x for x in val]) for val in row] for row in self.table]
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cocycle2)
-            and self.module is other.module
-            and self.table == other.table
         )
 
 

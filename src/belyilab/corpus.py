@@ -322,12 +322,12 @@ def criterion_9():
     return "%d tables: orthogonality, sum d^2 = |G|, Burnside" % len(groups)
 
 
-def random_covers(seed=DEFAULT_SEED, count=200):
-    """The first `count` transitive random pairs of degree 2..8 drawn from
-    the seed, as covers: criterion 10's inputs."""
+def random_covers(seed=DEFAULT_SEED):
+    """The first 200 transitive random pairs of degree 2..8 drawn from the
+    seed, as covers: criterion 10's inputs."""
     rng = random.Random(seed)
     covers = []
-    while len(covers) < count:
+    while len(covers) < 200:
         n = rng.randint(2, 8)
         try:
             covers.append(

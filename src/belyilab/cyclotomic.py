@@ -4,11 +4,12 @@ Values are stored as rational coordinate vectors in the power basis
 1, zeta, ..., zeta^(phi(N)-1), kept reduced modulo the N-th cyclotomic
 polynomial.  The conductor is fixed by the caller (the group exponent in
 character-table work) and never minimized; equality is coordinate equality
-at equal conductors, and a rational value equals its Fraction at any
-conductor.  Only the field operations the package uses are here: sums,
-products and lifts to a multiple of the conductor.  There are no Galois
-automorphisms; the complex conjugate of a character value chi(g) is
-chi(g^-1), which chartab reads at the inverse class.
+at one conductor, and a sum, product or comparison of values of different
+conductors raises ValueError.  Only the field operations the package uses
+are here: sums, products, lifts to a multiple of the conductor and
+equality.  There are no Galois automorphisms; the complex conjugate of a
+character value chi(g) is chi(g^-1), which chartab reads at the inverse
+class.
 
 There is one reduction modulo Phi_N, `fold`: the power-basis coordinates
 of a sum of c * zeta_N^e, by one exact division by the monic Phi_N in
@@ -160,26 +161,13 @@ class Cyclotomic:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.conductor != self.conductor:
-                raise ValueError("conductor mismatch: %d vs %d" % (self.conductor, other.conductor))
-            return other
-        return Cyclotomic.from_rational(other, self.conductor)
+        if other.conductor != self.conductor:
+            raise ValueError("conductor mismatch: %d vs %d" % (self.conductor, other.conductor))
+        return other
 
     def __add__(self, other):
         other = self._check(other)
         return Cyclotomic(self.conductor, [a + b for a, b in zip(self.coords, other.coords)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.conductor, [-a for a in self.coords])
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -207,17 +195,7 @@ class Cyclotomic:
         return Cyclotomic(L, fold(L, ((i * step, a) for i, a in enumerate(self.coords))))
 
     def __eq__(self, other):
-        if isinstance(other, Cyclotomic) and other.conductor == self.conductor:
-            return self.coords == other.coords
-        if isinstance(other, Cyclotomic) and other.is_rational():
-            other = other.coords[0]
-        return isinstance(other, (int, Fraction)) and self.is_rational() and self.coords[0] == other
-
-    def __hash__(self):
-        # a rational value equals, so hashes as, its Fraction
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.conductor, self.coords))
+        return self.coords == self._check(other).coords
 
     def __str__(self):
         if self.is_rational():

@@ -6,8 +6,8 @@ G1.  lift_generators finds a witness by deterministic lexicographic fiber
 search; count_lifts counts all witnesses over a fixed tuple, which is the
 quantity whose tuple-independence drives the standard proof.
 
-Groups may be PermGroups or multiplication-table groups; everything is
-converted to tables internally and witnesses are translated back.
+Groups are PermGroups; they are converted to multiplication tables
+internally and witnesses are translated back.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from math import prod
 
 from .errors import InternalError, PreconditionError
 from .groups import TableGroup, map_from_generators, preserves_products
-from .permgroup import PermGroup
 
 # the most tuples lift_generators and count_lifts enumerate (the product of
 # the fiber sizes, or |G1|^d when a failed lift search is confirmed) and
@@ -27,13 +26,9 @@ _COUNT_LIMIT = 10**6
 
 
 def _as_table(G):
-    """(TableGroup, to_index, from_index) for a PermGroup or TableGroup."""
-    if isinstance(G, TableGroup):
-        return G, (lambda x: x), (lambda i: i)
-    if isinstance(G, PermGroup):
-        T = TableGroup.from_permgroup(G)
-        return T, T.index.__getitem__, T.names.__getitem__
-    raise PreconditionError("expected a PermGroup or a TableGroup")
+    """(TableGroup, to_index, from_index) for the PermGroup G."""
+    T = TableGroup.from_permgroup(G)
+    return T, T.index.__getitem__, T.names.__getitem__
 
 
 class SurjectionProblem:
@@ -84,7 +79,7 @@ def _generated_by_some(T, d):
 def min_generators(G) -> int:
     """The least d such that G has a generating d-tuple, refused before
     walking a length d whose |G|^d tuples exceed _COUNT_LIMIT."""
-    T, _, _ = _as_table(G)
+    T = TableGroup.from_permgroup(G)
     d = 0
     while True:
         if T.n**d > _COUNT_LIMIT:

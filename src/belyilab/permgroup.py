@@ -321,9 +321,6 @@ class PermGroup:
         self.degree = n
         self.generators = generators
         self.order = _schreier_sims_order(generators, n)
-        self._sorted_elements = None
-        self._classes = None
-        self._class_index = None
 
     @cached_property
     def _elt_map(self):
@@ -340,11 +337,9 @@ class PermGroup:
             )
         return elts
 
-    @property
+    @cached_property
     def elements(self):
-        if self._sorted_elements is None:
-            self._sorted_elements = sorted(self._elt_map.values())
-        return self._sorted_elements
+        return sorted(self._elt_map.values())
 
     def __contains__(self, p):
         return isinstance(p, Permutation) and p.imgs in self._elt_map
@@ -369,18 +364,16 @@ class PermGroup:
         class the representative is the minimal element, and classes are
         ordered identity first, then by representative.
         """
-        if self._classes is None:
-            self._compute_classes()
-        return self._classes
+        return self._conjugacy[0]
 
     def class_index(self):
         """{image tuple: index of its class in conjugacy_classes order} for
         every element."""
-        if self._class_index is None:
-            self._compute_classes()
-        return self._class_index
+        return self._conjugacy[1]
 
-    def _compute_classes(self):
+    @cached_property
+    def _conjugacy(self):
+        """(conjugacy_classes, class_index), built on first use."""
         pairs = [(g.imgs, g.inverse().imgs) for g in self.generators]
 
         def conjugate(p, pair):
@@ -397,10 +390,8 @@ class PermGroup:
             orbits.append((self._elt_map[min(cls)], cls))
         # identity class first, then by representative
         orbits.sort(key=lambda ro: (not ro[0].is_identity(), ro[0].imgs))
-        self._classes = [(rep, len(cls)) for rep, cls in orbits]
-        self._class_index = {
-            imgs: ci for ci, (_, cls) in enumerate(orbits) for imgs in cls
-        }
+        classes = [(rep, len(cls)) for rep, cls in orbits]
+        return classes, {imgs: ci for ci, (_, cls) in enumerate(orbits) for imgs in cls}
 
     @cached_property
     def power_table(self):

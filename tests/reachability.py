@@ -45,12 +45,6 @@ ALLOWLIST = {
     "snf.solve_from_snf": "called only by snf.solve_integer",
     # used by tests only, until a ROADMAP item puts it to use or removes it
     "relmod.rewrite": "test-only (ROADMAP item 12)",
-    "cyclotomic.Cyclotomic.__neg__": "test-only (ROADMAP item 2)",
-    "cyclotomic.Cyclotomic.__sub__": "test-only (ROADMAP item 2)",
-    "cyclotomic.Cyclotomic.__rsub__": "test-only (ROADMAP item 2)",
-    "cyclotomic.Cyclotomic.__hash__": "test-only (ROADMAP item 2)",
-    "cohomology.Cocycle2.__call__": "test-only (the tests/slow_paths.py oracle)",
-    "cohomology.Cocycle2.__eq__": "test-only (the tests/slow_paths.py oracle)",
     # reached only when the library itself is at fault
     "gaschuetz.SurjectionProblem.d": "error path",
     # debugging aids

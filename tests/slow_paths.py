@@ -369,7 +369,7 @@ def mult(E, a, b):
     in the extension E, computed on module tuples."""
     (h1, m1), (h2, m2) = a, b
     M = E.module
-    return (M.T.table[h1][h2], M.add(M.add(m1, M.apply(h1, m2)), E.beta(h1, h2)))
+    return (M.T.table[h1][h2], M.add(M.add(m1, M.apply(h1, m2)), E.beta.table[h1][h2]))
 
 
 def table_from_elements(elements, identity, mult):

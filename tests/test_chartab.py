@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from belyilab.chartab import (
     character_table,
     perm_character,
 )
+from belyilab.corpus import _table_groups
 from belyilab.cyclotomic import Cyclotomic
 from belyilab.errors import PreconditionError
 from belyilab.permgroup import (
@@ -80,8 +82,21 @@ class TestTableStructure:
         tab = character_table(cyclic_group(3))
         assert tab.degrees == [1, 1, 1]
         z3 = zeta(3)
-        vals = {tab.rows[i][1] for i in range(3)}
-        assert vals == {Cyclotomic.from_rational(1, 3), z3, z3 * z3}
+        vals = {tab.rows[i][1].coords for i in range(3)}
+        assert vals == {v.coords for v in (Cyclotomic.from_rational(1, 3), z3, z3 * z3)}
+
+    def test_inverse_class_is_the_last_power(self):
+        # rep^(o-1) = rep^-1 for rep of order o: the power table's last
+        # column against a class lookup of each inverse, on the criterion-9
+        # groups, S5 and S6 and on copies with their points relabelled
+        rng = random.Random(1)
+        for G in _table_groups() + [symmetric_group(5), symmetric_group(6)]:
+            n = G.degree
+            pi = Permutation(rng.sample(range(1, n + 1), n))
+            relabelled = PermGroup([pi.inverse() * g * pi for g in G.generators])
+            for H in (G, relabelled):
+                tab = CharacterTable(H)
+                assert tab.inverse_class == [tab.class_of(rep.inverse()) for rep, _ in tab.classes]
 
     def test_s3_degrees(self):
         tab = character_table(symmetric_group(3))
@@ -112,7 +127,7 @@ class TestTableStructure:
                         # conj(chi(g_k)) = chi(g_k^-1)
                         acc = acc + tab.rows[i][j] * tab.rows[i][tab.inverse_class[k]]
                     expect = G.order // tab.classes[j][1] if j == k else 0
-                    assert acc == expect
+                    assert acc == Cyclotomic.from_rational(expect, tab.exponent)
 
     def test_abelian_all_linear(self):
         for n in range(1, 13):
@@ -306,16 +321,31 @@ class TestDixonChecks:
         with pytest.raises(TableError, match="eigenvalue multiplicity \\d+ exceeds degree 1"):
             CharacterTable(G)
 
-    def test_a_swapped_power_fails_orthogonality(self, monkeypatch):
+    def test_a_swapped_power_fails_degree_recovery(self, monkeypatch):
         # A4, rep and rep^2 of a 3-cycle's class, which lie in the two
-        # classes of 3-cycles: every multiplicity is still a count, so the
-        # lift goes through, but the rows it gives are not orthogonal and
-        # the inner product's integer check fires
+        # classes of 3-cycles: the inverse class is the last power's, so
+        # the class reads as its own inverse and the degrees that Dixon's
+        # norms give are wrong
         G = alternating_group(4)
         ci = next(c for c, row in enumerate(G.power_table) if len(row) == 3)
         monkeypatch.setattr(G, "power_table", swapped_powers(G.power_table, [((ci, 1), (ci, 2))]))
-        with pytest.raises(TableError, match="/ 12 is not an integer"):
+        with pytest.raises(TableError, match="degree is not recoverable"):
             CharacterTable(G)
+
+    def test_rows_that_are_not_orthonormal_fail_validation(self):
+        # A4's rows with the trivial row repeated, then with the trivial
+        # row off by one at the class of (1 2)(3 4): over the classes of
+        # sizes 1, 4, 4 and 3 its norm is (1 + 4 + 4 + 3 * 4) / 12
+        tab = CharacterTable(alternating_group(4))
+        rows = tab.rows
+        tab.rows = [rows[0], rows[0]] + rows[2:]
+        with pytest.raises(TableError, match="row orthogonality fails at \\(0, 1\\)"):
+            tab._validate()
+        ci = tab.class_of(perm(4, (1, 2), (3, 4)))
+        one = Cyclotomic.from_rational(1, tab.exponent)
+        tab.rows = [[v + one if j == ci else v for j, v in enumerate(rows[0])]] + rows[1:]
+        with pytest.raises(TableError, match="21 / 12 is not an integer"):
+            tab._validate()
 
     def test_a_swapped_power_fails_the_fixed_space_mean(self, monkeypatch):
         # fixed_space_dim averages a row over all powers of g, so a swap

@@ -192,6 +192,13 @@ class TestChartab:
         assert code == 0
         assert "-1" in out
 
+    def test_z3_text_prints_irrational_values(self, capsys, tmp_path):
+        # the characters of Z/3 take the values z3 and z3^2 = -1 - z3
+        path = write_json(tmp_path, "z3.json", {"generators": [[2, 3, 1]]})
+        code, out = run(capsys, ["chartab", "--group", path])
+        assert code == 0
+        assert "1*z3^1" in out and "-1 + -1*z3^1" in out
+
     def test_bad_group(self, capsys, tmp_path):
         path = write_json(tmp_path, "g.json", {"generators": []})
         code, _ = run(capsys, ["chartab", "--group", path])
@@ -680,6 +687,16 @@ def _run_files(argv, docs):
     return code, err
 
 
+# files that json.load refuses without a JSONDecodeError: bytes that are
+# not UTF-8, an integer past Python's digit limit for int(), and nesting
+# past the recursion limit
+MALFORMED_FILES = {
+    "not_utf8": b"\377",
+    "long_integer": b"1" * 5000,
+    "deep_nesting": b"[" * 100000 + b"]" * 100000,
+}
+
+
 def _assert_clean(code, err):
     assert code in (0, 1), err
     assert "Traceback" not in err and "internal error" not in err
@@ -728,6 +745,36 @@ class TestMalformedInput:
         code = main(["cohomology", "--module", path])
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("data", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+    def test_unreadable_json(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code = main(["--json", "analyze", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: malformed JSON in %s: " % path)
+
+    @pytest.mark.parametrize("data", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+    def test_unreadable_json_in_a_process(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        proc = cli_process(
+            ["--json", "analyze", "--input", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        out, err = proc.communicate()
+        assert proc.returncode == 1 and out == ""
+        assert err.startswith("error: malformed JSON in ")
+
+    def test_truncated_json_names_line_and_column(self, capsys, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"x": [2, 1],\n "y": ')
+        code = main(["analyze", "--input", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: malformed JSON in %s at line 2 column 7\n" % path
 
     def test_bug_exits_2_with_traceback(self, capsys, cubic, monkeypatch):
         def broken(cover):

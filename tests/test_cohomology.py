@@ -202,7 +202,7 @@ class TestExtensionClass:
     def test_split_extension_zero_cocycle(self):
         M = FiniteHModule.trivial(cyclic_group(2), (2,))
         E = build_extension(M, Cocycle2.zero(M))
-        assert extension_class(E) == Cocycle2.zero(M)
+        assert extension_class(E).table == Cocycle2.zero(M).table
 
     def test_section_independence(self):
         M, beta = self.z4_over_z2()
@@ -489,7 +489,7 @@ class TestTrustedCocycles:
             made += [a + b for a in reps for b in data.basis]
             made += [apply_aut(g, r) for g in aut_h(M) for r in reps]
             for r in made:
-                assert Cocycle2(M, r.table) == r
+                assert Cocycle2(M, r.table).table == r.table
 
     def test_class_of_a_bumped_table_is_an_internal_error(self):
         # one value of a trusted table bumped so that a cocycle identity

@@ -298,7 +298,7 @@ def test_branch_point_relabeling_invariance(relabel):
         rows = sorted((r["degree"], r["n_V"], r["m_V"]) for r in rep.rows)
         return genus(cover), rep.closure.D.order, rep.verdict, rows
 
-    covers = list(fixture_covers().values()) + random_covers(count=40)
+    covers = list(fixture_covers().values()) + random_covers()[:40]
     for cover in covers:
         assert invariants(BelyiCover(*relabel(cover))) == invariants(cover)
 

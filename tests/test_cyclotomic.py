@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,62 +20,52 @@ def zeta(N, k=1):
     return Cyclotomic(N, fold(N, [(k, 1)]))
 
 
+def rat(r, N):
+    return Cyclotomic.from_rational(r, N)
+
+
 class TestBasics:
     def test_root_of_unity_order(self):
         for N in (1, 2, 3, 4, 5, 6, 8, 12):
             z = zeta(N)
-            p = Cyclotomic.from_rational(1, N)
+            p = rat(1, N)
             for _ in range(N):
                 p = p * z
-            assert p == 1
+            assert p == rat(1, N)
 
     def test_primitive_root_relation(self):
         # 1 + z3 + z3^2 = 0
-        assert 1 + zeta(3) + zeta(3, 2) == 0
+        assert rat(1, 3) + zeta(3) + zeta(3, 2) == Cyclotomic.zero(3)
         # z4^2 = -1
-        assert zeta(4) * zeta(4) == Cyclotomic.from_rational(-1, 4)
+        assert zeta(4) * zeta(4) == rat(-1, 4)
 
     def test_conductor_mismatch(self):
+        # values of different conductors are neither added, multiplied nor
+        # compared
         with pytest.raises(ValueError):
             zeta(3) + zeta(4)
+        with pytest.raises(ValueError):
+            zeta(3) * zeta(6)
+        with pytest.raises(ValueError):
+            rat(1, 4) == rat(1, 1)
 
     def test_rational_detection(self):
-        r = Cyclotomic.from_rational(Fraction(2, 3), 5)
-        assert r.is_rational() and r == Fraction(2, 3)
+        r = rat(Fraction(2, 3), 5)
+        assert r.is_rational() and r.coords[0] == Fraction(2, 3)
         assert not zeta(5).is_rational()
-        assert zeta(5) != zeta(5).coords[0]
-
-    def test_equal_values_hash_equal(self):
-        # a rational value equals its int or Fraction, so it must find the
-        # dict entry keyed by it
-        assert {1: "x"}.get(Cyclotomic.from_rational(1, 5)) == "x"
-        assert {Fraction(-2, 3): "y"}.get(Cyclotomic.from_rational(Fraction(-2, 3), 7)) == "y"
-        assert {Cyclotomic.from_rational(1, 5): "z"}.get(1) == "z"
-        assert hash(zeta(5) * zeta(5, 4)) == hash(1)
-        assert {zeta(5): "w"}.get(zeta(5, 6)) == "w"
-
-    def test_rational_values_equal_across_conductors(self):
-        # equality is transitive: a rational value equals its Fraction at
-        # any conductor, so a set holds one entry whatever the insertion order
-        values = (Cyclotomic.from_rational(1, 5), Cyclotomic.from_rational(1, 3), 1)
-        for order in itertools.permutations(values):
-            assert len(set(order)) == 1
-        half = Fraction(1, 2)
-        assert Cyclotomic.from_rational(half, 4) == Cyclotomic.from_rational(half, 1)
-        assert Cyclotomic.from_rational(1, 4) != Cyclotomic.from_rational(2, 1)
-        assert zeta(5) != Cyclotomic.from_rational(1, 3)
+        assert zeta(5) != Cyclotomic.zero(5)
 
     def test_conjugation(self):
         z = zeta(5)
         assert galois(z, 4) == zeta(5, 4)
-        assert (z * galois(z, 4)) == 1
+        assert (z * galois(z, 4)) == rat(1, 5)
         # z + conj(z) is fixed by conjugation (real)
         s = z + galois(z, 4)
         assert galois(s, 4) == s
 
     def test_text_forms(self):
-        assert str(Cyclotomic.from_rational(Fraction(-2, 3), 5)) == "-2/3"
-        assert str(1 - 2 * zeta(3)) == "1 + -2*z3^1"
+        assert str(rat(Fraction(-2, 3), 5)) == "-2/3"
+        assert str(rat(1, 3) + -2 * zeta(3)) == "1 + -2*z3^1"
         assert str(zeta(3, 2)) == "-1 + -1*z3^1"
         assert repr(zeta(3)) == "Cyclotomic(1*z3^1)"
         assert repr(Cyclotomic.zero(4)) == "Cyclotomic(0)"
@@ -96,7 +85,7 @@ class TestGalois:
 
     def test_galois_is_additive_multiplicative(self):
         a = zeta(5) + 2 * zeta(5, 2)
-        b = zeta(5, 3) - 1
+        b = zeta(5, 3) + rat(-1, 5)
         assert galois(a + b, 2) == galois(a, 2) + galois(b, 2)
         assert galois(a * b, 2) == galois(a, 2) * galois(b, 2)
 

@@ -94,13 +94,13 @@ def test_inverse_matches_scan(M, beta, E):
 
 @pytest.mark.parametrize("M, beta, E", EXTENSIONS)
 def test_extension_class_matches_elementwise(M, beta, E):
-    assert extension_class(E) == oracle_extension_class(E, E.section())
+    assert extension_class(E).table == oracle_extension_class(E, E.section()).table
     # a section shifted off the zero fiber by a cochain with c(1) = 0
     shifted = [
         (i, tuple((i + r) % m for r, m in enumerate(M.shape)) if i else M.zero())
         for i in range(M.H.order)
     ]
-    assert extension_class(E, shifted) == oracle_extension_class(E, shifted)
+    assert extension_class(E, shifted).table == oracle_extension_class(E, shifted).table
 
 
 @pytest.mark.parametrize("M, beta, E", EXTENSIONS)

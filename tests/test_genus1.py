@@ -56,8 +56,8 @@ def j_parts(z):
     """(numerator, denominator) of j/256 at z: ((z^2-z+1)^3, z^2 (z-1)^2),
     in the cyclotomic field (the oracle for j_invariant_degree)."""
     one = Cyclotomic.from_rational(1, z.conductor)
-    num = cyclotomic_power(z * z - z + one, 3)
-    den = (z * z) * cyclotomic_power(z - one, 2)
+    num = cyclotomic_power(z * z + -1 * z + one, 3)
+    den = (z * z) * cyclotomic_power(z + -1 * one, 2)
     return num, den
 
 

@@ -277,6 +277,19 @@ class TestConjugacy:
     def test_cyclic6_six_classes(self):
         assert len(cyclic_group(6).conjugacy_classes()) == 6
 
+    def test_class_index_first_matches_classes_first(self):
+        # one memo holds the classes and the class index, filled by
+        # whichever is asked for first; building the group fills none
+        for make in (lambda: symmetric_group(4), lambda: alternating_group(5)):
+            G, H = make(), make()
+            assert "_elt_map" not in vars(G) and "_conjugacy" not in vars(G)
+            index = G.class_index()
+            classes = H.conjugacy_classes()
+            assert index == H.class_index()
+            assert [(rep.imgs, size) for rep, size in classes] == [
+                (rep.imgs, size) for rep, size in G.conjugacy_classes()
+            ]
+
     def test_power_map_consistency(self):
         G = symmetric_group(4)
         for ci, (rep, _) in enumerate(G.conjugacy_classes()):

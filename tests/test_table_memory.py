@@ -14,6 +14,7 @@ import weakref
 import pytest
 
 from belyilab.chartab import character_table, perm_character
+from belyilab.cyclotomic import Cyclotomic
 from belyilab.cli import _table_json
 from belyilab.cover import BelyiCover
 from belyilab.descent import descent_report
@@ -30,7 +31,8 @@ def answers(tab, G):
     fixed = [[tab.fixed_space_dim(i, g) for g in G.elements] for i in range(tab.nclasses())]
     pc = perm_character(G, tab)
     values = [
-        sum(row[j] * m for row, m in zip(tab.rows, pc.mults)) for j in range(tab.nclasses())
+        sum((row[j] * m for row, m in zip(tab.rows, pc.mults)), Cyclotomic.zero(tab.exponent))
+        for j in range(tab.nclasses())
     ]
     sub = generate([Permutation.from_cycles(5, [(1, 2), (3, 4)])])
     return fixed, tab.decompose(values), pc.restrict(character_table(sub)).mults
