@@ -5,7 +5,9 @@ p = 1 (mod exponent) and p large enough to recover degrees and eigenvalue
 multiplicities as honest integers; values are then lifted to exact
 Cyclotomic numbers at the group exponent's conductor through a fixed
 primitive root of unity in F_p.  Every table is validated against row
-orthogonality and the degree sum before it is returned.
+orthogonality and the degree sum before it is returned.  The F_p linear
+algebra is snf's; this module builds the class sums, drives the
+eigenspace split, lifts the values and orders the rows.
 
 A table keeps its group's class data (order, classes, class index and
 power table), not the group, so it stays usable once the group is gone and
@@ -20,6 +22,14 @@ from math import isqrt, lcm
 from .cyclotomic import Cyclotomic, fold, prime_1_mod, root_of_unity_mod
 from .errors import InternalError, PreconditionError
 from .permgroup import Permutation, PermGroup
+from .snf import (
+    charpoly_mod,
+    echelon_mod,
+    identity_matrix,
+    mat_mul_mod,
+    mat_vec_mod,
+    nullspace_mod,
+)
 
 
 class TableError(InternalError):
@@ -35,62 +45,6 @@ _SCALE_LIMIT = 2000
 # 0.65-1.1 s.
 _CLASS_LIMIT = 40
 _LIFT_LIMIT = 150_000
-
-
-def _row_reduce_mod(A, ncols, p):
-    """Bring the rows of A (entries in 0..p-1) to reduced row echelon form
-    over F_p in its first ncols columns, in place; returns the pivot
-    columns, the i-th pivot belonging to row i."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], p - 2, p)
-        A[r] = [(x * inv) % p for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _nullspace_mod(M, p):
-    """Basis of the right nullspace of M over F_p (rows of the result)."""
-    cols = len(M[0]) if M else 0
-    A = [[x % p for x in row] for row in M]
-    pivots = _row_reduce_mod(A, cols, p)
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        v = [0] * cols
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-A[ri][fc]) % p
-        basis.append(v)
-    return basis
-
-
-def _charpoly_mod(R, p):
-    """Characteristic polynomial coefficients [1, c1, ..., cn] mod p
-    (Faddeev-LeVerrier; requires p > n)."""
-    n = len(R)
-    coeffs = [1]
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        RM = [[sum(R[i][t] * M[t][j] for t in range(n)) % p for j in range(n)] for i in range(n)]
-        tr = sum(RM[i][i] for i in range(n)) % p
-        ck = (-tr * pow(k, p - 2, p)) % p
-        coeffs.append(ck)
-        for i in range(n):
-            RM[i][i] = (RM[i][i] + ck) % p
-        M = RM
-    return coeffs
 
 
 def _poly_roots_mod(coeffs, p):
@@ -167,7 +121,8 @@ class CharacterTable:
             mats.append(M)
 
         # split the r-dimensional space into common eigenlines
-        spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
+        moduli = [p] * r
+        spaces = [identity_matrix(r)]
         # spaces: list of subspace bases; each basis is a list of vectors
         for M in mats[1:]:
             if all(len(B) == 1 for B in spaces):
@@ -180,24 +135,20 @@ class CharacterTable:
                 dim = len(B)
                 # restriction of M to span(B): reducing [B | M*B], vectors as
                 # columns, leaves M*B[t] in B-coordinates in column dim + t
-                MB = [[sum(M[j][k] * v[k] for k in range(r)) % p for j in range(r)] for v in B]
+                MB = [mat_vec_mod(M, v, moduli) for v in B]
                 A = [list(row) for row in zip(*B, *MB)]
-                if _row_reduce_mod(A, dim, p) != list(range(dim)):
+                if echelon_mod(A, dim, p) != list(range(dim)):
                     raise TableError("eigenspace basis is not independent")
                 R = [row[dim:] for row in A[:dim]]
                 total = 0
-                for lam in _poly_roots_mod(_charpoly_mod(R, p), p):
+                for lam in _poly_roots_mod(charpoly_mod(R, p), p):
                     shifted = [row[:] for row in R]
                     for i in range(dim):
-                        shifted[i][i] = (shifted[i][i] - lam) % p
-                    null = _nullspace_mod(shifted, p)
+                        shifted[i][i] -= lam
+                    null = nullspace_mod(shifted, p)
                     if not null:
                         continue
-                    vecs = [
-                        [sum(c[t] * B[t][k] for t in range(dim)) % p for k in range(r)]
-                        for c in null
-                    ]
-                    new_spaces.append(vecs)
+                    new_spaces.append(mat_mul_mod(null, B, moduli))
                     total += len(null)
                 if total != dim:
                     raise TableError("class-sum matrix failed to diagonalize")
@@ -217,9 +168,7 @@ class CharacterTable:
             inv0 = pow(vec[0], p - 2, p)
             v = [(x * inv0) % p for x in vec]
             # degree from the second orthogonality sum
-            t = 0
-            for j in range(r):
-                t = (t + v[j] * v[self.inverse_class[j]] * pow(sizes[j], p - 2, p)) % p
+            t = sum(v[j] * v[self.inverse_class[j]] * pow(sizes[j], p - 2, p) for j in range(r)) % p
             if t == 0:
                 raise TableError("degenerate norm sum")
             dsq = (order_mod * pow(t, p - 2, p)) % p

@@ -1,5 +1,6 @@
 """Second cohomology of a finite group with coefficients in a finite
-abelian module, by integer linear algebra.
+abelian module, by the integer linear algebra of snf: this module chooses
+the congruences and the moduli.
 
 H is indexed by position in its Cayley table (TableGroup.from_permgroup):
 position i is H.elements[i], and the identity is 0.  A module is
@@ -14,15 +15,13 @@ Hom_H(R-bar, M) modulo the restrictions of the derivations F -> M.  A
 homomorphism is its values on the rank = |H|(d-1)+1 Schreier generators,
 rank * k integers, and H-equivariance at T.gens (the g where it holds are
 closed under products) is a set of congruences, so Hom_H lifts to a
-finite-index lattice L in Z^(rank*k), the cocycle lattice.
-_congruence_lattice builds a basis B of L from the identity by column
-operations on sparse rows and records them; undoing them in order gives
-B^-1 x exactly, or None when x is outside L.  So the derivations D(x_i) =
-e_c and the moduli come into B-coordinates as Y = B^-1 [D | diag(moduli)]
-with no factorization of B, and U Y V = diag(d): row i of U gives class
-coordinate i, and basis class i is B Y V e_i / d_i (column i of U^-1,
-which is never formed).  A cocycle and a homomorphism correspond through
-the extension they define (_restriction, _pushed_cocycle).
+finite-index lattice L in Z^(rank*k), the cocycle lattice, with basis B
+(snf.congruence_lattice).  The derivations D(x_i) = e_c and the moduli
+come into B-coordinates as Y = B^-1 [D | diag(moduli)], and U Y V =
+diag(d): row i of U gives class coordinate i, and basis class i is
+B Y V e_i / d_i (column i of U^-1, which is never formed).  A cocycle and
+a homomorphism correspond through the extension they define
+(_restriction, _pushed_cocycle).
 
 extend_automorphism finds the 1-cochain by which an automorphism of the
 module extends with its own factorization, on normalized cochains (n2 =
@@ -36,13 +35,13 @@ rows agree modulo L, which the diagonal decides entry by entry.
 End_H(M) is Hom_H(M, M), a lattice too: a k x k matrix X, entry (r, c)
 at c*k + r, is an endomorphism when m_c X[r][c] = 0 mod m_r (_map_steps)
 and _equivariance_rows holds with the columns of H's generator matrices
-as the source action.  Its basis from _congruence_lattice spans m_r times
-every unit matrix of row r, so |End_H| is the product of the k^2 row
-moduli over the lattice's index, the product of its recorded scalings.
-aut_h counts End_H before it enumerates it from the basis and keeps the
-units: Aut_H(M).  A well-defined X is bijective when its kernel lattice
-{x : X x = 0 mod m_r in row r}, which contains m_1 Z + ... + m_k Z, has
-index |M|, read off one more _congruence_lattice with no element of M.
+as the source action.  Its lattice basis spans m_r times every unit
+matrix of row r, so |End_H| is the product of the k^2 row moduli over
+the lattice's index (snf.lattice_index).  aut_h counts End_H before it
+enumerates it from the basis and keeps the units: Aut_H(M).  A
+well-defined X is bijective when its kernel lattice {x : X x = 0 mod m_r
+in row r}, which contains m_1 Z + ... + m_k Z, has index |M|, read off
+one more congruence lattice with no element of M.
 """
 
 from __future__ import annotations
@@ -50,12 +49,21 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import mul
 
 from .errors import InternalError, PreconditionError
 from .groups import TABLE_LIMIT, SchreierTree, TableGroup, preserves_products
 from .permgroup import labels, orbit
-from .snf import identity_matrix, mat_vec, smith_normal_form, solve_mod_from_snf
+from .snf import (
+    congruence_lattice,
+    identity_matrix,
+    lattice_coordinates,
+    lattice_index,
+    mat_mul_mod,
+    mat_vec,
+    mat_vec_mod,
+    smith_normal_form,
+    solve_mod_from_snf,
+)
 
 # The two bounds of this module, timed on a 2-core x86-64 VM, CPython 3.11.
 # _RELATION_LIMIT bounds rank * k, the unknowns of h2 and the side of the
@@ -69,15 +77,6 @@ from .snf import identity_matrix, mat_vec, smith_normal_form, solve_mod_from_snf
 # those checks grows with n2 * |End_H| and with |H|^2 * |M|.
 _RELATION_LIMIT = 512
 _LATTICE_LIMIT = 256
-
-
-def _mat_apply(mat, m, shape):
-    return tuple(sum(map(mul, row, m)) % mod for row, mod in zip(mat, shape))
-
-
-def _mat_mul_mod(A, B, shape):
-    cols = tuple(zip(*B))
-    return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row, m in zip(A, shape))
 
 
 def _map_steps(shape):
@@ -138,7 +137,7 @@ class FiniteHModule:
         # generate H, so checking s in T.gens is exact.
         for s in T.gens:
             for g in range(T.n):
-                if _mat_mul_mod(norm[g], norm[s], self.shape) != norm[T.table[g][s]]:
+                if mat_mul_mod(norm[g], norm[s], self.shape) != norm[T.table[g][s]]:
                     raise PreconditionError("action is not a homomorphism")
 
     @classmethod
@@ -152,7 +151,7 @@ class FiniteHModule:
             raise PreconditionError("one matrix per generator is required")
         T = _checked_table(H, shape)
         gens = [T.index[g] for g in H.generators]
-        step = lambda a, _, i: _mat_mul_mod(a, gen_mats[i], shape)
+        step = lambda a, _, i: mat_mul_mod(a, gen_mats[i], shape)
         action = labels(orbit(0, gens, T.mult), identity_matrix(len(shape)), step)
         return cls(H, shape, [action[h] for h in range(T.n)])
 
@@ -185,7 +184,7 @@ class FiniteHModule:
 
     def apply(self, g, m):
         """The action of the element at position g on m."""
-        return _mat_apply(self.action[g], m, self.shape)
+        return mat_vec_mod(self.action[g], m, self.shape)
 
     def elements(self):
         return list(itertools.product(*map(range, self.shape)))
@@ -208,7 +207,7 @@ def _is_cocycle(M, table):
         for h1, row1 in enumerate(table):
             A, th1 = acts[h1], t[h1]
             for h2, v in enumerate(col):
-                Av = v if A is None else [sum(map(mul, row, v)) for row in A]
+                Av = v if A is None else mat_vec_mod(A, v, shape)
                 a, b, c = col[th1[h2]], row1[times_g[h2]], row1[h2]
                 for x, y, z, w, m in zip(Av, a, b, c, shape):
                     if (x - y + z - w) % m:
@@ -268,7 +267,7 @@ def apply_aut(gamma, beta: Cocycle2) -> Cocycle2:
     M = beta.module
     _check_automorphism(M, gamma)
     return Cocycle2._trusted(
-        M, [[_mat_apply(gamma, val, M.shape) for val in row] for row in beta.table]
+        M, [[mat_vec_mod(gamma, val, M.shape) for val in row] for row in beta.table]
     )
 
 
@@ -331,105 +330,6 @@ def _coboundary_map(M):
                     row[(ij - 1) * k + r] -= 1
                 row[(i - 1) * k + r] += 1
     return D
-
-
-def _congruence_lattice(n, rows):
-    """(B, ops): an n x n matrix B whose columns are a basis of
-    L = {x in Z^n : row . x = 0 mod m for each (row, m)}, and the column
-    operations that build B from the identity, in order.
-
-    Maintains a basis of the running lattice and intersects with one
-    congruence at a time by integer column operations.  B is kept as one
-    dict of nonzero entries per row, with the set of rows nonzero in each
-    column: a congruence's values on the basis add up only the nonzero
-    entries of the rows it touches, and a column operation reaches only
-    the rows nonzero in the pivot column.  ops holds (j0, j, q) for
-    col_j -= q * col_j0 and (j0, None, t) for col_j0 *= t, with
-    t = m / gcd(w, m) > 1, so det B, the product of the t, is nonzero;
-    _lattice_coordinates undoes them.  B is returned dense.
-    """
-    Brows = [{i: 1} for i in range(n)]
-    support = [{i} for i in range(n)]
-    ops = []
-    for row, m in rows:
-        w = {}
-        for v, coeff in row.items():
-            for j, b in Brows[v].items():
-                w[j] = w.get(j, 0) + coeff * b
-        if all(x % m == 0 for x in w.values()):
-            continue
-        # column-reduce w to a single nonzero entry, mirroring the
-        # operations on the basis columns
-        while True:
-            nz = sorted(j for j, x in w.items() if x)
-            if len(nz) <= 1:
-                break
-            j0 = min(nz, key=lambda j: abs(w[j]))
-            p, rows0 = w[j0], support[j0]
-            for j in nz:
-                if j == j0:
-                    continue
-                q = w[j] // p
-                if q:
-                    w[j] -= q * p
-                    col = support[j]
-                    for r in rows0:
-                        R = Brows[r]
-                        x = R.get(j, 0) - q * R[j0]
-                        if x:
-                            R[j] = x
-                            col.add(r)
-                        else:
-                            del R[j]
-                            col.discard(r)
-                    ops.append((j0, j, q))
-        # the operations keep the gcd of w, so one entry is left
-        (j0,) = nz
-        t = m // gcd(w[j0], m)
-        for r in support[j0]:
-            Brows[r][j0] *= t
-        ops.append((j0, None, t))
-    return _dense(Brows, n), ops
-
-
-def _dense(rows, width):
-    """Lists of length width from dicts of their nonzero entries."""
-    out = []
-    for R in rows:
-        row = [0] * width
-        for j, x in R.items():
-            row[j] = x
-        out.append(row)
-    return out
-
-
-def _lattice_coordinates(ops, X):
-    """B^-1 X for (B, ops) = _congruence_lattice(...), or None when a
-    column of X is outside L.
-
-    B is the identity times the operations in ops, so B^-1 X undoes them
-    in the same order on the rows of X: col_j -= q * col_j0 becomes
-    row_j0 += q * row_j, and col_j0 *= t becomes row_j0 /= t.  Each
-    intermediate basis spans a lattice containing L, so every division is
-    exact on a column in L; if all are exact the result Z is integral with
-    B Z = X, so a column outside L fails one.  The rows are kept as dicts
-    of their nonzero entries, so a row operation adds only those of row_j.
-    """
-    Z = [{c: a for c, a in enumerate(row) if a} for row in X]
-    for j0, j, q in ops:
-        r = Z[j0]
-        if j is not None:
-            for c, b in Z[j].items():
-                x = r.get(c, 0) + q * b
-                if x:
-                    r[c] = x
-                else:
-                    del r[c]
-        elif any(a % q for a in r.values()):
-            return None
-        else:
-            Z[j0] = {c: a // q for c, a in r.items()}
-    return _dense(Z, len(X[0]) if X else 0)
 
 
 def _equivariance_rows(M, source):
@@ -506,9 +406,9 @@ def h2(M: FiniteHModule) -> H2Data:
 
     pres = SchreierTree(M.T, gens)
     rows = _equivariance_rows(M, {g: pres.conjugation(g) for g in gens})
-    B, ops = _congruence_lattice(dim, rows)
+    B, ops = congruence_lattice(dim, rows)
     # the restricted derivations and the moduli, in lattice coordinates
-    Ymat = _lattice_coordinates(ops, _relation_system(M, pres))
+    Ymat = lattice_coordinates(ops, _relation_system(M, pres))
     if Ymat is None:
         raise InternalError("coboundary escapes the cocycle lattice")
     diag, U2, V2 = smith_normal_form(Ymat)
@@ -525,7 +425,7 @@ def h2(M: FiniteHModule) -> H2Data:
         # f_beta reads beta at the generator columns only
         y = None
         if _is_cocycle(M, beta.table):
-            y = _lattice_coordinates(ops, [[x] for x in _restriction(M, pres, beta.table)])
+            y = lattice_coordinates(ops, [[x] for x in _restriction(M, pres, beta.table)])
         if y is None:
             raise InternalError("valid cocycle is outside the cocycle lattice")
         z = mat_vec(U2, [x for x, in y])
@@ -538,9 +438,8 @@ def h2(M: FiniteHModule) -> H2Data:
         f = mat_vec(B, [v // d for v in mat_vec(Ymat, [row[pos_i] for row in V2])])
         basis.append(_internal_cocycle(M, _pushed_cocycle(M, pres, f), "basis cocycle"))
     data = H2Data(M, invariants, basis, class_fn)
-    for idx, b in enumerate(basis):
-        expect = tuple(1 if t == idx else 0 for t in range(len(keep)))
-        if data.class_of(b) != expect:
+    for b, unit in zip(basis, identity_matrix(len(keep))):
+        if data.class_of(b) != tuple(unit):
             raise InternalError("basis cocycle does not map to its unit class")
     return data
 
@@ -559,8 +458,8 @@ def aut_h(M: FiniteHModule):
     enumerated from a basis of its lattice once |End_H| <= 2^16."""
     k, kk = M.k, M.k**2
     moduli = M.shape * k
-    B, ops = _congruence_lattice(kk, _end_h_rows(M))
-    if prod(moduli) // prod(t for _, j, t in ops if j is None) > 2**16:
+    B, ops = congruence_lattice(kk, _end_h_rows(M))
+    if prod(moduli) // lattice_index(ops) > 2**16:
         raise PreconditionError("module too large for automorphism enumeration")
     gens = [tuple(row[j] % m for row, m in zip(B, moduli)) for j in range(kk)]
     gens = [g for g in gens if any(g)]
@@ -576,12 +475,9 @@ def aut_h(M: FiniteHModule):
 
 def _commutes(M, mat):
     """Whether mat commutes with every generator matrix of the H-action
-    (_mat_mul_mod reduces both products, so they compare as tuples)."""
-    shape = M.shape
-    return all(
-        _mat_mul_mod(mat, A, shape) == _mat_mul_mod(A, mat, shape)
-        for A in (M.action[g] for g in M.T.gens)
-    )
+    (mat_mul_mod reduces both products, so they compare as tuples)."""
+    acts, shape = [M.action[g] for g in M.T.gens], M.shape
+    return all(mat_mul_mod(mat, A, shape) == mat_mul_mod(A, mat, shape) for A in acts)
 
 
 def _is_bijective(M, mat):
@@ -589,8 +485,8 @@ def _is_bijective(M, mat):
     lattice {x : mat x = 0 mod m_r in row r} contains m_1 Z + ... + m_k Z
     and has index |M|/|ker| in Z^k, so mat is one iff the index is |M|."""
     rows = [({c: a for c, a in enumerate(row) if a}, m) for row, m in zip(mat, M.shape)]
-    _, ops = _congruence_lattice(M.k, rows)
-    return prod(t for _, j, t in ops if j is None) == M.size
+    _, ops = congruence_lattice(M.k, rows)
+    return lattice_index(ops) == M.size
 
 
 def _check_automorphism(M, gamma):
@@ -698,7 +594,7 @@ def _lifting_cochain(gamma, beta: Cocycle2):
     M = beta.module
     shape, k = M.shape, M.k
     delta = _flatten(
-        [[M.sub(_mat_apply(gamma, val, shape), val) for val in row] for row in beta.table]
+        [[M.sub(mat_vec_mod(gamma, val, shape), val) for val in row] for row in beta.table]
     )
     L, snf = M.coboundary_snf
     sol = solve_mod_from_snf(snf, [L // shape[v % k] * x for v, x in enumerate(delta)], L)
@@ -722,7 +618,7 @@ def extend_automorphism(gamma, E: ExtensionGroup):
         return None
 
     T = E.group
-    f = [T.index[(h, M.add(_mat_apply(gamma, m, M.shape), cochain[h]))] for h, m in T.names]
+    f = [T.index[(h, M.add(mat_vec_mod(gamma, m, M.shape), cochain[h]))] for h, m in T.names]
     if len(set(f)) != E.order:
         raise InternalError("extended map is not a bijection")
     if not preserves_products(f, T, T):

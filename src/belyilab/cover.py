@@ -57,7 +57,8 @@ class BelyiCover:
         """Cover from wire format {"degree": n, "x": [...], "y": [...]}.
 
         With "galois": true the generators are abstract and the cover is
-        normalized to the regular action of the group they generate.
+        normalized to the regular action of the group they generate;
+        "galois" must be a JSON boolean when present.
         """
         if not isinstance(data, dict):
             raise PreconditionError("cover JSON needs 'x' and 'y' image lists")
@@ -65,9 +66,10 @@ class BelyiCover:
         y = Permutation.from_json(data.get("y"))
         if x.degree != y.degree or data.get("degree", x.degree) != x.degree:
             raise PreconditionError("x, y and the declared degree disagree")
-        if data.get("galois"):
-            return cls.regular(x, y)
-        return cls(x, y)
+        galois = data.get("galois", False)
+        if not isinstance(galois, bool):
+            raise PreconditionError("'galois' must be true or false")
+        return cls.regular(x, y) if galois else cls(x, y)
 
     @classmethod
     def regular(cls, x, y):

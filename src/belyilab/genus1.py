@@ -22,6 +22,7 @@ from math import gcd
 from .cyclotomic import fold, phi_of, prime_1_mod, root_of_unity_mod
 from .errors import InternalError, PreconditionError
 from .permgroup import Permutation
+from .snf import mat_mul_mod, mat_vec_mod
 
 ADMISSIBLE_KUMMER = ((1, 1, 3), (2, 2, 3), (1, 2, 6), (5, 4, 6), (1, 1, 4), (3, 3, 4))
 
@@ -88,20 +89,10 @@ class CmModule:
         # companion matrix of x^2 + c1 x + c0, the minimal polynomial of zeta_d
         A = self.matrix = ((0, (-c0) % n), (1, (-c1) % n))
         # A^2 + c1 A + c0 I = 0 (mod n), entry by entry
-        if any(
-            (sum(A[i][k] * A[k][j] for k in range(2)) + c1 * A[i][j] + c0 * (i == j)) % n
-            for i in range(2)
-            for j in range(2)
-        ):
+        A2 = mat_mul_mod(A, A, (n, n))
+        if any((A2[i][j] + c1 * A[i][j] + c0 * (i == j)) % n for i in range(2) for j in range(2)):
             raise InternalError("companion matrix violates its minimal polynomial")
         self.stable_subgroups = self._stable_subgroups()
-
-    def _apply(self, v):
-        A = self.matrix
-        return (
-            (A[0][0] * v[0] + A[0][1] * v[1]) % self.n,
-            (A[1][0] * v[0] + A[1][1] * v[1]) % self.n,
-        )
 
     def _stable_subgroups(self):
         """Every subgroup of (Z/n)^2 is the span of (a, b) and (0, c) for
@@ -121,7 +112,7 @@ class CmModule:
                         for i in range(n // a)
                         for j in range(n // c)
                     }
-                    if all(self._apply(v) in S for v in S):
+                    if all(mat_vec_mod(self.matrix, v, (n, n)) in S for v in S):
                         stable.append(sorted(S))
         stable.sort(key=lambda S: (len(S), S))
         return stable

@@ -1,25 +1,25 @@
-"""Integer matrix utilities: Smith normal form with unimodular transforms
-and integer linear solving.
+"""The library's matrix algebra: the integer Smith normal form and the
+solves read off it, sparse congruence lattices, products modulo per-row
+moduli, and the F_p echelon, nullspace and characteristic polynomial.
+Matrices are lists (or tuples) of lists of ints, at most a few hundred
+rows; a `_mod` routine reduces modulo what it is given.
 
-Implemented in-house because we need the transform matrices to produce
-kernel bases, cocycle class coordinates, and explicit cochain solutions;
-library normal forms expose only the diagonal.  The row transform U and
-the column transform V suffice: where a caller needs a column of U^-1 it
-reads it off A*V, since U*A*V = diag(d).
-Matrices are lists of lists of Python ints, at most a few hundred rows.
-The systems cohomology factors are sparse with many unit entries, so the
-elimination skips zero work without changing a single step: the pivot
-is found in one scan of the rows that stops at the first row holding a
-unit, row operations add only the pivot row's nonzero entries, column
-operations touch only the rows of S and V that are nonzero in the pivot
-column, and a pivot 1 needs no divisibility scan.
-The right-hand sides extend_automorphism solves for are mostly a modulus
-times a unit vector, so mat_vec skips the zero entries of v.
+smith_normal_form returns both transforms; a caller needing a column of
+U^-1 reads it off A*V, since U*A*V = diag(d).  Its systems are sparse
+with many unit entries, so it skips zero work without changing a step:
+the pivot scan stops at the first row holding a unit, row and column
+operations touch only nonzero entries, and a pivot 1 needs no
+divisibility scan.  mat_vec skips the zero entries of v, as the
+right-hand sides are mostly a modulus times a unit vector.  The F_p
+routines are dense, for Dixon's r x r class-sum matrices (r <= 40), and
+invert with pow(a, -1, p): a pivot or divisor that is not a unit mod p
+raises ValueError instead of giving a wrong answer.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
+from operator import mul
 
 
 def identity_matrix(n):
@@ -29,6 +29,17 @@ def identity_matrix(n):
 def mat_vec(A, v):
     nz = [(j, x) for j, x in enumerate(v) if x]
     return [sum(row[j] * x for j, x in nz) for row in A]
+
+
+def mat_vec_mod(A, v, moduli):
+    """A v with entry i reduced modulo moduli[i], as a tuple."""
+    return tuple(sum(map(mul, row, v)) % m for row, m in zip(A, moduli))
+
+
+def mat_mul_mod(A, B, moduli):
+    """A B with row i reduced modulo moduli[i], as a tuple of tuples."""
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row, m in zip(A, moduli))
 
 
 def smith_normal_form(A):
@@ -121,23 +132,6 @@ def _pivot(S, t, n):
     return i, t + min(seg.index(u) for u in (a, -a) if u in seg)
 
 
-def solve_from_snf(snf, b):
-    """One integer solution x of A x = b, or None, given
-    snf = smith_normal_form(A)."""
-    diag, U, V = snf
-    y = mat_vec(U, b)
-    z = [0] * len(V)
-    for i, v in enumerate(y):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if v % d:
-                return None
-            z[i] = v // d
-        elif v:
-            return None
-    return mat_vec(V, z)
-
-
 def solve_mod_from_snf(snf, b, modulus):
     """One integer solution x of A x = b (mod modulus), or None, given
     snf = smith_normal_form(A).
@@ -160,4 +154,171 @@ def solve_mod_from_snf(snf, b, modulus):
 
 def solve_integer(A, b):
     """One integer solution x of A x = b, or None."""
-    return solve_from_snf(smith_normal_form(A), b)
+    diag, U, V = smith_normal_form(A)
+    z = [0] * len(V)
+    for i, v in enumerate(mat_vec(U, b)):
+        d = diag[i] if i < len(diag) else 0
+        if d:
+            if v % d:
+                return None
+            z[i] = v // d
+        elif v:
+            return None
+    return mat_vec(V, z)
+
+
+def congruence_lattice(n, rows):
+    """(B, ops): an n x n matrix B whose columns are a basis of
+    L = {x in Z^n : row . x = 0 mod m for each (row, m)}, each row a dict
+    of its nonzero entries, and the column operations that build B from
+    the identity, in order.
+
+    Maintains a basis of the running lattice and intersects with one
+    congruence at a time by integer column operations.  B is kept as one
+    dict of nonzero entries per row, with the set of rows nonzero in each
+    column: a congruence's values on the basis add up only the nonzero
+    entries of the rows it touches, and a column operation reaches only
+    the rows nonzero in the pivot column.  ops holds (j0, j, q) for
+    col_j -= q * col_j0 and (j0, None, t) for col_j0 *= t, with
+    t = m / gcd(w, m) > 1, so det B, the product of the t, is nonzero;
+    lattice_coordinates undoes them.  B is returned dense.
+    """
+    Brows = [{i: 1} for i in range(n)]
+    support = [{i} for i in range(n)]
+    ops = []
+    for row, m in rows:
+        w = {}
+        for v, coeff in row.items():
+            for j, b in Brows[v].items():
+                w[j] = w.get(j, 0) + coeff * b
+        if all(x % m == 0 for x in w.values()):
+            continue
+        # column-reduce w to a single nonzero entry, mirroring the
+        # operations on the basis columns
+        while True:
+            nz = sorted(j for j, x in w.items() if x)
+            if len(nz) <= 1:
+                break
+            j0 = min(nz, key=lambda j: abs(w[j]))
+            p, rows0 = w[j0], support[j0]
+            for j in nz:
+                if j == j0:
+                    continue
+                q = w[j] // p
+                if q:
+                    w[j] -= q * p
+                    col = support[j]
+                    for r in rows0:
+                        R = Brows[r]
+                        x = R.get(j, 0) - q * R[j0]
+                        if x:
+                            R[j] = x
+                            col.add(r)
+                        else:
+                            del R[j]
+                            col.discard(r)
+                    ops.append((j0, j, q))
+        # the operations keep the gcd of w, so one entry is left
+        (j0,) = nz
+        t = m // gcd(w[j0], m)
+        for r in support[j0]:
+            Brows[r][j0] *= t
+        ops.append((j0, None, t))
+    return _dense(Brows, n), ops
+
+
+def _dense(rows, width):
+    """Lists of length width from dicts of their nonzero entries."""
+    out = [[0] * width for _ in rows]
+    for row, R in zip(out, rows):
+        for j, x in R.items():
+            row[j] = x
+    return out
+
+
+def lattice_coordinates(ops, X):
+    """B^-1 X for (B, ops) = congruence_lattice(...), or None when a
+    column of X is outside L.
+
+    B is the identity times the operations in ops, so B^-1 X undoes them
+    in the same order on the rows of X: col_j -= q * col_j0 becomes
+    row_j0 += q * row_j, and col_j0 *= t becomes row_j0 /= t.  Each
+    intermediate basis spans a lattice containing L, so every division is
+    exact on a column in L; if all are exact the result Z is integral with
+    B Z = X, so a column outside L fails one.  The rows are kept as dicts
+    of their nonzero entries, so a row operation adds only those of row_j.
+    """
+    Z = [{c: a for c, a in enumerate(row) if a} for row in X]
+    for j0, j, q in ops:
+        r = Z[j0]
+        if j is not None:
+            for c, b in Z[j].items():
+                x = r.get(c, 0) + q * b
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+        elif any(a % q for a in r.values()):
+            return None
+        else:
+            Z[j0] = {c: a // q for c, a in r.items()}
+    return _dense(Z, len(X[0]) if X else 0)
+
+
+def lattice_index(ops):
+    """[Z^n : L] = det B for (B, ops) = congruence_lattice(n, ...)."""
+    return prod(t for _, j, t in ops if j is None)
+
+
+def echelon_mod(A, ncols, p):
+    """Bring the rows of A (lists, entries in 0..p-1) to reduced row
+    echelon form over F_p in its first ncols columns, in place; returns
+    the pivot columns, the i-th pivot belonging to row i."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [(x * inv) % p for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def nullspace_mod(M, p):
+    """Basis of the right nullspace of M over F_p (rows of the result)."""
+    cols = len(M[0]) if M else 0
+    A = [[x % p for x in row] for row in M]
+    pivots = echelon_mod(A, cols, p)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [0] * cols
+        v[fc] = 1
+        for ri, pc in enumerate(pivots):
+            v[pc] = (-A[ri][fc]) % p
+        basis.append(v)
+    return basis
+
+
+def charpoly_mod(R, p):
+    """Characteristic polynomial coefficients [1, c1, ..., cn] of R mod p
+    (Faddeev-LeVerrier).  It divides by k = 1..n, so it needs p > n."""
+    n = len(R)
+    moduli = [p] * n
+    coeffs = [1]
+    M = identity_matrix(n)
+    for k in range(1, n + 1):
+        RM = mat_mul_mod(R, M, moduli)
+        ck = -sum(RM[i][i] for i in range(n)) * pow(k, -1, p) % p
+        coeffs.append(ck)
+        M = [[x + ck * (i == j) for j, x in enumerate(row)] for i, row in enumerate(RM)]
+    return coeffs

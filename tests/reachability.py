@@ -42,7 +42,6 @@ ALLOWLIST = {
     "groups.TableGroup.order_of": "called only by groups.automorphisms",
     "groups.homomorphism_from_generators": "called only by groups.automorphisms",
     "snf.solve_integer": "bench/tracer.py target",
-    "snf.solve_from_snf": "called only by snf.solve_integer",
     # used by tests only, until a ROADMAP item puts it to use or removes it
     "relmod.rewrite": "test-only (ROADMAP item 12)",
     # reached only when the library itself is at fault

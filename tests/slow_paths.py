@@ -234,8 +234,8 @@ def h2(M, rows=cocycle_rows):
     n2 = (n - 1) ** 2 * k
     if n2 == 0:
         return cohomology.H2Data(M, [], [], lambda beta: ())
-    B, ops = cohomology._congruence_lattice(n2, rows(M))
-    Ymat = cohomology._lattice_coordinates(ops, coboundary_system(M))
+    B, ops = cohomology.congruence_lattice(n2, rows(M))
+    Ymat = cohomology.lattice_coordinates(ops, coboundary_system(M))
     if Ymat is None:
         raise InternalError("coboundary escapes the cocycle lattice")
     diag, U2, V2 = cohomology.smith_normal_form(Ymat)
@@ -247,7 +247,7 @@ def h2(M, rows=cocycle_rows):
         N = beta.module
         if N is not M and (N.T.names, N.shape, N.action) != (M.T.names, M.shape, M.action):
             raise PreconditionError("cocycle belongs to a different module")
-        y = cohomology._lattice_coordinates(ops, [[x] for x in cohomology._flatten(beta.table)])
+        y = cohomology.lattice_coordinates(ops, [[x] for x in cohomology._flatten(beta.table)])
         if y is None:
             raise InternalError("valid cocycle is outside the cocycle lattice")
         z = cohomology.mat_vec(U2, [x for x, in y])
@@ -356,12 +356,13 @@ def lattice_coordinates(B_snf, X):
 
 
 def use_slow_kernels(monkeypatch):
-    """Route cohomology's SNF, mat_vec, congruence lattice and lattice
-    coordinates through the oracles above for the rest of a test."""
+    """Route the SNF, mat_vec, congruence lattice and lattice coordinates
+    that cohomology imports from snf through the oracles above for the
+    rest of a test."""
     monkeypatch.setattr(cohomology, "smith_normal_form", smith_normal_form_3)
     monkeypatch.setattr(cohomology, "mat_vec", mat_vec)
-    monkeypatch.setattr(cohomology, "_congruence_lattice", congruence_lattice)
-    monkeypatch.setattr(cohomology, "_lattice_coordinates", lattice_coordinates)
+    monkeypatch.setattr(cohomology, "congruence_lattice", congruence_lattice)
+    monkeypatch.setattr(cohomology, "lattice_coordinates", lattice_coordinates)
 
 
 def mult(E, a, b):
@@ -398,7 +399,7 @@ def extend_automorphism(gamma, E):
     if n2 > 0:
         delta = cohomology._flatten(
             [
-                [M.sub(cohomology._mat_apply(gamma, val, shape), val) for val in row]
+                [M.sub(cohomology.mat_vec_mod(gamma, val, shape), val) for val in row]
                 for row in E.beta.table
             ]
         )
@@ -410,7 +411,7 @@ def extend_automorphism(gamma, E):
             cochain[h] = M.reduce(sol[(h - 1) * k : h * k])
     T = E.group
     f = [
-        T.index[(h, M.add(cohomology._mat_apply(gamma, m, shape), cochain[h]))]
+        T.index[(h, M.add(cohomology.mat_vec_mod(gamma, m, shape), cochain[h]))]
         for h, m in T.names
     ]
     assert len(set(f)) == E.order and preserves_products(f, T, T)
@@ -442,7 +443,7 @@ def aut_h(M):
 
 def is_bijective(M, mat):
     """cohomology._is_bijective by mapping every element of M."""
-    return len({cohomology._mat_apply(mat, m, M.shape) for m in M.elements()}) == M.size
+    return len({cohomology.mat_vec_mod(mat, m, M.shape) for m in M.elements()}) == M.size
 
 
 class FreeWord:
@@ -591,7 +592,7 @@ def verify_main_theorem(rm, m):
     ref = data.class_of(beta)
     stab_set = set()
     for g in autos:
-        pushed = [[cohomology._mat_apply(g, val, M.shape) for val in row] for row in beta.table]
+        pushed = [[cohomology.mat_vec_mod(g, val, M.shape) for val in row] for row in beta.table]
         if data.class_of(cohomology.Cocycle2._trusted(M, pushed)) == ref:
             stab_set.add(tuple(tuple(row) for row in g))
     E = cohomology.build_extension(M, beta)

@@ -99,6 +99,29 @@ class TestAnalyze:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    S3 = {"x": [2, 1, 3], "y": [2, 3, 1]}
+
+    @pytest.mark.parametrize("galois", ["false", "true", 0, 1, None])
+    def test_galois_must_be_a_json_boolean(self, capsys, tmp_path, galois):
+        # a truthy non-boolean once built the degree-6 regular cover
+        path = write_json(tmp_path, "s3.json", dict(self.S3, galois=galois))
+        code = main(["--json", "analyze", "--input", path])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: 'galois' must be true or false\n"
+
+    def test_galois_true_false_and_absent(self, capsys, tmp_path):
+        outs = {}
+        cases = {"true": {"galois": True}, "false": {"galois": False}, "absent": {}}
+        for name, extra in cases.items():
+            path = write_json(tmp_path, name + ".json", dict(self.S3, **extra))
+            code, outs[name] = run(capsys, ["--json", "analyze", "--input", path])
+            assert code == 0
+        assert outs["false"] == outs["absent"]
+        assert json.loads(outs["absent"])["degree"] == 3
+        regular = json.loads(outs["true"])
+        assert regular["degree"] == 6 and regular["is_galois"] is True
+
 
 class TestDescend:
     def test_cubic_descends(self, capsys, cubic):

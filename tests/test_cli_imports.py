@@ -37,19 +37,19 @@ CASES = [
     pytest.param(["analyze", "--input", "cover.json"], {"cover"}, id="analyze"),
     pytest.param(
         ["descend", "--refine", "--input", "cover.json"],
-        {"cover", "descent", "chartab", "cyclotomic"},
+        {"cover", "descent", "chartab", "cyclotomic", "snf"},
         id="descend",
     ),
-    pytest.param(["chartab", "--group", "s3.json"], {"chartab", "cyclotomic"}, id="chartab"),
+    pytest.param(["chartab", "--group", "s3.json"], {"chartab", "cyclotomic", "snf"}, id="chartab"),
     pytest.param(
         ["cohomology", "--module", "module.json"],
         {"cohomology", "groups", "snf"},
         id="cohomology",
     ),
-    pytest.param(["genus1", "jdeg", "5"], {"genus1", "cyclotomic"}, id="genus1-jdeg"),
+    pytest.param(["genus1", "jdeg", "5"], {"genus1", "cyclotomic", "snf"}, id="genus1-jdeg"),
     pytest.param(
         ["genus1", "kummer", "1", "1", "3"],
-        {"genus1", "cover", "cyclotomic"},
+        {"genus1", "cover", "cyclotomic", "snf"},
         id="genus1-kummer",
     ),
     pytest.param(

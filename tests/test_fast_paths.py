@@ -50,12 +50,9 @@ from belyilab.cohomology import (
     Cocycle2,
     FiniteHModule,
     H2Data,
-    _congruence_lattice,
     _equivariance_rows,
     _flatten,
     _is_bijective,
-    _lattice_coordinates,
-    _mat_apply,
     _relation_system,
     _restriction,
     aut_h,
@@ -84,6 +81,7 @@ from belyilab.permgroup import (
     trivial_group,
 )
 from belyilab.relmod import extension_cocycle, schreier_data, verify_main_theorem
+from belyilab.snf import congruence_lattice, lattice_coordinates, mat_vec_mod
 from test_chartab import quaternion_group
 from test_cohomology import all_classes
 from test_descent import relabelled
@@ -153,7 +151,7 @@ def test_congruence_lattice_is_the_transposed_columns(M):
     n2 = (M.T.n - 1) ** 2 * M.k
     for n, congruences in ((dim, rows), (n2, slow_paths.cocycle_rows(M))):
         cols = slow_paths.congruence_lattice_columns(n, congruences)
-        B, _ = _congruence_lattice(n, congruences)
+        B, _ = congruence_lattice(n, congruences)
         assert B == [[col[i] for col in cols] for i in range(n)]
 
 
@@ -165,7 +163,7 @@ def test_replay_matches_lattice_snf_solve(M):
     # which are mostly off the lattice and must give None
     rng = random.Random(M.T.n * 100 + M.size + 1)
     pres, dim, rows, D = relation_system(M)
-    B, ops = _congruence_lattice(dim, rows)
+    B, ops = congruence_lattice(dim, rows)
     B_snf = slow_paths.smith_normal_form_3(B)
     data = h2(M)
     vectors = [list(x) for x in zip(*D)]
@@ -174,15 +172,15 @@ def test_replay_matches_lattice_snf_solve(M):
     vectors += [[rng.randrange(-4, 5) for _ in range(dim)] for _ in range(8)]
     ys = []
     for x in vectors:
-        y = _lattice_coordinates(ops, [[v] for v in x])
+        y = lattice_coordinates(ops, [[v] for v in x])
         y = None if y is None else [v for v, in y]
         assert y == slow_paths.solve_from_snf(B_snf, x)
         ys.append(y)
     # B is the identity when no congruence cuts the lattice down
     assert None in ys or B == snf.identity_matrix(dim)
     # all coboundary columns at once, as h2 replays them
-    assert _lattice_coordinates(ops, D) == [list(r) for r in zip(*ys[: len(D[0])])]
-    assert _lattice_coordinates(ops, B) == snf.identity_matrix(dim)
+    assert lattice_coordinates(ops, D) == [list(r) for r in zip(*ys[: len(D[0])])]
+    assert lattice_coordinates(ops, B) == snf.identity_matrix(dim)
 
 
 @pytest.mark.parametrize("M", MODULES, ids=IDS)
@@ -190,8 +188,8 @@ def test_snf_matches_nested_loops_on_h2_systems(M):
     # the sparse systems h2 factors, with long runs of unit pivots: B,
     # Ymat = B^-1 [D | diag(moduli)] and [D | diag(moduli)] itself
     _, dim, rows, D = relation_system(M)
-    B, ops = _congruence_lattice(dim, rows)
-    for A in (B, _lattice_coordinates(ops, D), D):
+    B, ops = congruence_lattice(dim, rows)
+    for A in (B, lattice_coordinates(ops, D), D):
         assert snf.smith_normal_form(A) == slow_paths.smith_normal_form_3(A)
 
 
@@ -286,8 +284,8 @@ def check_generator_rows(M, rng, extra=()):
     n2 = (M.T.n - 1) ** 2 * M.k
     rows, oracle = slow_paths.cocycle_rows(M), slow_paths.cocycle_rows_all_triples(M)
     assert len(rows) <= len(oracle)
-    B, ops = _congruence_lattice(n2, rows)
-    _, oracle_ops = _congruence_lattice(n2, oracle)
+    B, ops = congruence_lattice(n2, rows)
+    _, oracle_ops = congruence_lattice(n2, oracle)
     # B's columns meet every all-triples congruence, and their lattice has
     # the oracle's index in Z^n2 (det B, the product of the scalings), so
     # the two lattices are equal
@@ -561,7 +559,7 @@ def test_aut_h_matches_enumeration(M):
 @pytest.mark.parametrize(
     "M", MODULES + MIXED + QUOTIENTS, ids=["module" + i for i in IDS + MIXED_IDS + QUOTIENT_IDS]
 )
-def test_bijectivity_from_the_snf_matches_the_element_walk(M):
+def test_bijectivity_from_the_kernel_index_matches_the_element_walk(M):
     # random well-defined matrices, mostly singular, and unipotent ones,
     # 1 plus a random strictly upper triangular part, which are bijective
     rng = random.Random(M.T.n * 1000 + M.size)
@@ -622,7 +620,7 @@ def test_extend_automorphism_on_mixed_moduli(M, monkeypatch):
             assert len(set(f)) == E.order and preserves_products(f, T, T)
             assert all(phi[e][0] == e[0] for e in E.elements)
             for m in M.elements():
-                assert phi[E.embed(m)] == E.embed(_mat_apply(gamma, m, M.shape))
+                assert phi[E.embed(m)] == E.embed(mat_vec_mod(gamma, m, M.shape))
 
 
 CONDUCTORS = list(range(1, 61)) + [330, 546]

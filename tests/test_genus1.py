@@ -40,7 +40,12 @@ def stable_subgroups_by_pairs(cm):
     for v in vectors:
         for w in vectors:
             subgroups.add(span([v, w]))
-    stable = [sorted(S) for S in subgroups if all(cm._apply(v) in S for v in S)]
+    (a, b), (c, d) = cm.matrix
+
+    def apply(v):
+        return ((a * v[0] + b * v[1]) % n, (c * v[0] + d * v[1]) % n)
+
+    stable = [sorted(S) for S in subgroups if all(apply(v) in S for v in S)]
     stable.sort(key=lambda S: (len(S), S))
     return stable
 

@@ -1,7 +1,18 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import slow_paths
-from belyilab.snf import identity_matrix, mat_vec, smith_normal_form, solve_integer
+from belyilab.snf import (
+    charpoly_mod,
+    echelon_mod,
+    identity_matrix,
+    mat_mul_mod,
+    mat_vec,
+    mat_vec_mod,
+    nullspace_mod,
+    smith_normal_form,
+    solve_integer,
+)
 
 
 def mat_mul(A, B):
@@ -102,3 +113,77 @@ def test_known_invariant_factors():
     assert diag == [2, 6]
     diag, *_ = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert diag == [2, 2, 156]
+
+
+# -- the modular kernels ---------------------------------------------------
+
+primes = st.sampled_from([2, 3, 5, 7, 31])
+composites = st.sampled_from([4, 6, 8, 9, 10, 12, 15])
+squares = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=200)
+@given(matrices, primes)
+def test_echelon_and_nullspace_mod_match_the_smith_form(A, p):
+    # U A V = diag(d) with U, V unimodular, so both stay invertible mod p
+    # and the rank of A over F_p is the number of d_i prime to p
+    n = len(A[0])
+    rank = sum(1 for d in slow_paths.smith_normal_form(A)[0] if d % p)
+    E = [[x % p for x in row] for row in A]
+    pivots = echelon_mod(E, n, p)
+    assert len(pivots) == rank
+    for i, c in enumerate(pivots):
+        assert [row[c] for row in E] == [int(t == i) for t in range(len(E))]
+    assert not any(any(row) for row in E[rank:])
+    null = nullspace_mod(A, p)
+    assert len(null) == n - rank
+    assert all(x % p == 0 for v in null for x in mat_vec(A, v))
+    # the basis is independent: one pivot per vector
+    assert len(echelon_mod([list(v) for v in null], n, p)) == len(null)
+
+
+@settings(max_examples=100)
+@given(matrices, composites)
+def test_a_composite_modulus_with_a_non_unit_pivot_raises(A, m):
+    # the first pivot is a prime factor of m, which has no inverse mod m;
+    # Fermat's a^(m-2) would have scaled the row by a wrong "inverse"
+    f = next(q for q in range(2, m + 1) if m % q == 0)
+    A = [[f] + A[0][1:]] + A[1:]
+    with pytest.raises(ValueError):
+        echelon_mod([[x % m for x in row] for row in A], len(A[0]), m)
+    with pytest.raises(ValueError):
+        nullspace_mod(A, m)
+
+
+@settings(max_examples=100)
+@given(squares, st.sampled_from([5, 7, 31]))
+def test_charpoly_mod_is_det_of_lambda_minus_r(R, p):
+    # p > n, so the values at every lambda in F_p determine the polynomial
+    coeffs = charpoly_mod(R, p)
+    assert len(coeffs) == len(R) + 1 and coeffs[0] == 1
+    for lam in range(p):
+        value = 0
+        for c in coeffs:
+            value = (value * lam + c) % p
+        shifted = [[lam * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(R)]
+        assert value == int(det(shifted)) % p
+
+
+def test_charpoly_mod_refuses_a_prime_at_most_n():
+    # Faddeev divides by k = 1..n, and k = p = 3 has no inverse mod 3
+    with pytest.raises(ValueError):
+        charpoly_mod(identity_matrix(3), 3)
+
+
+@settings(max_examples=100)
+@given(squares, st.lists(st.integers(1, 12), min_size=4, max_size=4))
+def test_products_mod_reduce_the_integer_products(A, moduli):
+    B = [row[::-1] for row in A[::-1]]
+    assert mat_mul_mod(A, B, moduli) == tuple(
+        tuple(x % m for x in row) for row, m in zip(mat_mul(A, B), moduli)
+    )
+    assert mat_vec_mod(A, B[0], moduli) == tuple(x % m for x, m in zip(mat_vec(A, B[0]), moduli))
