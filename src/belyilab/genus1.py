@@ -22,7 +22,6 @@ from math import gcd
 from .cyclotomic import fold, phi_of, prime_1_mod, root_of_unity_mod
 from .errors import InternalError, PreconditionError
 from .permgroup import Permutation
-from .snf import mat_mul_mod, mat_vec_mod
 
 ADMISSIBLE_KUMMER = ((1, 1, 3), (2, 2, 3), (1, 2, 6), (5, 4, 6), (1, 1, 4), (3, 3, 4))
 
@@ -77,6 +76,10 @@ class CmModule:
     """(Z/n)^2 with multiplication by zeta_d, and its stable subgroups."""
 
     def __init__(self, d, n):
+        # snf is imported here, not at the top, so that the CLI's `genus1
+        # jdeg` and `genus1 kummer`, which build no CmModule, do not load it
+        from .snf import mat_mul_mod
+
         if n < 1:
             raise PreconditionError("level must be positive")
         if n > _CM_LEVEL_LIMIT:
@@ -99,6 +102,8 @@ class CmModule:
         exactly one triple with a | n, c | n, 0 <= b < c and c | (n/a)·b
         (its Hermite normal form); keep those the matrix maps into
         themselves."""
+        from .snf import mat_vec_mod
+
         n = self.n
         divisors = [k for k in range(1, n + 1) if n % k == 0]
         stable = []

@@ -200,15 +200,22 @@ def _schreier_sims_order(gens, n):
     still lies in <strong[i+1]>.  A residue that moves a base point means
     a faulty level, and raises InternalError (the base would otherwise
     grow without end).
+
+    The pairs (a, s) with tree[a^s] = (a, s), the edges of the level's
+    orbit tree, are never sifted: `labels` builds u_(a^s) as u_a s, so
+    their Schreier generator is the identity and can yield no residue.
+    Every other pair is sifted, so skipping the edges leaves the base, the
+    strong generators and the order as they were.
     """
     ident = tuple(range(n))
-    base, strong, trans, scan = [], [], [], []
+    base, strong, trees, trans, scan = [], [], [], [], []
 
     def add_level(h):
         if any(h[b] != b for b in base):
             raise InternalError("a Schreier-Sims residue moves a base point")
         base.append(next(p for p in range(n) if h[p] != p))
         strong.append([])
+        trees.append(None)
         trans.append(None)
         scan.append(None)
 
@@ -219,7 +226,8 @@ def _schreier_sims_order(gens, n):
             ub = _compose(pair[0], s[j])
             return ub, _inverse(ub)
 
-        trans[i] = labels(orbit(base[i], s, lambda a, g: g[a]), (ident, ident), step)
+        trees[i] = orbit(base[i], s, lambda a, g: g[a])
+        trans[i] = labels(trees[i], (ident, ident), step)
         scan[i] = (0, 0)
 
     def sift(g, i):
@@ -237,12 +245,15 @@ def _schreier_sims_order(gens, n):
         """(residue, level) of the first Schreier generator of level i from
         scan[i] on that does not sift to the identity, or None; scan[i]
         then holds that generator's position."""
-        t, strong_i = trans[i], strong[i]
+        tree, t, strong_i = trees[i], trans[i], strong[i]
         start, first = scan[i]
         for k, (a, (ua, _)) in enumerate(islice(t.items(), start, None), start):
             for m in range(first, len(strong_i)):
                 s = strong_i[m]
-                vinv = t[s[a]][1]
+                b = s[a]
+                if tree[b] == (a, m):
+                    continue
+                vinv = t[b][1]
                 h, j = sift(tuple(vinv[s[q]] for q in ua), i + 1)
                 if h != ident:
                     scan[i] = (k, m)

@@ -21,6 +21,8 @@ from __future__ import annotations
 from math import gcd, prod
 from operator import mul
 
+from .errors import InternalError
+
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -194,11 +196,14 @@ def congruence_lattice(n, rows):
         if all(x % m == 0 for x in w.values()):
             continue
         # column-reduce w to a single nonzero entry, mirroring the
-        # operations on the basis columns
+        # operations on the basis columns.  The pivot is an entry of least
+        # magnitude and a pass leaves every other entry below it, so each
+        # pass lowers sum |w|; a pass that does not is a fault, not a loop
         while True:
             nz = sorted(j for j, x in w.items() if x)
             if len(nz) <= 1:
                 break
+            size = sum(abs(w[j]) for j in nz)
             j0 = min(nz, key=lambda j: abs(w[j]))
             p, rows0 = w[j0], support[j0]
             for j in nz:
@@ -218,6 +223,8 @@ def congruence_lattice(n, rows):
                             del R[j]
                             col.discard(r)
                     ops.append((j0, j, q))
+            if sum(abs(x) for x in w.values()) >= size:
+                raise InternalError("a column pass of congruence_lattice left sum |w| at %d" % size)
         # the operations keep the gcd of w, so one entry is left
         (j0,) = nz
         t = m // gcd(w[j0], m)

@@ -46,10 +46,10 @@ CASES = [
         {"cohomology", "groups", "snf"},
         id="cohomology",
     ),
-    pytest.param(["genus1", "jdeg", "5"], {"genus1", "cyclotomic", "snf"}, id="genus1-jdeg"),
+    pytest.param(["genus1", "jdeg", "5"], {"genus1", "cyclotomic"}, id="genus1-jdeg"),
     pytest.param(
         ["genus1", "kummer", "1", "1", "3"],
-        {"genus1", "cover", "cyclotomic", "snf"},
+        {"genus1", "cover", "cyclotomic"},
         id="genus1-kummer",
     ),
     pytest.param(

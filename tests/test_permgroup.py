@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,64 @@ def order_and_sifts(order_fn, gens):
     return order, calls
 
 
+def check_tree_edges_skipped(gens):
+    """Runs _schreier_sims_order on gens, recording each level's orbit
+    tree, its strong generators and its transversal as they are built.
+    Checks that every tree edge (a, m) -> b has u_a s_m = u_b, so that its
+    Schreier generator is the identity, and that no tree edge is sifted
+    while every other sifted pair is read from the level's current tree;
+    returns the order."""
+    built, levels, sifted_edges = {}, {}, []
+    real_orbit, real_labels = permgroup.orbit, permgroup.labels
+
+    def orbit(start, gs, act):
+        tree = real_orbit(start, gs, act)
+        built[id(tree)] = (tree, list(gs))
+        return tree
+
+    def labels(tree, root, step):
+        out = real_labels(tree, root, step)
+        levels[id(out)] = built[id(tree)] + (out,)
+        return out
+
+    def watch(frame, event, arg):
+        caller = frame.f_back
+        if event == "call" and frame.f_code.co_name == "sift" and caller.f_code.co_name == "residue":
+            scope = caller.f_locals
+            tree, gs, _ = levels[id(scope["t"])]
+            assert scope["strong_i"] == gs
+            a, m = scope["a"], scope["m"]
+            if tree[gs[m][a]] == (a, m):
+                sifted_edges.append((a, m))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(permgroup, "orbit", orbit)
+        patch.setattr(permgroup, "labels", labels)
+        sys.setprofile(watch)
+        try:
+            order = _schreier_sims_order(gens, gens[0].degree)
+        finally:
+            sys.setprofile(None)
+    assert sifted_edges == []
+    for tree, gs, trans in levels.values():
+        for b, edge in tree.items():
+            if edge is not None:
+                a, m = edge
+                assert trans[b][0] == permgroup._compose(trans[a][0], gs[m])
+    return order
+
+
+def check_skipping_order(gens):
+    """The order with tree edges skipped is the restarting scan's order,
+    and the closure's size where the closure has at most 8! elements;
+    returns it."""
+    order = check_tree_edges_skipped(gens)
+    assert order == slow_paths.schreier_sims_order(gens, gens[0].degree)
+    if order <= factorial(8):
+        assert order == len(_closure(gens))
+    return order
+
+
 def check_resumed_scan(gens):
     """The resumed scan returns the restarting scan's order and never
     sifts more; returns both sift counts."""
@@ -227,6 +286,23 @@ class TestSchreierSims:
             sifts, slow_sifts = check_resumed_scan(G.generators)
             if n >= 5:
                 assert sifts < slow_sifts
+
+    @settings(deadline=None)
+    @given(random_pairs)
+    def test_tree_edges_skipped_on_random_pairs(self, images):
+        x, y, pi = (Permutation(imgs, zero_based=True) for imgs in images)
+        check_skipping_order([x, y])
+        check_skipping_order([pi.inverse() * x * pi, pi.inverse() * y * pi])
+
+    @settings(deadline=None)
+    @given(imprimitive_gens)
+    def test_tree_edges_skipped_on_block_preserving_groups(self, images):
+        check_skipping_order([Permutation(imgs, zero_based=True) for imgs in images])
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_tree_edges_skipped_on_symmetric_and_alternating(self, n):
+        for G, order in ((symmetric_group(n), factorial(n)), (alternating_group(n), factorial(n) // 2)):
+            assert check_skipping_order(G.generators) == order
 
     def test_faulty_level_raises_instead_of_running_away(self):
         src = str(Path(permgroup.__file__).resolve().parents[1])

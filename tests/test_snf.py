@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import slow_paths
+from belyilab import snf
 from belyilab.snf import (
     charpoly_mod,
+    congruence_lattice,
     echelon_mod,
     identity_matrix,
     mat_mul_mod,
@@ -187,3 +194,44 @@ def test_products_mod_reduce_the_integer_products(A, moduli):
         tuple(x % m for x in row) for row, m in zip(mat_mul(A, B), moduli)
     )
     assert mat_vec_mod(A, B[0], moduli) == tuple(x % m for x, m in zip(mat_vec(A, B[0]), moduli))
+
+
+# congruence_lattice with its column pivot taken as the entry of largest
+# magnitude: on x + 3y = 0 mod 7 every quotient 1 // 3 is 0, so a pass
+# changes nothing and only the check that sum |w| falls ends the loop.
+# The address space is capped at 1 GiB, as for the faulty Schreier-Sims
+# levels in test_permgroup.py.
+_LARGEST_PIVOT = """
+import inspect, resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from belyilab import snf
+from belyilab.errors import InternalError
+source = inspect.getsource(snf.congruence_lattice)
+faulty = source.replace("j0 = min(nz, key=", "j0 = max(nz, key=")
+assert faulty != source
+namespace = dict(vars(snf))
+exec(faulty, namespace)
+try:
+    namespace["congruence_lattice"](2, [({0: 1, 1: 3}, 7)])
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
+
+def test_congruence_lattice_on_x_plus_3y():
+    # x + 3y = 0 mod 7: the lattice has index 7, spanned by (-3, 1), (7, 0)
+    B, ops = congruence_lattice(2, [({0: 1, 1: 3}, 7)])
+    assert abs(B[0][0] * B[1][1] - B[0][1] * B[1][0]) == 7
+    assert all((B[0][j] + 3 * B[1][j]) % 7 == 0 for j in range(2))
+
+
+def test_largest_pivot_raises_instead_of_looping():
+    src = str(Path(snf.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _LARGEST_PIVOT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.stdout.startswith("InternalError: "), done.stderr
