@@ -98,8 +98,8 @@ class CharacterTable:
         N = self.exponent
         index = self._index
         # p > |G| keeps Faddeev's divisions legal on r <= |G| classes, and
-        # p > 2*sqrt(|G|) determines each degree from its square mod p
-        p = prime_1_mod(N, max(2 * isqrt(self.order) + 1, self.order))
+        # makes each degree's square d^2 <= |G| its own residue mod p
+        p = prime_1_mod(N, self.order)
         self._prime = p
 
         # bucket the elements, as image tuples, by class
@@ -172,8 +172,8 @@ class CharacterTable:
             if t == 0:
                 raise TableError("degenerate norm sum")
             dsq = (order_mod * pow(t, p - 2, p)) % p
-            d = next((x for x in range(1, p) if (x * x) % p == dsq and 2 * x < p), None)
-            if d is None:
+            d = isqrt(dsq)
+            if d * d != dsq:
                 raise TableError("degree is not recoverable from F_p data")
             degrees.append(d)
             # character values mod p

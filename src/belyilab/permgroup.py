@@ -21,7 +21,6 @@ over the tree; it is the library's one labelling pass.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
 from math import lcm, prod
 
 from .errors import InternalError, PreconditionError
@@ -190,34 +189,26 @@ def _schreier_sims_order(gens, n):
     generators generate the stabilizer of base[:i], and |G| is the product
     of the orbit lengths (Holt-Eick-O'Brien, Handbook of CGT, 4.4.2).
 
-    Each level's scan resumes where it stopped: `scan[i]` holds the
-    position (index of a in trans[i], index of s in strong[i]) of the next
-    pair to sift, and it goes back to (0, 0) only when `level_orbit(i)`
-    rebuilds the level, the one place strong[i] and trans[i] change.  This
-    skips no pair that could yield a residue: the scan returns to level i
-    only when every deeper level is complete, and the deeper groups have
-    only grown since an earlier pair sifted to the identity, so that pair
-    still lies in <strong[i+1]>.  A residue that moves a base point means
-    a faulty level, and raises InternalError (the base would otherwise
-    grow without end).
-
-    The pairs (a, s) with tree[a^s] = (a, s), the edges of the level's
-    orbit tree, are never sifted: `labels` builds u_(a^s) as u_a s, so
-    their Schreier generator is the identity and can yield no residue.
-    Every other pair is sifted, so skipping the edges leaves the base, the
-    strong generators and the order as they were.
+    `unsifted[i]` lists the pairs (a, index of s) of level i not yet known
+    to sift to the identity, the next one last.  `level_orbit` refills it
+    in reverse scan order when it rebuilds the level, leaving out the
+    orbit tree's edges (a, s) -> a^s, whose Schreier generator is the
+    identity because `labels` builds u_(a^s) as u_a s.  A pair leaves the
+    list only once it sifts to the identity, and comes back only with a
+    rebuild: the deeper levels only grow, so it stays in <strong[i+1]>.
+    A residue that moves a base point means a faulty level, and raises
+    InternalError (the base would otherwise grow without end).
     """
     ident = tuple(range(n))
-    base, strong, trees, trans, scan = [], [], [], [], []
+    base, strong, trans, unsifted = [], [], [], []
 
     def add_level(h):
         if any(h[b] != b for b in base):
             raise InternalError("a Schreier-Sims residue moves a base point")
         base.append(next(p for p in range(n) if h[p] != p))
         strong.append([])
-        trees.append(None)
         trans.append(None)
-        scan.append(None)
+        unsifted.append(None)
 
     def level_orbit(i):
         s = strong[i]
@@ -226,9 +217,14 @@ def _schreier_sims_order(gens, n):
             ub = _compose(pair[0], s[j])
             return ub, _inverse(ub)
 
-        trees[i] = orbit(base[i], s, lambda a, g: g[a])
-        trans[i] = labels(trees[i], (ident, ident), step)
-        scan[i] = (0, 0)
+        tree = orbit(base[i], s, lambda a, g: g[a])
+        trans[i] = labels(tree, (ident, ident), step)
+        unsifted[i] = [
+            (a, m)
+            for a in reversed(tree)
+            for m in reversed(range(len(s)))
+            if tree[s[m][a]] != (a, m)
+        ]
 
     def sift(g, i):
         """(residue, level it stopped at) of g sifted from level i on."""
@@ -242,24 +238,18 @@ def _schreier_sims_order(gens, n):
         return g, i
 
     def residue(i):
-        """(residue, level) of the first Schreier generator of level i from
-        scan[i] on that does not sift to the identity, or None; scan[i]
-        then holds that generator's position."""
-        tree, t, strong_i = trees[i], trans[i], strong[i]
-        start, first = scan[i]
-        for k, (a, (ua, _)) in enumerate(islice(t.items(), start, None), start):
-            for m in range(first, len(strong_i)):
-                s = strong_i[m]
-                b = s[a]
-                if tree[b] == (a, m):
-                    continue
-                vinv = t[b][1]
-                h, j = sift(tuple(vinv[s[q]] for q in ua), i + 1)
-                if h != ident:
-                    scan[i] = (k, m)
-                    return h, j
-            first = 0
-        scan[i] = (len(t), 0)
+        """Sifts the pairs of unsifted[i] from its end, dropping each one
+        that sifts to the identity; (residue, level) of the first that
+        does not, which stays, or None."""
+        t, strong_i, pairs = trans[i], strong[i], unsifted[i]
+        while pairs:
+            a, m = pairs[-1]
+            s = strong_i[m]
+            vinv = t[s[a]][1]
+            h, j = sift(tuple(vinv[s[q]] for q in t[a][0]), i + 1)
+            if h != ident:
+                return h, j
+            pairs.pop()
         return None
 
     for g in gens:
@@ -287,13 +277,6 @@ def _schreier_sims_order(gens, n):
             level_orbit(level)
         i = j
     return prod(len(u) for u in trans)
-
-
-def _closure(gens):
-    """{image tuple: element} for every product of the generators."""
-    n = gens[0].degree
-    tree = orbit(tuple(range(n)), [g.imgs for g in gens], _compose)
-    return {imgs: Permutation(imgs, zero_based=True) for imgs in tree}
 
 
 def greedy_generators(elements, identity, mul):
@@ -335,18 +318,29 @@ class PermGroup:
 
     @cached_property
     def _elt_map(self):
-        """{image tuple: element} for every element, built on first use."""
+        """{image tuple: element} for every product of the generators,
+        built on first use.  The closure multiplies each element it holds
+        by each generator, and raises InternalError at the first product
+        past order * len(generators): a group larger than its order says
+        costs that many products at most, not its whole closure."""
         if self.order > _SCALE_LIMIT:
             raise PreconditionError(
                 "group of order %d is too large to enumerate (limit %d)"
                 % (self.order, _SCALE_LIMIT)
             )
-        elts = _closure(self.generators)
-        if len(elts) != self.order:
+        budget = iter(range(self.order * len(self.generators)))
+
+        def times(p, g):
+            if next(budget, None) is None:
+                raise InternalError("closure exceeds the Schreier-Sims order %d" % self.order)
+            return tuple(g[i] for i in p)
+
+        tree = orbit(tuple(range(self.degree)), [g.imgs for g in self.generators], times)
+        if len(tree) != self.order:
             raise InternalError(
-                "closure has %d elements, Schreier-Sims order is %d" % (len(elts), self.order)
+                "closure has %d elements, Schreier-Sims order is %d" % (len(tree), self.order)
             )
-        return elts
+        return {imgs: Permutation(imgs, zero_based=True) for imgs in tree}
 
     @cached_property
     def elements(self):

@@ -30,7 +30,9 @@ the result on every call instead of reading the group's power table, and
 cover.validate's Fix(J) from the Schreier generators of J with D built
 from the projections of every transversal element over Fix(J),
 Schreier-Sims restarting each level's scan of Schreier generators from
-the first pair after every new strong generator, and cyclotomic's fold
+the first pair after every new strong generator, and resuming it from a
+(point, generator) position that goes back to the first pair when the
+level is rebuilt, and cyclotomic's fold
 filling and dividing all N positions whatever exponents it is given.
 test_fast_paths.py, test_extension_table.py and test_genus1.py assert
 that the library returns identical results; where the library's h2 and
@@ -841,6 +843,90 @@ def schreier_sims_order(gens, n):
                 h, j = sift(tuple(vinv[s[k]] for k in ua), i + 1)
                 if h != ident:
                     return h, j
+        return None
+
+    for g in gens:
+        g = g.imgs
+        if g == ident:
+            continue
+        if all(g[b] == b for b in base):
+            add_level(g)
+        first_moved = next(i for i, b in enumerate(base) if g[b] != b)
+        for level in range(first_moved + 1):
+            strong[level].append(g)
+    for i in range(len(base)):
+        level_orbit(i)
+    i = len(base) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            add_level(h)
+        for level in range(i + 1, j + 1):
+            strong[level].append(h)
+            level_orbit(level)
+        i = j
+    return prod(len(u) for u in trans)
+
+
+def resumed_schreier_sims_order(gens, n):
+    """permgroup._schreier_sims_order with residue(i) resuming level i's
+    scan from scan[i], the position (index of a in trans[i], index of s in
+    strong[i]) of the last pair that gave a residue, reset to (0, 0) when
+    level_orbit(i) rebuilds the level, and skipping the pairs that are
+    edges of the level's orbit tree."""
+    ident = tuple(range(n))
+    base, strong, trees, trans, scan = [], [], [], [], []
+
+    def add_level(h):
+        if any(h[b] != b for b in base):
+            raise InternalError("a Schreier-Sims residue moves a base point")
+        base.append(next(p for p in range(n) if h[p] != p))
+        strong.append([])
+        trees.append(None)
+        trans.append(None)
+        scan.append(None)
+
+    def level_orbit(i):
+        s = strong[i]
+
+        def step(pair, _, j):
+            ub = _compose(pair[0], s[j])
+            return ub, _inverse(ub)
+
+        trees[i] = orbit(base[i], s, lambda a, g: g[a])
+        trans[i] = labels(trees[i], (ident, ident), step)
+        scan[i] = (0, 0)
+
+    def sift(g, i):
+        while i < len(base):
+            entry = trans[i].get(g[base[i]])
+            if entry is None:
+                return g, i
+            uinv = entry[1]
+            g = tuple(uinv[j] for j in g)
+            i += 1
+        return g, i
+
+    def residue(i):
+        tree, t, strong_i = trees[i], trans[i], strong[i]
+        start, first = scan[i]
+        for k, (a, (ua, _)) in enumerate(itertools.islice(t.items(), start, None), start):
+            for m in range(first, len(strong_i)):
+                s = strong_i[m]
+                b = s[a]
+                if tree[b] == (a, m):
+                    continue
+                vinv = t[b][1]
+                h, j = sift(tuple(vinv[s[q]] for q in ua), i + 1)
+                if h != ident:
+                    scan[i] = (k, m)
+                    return h, j
+            first = 0
+        scan[i] = (len(t), 0)
         return None
 
     for g in gens:

@@ -332,6 +332,16 @@ class TestDixonChecks:
         with pytest.raises(TableError, match="degree is not recoverable"):
             CharacterTable(G)
 
+    def test_a_degree_square_that_is_only_a_residue_fails_degree_recovery(self, monkeypatch):
+        # Z/5, rep and rep^4 = rep^-1 of the generator's class swapped: the
+        # class reads as its own inverse, and a norm sum gives d^2 = 3 mod
+        # 11.  3 = 5^2 mod 11 is a square mod p but no integer square, so
+        # a root taken mod p would read a degree 5 > sqrt(|G|)
+        G = cyclic_group(5)
+        monkeypatch.setattr(G, "power_table", swapped_powers(G.power_table, [((1, 1), (1, 4))]))
+        with pytest.raises(TableError, match="degree is not recoverable"):
+            CharacterTable(G)
+
     def test_rows_that_are_not_orthonormal_fail_validation(self):
         # A4's rows with the trivial row repeated, then with the trivial
         # row off by one at the class of (1 2)(3 4): over the classes of

@@ -13,11 +13,12 @@ from belyilab.errors import PreconditionError
 from belyilab.permgroup import (
     Permutation,
     PermGroup,
-    _closure,
+    _compose,
     _schreier_sims_order,
     alternating_group,
     cyclic_group,
     generate,
+    orbit,
     regular_representation,
     symmetric_group,
     trivial_group,
@@ -162,6 +163,11 @@ imprimitive_gens = (
 )
 
 
+def closure_size(gens):
+    """Number of products of the generators, by breadth-first search."""
+    return len(orbit(tuple(range(gens[0].degree)), [g.imgs for g in gens], _compose))
+
+
 def order_and_sifts(order_fn, gens):
     """(order, number of calls to a function named sift) of
     order_fn(gens, degree), the calls counted with sys.setprofile."""
@@ -180,61 +186,54 @@ def order_and_sifts(order_fn, gens):
     return order, calls
 
 
-def check_tree_edges_skipped(gens):
-    """Runs _schreier_sims_order on gens, recording each level's orbit
-    tree, its strong generators and its transversal as they are built.
-    Checks that every tree edge (a, m) -> b has u_a s_m = u_b, so that its
-    Schreier generator is the identity, and that no tree edge is sifted
-    while every other sifted pair is read from the level's current tree;
-    returns the order."""
-    built, levels, sifted_edges = {}, {}, []
-    real_orbit, real_labels = permgroup.orbit, permgroup.labels
-
-    def orbit(start, gs, act):
-        tree = real_orbit(start, gs, act)
-        built[id(tree)] = (tree, list(gs))
-        return tree
-
-    def labels(tree, root, step):
-        out = real_labels(tree, root, step)
-        levels[id(out)] = built[id(tree)] + (out,)
-        return out
+def order_and_sifted_pairs(order_fn, gens, check_level=None):
+    """(order, [(level i, point a, generator index m)] in the order
+    residue sifts the pairs) of order_fn(gens, degree), read off residue's
+    locals with sys.setprofile; check_level gets the locals of each
+    level_orbit call as it returns."""
+    sifted = []
 
     def watch(frame, event, arg):
-        caller = frame.f_back
-        if event == "call" and frame.f_code.co_name == "sift" and caller.f_code.co_name == "residue":
-            scope = caller.f_locals
-            tree, gs, _ = levels[id(scope["t"])]
-            assert scope["strong_i"] == gs
-            a, m = scope["a"], scope["m"]
-            if tree[gs[m][a]] == (a, m):
-                sifted_edges.append((a, m))
+        name = frame.f_code.co_name
+        if event == "call" and name == "sift" and frame.f_back.f_code.co_name == "residue":
+            scope = frame.f_back.f_locals
+            sifted.append((scope["i"], scope["a"], scope["m"]))
+        elif event == "return" and name == "level_orbit" and check_level:
+            check_level(frame.f_locals)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(permgroup, "orbit", orbit)
-        patch.setattr(permgroup, "labels", labels)
-        sys.setprofile(watch)
-        try:
-            order = _schreier_sims_order(gens, gens[0].degree)
-        finally:
-            sys.setprofile(None)
-    assert sifted_edges == []
-    for tree, gs, trans in levels.values():
-        for b, edge in tree.items():
-            if edge is not None:
-                a, m = edge
-                assert trans[b][0] == permgroup._compose(trans[a][0], gs[m])
-    return order
+    sys.setprofile(watch)
+    try:
+        order = order_fn(gens, gens[0].degree)
+    finally:
+        sys.setprofile(None)
+    return order, sifted
 
 
-def check_skipping_order(gens):
-    """The order with tree edges skipped is the restarting scan's order,
-    and the closure's size where the closure has at most 8! elements;
-    returns it."""
-    order = check_tree_edges_skipped(gens)
+def check_level_queue(scope):
+    """Every tree edge (a, m) -> b of a level that level_orbit has just
+    built has u_a s_m = u_b, so that its Schreier generator is the
+    identity, and the level's queue holds every other pair (a, m) once
+    and no tree edge."""
+    i, s, tree = scope["i"], scope["s"], scope["tree"]
+    trans, queue = scope["trans"][i], scope["unsifted"][i]
+    edges = set()
+    for b, edge in tree.items():
+        if edge is not None:
+            a, m = edge
+            assert trans[b][0] == _compose(trans[a][0], s[m])
+            edges.add(edge)
+    assert len(set(queue)) == len(queue)
+    assert set(queue) == {(a, m) for a in tree for m in range(len(s))} - edges
+
+
+def check_tree_edges_skipped(gens):
+    """The order with each level's queue checked as it is built, which is
+    the restarting scan's order, and the closure's size where the closure
+    has at most 8! elements; returns it."""
+    order, _ = order_and_sifted_pairs(_schreier_sims_order, gens, check_level_queue)
     assert order == slow_paths.schreier_sims_order(gens, gens[0].degree)
     if order <= factorial(8):
-        assert order == len(_closure(gens))
+        assert order == closure_size(gens)
     return order
 
 
@@ -246,6 +245,14 @@ def check_resumed_scan(gens):
     assert order == slow_order
     assert sifts <= slow_sifts
     return sifts, slow_sifts
+
+
+def check_queue_sifts_as_resumed_scan(gens):
+    """The queue sifts the same (level, point, generator) sequence as the
+    resumed scan, and the order is the same; returns the number of sifts."""
+    order, sifted = order_and_sifted_pairs(_schreier_sims_order, gens)
+    assert (order, sifted) == order_and_sifted_pairs(slow_paths.resumed_schreier_sims_order, gens)
+    return len(sifted)
 
 
 # cyclic_group(12) with every transversal element read as one generator
@@ -265,6 +272,37 @@ try:
 except InternalError as exc:
     print("InternalError:", exc)
 """
+
+# symmetric_group(12) with its order read as 12: enumerating the elements
+# would build all 12! of them before comparing their number with the
+# order; under the same 1 GiB cap the closure must stop at its budget.
+_ORDER_TOO_SMALL = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from belyilab import permgroup
+from belyilab.errors import InternalError
+G = permgroup.symmetric_group(12)
+G.order = 12
+try:
+    G.elements
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
+
+def run_capped(script):
+    """stdout of script in a fresh interpreter that imports this
+    checkout's belyilab; stderr goes into the assertion message."""
+    src = str(Path(permgroup.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.stdout.startswith("InternalError: "), done.stderr
+    return done.stdout
 
 
 class TestSchreierSims:
@@ -291,34 +329,48 @@ class TestSchreierSims:
     @given(random_pairs)
     def test_tree_edges_skipped_on_random_pairs(self, images):
         x, y, pi = (Permutation(imgs, zero_based=True) for imgs in images)
-        check_skipping_order([x, y])
-        check_skipping_order([pi.inverse() * x * pi, pi.inverse() * y * pi])
+        check_tree_edges_skipped([x, y])
+        check_tree_edges_skipped([pi.inverse() * x * pi, pi.inverse() * y * pi])
 
     @settings(deadline=None)
     @given(imprimitive_gens)
     def test_tree_edges_skipped_on_block_preserving_groups(self, images):
-        check_skipping_order([Permutation(imgs, zero_based=True) for imgs in images])
+        check_tree_edges_skipped([Permutation(imgs, zero_based=True) for imgs in images])
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_tree_edges_skipped_on_symmetric_and_alternating(self, n):
         for G, order in ((symmetric_group(n), factorial(n)), (alternating_group(n), factorial(n) // 2)):
-            assert check_skipping_order(G.generators) == order
+            assert check_tree_edges_skipped(G.generators) == order
+
+    @settings(deadline=None)
+    @given(random_pairs)
+    def test_queue_sifts_as_resumed_scan_on_random_pairs(self, images):
+        x, y, pi = (Permutation(imgs, zero_based=True) for imgs in images)
+        check_queue_sifts_as_resumed_scan([x, y])
+        check_queue_sifts_as_resumed_scan([pi.inverse() * x * pi, pi.inverse() * y * pi])
+
+    @settings(deadline=None)
+    @given(imprimitive_gens)
+    def test_queue_sifts_as_resumed_scan_on_block_preserving_groups(self, images):
+        check_queue_sifts_as_resumed_scan([Permutation(imgs, zero_based=True) for imgs in images])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_queue_sifts_as_resumed_scan_on_symmetric_and_alternating(self, n):
+        for G in (symmetric_group(n), alternating_group(n)):
+            sifts = check_queue_sifts_as_resumed_scan(G.generators)
+            # two equal empty records would compare nothing
+            assert sifts > 0 or n < 3
 
     def test_faulty_level_raises_instead_of_running_away(self):
-        src = str(Path(permgroup.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", _FAULTY_LEVELS],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert done.stdout.startswith("InternalError: "), done.stderr
+        run_capped(_FAULTY_LEVELS)
+
+    def test_closure_past_the_order_raises_instead_of_running_away(self):
+        assert "exceeds the Schreier-Sims order 12" in run_capped(_ORDER_TOO_SMALL)
 
     @settings(deadline=None)
     @given(generator_lists)
     def test_order_matches_closure(self, gens):
-        assert _schreier_sims_order(gens, gens[0].degree) == len(_closure(gens))
+        assert _schreier_sims_order(gens, gens[0].degree) == closure_size(gens)
 
     def test_large_group_keeps_order_without_enumerating(self):
         G = symmetric_group(12)
