@@ -198,23 +198,13 @@ class CharacterTable:
             rows.append(row)
 
         # deterministic order: trivial first, then by degree and value key
-        def row_key(row_deg):
-            row, d = row_deg
-            return (d, [tuple(v.coords) for v in row])
-
-        trivial = None
-        rest = []
         one = Cyclotomic.from_rational(1, N)
-        for row, d in zip(rows, degrees):
-            if d == 1 and all(v == one for v in row):
-                trivial = (row, d)
-            else:
-                rest.append((row, d))
-        if trivial is None:
+        trivial = lambda row, d: d == 1 and all(v == one for v in row)
+        key = lambda rd: (not trivial(*rd), rd[1], [tuple(v.coords) for v in rd[0]])
+        ordered = sorted(zip(rows, degrees), key=key)
+        if not trivial(*ordered[0]):
             raise TableError("trivial character missing")
-        rest.sort(key=row_key)
-        ordered = [trivial] + rest
-        return [rd[0] for rd in ordered], [rd[1] for rd in ordered]
+        return [row for row, _ in ordered], [d for _, d in ordered]
 
     def _validate(self):
         r = len(self.classes)

@@ -65,7 +65,7 @@ from .snf import (
     solve_mod_from_snf,
 )
 
-# The two bounds of this module, timed on a 2-core x86-64 VM, CPython 3.11.
+# The three bounds of this module, timed on a 2-core x86-64 VM, CPython 3.11.
 # _RELATION_LIMIT bounds rank * k, the unknowns of h2 and the side of the
 # Smith normal form it computes: Q8 on (Z/2)^9 (81) takes 0.02 s, S5 on
 # Z/2 (361) 0.25 s, (Z/2)^6 on Z/2 (321, with 21 basis cocycles of 64^2
@@ -74,9 +74,12 @@ from .snf import (
 # the rows of the coboundary map extend_automorphism and
 # verify_main_theorem solve on: factoring it takes 0.01 s for C17 on Z/2
 # (n2 = 256) and 0.03 s for Q8 on (Z/2)^9 (n2 = 441), but the work of
-# those checks grows with n2 * |End_H| and with |H|^2 * |M|.
+# those checks grows with n2 * |End_H| and with |H|^2 * |M|.  _END_LIMIT
+# bounds |End_H|, which aut_h enumerates: 3.8 s for trivial H on (Z/2)^4,
+# R-bar/2 at rank 4, where it is exactly 2^16.
 _RELATION_LIMIT = 512
 _LATTICE_LIMIT = 256
+_END_LIMIT = 2**16
 
 
 def _map_steps(shape):
@@ -368,10 +371,10 @@ def _relation_system(M, pres):
 
 def _restriction(M, pres, table):
     """f_beta, flattened: the Schreier generators' images in M under F ->
-    the extension by the cocycle table, x_i -> (g_i, 0).  The fiber part
-    of s_h's image grows along the tree by beta(h, g_i)
+    the extension by the cocycle table, x_i -> (g_i, 0), g_i = T.gens[i].
+    The fiber part of s_h's image grows along the tree by beta(h, g_i)
     (SchreierTree.generator_values), reduced once at the end."""
-    gens = pres.images
+    gens = M.T.gens
     step = lambda v, h, i: [a + b for a, b in zip(v, table[h][gens[i]])]
     return [x for val in pres.generator_values(M.zero(), step) for x in M.reduce(val)]
 
@@ -404,7 +407,7 @@ def h2(M: FiniteHModule) -> H2Data:
             % (dim, _RELATION_LIMIT)
         )
 
-    pres = SchreierTree(M.T, gens)
+    pres = SchreierTree(M.T.n, [[row[g] for row in M.T.table] for g in gens])
     rows = _equivariance_rows(M, {g: pres.conjugation(g) for g in gens})
     B, ops = congruence_lattice(dim, rows)
     # the restricted derivations and the moduli, in lattice coordinates
@@ -455,11 +458,11 @@ def _end_h_rows(M):
 def aut_h(M: FiniteHModule):
     """All module automorphisms commuting with the H-action, as matrices,
     in lexicographic order of their entries: the units of End_H(M),
-    enumerated from a basis of its lattice once |End_H| <= 2^16."""
+    enumerated from a basis of its lattice once |End_H| <= _END_LIMIT."""
     k, kk = M.k, M.k**2
     moduli = M.shape * k
     B, ops = congruence_lattice(kk, _end_h_rows(M))
-    if prod(moduli) // lattice_index(ops) > 2**16:
+    if prod(moduli) // lattice_index(ops) > _END_LIMIT:
         raise PreconditionError("module too large for automorphism enumeration")
     gens = [tuple(row[j] % m for row, m in zip(B, moduli)) for j in range(kk)]
     gens = [g for g in gens if any(g)]

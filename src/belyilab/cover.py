@@ -22,7 +22,14 @@ points of Z over b the <sigma_b>-orbits on the blocks (H/W).
 from __future__ import annotations
 
 from .errors import InternalError, PreconditionError
-from .permgroup import PermGroup, Permutation, labels, orbit, regular_representation
+from .permgroup import (
+    PermGroup,
+    Permutation,
+    greedy_generators,
+    labels,
+    orbit,
+    regular_representation,
+)
 
 # A regular cover has degree |G|, and its transversal alone holds |G|^2
 # integers.  Past order 2000 the character table of its deck group G,
@@ -82,7 +89,7 @@ class BelyiCover:
                 "a Galois cover of a group of order %d is too large (limit %d)"
                 % (G.order, _REGULAR_LIMIT)
             )
-        return cls(*regular_representation(G))
+        return cls(*regular_representation(G, G.generators))
 
     def to_json(self):
         return {"degree": self.degree, "x": self.x.images, "y": self.y.images}
@@ -159,14 +166,8 @@ def validate(cover: BelyiCover) -> ClosureData:
         return Permutation([pos[w.imgs[p]] for p in fixed], zero_based=True)
 
     deck = [project(u[a]) for a in fixed]
-    kept, reached = [], {0}
-    for i, d in enumerate(deck):
-        if len(reached) == len(fixed):
-            break
-        if i not in reached:
-            kept.append(d)
-            reached = orbit(0, [g.imgs for g in kept], lambda q, g: g[q])
-    D = PermGroup(kept or deck)
+    kept = greedy_generators(range(len(fixed)), 0, lambda q, i: deck[i].imgs[q])
+    D = PermGroup([deck[i] for i in kept] or deck)
     if D.order != len(fixed):
         raise InternalError("D does not act regularly on Fix(J)")
     if not all(d in D for d in deck):

@@ -6,12 +6,12 @@ instead.  Elements are indices 0..n-1 with 0 the identity.  The group
 axioms and the homomorphism property are checked against a generating
 set only, which is exact (see TableGroup.__init__ and preserves_products).
 
-SchreierTree presents a table group as a quotient of a free group F_d:
-the transversal, the free generators of the kernel R and the walk that
-rewrites words in them.  Its transversal words and the generator values
-of a crossed homomorphism are both read off one `orbit` tree by
-`permgroup.labels`.  relmod builds the relation module R-bar on it,
-and cohomology.h2 computes H^2 through Hom_H(R-bar, M).
+SchreierTree takes a transitive action of F_d as d image tuples, not a
+table: the transversal, the free generators of a point stabilizer R and
+the walk that rewrites words in them, all read off one `orbit` tree by
+`permgroup.labels`.  On the right-regular action of H, R is the kernel of
+F_d -> H: relmod builds the relation module R-bar on it, and
+cohomology.h2 computes H^2 through Hom_H(R-bar, M).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 from operator import itemgetter
 
 from .errors import InternalError, PreconditionError
-from .permgroup import greedy_generators, labels, orbit
+from .permgroup import _inverse, greedy_generators, labels, orbit
 
 # the most elements a Cayley table may have: 4096^2 = 16.8 million entries
 TABLE_LIMIT = 4096
@@ -150,85 +150,84 @@ def automorphisms(T: TableGroup):
 
 
 class SchreierTree:
-    """The Schreier transversal of F_d -> H, x_i -> images[i] (positions
-    in the table T), and the free generators of its kernel R.
+    """The Schreier transversal of F_d acting transitively on the points
+    0..n-1, x_i by the image tuple acts[i], and the free generators of R,
+    the stabilizer of point 0 (for H's right-regular action, the kernel of
+    F_d -> H, point h being an element).
 
-    tree is the breadth-first orbit of the identity, each position mapped
-    to the edge (parent, i), position = parent * images[i], that first
-    reached it, parents first.  `labels` reads the transversal words s_h
-    off it, so they are positive.
-    Every other edge (h, i), k = h * images[i], gives the Schreier generator
-    s_h x_i s_k^-1, number gen_index[(h, i + 1)] of free_gens, and there are
-    rank = |H|(d-1)+1 of them.  A word is a tuple of nonzero letters, +i
-    for x_i and -i for its inverse.  All rewriting is one coset walk: tree
-    edges carry no Schreier generator, so s_h w s_h^-1 rewrites as w read
-    from h, and s(h1) s(h2) s(h1 h2)^-1 as s(h2) read from h1.
+    tree is the breadth-first orbit of 0, each point mapped to the edge
+    (parent, i), point = acts[i][parent], that first reached it, parents
+    first.  `labels` reads the transversal words s_p off it, so they are
+    positive.  Every other edge (p, i), k = acts[i][p], gives the Schreier
+    generator s_p x_i s_k^-1, number gen_index[(p, i + 1)] of free_gens,
+    and there are rank = n(d-1)+1 of them.  A word is a tuple of nonzero
+    letters, +i for x_i and -i for its inverse.  All rewriting is one coset
+    walk: tree edges carry no Schreier generator, so s_p w s_p^-1 rewrites
+    as w read from p, and s(h1) s(h2) s(h1 h2)^-1 as s(h2) read from h1.
     """
 
-    def __init__(self, T: TableGroup, images):
-        self.T = T
-        self.images = images = list(images)
-        self.d = len(images)
-        self.tree = tree = orbit(0, images, T.mult)
-        if len(tree) != T.n:
-            raise InternalError("transversal misses part of the group")
+    def __init__(self, n, acts):
+        self.acts = acts = [tuple(a) for a in acts]
+        self.inverses = [_inverse(a) for a in acts]
+        self.d = len(acts)
+        self.tree = tree = orbit(0, acts, lambda p, a: a[p])
+        if len(tree) != n:
+            raise InternalError("transversal misses part of the points")
         words = labels(tree, (), lambda w, _, i: w + (i + 1,))
-        transversal = [words[h] for h in range(T.n)]
-        back = [tuple(-l for l in reversed(w)) for w in transversal]  # s_h^-1
+        transversal = [words[p] for p in range(n)]
+        back = [tuple(-l for l in reversed(w)) for w in transversal]  # s_p^-1
         self.transversal = transversal
         self.free_gens, self.gen_index = [], {}
-        for h in tree:
-            for i, g in enumerate(images):
-                k = T.table[h][g]
-                if tree[k] != (h, i):
-                    self.gen_index[(h, i + 1)] = len(self.free_gens)
-                    self.free_gens.append(transversal[h] + (i + 1,) + back[k])
+        for p in tree:
+            for i, a in enumerate(acts):
+                k = a[p]
+                if tree[k] != (p, i):
+                    self.gen_index[(p, i + 1)] = len(self.free_gens)
+                    self.free_gens.append(transversal[p] + (i + 1,) + back[k])
         self.rank = len(self.free_gens)
-        if self.rank != T.n * (self.d - 1) + 1:
+        if self.rank != n * (self.d - 1) + 1:
             raise InternalError(
-                "Schreier generator count %d != rank %d" % (self.rank, T.n * (self.d - 1) + 1)
+                "Schreier generator count %d != rank %d" % (self.rank, n * (self.d - 1) + 1)
             )
 
     def walk(self, letters, state):
-        """Read letters from position state: (coordinates of the Schreier
-        generators crossed, the position where the walk ends)."""
+        """Read letters from the point state: (coordinates of the Schreier
+        generators crossed, the point where the walk ends)."""
         coords = [0] * self.rank
-        t, inv, images, index = self.T.table, self.T.inv, self.images, self.gen_index
+        acts, inverses, index = self.acts, self.inverses, self.gen_index
         for l in letters:
             if l > 0:
                 j = index.get((state, l))
                 if j is not None:
                     coords[j] += 1
-                state = t[state][images[l - 1]]
+                state = acts[l - 1][state]
             else:
-                state = t[state][inv[images[-l - 1]]]
+                state = inverses[-l - 1][state]
                 j = index.get((state, -l))
                 if j is not None:
                     coords[j] -= 1
         return coords, state
 
-    def conjugation(self, h):
-        """The columns of h acting on R-bar by conjugation through the
-        transversal: column j is the j-th generator read from h, a walk
-        that must end at h."""
+    def conjugation(self, p):
+        """The columns of s_p acting on R-bar by conjugation: column j is
+        the j-th generator read from p, a walk that must end at p."""
         cols = []
         for w in self.free_gens:
-            coords, end = self.walk(w, h)
-            if end != h:
-                raise InternalError("a walk from %d ends at %d, not at %d" % (h, end, h))
+            coords, end = self.walk(w, p)
+            if end != p:
+                raise InternalError("a walk from %d ends at %d, not at %d" % (p, end, p))
             cols.append(coords)
         return cols
 
     def generator_values(self, zero, step):
         """The values at the Schreier generators of a crossed homomorphism
         D (or the fiber part of a map to an extension), from zero = D(1)
-        and step(D(s_h), h, i) = D(s_h x_i): `labels` gives every D(s_h)
-        along the tree, and s_h x_i s_k^-1 takes D(s_h x_i) - D(s_k)."""
-        t = self.T.table
+        and step(D(s_p), p, i) = D(s_p x_i): `labels` gives every D(s_p)
+        along the tree, and s_p x_i s_k^-1 takes D(s_p x_i) - D(s_k)."""
         D = labels(self.tree, zero, step)
         cols = [None] * self.rank
-        for (h, l), j in self.gen_index.items():
-            ends = step(D[h], h, l - 1), D[t[h][self.images[l - 1]]]
+        for (p, l), j in self.gen_index.items():
+            ends = step(D[p], p, l - 1), D[self.acts[l - 1][p]]
             cols[j] = [a - b for a, b in zip(*ends)]
         return cols
 

@@ -510,11 +510,9 @@ def alternating_group(n):
     return PermGroup(gens)
 
 
-def regular_representation(G):
-    """The images of G's generators in the right-regular action of G on
-    its own elements, point i standing for G.elements[i]."""
+def regular_representation(G, gens):
+    """The images of gens, elements of G, in the right-regular action of G
+    on its own elements, point i standing for G.elements[i]."""
     elts = G.elements
     pos = {g.imgs: i for i, g in enumerate(elts)}
-    return [
-        Permutation([pos[(e * g).imgs] for e in elts], zero_based=True) for g in G.generators
-    ]
+    return [Permutation([pos[(e * g).imgs] for e in elts], zero_based=True) for g in gens]

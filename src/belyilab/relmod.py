@@ -2,12 +2,12 @@
 
 Given generators images = (g_1, ..., g_d) of H, the kernel R of the
 induced map F_d -> H is free on |H|(d-1)+1 Schreier generators attached to
-a shortlex transversal (groups.SchreierTree, which also holds the coset
-walk that rewrites words).  The abelianization R-bar is Z^rank with H
-acting by conjugation through the transversal section; its rational
-character is trivial + (d-1)*regular.  Reducing mod m gives a finite
-module M = R-bar/m and the cocycle beta of 1 -> M -> P -> H -> 1,
-P = F_d / R^m[R,R].
+a shortlex transversal (groups.SchreierTree on the right-regular action of
+the images, which also holds the coset walk that rewrites words).  The
+abelianization R-bar is Z^rank with H acting by conjugation through the
+transversal section; its rational character is trivial + (d-1)*regular.
+Reducing mod m gives a finite module M = R-bar/m and the cocycle beta of
+1 -> M -> P -> H -> 1, P = F_d / R^m[R,R].
 
 The finite-level main theorem: the automorphisms of P over id_H restrict
 onto the stabilizer of beta's class in Aut_H(M).  Those endomorphisms are
@@ -22,9 +22,10 @@ Hom_H(R-bar, M) over the table's own generators; for the same presentation
 beta's class there is the identity, and reading the stabilizer off it
 would make the comparison a tautology.
 
-As in cohomology, H is indexed by position in its Cayley table
-(TableGroup.from_permgroup), and the transversal, the action matrices and
-the extension cocycle are lists by position.
+H is indexed by position in H.elements, point i of the regular action
+(permgroup.regular_representation), and the transversal, the action
+matrices and the extension cocycle are lists by position.  H's Cayley
+table is built only for the finite module, by reduce_mod (FiniteHModule).
 """
 
 from __future__ import annotations
@@ -42,24 +43,24 @@ from .cohomology import (
     h2,
 )
 from .errors import InternalError, PreconditionError
-from .groups import SchreierTree, TableGroup
-from .permgroup import PermGroup
+from .groups import TABLE_LIMIT, SchreierTree
+from .permgroup import PermGroup, regular_representation
 from .snf import smith_normal_form, solve_mod_from_snf
 
 
 class RelationModule(SchreierTree):
     """Schreier data and conjugation action for one surjection F_d -> H.
 
-    H is indexed by position in its Cayley table T: images, the keys of
-    gen_index and the indices of transversal and action are positions.
-    action[h] is a rank x rank integer matrix whose column j is the j-th
-    Schreier generator read from h.
+    acts are the images' right-regular actions on H.elements: points, the
+    keys of gen_index and the indices of transversal and action are
+    positions.  action[h] is a rank x rank integer matrix whose column j
+    is the j-th Schreier generator read from h.
     """
 
-    def __init__(self, H, T, images):
-        super().__init__(T, images)
+    def __init__(self, H, acts):
+        super().__init__(H.order, acts)
         self.H = H
-        self.action = [[list(row) for row in zip(*self.conjugation(h))] for h in range(T.n)]
+        self.action = [[list(row) for row in zip(*self.conjugation(h))] for h in range(H.order)]
 
 
 # bound on |H| * rank^2, the integers in the conjugation action, checked
@@ -81,13 +82,18 @@ def relation_rank(order, d):
 
 def schreier_data(H: PermGroup, images) -> RelationModule:
     """Shortlex Schreier transversal and free generators of the kernel of
-    F_d -> H sending the i-th free generator to images[i]."""
+    F_d -> H sending the i-th free generator to images[i]; refused past
+    |H| = TABLE_LIMIT before any element is enumerated."""
     images = list(images)
     relation_rank(H.order, len(images))
+    if H.order > TABLE_LIMIT:
+        raise PreconditionError(
+            "group of order %d is too large for a relation module (limit %d)"
+            % (H.order, TABLE_LIMIT)
+        )
     if PermGroup(images).order != H.order or not all(g in H for g in images):
         raise PreconditionError("the images do not generate H")
-    T = TableGroup.from_permgroup(H)
-    return RelationModule(H, T, [T.index[g] for g in images])
+    return RelationModule(H, [g.imgs for g in regular_representation(H, images)])
 
 
 def rewrite(rm: RelationModule, w):

@@ -471,15 +471,22 @@ class FreeWord:
         return not self.letters
 
 
-class FreeWordSchreier:
-    """relmod's Schreier data for the generator positions gens of H's
-    Cayley table T, built from FreeWord products: the transversal, the
-    Schreier generators (the products that do not reduce to 1), their
-    index and the conjugation action, column j of action[h] being the
-    rewritten s_h w_j s_h^-1."""
+def image_positions(rm):
+    """The positions in rm.H.elements of the images of the free
+    generators: where each one's regular action sends the identity."""
+    return [a[0] for a in rm.acts]
 
-    def __init__(self, T, gens):
-        self.T, self.images, self.d = T, gens, len(gens)
+
+class FreeWordSchreier:
+    """relmod's Schreier data, out of FreeWord products, for the generator
+    positions gens in H's Cayley table T, built here from H: the
+    transversal, the Schreier generators (the products that do not reduce
+    to 1), their index and the conjugation action, column j of action[h]
+    being the rewritten s_h w_j s_h^-1."""
+
+    def __init__(self, H, gens):
+        self.T = T = TableGroup.from_permgroup(H)
+        self.images, self.d = gens, len(gens)
         t = T.table
         tree = orbit(0, gens, T.mult)
         transversal = [None] * T.n
@@ -545,7 +552,7 @@ class FreeWordSchreier:
 def extension_cocycle(rm, m):
     """relmod.extension_cocycle from FreeWord products, on the module
     reduced from the FreeWord action."""
-    slow = FreeWordSchreier(rm.T, rm.images)
+    slow = FreeWordSchreier(rm.H, image_positions(rm))
     M = cohomology.FiniteHModule(rm.H, (m,) * slow.rank, slow.action)
     return cohomology.Cocycle2(M, slow.cocycle_table(m))
 
@@ -557,10 +564,11 @@ def h_fixing_automorphisms(rm, E, m):
     .p_generators), so these are the bijective maps sending each one into
     its own H-fiber: |M|^d candidates."""
     T = E.group
-    gens = FreeWordSchreier(rm.T, rm.images).p_generators(T, m)
+    images = image_positions(rm)
+    gens = FreeWordSchreier(rm.H, images).p_generators(T, m)
     if not T.generates(gens):
         raise InternalError("the images of the free generators do not generate P")
-    fibers = [[a for a, (h, _) in enumerate(T.names) if h == g] for g in rm.images]
+    fibers = [[a for a, (h, _) in enumerate(T.names) if h == g] for g in images]
     maps = (homomorphism_from_generators(T, T, gens, list(c)) for c in itertools.product(*fibers))
     return [f for f in maps if f is not None and len(set(f)) == T.n]
 

@@ -205,7 +205,7 @@ class TestPermCharacter:
         G = symmetric_group(3)
         from belyilab.permgroup import regular_representation
 
-        R = PermGroup(regular_representation(G))
+        R = PermGroup(regular_representation(G, G.generators))
         tab = character_table(R)
         pc = perm_character(R)
         assert pc.mults == list(tab.degrees)
@@ -294,6 +294,17 @@ class TestDixonChecks:
 
         monkeypatch.setattr(CharacterTable, "_dixon", bumped)
         with pytest.raises(TableError, match="degree squares do not sum to the group order"):
+            CharacterTable(symmetric_group(3))
+
+    def test_a_table_with_no_trivial_row_is_refused(self, monkeypatch):
+        # _dixon finds the trivial row by comparing each row with the
+        # constant 1 from Cyclotomic.from_rational; read as 2, that
+        # constant matches no row, and the first row after the sort is
+        # not trivial
+        real = Cyclotomic.from_rational.__func__
+        doubled = classmethod(lambda cls, r, N: real(cls, 2 * r, N))
+        monkeypatch.setattr(Cyclotomic, "from_rational", doubled)
+        with pytest.raises(TableError, match="trivial character missing"):
             CharacterTable(symmetric_group(3))
 
     @pytest.mark.parametrize(

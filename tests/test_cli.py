@@ -432,6 +432,15 @@ class TestRelmod:
         argv = ["--json", "relmod", "--group", path, "--rank", "2"]
         refused_quickly(capsys, argv, "relation module too large")
 
+    def test_order_4097_refused_before_its_elements(self, capsys, tmp_path):
+        # Z/4097, a 17-cycle times a 241-cycle on 258 points, at rank 1:
+        # the action bound admits it, and the order bound refuses it
+        # before the group is enumerated
+        g = list(range(2, 18)) + [1] + list(range(19, 259)) + [18]
+        path = write_json(tmp_path, "z4097.json", {"generators": [g]})
+        argv = ["--json", "relmod", "--group", path, "--rank", "1"]
+        refused_quickly(capsys, argv, "group of order 4097 is too large for a relation module")
+
     @pytest.mark.parametrize("rank", [600, 5 * 10**6, 10**17, 10**19])
     def test_large_rank_refused_before_padding(self, capsys, tmp_path, rank):
         # Z/2 with rank d pads d - 1 identities; the bound on the action

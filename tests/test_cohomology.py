@@ -245,6 +245,17 @@ class TestAutH:
         M = FiniteHModule.trivial(trivial_group(1), (2, 2))
         assert len(aut_h(M)) == 6
 
+    def test_end_limit_edges(self, monkeypatch):
+        # End_H of trivial H on (Z/2)^2 is all 16 matrices: admitted with
+        # the bound at 16 and refused at 15 (a real |End_H| = 2^16 takes
+        # seconds to enumerate, so the bound is patched low)
+        M = FiniteHModule.trivial(trivial_group(1), (2, 2))
+        monkeypatch.setattr(cohomology, "_END_LIMIT", 16)
+        assert len(aut_h(M)) == 6
+        monkeypatch.setattr(cohomology, "_END_LIMIT", 15)
+        with pytest.raises(PreconditionError, match="too large for automorphism enumeration"):
+            aut_h(M)
+
 
 class TestInternalFaults:
     def test_a_dropped_generator_is_caught(self, monkeypatch):

@@ -16,6 +16,7 @@ from belyilab.corpus import random_covers
 from belyilab.cyclotomic import Cyclotomic
 from belyilab.descent import descent_report
 from belyilab.errors import InternalError, PreconditionError
+from belyilab.groups import SchreierTree
 from belyilab.permgroup import PermGroup, Permutation, generate
 from make_golden import fixture_covers
 
@@ -301,6 +302,29 @@ def test_branch_point_relabeling_invariance(relabel):
     covers = list(fixture_covers().values()) + random_covers()[:40]
     for cover in covers:
         assert invariants(BelyiCover(*relabel(cover))) == invariants(cover)
+
+
+@pytest.mark.parametrize("name", sorted(fixture_covers()))
+def test_schreier_tree_on_the_points(name):
+    # F_2 acting on the n points through (x, y): the stabilizer of point 0
+    # is free of rank n(2-1)+1 = n + 1, one generator per non-tree edge of
+    # the coset graph, and each one read from 0 returns to 0 crossing only
+    # itself.  Read from q, every one returns to q exactly when the
+    # stabilizer of 0 fixes q: the points validate finds as Fix(J).
+    cover = fixture_covers()[name]
+    n = cover.degree
+    st = SchreierTree(n, [cover.x.imgs, cover.y.imgs])
+    assert st.rank == n + 1
+    for j, w in enumerate(st.free_gens):
+        assert st.walk(w, 0) == ([int(i == j) for i in range(n + 1)], 0)
+    fixed = [q for q in range(n) if all(st.walk(w, q)[1] == q for w in st.free_gens)]
+    assert fixed == validate(cover).fixed
+
+
+def test_schreier_tree_refuses_an_intransitive_action():
+    x, y = perm(4, (1, 2)), perm(4, (3, 4))
+    with pytest.raises(InternalError, match="transversal misses"):
+        SchreierTree(4, [x.imgs, y.imgs])
 
 
 def test_validate_does_not_enumerate_h():

@@ -139,7 +139,7 @@ def random_cocycle(M, data, rng):
 def relation_system(M):
     """(presentation, unknowns, equivariance congruences, [D | diag(moduli)])
     as h2 builds them."""
-    pres = SchreierTree(M.T, M.T.gens)
+    pres = SchreierTree(M.T.n, [[row[g] for row in M.T.table] for g in M.T.gens])
     rows = _equivariance_rows(M, {g: pres.conjugation(g) for g in M.T.gens})
     return pres, pres.rank * M.k, rows, _relation_system(M, pres)
 
@@ -426,7 +426,7 @@ def share_aut_h(monkeypatch):
 def test_relation_module_matches_free_words(H, d, monkeypatch):
     share_aut_h(monkeypatch)
     rm = schreier_data(H, _padded_generators(H, d))
-    slow = slow_paths.FreeWordSchreier(rm.T, rm.images)
+    slow = slow_paths.FreeWordSchreier(rm.H, slow_paths.image_positions(rm))
     assert rm.transversal == [w.letters for w in slow.transversal]
     assert rm.free_gens == [w.letters for w in slow.free_gens]
     assert rm.gen_index == slow.gen_index

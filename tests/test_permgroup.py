@@ -487,9 +487,21 @@ class TestSubgroupsAndActions:
 
     def test_regular_representation(self):
         G = symmetric_group(3)
-        R = PermGroup(regular_representation(G))
+        R = PermGroup(regular_representation(G, G.generators))
         assert R.degree == 6 and R.order == 6
         # regular action is free: nonidentity elements fix nothing
         for g in R.elements:
             if not g.is_identity():
                 assert all(g.imgs[i] != i for i in range(6))
+
+    def test_regular_representation_of_given_elements(self):
+        # point i is G.elements[i], so each element's right-regular image
+        # sends the identity, point 0, to that element's own position
+        G = symmetric_group(3)
+        images = regular_representation(G, G.elements)
+        assert [r.imgs[0] for r in images] == list(range(G.order))
+        assert all(
+            G.elements[r.imgs[i]] == e * g
+            for r, g in zip(images, G.elements)
+            for i, e in enumerate(G.elements)
+        )

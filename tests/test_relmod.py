@@ -61,6 +61,26 @@ class TestSchreierData:
         with pytest.raises(PreconditionError):
             schreier_data(H, [g * g, H.identity() * g * g * g * g])
 
+    def test_no_cayley_table_is_built(self):
+        # the tree reads the images' regular action, d tuples of |H| points
+        H = symmetric_group(4)
+        rm = schreier_data(H, padded_generators(H, 3))
+        rational_character(rm)
+        assert rm.rank == 49 and "_table" not in vars(H)
+
+    @pytest.mark.parametrize("limit, refused", [(6, False), (5, True)])
+    def test_order_limit_edges(self, monkeypatch, limit, refused):
+        # S3 at the bound is admitted, and past it refused before H is
+        # enumerated (the real bound, 4096, is patched low)
+        monkeypatch.setattr(relmod, "TABLE_LIMIT", limit)
+        H = symmetric_group(3)
+        if refused:
+            with pytest.raises(PreconditionError, match="too large for a relation module"):
+                schreier_data(H, H.generators)
+            assert "_elt_map" not in vars(H)
+        else:
+            assert schreier_data(H, H.generators).rank == 6 * (len(H.generators) - 1) + 1
+
     def test_transversal_is_prefix_closed_shortlex(self):
         H = symmetric_group(3)
         rm = schreier_data(H, list(H.generators))
@@ -69,11 +89,12 @@ class TestSchreierData:
         for w in words:
             assert w[:-1] in words or w == ()
         # the word at position h evaluates to H.elements[h] under the
-        # presentation's images, multiplied as permutations
+        # presentation's images, multiplied as permutations; image i is
+        # where its regular action sends the identity, position 0
         for h, word in enumerate(rm.transversal):
             value = H.identity()
             for letter in word:
-                g = H.elements[rm.images[abs(letter) - 1]]
+                g = H.elements[rm.acts[abs(letter) - 1][0]]
                 value = value * (g if letter > 0 else g.inverse())
             assert value == H.elements[h]
 
