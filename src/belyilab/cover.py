@@ -89,7 +89,8 @@ class BelyiCover:
                 "a Galois cover of a group of order %d is too large (limit %d)"
                 % (G.order, _REGULAR_LIMIT)
             )
-        return cls(*regular_representation(G, G.generators))
+        x, y = regular_representation(G, G.generators)
+        return cls(Permutation(x, zero_based=True), Permutation(y, zero_based=True))
 
     def to_json(self):
         return {"degree": self.degree, "x": self.x.images, "y": self.y.images}
@@ -220,7 +221,14 @@ def genus(cover: BelyiCover) -> int:
 
 def tate_characters(cd: ClosureData):
     """The three Tate-module characters (left, middle, jac) of the deck
-    group D, with jac = middle - left checked effective of degree 2*genus."""
+    group D, with jac = middle - left checked effective of degree 2*genus.
+
+    Memoized per closure as `cd._tate`, so the descent criterion, its
+    subgroup search and the corpus share one computation; the characters
+    are shared and must not be mutated.  A failed check stores nothing."""
+    chars = getattr(cd, "_tate", None)
+    if chars is not None:
+        return chars
     from .chartab import VirtualCharacter, character_table
 
     tab = character_table(cd.D)
@@ -241,7 +249,8 @@ def tate_characters(cd: ClosureData):
         raise InternalError(
             "Jacobian character degree %d != 2*genus = %d" % (jac.degree, 2 * g)
         )
-    return left, middle, jac
+    cd._tate = left, middle, jac
+    return cd._tate
 
 
 def analysis_report(cover: BelyiCover) -> dict:

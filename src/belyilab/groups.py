@@ -54,10 +54,8 @@ class TableGroup:
                 for b in range(n):
                     if t[ta[b]][c] != ta[t[b][c]]:
                         raise PreconditionError("multiplication table is not associative")
-        inv = [row.index(0) if 0 in row else None for row in t]
-        if None in inv:
-            raise PreconditionError("multiplication table has no inverses")
-        self.inv = inv
+        # each row is a permutation of 0..n-1, so it holds the identity 0
+        self.inv = [row.index(0) for row in t]
 
     @classmethod
     def from_permgroup(cls, G):

@@ -511,8 +511,8 @@ def alternating_group(n):
 
 
 def regular_representation(G, gens):
-    """The images of gens, elements of G, in the right-regular action of G
-    on its own elements, point i standing for G.elements[i]."""
-    elts = G.elements
-    pos = {g.imgs: i for i, g in enumerate(elts)}
-    return [Permutation([pos[(e * g).imgs] for e in elts], zero_based=True) for g in gens]
+    """The image tuples of gens, elements of G, in the right-regular action
+    of G on its own elements, point i standing for G.elements[i]."""
+    elts = [e.imgs for e in G.elements]
+    pos = {e: i for i, e in enumerate(elts)}
+    return [tuple(pos[_compose(e, g.imgs)] for e in elts) for g in gens]

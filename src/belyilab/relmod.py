@@ -93,7 +93,7 @@ def schreier_data(H: PermGroup, images) -> RelationModule:
         )
     if PermGroup(images).order != H.order or not all(g in H for g in images):
         raise PreconditionError("the images do not generate H")
-    return RelationModule(H, [g.imgs for g in regular_representation(H, images)])
+    return RelationModule(H, regular_representation(H, images))
 
 
 def rewrite(rm: RelationModule, w):

@@ -205,7 +205,9 @@ class TestPermCharacter:
         G = symmetric_group(3)
         from belyilab.permgroup import regular_representation
 
-        R = PermGroup(regular_representation(G, G.generators))
+        R = PermGroup(
+            [Permutation(r, zero_based=True) for r in regular_representation(G, G.generators)]
+        )
         tab = character_table(R)
         pc = perm_character(R)
         assert pc.mults == list(tab.degrees)

@@ -6,6 +6,7 @@ import pytest
 
 from belyilab import corpus
 from belyilab.chartab import VirtualCharacter
+from belyilab.cover import ClosureData
 
 
 def raised_at_trivial(character):
@@ -43,3 +44,25 @@ def test_a_shifted_character_fails_its_criterion_only(monkeypatch, name, fault, 
     assert [r["criterion"] for r in results if not r["pass"]] == [number]
     [failed] = [r for r in results if not r["pass"]]
     assert failed["detail"] == "AssertionError: " + detail
+
+
+def test_criterion10_computes_each_closures_tate_characters_once(monkeypatch):
+    # criterion_rows, criterion 10 and refine_search each read the
+    # characters of one closure per cover; the body of tate_characters
+    # subtracts once, as jac = middle - left
+    closures, subtractions = [], []
+    init, sub = ClosureData.__init__, VirtualCharacter.__sub__
+
+    def recording_init(self, *args):
+        closures.append(self)
+        init(self, *args)
+
+    def counting_sub(self, other):
+        subtractions.append(self.table)
+        return sub(self, other)
+
+    monkeypatch.setattr(ClosureData, "__init__", recording_init)
+    monkeypatch.setattr(VirtualCharacter, "__sub__", counting_sub)
+    corpus.criterion_10()
+    assert len(closures) == len(subtractions) == len(corpus.random_covers())
+    assert subtractions == [cd._tate[0].table for cd in closures]

@@ -4,8 +4,9 @@ import pytest
 
 import slow_paths
 from belyilab import chartab, descent
+from belyilab import cover as cover_module
 from belyilab.chartab import VirtualCharacter, character_table
-from belyilab.cover import BelyiCover, validate, tate_characters
+from belyilab.cover import BelyiCover, genus, validate, tate_characters
 from belyilab.descent import (
     DESCENDS,
     DOES_NOT_DESCEND,
@@ -296,3 +297,75 @@ class TestRefineSearchOracle:
             assert tables_built.count(frozenset(g.imgs for g in D.elements)) == 1
             if D.order == 1:
                 assert len(tables_built) == 1
+
+
+def memo_covers():
+    """The fixture and seeded covers, a relabelled copy of each, and the
+    regular covers of Z/3, Z/5, Z/6 and A5."""
+    covers = golden_covers()
+    rng = random.Random(7)
+    return covers + [relabelled(c, rng) for c in covers] + cyclic_galois_covers()
+
+
+@pytest.fixture
+def subtractions(monkeypatch):
+    """The tables of every VirtualCharacter subtraction, in call order: the
+    body of tate_characters subtracts once, as jac = middle - left."""
+    seen = []
+    sub = VirtualCharacter.__sub__
+
+    def counting(self, other):
+        seen.append(self.table)
+        return sub(self, other)
+
+    monkeypatch.setattr(VirtualCharacter, "__sub__", counting)
+    return seen
+
+
+def fresh_tate_characters(cd):
+    """tate_characters computed anew on every call, as before the memo."""
+    chars = tate_characters(cd)
+    del cd._tate
+    return chars
+
+
+class TestTateMemo:
+    def test_body_runs_once_per_refined_report(self, subtractions):
+        for cover in memo_covers():
+            del subtractions[:]
+            rep = descent_report(cover, refine=True)
+            assert subtractions == [character_table(rep.closure.D)]
+            subgroup_certify(rep.closure, rep.closure.D)
+            assert len(subtractions) == 1
+
+    def test_reports_match_a_fresh_computation_per_call(self, monkeypatch):
+        memo = [descent_report(c, refine=True) for c in memo_covers()]
+        monkeypatch.setattr(descent, "tate_characters", fresh_tate_characters)
+        fresh = [descent_report(c, refine=True) for c in memo_covers()]
+        for a, b in zip(memo, fresh):
+            assert a.to_json() == b.to_json()
+            assert certificate_sets(a.certificates) == certificate_sets(b.certificates)
+            assert not hasattr(b.closure, "_tate")
+
+    def test_consumers_leave_the_shared_characters_unchanged(self, monkeypatch):
+        for cover in memo_covers():
+            cd = validate(cover)
+            chars = tate_characters(cd)
+            before = [list(c.mults) for c in chars]
+            monkeypatch.setattr(descent, "validate", lambda _: cd)
+            rep = descent_report(cover, refine=True)
+            for _, sub in rep.certificates:
+                assert subgroup_certify(cd, sub)
+            assert tate_characters(cd) is chars
+            assert [c.mults for c in chars] == before
+
+    def test_a_failed_check_stores_nothing(self, monkeypatch, subtractions):
+        cd = validate(cubic_cover())
+        monkeypatch.setattr(cover_module, "genus", lambda cover: genus(cover) + 1)
+        for _ in range(2):
+            with pytest.raises(InternalError, match="Jacobian character degree"):
+                tate_characters(cd)
+        assert len(subtractions) == 2 and not hasattr(cd, "_tate")
+        monkeypatch.setattr(cover_module, "genus", genus)
+        assert tate_characters(cd) is tate_characters(cd)
+        assert len(subtractions) == 3

@@ -487,7 +487,9 @@ class TestSubgroupsAndActions:
 
     def test_regular_representation(self):
         G = symmetric_group(3)
-        R = PermGroup(regular_representation(G, G.generators))
+        R = PermGroup(
+            [Permutation(r, zero_based=True) for r in regular_representation(G, G.generators)]
+        )
         assert R.degree == 6 and R.order == 6
         # regular action is free: nonidentity elements fix nothing
         for g in R.elements:
@@ -499,9 +501,10 @@ class TestSubgroupsAndActions:
         # sends the identity, point 0, to that element's own position
         G = symmetric_group(3)
         images = regular_representation(G, G.elements)
-        assert [r.imgs[0] for r in images] == list(range(G.order))
+        assert all(type(r) is tuple for r in images)
+        assert [r[0] for r in images] == list(range(G.order))
         assert all(
-            G.elements[r.imgs[i]] == e * g
+            G.elements[r[i]] == e * g
             for r, g in zip(images, G.elements)
             for i, e in enumerate(G.elements)
         )
