@@ -266,8 +266,11 @@ def analysis_report(cover: BelyiCover) -> dict:
         "order_D": cd.D.order,
         "index_HW": cd.index_HW,
         "is_galois": cd.is_galois,
+        # lists are copied to their exact length: a list built item by item
+        # keeps spare slots (three for one item), and callers such as a
+        # census keep reports by the thousand
         "branch": {
-            b: [{"e": e, "order_d": d.order()} for e, d in cd.branch[b]]
+            b: [{"e": e, "order_d": d.order()} for e, d in cd.branch[b]].copy()
             for b in BRANCH_POINTS
         },
     }

@@ -12,6 +12,8 @@ holds for D after all.
 
 from __future__ import annotations
 
+import sys
+
 from .chartab import character_table
 from .cover import BelyiCover, genus, tate_characters, validate
 from .errors import InternalError
@@ -37,9 +39,10 @@ class DescentReport:
             "is_galois": self.closure.is_galois,
             "order_D": self.closure.D.order,
             "index_HW": self.closure.index_HW,
-            "rows": [dict(r) for r in self.rows],
+            # exact-length lists, as in analysis_report
+            "rows": [dict(r) for r in self.rows].copy(),
             "verdict": self.verdict,
-            "certificates": [label for label, _ in self.certificates],
+            "certificates": [label for label, _ in self.certificates].copy(),
         }
 
 
@@ -90,7 +93,9 @@ def refine_search(cd):
     for rep, _ in D.conjugacy_classes():
         sub = PermGroup([rep])
         key = frozenset(g.imgs for g in sub.elements)
-        candidates.setdefault(key, ("cyclic(order %d)" % sub.order, D if key == whole else sub))
+        # one label string per order, shared by every report that keeps it
+        label = sys.intern("cyclic(order %d)" % sub.order)
+        candidates.setdefault(key, (label, D if key == whole else sub))
     candidates.setdefault(whole, ("D", D))
     left, _, jac = tate_characters(cd)
     return [(label, sub) for label, sub in candidates.values() if _certifies(left, jac, sub)]

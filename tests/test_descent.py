@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,7 +7,7 @@ import slow_paths
 from belyilab import chartab, descent
 from belyilab import cover as cover_module
 from belyilab.chartab import VirtualCharacter, character_table
-from belyilab.cover import BelyiCover, genus, validate, tate_characters
+from belyilab.cover import BelyiCover, analysis_report, genus, validate, tate_characters
 from belyilab.descent import (
     DESCENDS,
     DOES_NOT_DESCEND,
@@ -369,3 +370,17 @@ class TestTateMemo:
         monkeypatch.setattr(cover_module, "genus", genus)
         assert tate_characters(cd) is tate_characters(cd)
         assert len(subtractions) == 3
+
+
+def test_reports_hold_exact_length_lists_and_shared_labels():
+    """A report's lists hold no spare room, and each certificate label is
+    one string object shared by every report that names it."""
+    labels = {}
+    for cover in memo_covers():
+        data = descent_report(cover, refine=True).to_json()
+        lists = [*analysis_report(cover)["branch"].values(), data["rows"], data["certificates"]]
+        for lst in lists:
+            assert sys.getsizeof(lst) == sys.getsizeof(lst.copy())
+        for label in data["certificates"]:
+            assert labels.setdefault(label, label) is label
+    assert "cyclic(order 1)" in labels and "cyclic(order 2)" in labels
