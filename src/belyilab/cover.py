@@ -254,9 +254,20 @@ def tate_characters(cd: ClosureData):
 
 
 def analysis_report(cover: BelyiCover) -> dict:
-    """JSON-ready structural summary of a cover."""
+    """JSON-ready structural summary of a cover.
+
+    The report is a read-only payload: equal branch records within it are
+    one dict, shared by every position that holds them, so mutating one
+    would change the others.  Its JSON and its == are those of separate
+    dicts."""
     cd = validate(cover)
     g = genus(cover)
+    records = {}
+
+    def record(e, d):
+        key = e, d.order()
+        return records.setdefault(key, {"e": e, "order_d": key[1]})
+
     report = {
         "degree": cover.degree,
         "genus": g,
@@ -269,9 +280,6 @@ def analysis_report(cover: BelyiCover) -> dict:
         # lists are copied to their exact length: a list built item by item
         # keeps spare slots (three for one item), and callers such as a
         # census keep reports by the thousand
-        "branch": {
-            b: [{"e": e, "order_d": d.order()} for e, d in cd.branch[b]].copy()
-            for b in BRANCH_POINTS
-        },
+        "branch": {b: [record(e, d) for e, d in cd.branch[b]].copy() for b in BRANCH_POINTS},
     }
     return report

@@ -1,9 +1,10 @@
 import json
 import random
+from math import factorial
 
 import pytest
 
-from belyilab import chartab, cover as cover_module
+from belyilab import chartab, cover as cover_module, permgroup
 from belyilab.chartab import character_table
 from belyilab.cover import (
     BelyiCover,
@@ -332,6 +333,50 @@ def test_validate_does_not_enumerate_h():
     cd = validate(cover)
     assert cd.H.order == 40320 and cd.order_J == 5040
     assert "_elt_map" not in vars(cd.H)
+
+
+def random_pair_cover(n, seed):
+    rng = random.Random(seed)
+    return BelyiCover(*(Permutation(rng.sample(range(n), n), zero_based=True) for _ in range(2)))
+
+
+# x = (1 2), y = (1 2 ... n) gives H = S_n; the seeded pairs of degree 64
+# are transitive, one with an odd generator (S_64) and one even (A_64)
+LARGE_GIANTS = {
+    "S48": lambda: BelyiCover(perm(48, (1, 2)), perm(48, tuple(range(1, 49)))),
+    "S100": lambda: BelyiCover(perm(100, (1, 2)), perm(100, tuple(range(1, 101)))),
+    "S64 random": lambda: random_pair_cover(64, 64),
+    "A64 random": lambda: random_pair_cover(64, 61),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GIANTS))
+def test_large_degree_giants_need_no_schreier_sims(name, monkeypatch):
+    # Schreier-Sims on S_48 alone takes about 20 s; past degree 16 it must
+    # not run at all, so |H| comes from the Jordan certificate (D, on
+    # Fix(J), still gets its order from Schreier-Sims)
+    schreier_sims = permgroup._schreier_sims_order
+
+    def small_only(gens, n):
+        assert n <= 16, "Schreier-Sims ran at degree %d" % n
+        return schreier_sims(gens, n)
+
+    monkeypatch.setattr(permgroup, "_schreier_sims_order", small_only)
+    cover = LARGE_GIANTS[name]()
+    n = cover.degree
+    odd = any((n - g.cycle_count()) % 2 for g in (cover.x, cover.y))
+    assert odd == (name[0] == "S")
+    order_H = factorial(n) if odd else factorial(n) // 2
+    rep = analysis_report(cover)
+    assert (rep["order_H"], rep["order_J"], rep["order_W"]) == (order_H, order_H // n, order_H // n)
+    assert (rep["order_D"], rep["index_HW"], rep["is_galois"]) == (1, n, False)
+    if odd:
+        assert rep["order_J"] == factorial(n - 1)
+    data = descent_report(LARGE_GIANTS[name](), refine=True).to_json()
+    assert (data["order_D"], data["index_HW"], data["genus"]) == (1, n, rep["genus"])
+    # one row for trivial D: m_V = 1 + [H:W], and m_V - n_V = 2g
+    (row,) = data["rows"]
+    assert (row["degree"], row["m_V"], row["m_V"] - row["n_V"]) == (1, n + 1, 2 * rep["genus"])
 
 
 REGULAR_GENERATORS = {

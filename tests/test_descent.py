@@ -373,14 +373,22 @@ class TestTateMemo:
 
 
 def test_reports_hold_exact_length_lists_and_shared_labels():
-    """A report's lists hold no spare room, and each certificate label is
-    one string object shared by every report that names it."""
+    """A report's lists hold no spare room, equal branch records within an
+    analysis report are one dict, and each certificate label is one string
+    object shared by every report that names it."""
     labels = {}
+    repeats = 0
     for cover in memo_covers():
         data = descent_report(cover, refine=True).to_json()
-        lists = [*analysis_report(cover)["branch"].values(), data["rows"], data["certificates"]]
-        for lst in lists:
+        branch = analysis_report(cover)["branch"]
+        for lst in [*branch.values(), data["rows"], data["certificates"]]:
             assert sys.getsizeof(lst) == sys.getsizeof(lst.copy())
+        records = {}
+        for rec in (rec for recs in branch.values() for rec in recs):
+            key = rec["e"], rec["order_d"]
+            repeats += key in records
+            assert records.setdefault(key, rec) is rec
         for label in data["certificates"]:
             assert labels.setdefault(label, label) is label
+    assert repeats > 0
     assert "cyclic(order 1)" in labels and "cyclic(order 2)" in labels

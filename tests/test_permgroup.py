@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from math import factorial
@@ -14,6 +15,7 @@ from belyilab.permgroup import (
     Permutation,
     PermGroup,
     _compose,
+    _jordan_order,
     _schreier_sims_order,
     alternating_group,
     cyclic_group,
@@ -385,6 +387,108 @@ class TestSchreierSims:
         assert "_elt_map" not in vars(G)
         assert len(G.elements) == G.order == 60
         assert "_elt_map" in vars(G)
+
+
+def _psl2(q):
+    """PSL(2, q), q prime, on the projective line: x -> x + 1 and
+    x -> -1/x, the point q standing for infinity."""
+
+    def s(x):
+        return 0 if x == q else q if x == 0 else -pow(x, -1, q) % q
+
+    t = [q if x == q else (x + 1) % q for x in range(q + 1)]
+    return [Permutation(t, zero_based=True), Permutation([s(x) for x in range(q + 1)], zero_based=True)]
+
+
+def _agl32():
+    """AGL(3, 2) on the vectors 0..7 of F_2^3 as bit patterns: a
+    translation, a Singer cycle (times alpha in F_8 = F_2[alpha]/(alpha^3 +
+    alpha + 1)) and a transvection; the last two generate GL(3, 2), since
+    its maximal subgroups with an element of order 7 have odd order."""
+    translate = [v ^ 1 for v in range(8)]
+    singer = [(v << 1 & 7) ^ (3 if v & 4 else 0) for v in range(8)]
+    transvect = [v ^ (v >> 1 & 1) for v in range(8)]
+    return [Permutation(g, zero_based=True) for g in (translate, singer, transvect)]
+
+
+_M11 = [perm(11, tuple(range(1, 12))), perm(11, (3, 7, 11, 8), (4, 10, 5, 6))]
+_M12 = [Permutation(list(g.images) + [12]) for g in _M11] + [
+    perm(12, (1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10))
+]
+
+# transitive or not, none of these holds a Jordan witness: a cycle of prime
+# length p with n/2 < p <= n - 3 in a transitive group
+WITNESS_FREE = [
+    pytest.param(_psl2(7), 168, id="PSL(2,7) on 8 points"),
+    pytest.param(_agl32(), 1344, id="AGL(3,2) on 8 points"),
+    pytest.param(_M11, 7920, id="M11"),
+    pytest.param(_M12, 95040, id="M12"),
+    pytest.param(_psl2(13), 1092, id="PSL(2,13) on 14 points"),
+    pytest.param(
+        [perm(12, (1, 2)), perm(12, (1, 2, 3, 4, 5, 6)), perm(12, *((i, i + 6) for i in range(1, 7)))],
+        2 * factorial(6) ** 2,
+        id="S6 wr S2 on 12 points",
+    ),
+    pytest.param([perm(8, tuple(range(1, 8))), perm(8, (1, 2))], factorial(7), id="S7 fixing point 8"),
+    pytest.param(cyclic_group(8).generators, 8, id="one 8-cycle"),
+]
+
+
+@pytest.fixture
+def schreier_sims_runs(monkeypatch):
+    """The orders that PermGroup's calls of _schreier_sims_order return
+    while the test runs, in call order."""
+    runs = []
+
+    def spy(gens, n):
+        runs.append(_schreier_sims_order(gens, n))
+        return runs[-1]
+
+    monkeypatch.setattr(permgroup, "_schreier_sims_order", spy)
+    return runs
+
+
+def check_certificate(gens):
+    """The Jordan order of the generators, equal to the Schreier-Sims order
+    where the search finds a witness; returns it (None where it does not)."""
+    n = gens[0].degree
+    order = _jordan_order([g.imgs for g in gens], n)
+    assert order in (None, _schreier_sims_order(gens, n))
+    return order
+
+
+class TestJordanCertificate:
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_certified_order_matches_schreier_sims_on_random_pairs(self, n):
+        rng = random.Random(n)
+        certified = 0
+        for _ in range(8):
+            x, y, pi = (Permutation(rng.sample(range(n), n), zero_based=True) for _ in range(3))
+            order = check_certificate([x, y])
+            # the walk reads only products of the generators, so a
+            # relabelled copy finds its witness at the same step
+            assert check_certificate([pi.inverse() * x * pi, pi.inverse() * y * pi]) == order
+            certified += order is not None
+        assert certified >= 4
+
+    @settings(deadline=None)
+    @given(imprimitive_gens)
+    def test_block_preserving_groups_are_never_certified(self, images):
+        gens = [Permutation(imgs, zero_based=True) for imgs in images]
+        assert check_certificate(gens) is None
+        assert PermGroup(gens).order == _schreier_sims_order(gens, len(images[0]))
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_symmetric_and_alternating_are_certified(self, n, schreier_sims_runs):
+        for G, order in ((symmetric_group(n), factorial(n)), (alternating_group(n), factorial(n) // 2)):
+            assert G.order == order == _schreier_sims_order(G.generators, n)
+        assert schreier_sims_runs == []
+
+    @pytest.mark.parametrize("gens, order", WITNESS_FREE)
+    def test_witness_free_groups_fall_back_to_schreier_sims(self, gens, order, schreier_sims_runs):
+        assert _jordan_order([g.imgs for g in gens], gens[0].degree) is None
+        assert PermGroup(gens).order == order
+        assert schreier_sims_runs == [order]
 
 
 class TestConjugacy:
