@@ -8,9 +8,9 @@ group contains A_n, so its order is n! or n!/2; see _jordan_order), and
 otherwise from a deterministic Schreier-Sims base and strong generating
 set; both take time polynomial in the degree.  Its elements are
 enumerated by full closure only when something first needs them (the
-element list, membership, conjugacy classes), and only up to _SCALE_LIMIT
-elements: a larger group keeps its order but refuses enumeration with
-PreconditionError.
+element list, membership outside S_n and A_n, conjugacy classes), and
+only up to _SCALE_LIMIT elements: a larger group keeps its order but
+refuses enumeration with PreconditionError.
 
 `orbit` is the library's one breadth-first search (closures, Schreier-Sims
 levels, conjugacy classes, cosets, cover transversals and blocks, words).
@@ -18,12 +18,15 @@ It returns the Schreier tree {point: (parent, generator index)} with the
 start mapped to None, in discovery order: level by level, and within a
 level by parent, then by generator index.  Parents precede children, so
 `labels` gives every point its label (word, element, matrix) in one pass
-over the tree; it is the library's one labelling pass.
+over the tree; it is the library's one labelling pass.  Both also extend
+their own output in place: `orbit` grows a tree when generators join,
+and `labels` then labels only the new points (Schreier-Sims levels).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from math import factorial, isqrt, lcm, prod
 
 from .errors import InternalError, PreconditionError
@@ -155,12 +158,18 @@ class Permutation:
         return "Permutation(%s)" % " ".join("(%s)" % " ".join(map(str, c)) for c in cyc)
 
 
-def orbit(start, gens, act):
+def orbit(start, gens, act, tree=None):
     """Schreier tree {point: (parent, generator index)} of start under
     the generators, by breadth-first search with act(point, generator);
-    start maps to None and the dict is in discovery order."""
-    tree = {start: None}
-    queue = [start]
+    start maps to None and the dict is in discovery order.
+
+    Given the tree of an earlier call with fewer generators (the same
+    ones first), orbit grows that tree in place and returns it: the
+    search goes on from every point it holds, and only the generators
+    that joined since can reach new points from them."""
+    if tree is None:
+        tree = {start: None}
+    queue = list(tree)
     indexed = list(enumerate(gens))
     for p in queue:  # the queue grows while it is read
         for i, g in indexed:
@@ -171,12 +180,15 @@ def orbit(start, gens, act):
     return tree
 
 
-def labels(tree, root, step):
+def labels(tree, root, step, out=None):
     """{point: label} in the order of a tree from `orbit`: the start gets
     root, and the point reached by the edge (parent, i) gets
-    step(label of parent, parent, i)."""
-    out = {}
-    for p, edge in tree.items():
+    step(label of parent, parent, i).  Given the labels of the tree before
+    `orbit` grew it, labels adds those of the new points to them in place
+    and returns them."""
+    if out is None:
+        out = {}
+    for p, edge in islice(tree.items(), len(out), None):
         out[p] = root if edge is None else step(out[edge[0]], *edge)
     return out
 
@@ -286,42 +298,53 @@ def _schreier_sims_order(gens, n):
     generators generate the stabilizer of base[:i], and |G| is the product
     of the orbit lengths (Holt-Eick-O'Brien, Handbook of CGT, 4.4.2).
 
-    `unsifted[i]` lists the pairs (a, index of s) of level i not yet known
-    to sift to the identity, the next one last.  `level_orbit` refills it
-    in reverse scan order when it rebuilds the level, leaving out the
-    orbit tree's edges (a, s) -> a^s, whose Schreier generator is the
-    identity because `labels` builds u_(a^s) as u_a s.  A pair leaves the
-    list only once it sifts to the identity, and comes back only with a
-    rebuild: the deeper levels only grow, so it stays in <strong[i+1]>.
-    A residue that moves a base point means a faulty level, and raises
+    Each level grows in place.  When a residue joins level i as its
+    strong generator s_M, `orbit` goes on from level i's tree: s_M moves
+    the points it holds, and the points it reaches meet every generator.
+    Only the new points get transversal entries (u_a s for the tree edge
+    (a, s)), so an entry never changes once made.  `unsifted[i]` lists
+    the pairs (a, index of s) of level i not yet known to sift to the
+    identity, the next one last; a growth queues only the pairs (a, s_M)
+    of the old points and the pairs of the new points, in tree order, and
+    leaves out the tree edges (a, s) -> a^s, whose Schreier generator is
+    the identity because `labels` builds u_(a^s) as u_a s.  A pair leaves
+    the list once it sifts to the identity and never comes back: its
+    Schreier generator u_a s u_(a^s)^-1 stays the same element, and the
+    deeper levels only grow, so it stays in <strong[i+1]>.  A residue
+    that moves a base point means a faulty level, and raises
     InternalError (the base would otherwise grow without end).
     """
     ident = tuple(range(n))
-    base, strong, trans, unsifted = [], [], [], []
+    base, strong, trees, trans, unsifted = [], [], [], [], []
 
     def add_level(h):
         if any(h[b] != b for b in base):
             raise InternalError("a Schreier-Sims residue moves a base point")
         base.append(next(p for p in range(n) if h[p] != p))
         strong.append([])
-        trans.append(None)
-        unsifted.append(None)
+        trees.append({base[-1]: None})
+        trans.append({})
+        unsifted.append([])
 
-    def level_orbit(i):
-        s = strong[i]
+    def grow(i, closed):
+        """Extends level i's orbit, transversal and queue to the strong
+        generators past its first `closed`, which its tree is closed under."""
+        s, tree = strong[i], trees[i]
 
         def step(pair, _, j):
             ub = _compose(pair[0], s[j])
             return ub, _inverse(ub)
 
-        tree = orbit(base[i], s, lambda a, g: g[a])
-        trans[i] = labels(tree, (ident, ident), step)
-        unsifted[i] = [
+        old = len(tree)
+        orbit(base[i], s, lambda a, g: g[a], tree)
+        labels(tree, (ident, ident), step, trans[i])
+        pairs = [
             (a, m)
-            for a in reversed(tree)
-            for m in reversed(range(len(s)))
+            for k, a in enumerate(tree)
+            for m in range(closed if k < old else 0, len(s))
             if tree[s[m][a]] != (a, m)
         ]
+        unsifted[i] += reversed(pairs)
 
     def sift(g, i):
         """(residue, level it stopped at) of g sifted from level i on."""
@@ -359,7 +382,7 @@ def _schreier_sims_order(gens, n):
         for level in range(first_moved + 1):
             strong[level].append(g)
     for i in range(len(base)):
-        level_orbit(i)
+        grow(i, 0)
     i = len(base) - 1
     while i >= 0:
         found = residue(i)
@@ -371,7 +394,7 @@ def _schreier_sims_order(gens, n):
             add_level(h)
         for level in range(i + 1, j + 1):
             strong[level].append(h)
-            level_orbit(level)
+            grow(level, len(strong[level]) - 1)
         i = j
     return prod(len(u) for u in trans)
 
@@ -399,9 +422,12 @@ class PermGroup:
     The order is computed on construction: from a Jordan certificate when
     the group is transitive of degree n >= 8, has two generators or more
     and the seeded walk finds a witness (n!, or n!/2 if every generator is
-    even), and otherwise from Schreier-Sims.  The element closure and the
-    conjugacy data (classes, power table) are computed lazily on first use.
-    All values are immutable after construction; operations never mutate.
+    even), and otherwise from Schreier-Sims, whose levels grow in place as
+    strong generators join them.  Membership in a group of order n! or
+    n!/2 is a parity test; any other group answers it from its element
+    closure.  The element closure and the conjugacy data (classes, power
+    table) are computed lazily on first use.  All values are immutable
+    after construction; operations never mutate.
     """
 
     def __init__(self, generators):
@@ -448,8 +474,24 @@ class PermGroup:
     def elements(self):
         return sorted(self._elt_map.values())
 
+    @cached_property
+    def _index_in_symmetric(self):
+        """[S_n : self], n the degree."""
+        return factorial(self.degree) // self.order
+
     def __contains__(self, p):
-        return isinstance(p, Permutation) and p.imgs in self._elt_map
+        """Membership of a permutation of the group's degree.  A group of
+        order n! is S_n, and one of order n!/2 is A_n (a subgroup of index
+        2 holds every square, so every 3-cycle): their membership is read
+        off the parity and enumerates nothing."""
+        if not isinstance(p, Permutation) or len(p.imgs) != self.degree:
+            return False
+        index = self._index_in_symmetric
+        if index == 1:
+            return True
+        if index == 2:
+            return (self.degree - len(_cycle_lengths(p.imgs))) % 2 == 0
+        return p.imgs in self._elt_map
 
     def identity(self):
         return Permutation.identity(self.degree)

@@ -880,23 +880,24 @@ def schreier_sims_order(gens, n):
     return prod(len(u) for u in trans)
 
 
-def resumed_schreier_sims_order(gens, n):
-    """permgroup._schreier_sims_order with residue(i) resuming level i's
-    scan from scan[i], the position (index of a in trans[i], index of s in
-    strong[i]) of the last pair that gave a residue, reset to (0, 0) when
-    level_orbit(i) rebuilds the level, and skipping the pairs that are
-    edges of the level's orbit tree."""
+def rebuilding_schreier_sims_order(gens, n):
+    """permgroup._schreier_sims_order with each level rebuilt from scratch
+    whenever it gains a strong generator: `level_orbit` searches its orbit
+    again, labels every point anew and refills its queue `unsifted[i]`
+    with every pair (a, index of s) that is not a tree edge, in reverse
+    scan order, pairs already known to sift to the identity included.
+    The rest, the base-point InternalError included, is as there.
+    """
     ident = tuple(range(n))
-    base, strong, trees, trans, scan = [], [], [], [], []
+    base, strong, trans, unsifted = [], [], [], []
 
     def add_level(h):
         if any(h[b] != b for b in base):
             raise InternalError("a Schreier-Sims residue moves a base point")
         base.append(next(p for p in range(n) if h[p] != p))
         strong.append([])
-        trees.append(None)
         trans.append(None)
-        scan.append(None)
+        unsifted.append(None)
 
     def level_orbit(i):
         s = strong[i]
@@ -905,11 +906,17 @@ def resumed_schreier_sims_order(gens, n):
             ub = _compose(pair[0], s[j])
             return ub, _inverse(ub)
 
-        trees[i] = orbit(base[i], s, lambda a, g: g[a])
-        trans[i] = labels(trees[i], (ident, ident), step)
-        scan[i] = (0, 0)
+        tree = orbit(base[i], s, lambda a, g: g[a])
+        trans[i] = labels(tree, (ident, ident), step)
+        unsifted[i] = [
+            (a, m)
+            for a in reversed(tree)
+            for m in reversed(range(len(s)))
+            if tree[s[m][a]] != (a, m)
+        ]
 
     def sift(g, i):
+        """(residue, level it stopped at) of g sifted from level i on."""
         while i < len(base):
             entry = trans[i].get(g[base[i]])
             if entry is None:
@@ -920,21 +927,18 @@ def resumed_schreier_sims_order(gens, n):
         return g, i
 
     def residue(i):
-        tree, t, strong_i = trees[i], trans[i], strong[i]
-        start, first = scan[i]
-        for k, (a, (ua, _)) in enumerate(itertools.islice(t.items(), start, None), start):
-            for m in range(first, len(strong_i)):
-                s = strong_i[m]
-                b = s[a]
-                if tree[b] == (a, m):
-                    continue
-                vinv = t[b][1]
-                h, j = sift(tuple(vinv[s[q]] for q in ua), i + 1)
-                if h != ident:
-                    scan[i] = (k, m)
-                    return h, j
-            first = 0
-        scan[i] = (len(t), 0)
+        """Sifts the pairs of unsifted[i] from its end, dropping each one
+        that sifts to the identity; (residue, level) of the first that
+        does not, which stays, or None."""
+        t, strong_i, pairs = trans[i], strong[i], unsifted[i]
+        while pairs:
+            a, m = pairs[-1]
+            s = strong_i[m]
+            vinv = t[s[a]][1]
+            h, j = sift(tuple(vinv[s[q]] for q in t[a][0]), i + 1)
+            if h != ident:
+                return h, j
+            pairs.pop()
         return None
 
     for g in gens:

@@ -1,6 +1,7 @@
 """The breadth-first orbit routine against the frontier BFS it replaced,
-the labelling pass over its trees against replayed words, and the coset
-action built on it against brute-force right cosets."""
+a tree grown in place against one search, the labelling pass over its
+trees against replayed words, and the coset action built on it against
+brute-force right cosets."""
 
 import itertools
 
@@ -107,6 +108,30 @@ class TestOrbitOrder:
         check_tree((start[0] % n, start[1] % n), gens, add)
 
 
+def check_grown_tree(start, gens, act, closed):
+    """orbit grown from the tree of gens[:closed] to all of gens: the same
+    points as one search under all of them, the earlier tree as its
+    first entries, unchanged, and every edge a generator step from a
+    parent that comes before its child.  labels then extends the earlier
+    labels to those of the grown tree."""
+    tree = orbit(start, gens[:closed], act)
+    before = dict(tree)
+    words = labels(tree, (), lambda w, _, i: w + (i,))
+    assert orbit(start, gens, act, tree) is tree
+    assert set(tree) == set(orbit(start, gens, act))
+    assert list(tree.items())[: len(before)] == list(before.items())
+    position = {p: i for i, p in enumerate(tree)}
+    for point, edge in tree.items():
+        if edge is not None:
+            parent, i = edge
+            assert position[parent] < position[point]
+            assert act(parent, gens[i]) == point
+    assert labels(tree, (), lambda w, _, i: w + (i,), words) is words
+    assert words == labels(tree, (), lambda w, _, i: w + (i,))
+    for point, word in words.items():
+        assert replay(start, gens, act, word) == point
+
+
 def replay(start, gens, act, word):
     p = start
     for gi in word:
@@ -162,6 +187,18 @@ class TestLabels:
         G = {"z12": cyclic_group(12), "s4": symmetric_group(4), "a4": alternating_group(4)}[name]
         T = TableGroup.from_permgroup(G)
         check_labels(0, [a % T.n for a in picks], T.mult)
+
+    @settings(max_examples=60, deadline=None)
+    @given(perm_lists, st.integers(0, 3))
+    def test_grown_permutation_closure(self, n_gens, closed):
+        n, gens = n_gens
+        check_grown_tree(tuple(range(n)), gens, compose, min(closed, len(gens)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(perm_lists, st.integers(0, 5), st.integers(0, 3))
+    def test_grown_point_orbit(self, n_gens, start, closed):
+        n, gens = n_gens
+        check_grown_tree(start % n, gens, lambda a, g: g[a], min(closed, len(gens)))
 
     @settings(max_examples=60, deadline=None)
     @given(perm_lists)
